@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, bounds, entropy, fewnomial, stability
-from .norming import (NotNormingError, PointSet, fekete_select, lebesgue_constant,
-                      norming_constant)
+from .norming import (DEFAULT_GRID_BUDGET, DEFAULT_RANK_THRESHOLD, NotNormingError,
+                      PointSet, fekete_select, lebesgue_constant, norming_constant)
 from .spaces import space_from_json
 
 EXIT_OK = 0
@@ -30,9 +30,9 @@ EXIT_NOT_NORMING = 2
 @dataclass(frozen=True)
 class RunConfig:
     grid_spacing: Optional[float] = None
-    rank_threshold: float = 1e-10
-    lp_budget: int = 200_001
-    cover_cap: int = 25
+    rank_threshold: float = DEFAULT_RANK_THRESHOLD
+    lp_budget: int = DEFAULT_GRID_BUDGET
+    cover_cap: int = entropy.DEFAULT_COVER_CAP
     c: Optional[float] = None
     seed: int = 0
     out: Optional[str] = None
@@ -48,9 +48,9 @@ def _config_from_args(args) -> RunConfig:
     threads = os.environ.get("NORMING_LAB_THREADS")
     cfg = RunConfig(
         grid_spacing=getattr(args, "grid", None),
-        rank_threshold=getattr(args, "rank_tol", 1e-10),
-        lp_budget=getattr(args, "budget", 200_001),
-        cover_cap=getattr(args, "cover_cap", 25),
+        rank_threshold=getattr(args, "rank_tol", RunConfig.rank_threshold),
+        lp_budget=getattr(args, "budget", RunConfig.lp_budget),
+        cover_cap=getattr(args, "cover_cap", RunConfig.cover_cap),
         c=getattr(args, "c", None),
         seed=getattr(args, "seed", 0),
         out=getattr(args, "out", None),
@@ -262,9 +262,11 @@ def cmd_estimate_c(args) -> int:
 
 def _add_common(p):
     p.add_argument("--grid", type=float, default=None, help="grid spacing h")
-    p.add_argument("--rank-tol", type=float, default=1e-10, dest="rank_tol")
-    p.add_argument("--budget", type=int, default=200_001, help="max grid points")
-    p.add_argument("--cover-cap", type=int, default=25, dest="cover_cap")
+    p.add_argument("--rank-tol", type=float, default=RunConfig.rank_threshold,
+                   dest="rank_tol")
+    p.add_argument("--budget", type=int, default=RunConfig.lp_budget,
+                   help="max grid points")
+    p.add_argument("--cover-cap", type=int, default=RunConfig.cover_cap, dest="cover_cap")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

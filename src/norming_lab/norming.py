@@ -8,8 +8,19 @@ over a uniform grid on the cube, of the per-point linear program
 The LP optimum is attained at a vertex of the feasible polytope, and the
 polytope does not depend on x, so we enumerate its vertices once and take
 the grid-wise maximum of |f_v(x)| over vertices v. This is exactly the
-per-grid-point LP value, evaluated in bulk. ``simplex.norming_lp_value``
-solves individual LPs directly and is used as a cross-check.
+per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
+LPs directly and is used as a cross-check.
+
+The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
+about 4,000 grid points is evaluated first; the Markov inequality then
+bounds every vertex and every coarse cell, and only the vertices and cells
+that can still reach the coarse maximum are evaluated on the full grid.
+The skipped ones provably cannot hold the grid maximum, so the result is
+that of a dense pass. Pruning needs a certified Markov constant (identity
+modulus, polynomial or trigonometric space) and the space's own cube; for
+fewnomial spaces, power moduli, explicit sub-boxes and grids too small to
+coarsen, every grid point is evaluated. Both passes run in blocks of
+bounded size.
 
 Certification: the grid maximum is a lower bound; the Markov constant of
 the space turns it into the upper bound lower / (1 - M * omega(h/2)).
@@ -29,6 +40,11 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
 VERTEX_BUDGET = 4_000_000
 FEKETE_CAP = 500_000
+# grid maximiser: coarse sub-lattice size, values per evaluated block, and
+# the relative slack that keeps rounding from pruning a maximiser
+_COARSE_TARGET = 4_000
+_BLOCK_VALUES = 1 << 20
+_PRUNE_RTOL = 1e-9
 
 
 class NotNormingError(RuntimeError):
@@ -61,14 +77,20 @@ class PointSet:
         return self.points.shape[0]
 
 
+def has_duplicates(pts: np.ndarray) -> bool:
+    """True when two rows of ``pts`` lie within 1e-12 of each other in l-inf."""
+    if pts.shape[0] < 2:
+        return False
+    diff = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    np.fill_diagonal(diff, np.inf)
+    return bool(np.min(diff) < 1e-12)
+
+
 def _check_duplicates(pts: np.ndarray):
     if pts.shape[0] < 1:
         raise ValueError("point set must be nonempty")
-    if pts.shape[0] > 1:
-        diff = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-        np.fill_diagonal(diff, np.inf)
-        if np.min(diff) < 1e-12:
-            raise ValueError("duplicate points (within 1e-12 in l-inf)")
+    if has_duplicates(pts):
+        raise ValueError("duplicate points (within 1e-12 in l-inf)")
 
 
 def as_points(points, n: Optional[int] = None) -> np.ndarray:
@@ -96,8 +118,8 @@ def _domain_box(space: SpaceDescriptor, points=None, box=None):
     return cube
 
 
-def uniform_grid(box, spacing=None, budget=None):
-    """Uniform grid on a box; returns (points, effective_spacing)."""
+def _grid_axes(box, spacing=None, budget=None):
+    """Axes of the uniform grid on a box; returns (axes, effective_spacing)."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     n = lo.size
     if budget is None:
@@ -121,9 +143,19 @@ def uniform_grid(box, spacing=None, budget=None):
     total = math.prod(len(ax) for ax in axes)
     if total > 50_000_000:
         raise ValueError("grid exceeds the hard point budget; coarsen spacing")
+    return axes, h_eff
+
+
+def _tensor(axes):
+    """All points of the tensor grid, last axis fastest."""
     grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts, h_eff
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def uniform_grid(box, spacing=None, budget=None):
+    """Uniform grid on a box; returns (points, effective_spacing)."""
+    axes, h_eff = _grid_axes(box, spacing, budget)
+    return _tensor(axes), h_eff
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +338,112 @@ def _half_signs(l: int):
         yield [1.0] + [1.0 if (bits >> k) & 1 else -1.0 for k in range(l - 1)]
 
 
+def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
+              M: MarkovConstant):
+    """Maximum of |phi(x) @ W[:, k]| over the uniform grid on ``box`` and all k.
+
+    Returns (value, point, column, effective_spacing). Point and column are
+    the first maximiser in grid order and column order, as one dense
+    ``np.abs(Phi @ W)`` would give. Where ``_coarse_prune`` applies, only the
+    columns and grid cells that can reach the maximum are evaluated; the
+    rest is skipped exactly, not approximately. Either way the grid is
+    evaluated in blocks of bounded size.
+    """
+    axes, h_eff = _grid_axes(box, spacing, budget)
+    shape = tuple(len(ax) for ax in axes)
+    total = math.prod(shape)
+    cols = np.arange(W.shape[1])
+    keep = None
+    pruned = _coarse_prune(space, W, box, axes, M)
+    if pruned is not None:
+        cols, keep = pruned
+    Wk = W[:, cols]
+    top, gi, col = -math.inf, 0, 0
+    step = _block_rows(W.shape[0], Wk.shape[1])
+    for start in range(0, total if keep is None else keep.size, step):
+        if keep is None:
+            flat = np.arange(start, min(total, start + step))
+        else:
+            flat = keep[start:start + step]
+        vals = np.abs(space.evaluate_basis(_grid_points(axes, shape, flat)) @ Wk)
+        rowmax = vals.max(axis=1)
+        j = int(np.argmax(rowmax))
+        if not rowmax[j] <= top:  # strictly larger, or NaN
+            top, gi, col = float(rowmax[j]), int(flat[j]), int(cols[np.argmax(vals[j])])
+            if not math.isfinite(top):
+                break
+    return top, _grid_points(axes, shape, np.array([gi]))[0], col, h_eff
+
+
+def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant):
+    """Columns of W and flat grid indices that can still attain the grid maximum.
+
+    The coarse sub-lattice keeps every s-th index per axis plus the last
+    one, so every grid point x lies within r (half the largest coarse gap)
+    of its nearest coarse point c. On the space's own box the Markov
+    inequality |f(x) - f(c)| <= M * omega(r) * sup|f| gives, with
+    pad = M * omega(r) and coarse column maximum C_k,
+
+        sup |f_k| <= U_k = C_k / (1 - pad),
+        |f_k(x)| <= |f_k(c)| + pad * U_k.
+
+    The coarse maximum ``best`` is a grid value, so columns with U_k < best
+    and cells whose bound is below ``best`` cannot hold the grid maximum.
+    Returns None, meaning "evaluate everything", where the inequality is not
+    certified, the box is not the space's own box, the grid is too small to
+    coarsen, pad >= 1, or a coarse value is not finite.
+    """
+    cube = space.default_box()
+    if (not M.certified or cube is None
+            or not (np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1]))):
+        return None
+    shape = [len(ax) for ax in axes]
+    s = int(round((math.prod(shape) / _COARSE_TARGET) ** (1.0 / len(shape))))
+    if s <= 1:
+        return None
+    sub = [np.unique(np.append(np.arange(0, k, s), k - 1)) for k in shape]
+    r = max(float(np.max(np.diff(ax[i]))) / 2.0 for ax, i in zip(axes, sub))
+    pad = M.value * float(space.modulus(r))
+    if pad >= 1.0:
+        return None
+
+    Phi = space.evaluate_basis(_tensor([ax[i] for ax, i in zip(axes, sub)]))
+    colmax = np.zeros(W.shape[1])
+    step = _block_rows(W.shape[0], W.shape[1])
+    for start in range(0, Phi.shape[0], step):
+        colmax = np.maximum(colmax, np.abs(Phi[start:start + step] @ W).max(axis=0))
+    if not np.all(np.isfinite(colmax)):
+        return None
+    best = float(colmax.max())
+    # Rounding slack: basis values are at most 1 on the cube, so one computed
+    # |phi @ w| is off by at most about l * eps * ||w||_1.
+    slack = (_PRUNE_RTOL * best
+             + 2 * W.shape[0] * np.finfo(float).eps * float(np.abs(W).sum(axis=0).max()))
+    upper = colmax / (1.0 - pad)
+    cols = np.flatnonzero(upper >= best - slack)
+    Wk, padU = W[:, cols], pad * upper[cols]
+
+    bound = np.empty(Phi.shape[0])
+    step = _block_rows(W.shape[0], cols.size)
+    for start in range(0, Phi.shape[0], step):
+        block = np.abs(Phi[start:start + step] @ Wk) + padU
+        bound[start:start + step] = block.max(axis=1)
+    cell_ok = (bound >= best - slack).reshape([i.size for i in sub])
+    # nearest coarse index of every fine index, per axis
+    owner = [np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(k)) for i, k in zip(sub, shape)]
+    return cols, np.flatnonzero(cell_ok[np.ix_(*owner)])
+
+
+def _block_rows(l: int, width: int) -> int:
+    return max(1, _BLOCK_VALUES // max(l, width, 1))
+
+
+def _grid_points(axes, shape, flat: np.ndarray) -> np.ndarray:
+    """Points of the tensor grid at the given flat (last axis fastest) indices."""
+    multi = np.unravel_index(flat, shape)
+    return np.stack([ax[i] for ax, i in zip(axes, multi)], axis=1)
+
+
 def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
                      budget=None, rank_threshold=DEFAULT_RANK_THRESHOLD,
                      box=None) -> NormingReport:
@@ -340,23 +478,17 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     if verts.shape[0] == 0:
         raise IllConditionedError("no feasible LP vertex despite full rank",
                                   direction=Vh[-1] / colmax)
-    grid, h_eff = uniform_grid(dom, spacing=grid_spacing, budget=budget)
-    Phi = space.evaluate_basis(grid)
-    vals = np.abs(Phi @ verts.T)  # (G, K)
-    per_point = vals.max(axis=1)
-    gi = int(np.argmax(per_point))
-    lower = float(per_point[gi])
+    M = markov_constant(space, box=dom)
+    lower, point, vi, h_eff = _grid_max(space, verts.T, dom, grid_spacing, budget, M)
     if not math.isfinite(lower):
         raise IllConditionedError("LP value not finite despite full rank",
-                                  direction=verts[int(np.argmax(vals[gi]))])
-    vi = int(np.argmax(vals[gi]))
-    M = markov_constant(space, box=dom)
+                                  direction=verts[vi])
     pad = M.value * space.modulus(h_eff / 2)
     upper = lower / (1.0 - pad) if pad < 1.0 else math.inf
     return NormingReport(
         norming=True, value=lower, lower=lower, upper=upper,
         grid_spacing=h_eff, witness_coefficients=verts[vi],
-        witness_point=grid[gi], method="lp_grid",
+        witness_point=point, method="lp_grid",
         certified=M.certified and pad < 1.0)
 
 

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .norming import NormingReport, as_points, norming_constant
+from .norming import NormingReport, as_points, has_duplicates, norming_constant
 from .spaces import SpaceDescriptor, markov_constant
 
 
@@ -119,6 +119,8 @@ def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[floa
     For each magnitude, points of Z are perturbed uniformly and clamped to
     the cube (so Z stays admissible); the max observed ratio lhs/omega(d_H)
     is compared against the Markov constant. Deterministic given the seed.
+    A trial whose clamped set has merged points counts as skipped; any
+    other error propagates.
     """
     pts = as_points(z, space.n)
     base = norming_constant(space, pts, grid_spacing=grid_spacing, budget=budget)
@@ -134,17 +136,16 @@ def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[floa
         for _ in range(trials):
             shift = rng.uniform(-mag, mag, size=pts.shape)
             pert = np.clip(pts + shift, -1.0, 1.0)
+            if has_duplicates(pert):
+                # clamping merged points; the set is no longer admissible
+                skipped += 1
+                continue
             dh = hausdorff_distance(pts, pert)
             if dh <= 0.0:
                 skipped += 1
                 continue
-            try:
-                rep = norming_constant(space, pert, grid_spacing=grid_spacing,
-                                       budget=budget)
-            except ValueError:
-                # clamping may merge points; treat as a skipped trial
-                skipped += 1
-                continue
+            rep = norming_constant(space, pert, grid_spacing=grid_spacing,
+                                   budget=budget)
             if not rep.norming:
                 non_norming += 1
             lhs = abs(base.reciprocal - rep.reciprocal)

@@ -60,3 +60,32 @@ def test_perturbation_experiment_deterministic():
     for row in rows1:
         assert row.within_markov
         assert row.trials == 10
+
+
+def test_perturbation_experiment_propagates_errors(monkeypatch):
+    # only clamped duplicates are skipped; any other failure must surface
+    from norming_lab import stability
+
+    real = stability.norming_constant
+    calls = []
+
+    def failing_on_perturbed(space, z, **kwargs):
+        calls.append(z)
+        if len(calls) > 1:
+            raise ValueError("vertex enumeration budget exceeded")
+        return real(space, z, **kwargs)
+
+    monkeypatch.setattr(stability, "norming_constant", failing_on_perturbed)
+    P2 = SpaceDescriptor.polynomial(1, 2)
+    with pytest.raises(ValueError, match="budget exceeded"):
+        perturbation_experiment(P2, [[-0.8], [0.1], [0.9]], [0.05], trials=3,
+                                seed=3, budget=10001)
+    assert len(calls) == 2
+
+
+def test_perturbation_experiment_skips_clamped_duplicates():
+    # a magnitude far beyond the cube clamps most points onto its corners
+    P1 = SpaceDescriptor.polynomial(1, 1)
+    rows = perturbation_experiment(P1, [[-0.5], [0.5]], [50.0], trials=20, seed=0,
+                                   budget=2001)
+    assert 0 < rows[0].skipped < 20
