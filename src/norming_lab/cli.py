@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -38,14 +37,12 @@ class RunConfig:
     out: Optional[str] = None
     as_json: bool = True
     heuristic_cover: bool = False
-    threads: Optional[int] = None
 
     def echo(self) -> dict:
         return asdict(self)
 
 
 def _config_from_args(args) -> RunConfig:
-    threads = os.environ.get("NORMING_LAB_THREADS")
     cfg = RunConfig(
         grid_spacing=getattr(args, "grid", None),
         rank_threshold=getattr(args, "rank_tol", RunConfig.rank_threshold),
@@ -56,7 +53,6 @@ def _config_from_args(args) -> RunConfig:
         out=getattr(args, "out", None),
         as_json=getattr(args, "json", True),
         heuristic_cover=getattr(args, "heuristic_cover", False),
-        threads=int(threads) if threads else None,
     )
     for name in ("rank_threshold", "lp_budget", "cover_cap"):
         if getattr(cfg, name) <= 0:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .norming import as_points
+from .norming import as_points, linf_distances
 
 DEFAULT_COVER_CAP = 25
 _EPS_TOL = 1e-12
@@ -38,7 +38,7 @@ def covering_number(points, eps: float, *, exact_cap: int = DEFAULT_COVER_CAP,
         return 1
     if pts.shape[1] == 1:
         return _cover_1d(np.sort(pts[:, 0]), eps)
-    D = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    D = linf_distances(pts, pts)
     masks = []
     for j in range(m):
         mask = 0
@@ -185,7 +185,7 @@ def metric_span(points, d: int, *, coefficients=None,
     n = pts.shape[1]
     m = pts.shape[0]
     if m > 1:
-        D = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+        D = linf_distances(pts, pts)
         iu = np.triu_indices(m, 1)
         bps = np.unique(D[iu])
         bps = bps[bps > _EPS_TOL]

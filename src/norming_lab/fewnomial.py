@@ -119,6 +119,12 @@ def geodesic_point(x, y, t: float):
     return en_map(t * log_map(x) + (1.0 - t) * log_map(y))
 
 
+def _box_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distinct corners of the box [a, b], one per row."""
+    corners = np.meshgrid(*zip(a, b), indexing="ij")
+    return np.unique(np.stack([c.ravel() for c in corners], axis=1), axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class LogBody:
     """A compact logarithmically convex region in the positive orthant.
@@ -171,10 +177,7 @@ class LogBody:
     def vertices(self) -> np.ndarray:
         """Vertices in orthant coordinates."""
         if self.kind == "box":
-            n = self.a.size
-            corners = np.array(np.meshgrid(*[(self.a[j], self.b[j]) for j in range(n)],
-                                           indexing="ij")).reshape(n, -1).T
-            return np.unique(corners, axis=0)
+            return _box_corners(self.a, self.b)
         return en_map(self.log_vertices)
 
     def log_width(self, alpha) -> float:
@@ -242,10 +245,7 @@ class ConvexBody:
 
     def vertices(self) -> np.ndarray:
         if self.kind == "box":
-            n = self.a.size
-            corners = np.array(np.meshgrid(*[(self.a[j], self.b[j]) for j in range(n)],
-                                           indexing="ij")).reshape(n, -1).T
-            return np.unique(corners, axis=0)
+            return _box_corners(self.a, self.b)
         return self.verts
 
     def re_width(self, rate) -> float:

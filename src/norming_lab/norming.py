@@ -22,8 +22,11 @@ fewnomial spaces, power moduli, explicit sub-boxes and grids too small to
 coarsen, every grid point is evaluated. Both passes run in blocks of
 bounded size.
 
-Certification: the grid maximum is a lower bound; the Markov constant of
-the space turns it into the upper bound lower / (1 - M * omega(h/2)).
+Certification (``_certified_max``, shared by ``norming_constant``,
+``certified_supnorm`` and ``cramer_bound``): the grid maximum is the lower
+bound; the spacing h is halved while M * omega(h/2) >= 1. The upper bound
+is lower / (1 - M * omega(h/2)) on the cube, and lower + M * omega(h/2) *
+sup_cube on a strict sub-box, whose M is relative to the sup over the cube.
 """
 from __future__ import annotations
 
@@ -77,11 +80,16 @@ class PointSet:
         return self.points.shape[0]
 
 
+def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of l-inf distances between the rows of ``a`` and the rows of ``b``."""
+    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+
+
 def has_duplicates(pts: np.ndarray) -> bool:
     """True when two rows of ``pts`` lie within 1e-12 of each other in l-inf."""
     if pts.shape[0] < 2:
         return False
-    diff = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    diff = linf_distances(pts, pts)
     np.fill_diagonal(diff, np.inf)
     return bool(np.min(diff) < 1e-12)
 
@@ -207,13 +215,10 @@ def cramer_bound(space: SpaceDescriptor, points, *, grid_spacing=None,
     delta = interpolation_determinant(space, pts)
     if delta == 0.0:
         raise NotNormingError("zero interpolation determinant: not norming via this subset")
-    sup = 0.0
-    for i in range(l):
-        coeff = np.zeros(l)
-        coeff[i] = 1.0
-        bracket = certified_supnorm(space, coeff, box=_domain_box(space, points, box),
-                                    grid_spacing=grid_spacing, budget=budget)
-        sup = max(sup, bracket.upper)
+    # one grid pass over all basis functions; on the cube the shared pad makes
+    # (max_i lower_i) / (1 - pad) equal to max_i of the per-function uppers
+    sup = _certified_max(space, np.eye(l), _domain_box(space, points, box),
+                         grid_spacing, budget)[0].upper
     return sup**l * l * math.factorial(l) / abs(delta)
 
 
@@ -232,47 +237,41 @@ class SupBracket:
 
 def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
                       grid_spacing=None, budget=None) -> SupBracket:
-    """Bracket [lower, upper] containing sup |f| over a box.
-
-    ``lower`` is the grid maximum; ``upper`` inflates it by the Markov
-    factor 1/(1 - M*omega(h/2)). On a strict sub-box of the space's natural
-    domain the additive form lower + M*omega(h/2)*sup_domain is used, since
-    the Markov constant is relative to the sup over the full domain.
-    """
+    """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
     coeff = np.asarray(coefficients, dtype=float)
-    domain = space.default_box()
-    if box is None:
-        box = _domain_box(space)
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    M = markov_constant(space, box=(lo, hi) if domain is None else domain)
-    omega = space.modulus
+    bracket, _ = _certified_max(space, coeff[:, None], _domain_box(space, box=box),
+                                grid_spacing, budget)
+    return bracket
 
-    h = grid_spacing
-    if h is None:
-        _, h = uniform_grid((lo, hi), budget=budget)
-    # refine until the certification factor is meaningful
+
+def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
+    """Bracket on sup over ``box`` of max_k |phi(x) @ W[:, k]|, by the rule in
+    the module docstring. Returns (SupBracket, column of W at the argmax).
+    ``spacing`` and ``budget`` reach ``_grid_max`` unchanged unless refined."""
+    lo, hi = box
+    domain = space.default_box()
+    M = markov_constant(space, box=box if domain is None else domain)
+    omega = space.modulus
+    h = spacing if spacing is not None else _grid_axes(box, None, budget)[1]
     tries = 0
     while M.value * omega(h / 2) >= 1.0 and tries < 20:
         h /= 2.0
         tries += 1
-    grid, h_eff = uniform_grid((lo, hi), spacing=h, budget=budget)
-    vals = np.abs(space.evaluate_basis(grid) @ coeff)
-    k = int(np.argmax(vals))
-    lower = float(vals[k])
+    if tries:
+        spacing = h
+    lower, point, column, h_eff = _grid_max(space, W, box, spacing, budget, M)
     pad = M.value * omega(h_eff / 2)
     certified = M.certified and pad < 1.0
     if pad >= 1.0:
         upper = math.inf
-    elif domain is not None and (np.any(lo > domain[0] + 1e-15) or np.any(hi < domain[1] - 1e-15)):
-        dom_grid, dom_h = uniform_grid(domain, spacing=h, budget=budget)
-        dom_lower = float(np.max(np.abs(space.evaluate_basis(dom_grid) @ coeff)))
-        dom_pad = M.value * omega(dom_h / 2)
-        dom_upper = dom_lower / (1.0 - dom_pad) if dom_pad < 1.0 else math.inf
-        upper = lower + M.value * omega(h_eff / 2) * dom_upper
-        certified = certified and math.isfinite(dom_upper)
+    elif domain is not None and (np.any(lo > domain[0] + 1e-15)
+                                 or np.any(hi < domain[1] - 1e-15)):
+        whole, _ = _certified_max(space, W, domain, spacing, budget)
+        upper = lower + pad * whole.upper
+        certified = certified and whole.certified
     else:
         upper = lower / (1.0 - pad)
-    return SupBracket(lower, upper, certified, h_eff, grid[k])
+    return SupBracket(lower, upper, certified, h_eff, point), column
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +313,12 @@ class NormingReport:
 def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     """Vertices of {a : |Ba| <= 1}, one representative per +/- pair."""
     m, l = B.shape
+    if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
+        raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
     signs = np.array(list(_half_signs(l)), dtype=float)  # (2^(l-1), l)
     if m == l:
         return np.linalg.solve(B, signs.T).T
     combos = list(combinations(range(m), l))
-    if len(combos) * signs.shape[0] > VERTEX_BUDGET:
-        raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
     sub = B[np.asarray(combos)]  # (C, l, l)
     dets = np.linalg.det(sub)
     scale = np.max(np.abs(sub), axis=(1, 2))
@@ -478,23 +477,19 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     if verts.shape[0] == 0:
         raise IllConditionedError("no feasible LP vertex despite full rank",
                                   direction=Vh[-1] / colmax)
-    M = markov_constant(space, box=dom)
-    lower, point, vi, h_eff = _grid_max(space, verts.T, dom, grid_spacing, budget, M)
-    if not math.isfinite(lower):
+    bracket, vi = _certified_max(space, verts.T, dom, grid_spacing, budget)
+    if not math.isfinite(bracket.lower):
         raise IllConditionedError("LP value not finite despite full rank",
                                   direction=verts[vi])
-    pad = M.value * space.modulus(h_eff / 2)
-    upper = lower / (1.0 - pad) if pad < 1.0 else math.inf
     return NormingReport(
-        norming=True, value=lower, lower=lower, upper=upper,
-        grid_spacing=h_eff, witness_coefficients=verts[vi],
-        witness_point=point, method="lp_grid",
-        certified=M.certified and pad < 1.0)
+        norming=True, value=bracket.lower, lower=bracket.lower, upper=bracket.upper,
+        grid_spacing=bracket.grid_spacing, witness_coefficients=verts[vi],
+        witness_point=bracket.argmax, method="lp_grid", certified=bracket.certified)
 
 
 def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
                       budget=None, box=None) -> float:
-    """Certified grid sup of the Lebesgue function sum_i |L_i| of a unisolvent set."""
+    """Grid maximum (a lower bound, uncertified) of sum_i |L_i| for a unisolvent set."""
     C = lagrange_basis(space, points)
     dom = _domain_box(space, points, box)
     grid, _ = uniform_grid(dom, spacing=grid_spacing, budget=budget)

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .norming import NormingReport, as_points, has_duplicates, norming_constant
+from .norming import (NormingReport, as_points, has_duplicates, linf_distances,
+                      norming_constant)
 from .spaces import SpaceDescriptor, markov_constant
 
 
@@ -22,7 +23,7 @@ def hausdorff_distance(z1, z2) -> float:
     b = as_points(z2)
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must share one dimension")
-    D = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    D = linf_distances(a, b)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 

@@ -123,11 +123,3 @@ def test_out_flag_writes_file(capsys, space_file, points_csv, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["result"]["norming"] is True
-
-
-def test_threads_env_echoed(capsys, space_file, points_csv, monkeypatch):
-    monkeypatch.setenv("NORMING_LAB_THREADS", "4")
-    code, out = run(capsys, ["norming", "--space", space_file,
-                             "--points", points_csv, "--grid", "0.01"])
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 4

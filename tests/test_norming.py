@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,37 @@ def test_not_norming_rank_deficient():
     assert np.max(np.abs(vals)) < 1e-9
 
 
+def test_subbox_norming_bracket_is_sound():
+    # {0, 0.05, 0.1} is the affine image of {-1, 0, 1}, so N = 1.25 on [0, 0.1].
+    # The Markov constant is relative to the sup over the whole cube, so the
+    # bracket on the sub-box needs the additive form.
+    box = (np.array([0.0]), np.array([0.1]))
+    rep = norming_constant(P2, [[0.0], [0.05], [0.1]], box=box, budget=3)
+    assert rep.certified
+    assert rep.lower <= 1.25 <= rep.upper
+
+
+def test_coarse_grid_spacing_is_refined():
+    # at spacing 1 the Markov factor 4 * 0.5 is not below 1; halving fixes it
+    rep = norming_constant(P2, [[-1.0], [0.0], [1.0]], grid_spacing=1.0)
+    assert rep.certified
+    assert rep.grid_spacing < 1.0
+    assert rep.lower <= 1.25 <= rep.upper
+
+
+@pytest.mark.parametrize("space, pts", [
+    (SpaceDescriptor.trigonometric(1, 12),
+     np.linspace(-1.0, 1.0, 25, endpoint=False)[:, None]),
+    (SpaceDescriptor.polynomial(2, 3),
+     np.stack(np.meshgrid(np.linspace(-1, 1, 8), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)),
+], ids=["unisolvent-l25", "m40-l10"])
+def test_vertex_budget_checked_before_enumeration(space, pts):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="vertex enumeration budget"):
+        norming_constant(space, pts)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_certified_supnorm_brackets_truth():
     # sup |x^2 - 0.5| on [-1, 1] is 0.5 exactly
     br = certified_supnorm(P2, [-0.5, 0.0, 1.0], grid_spacing=1e-3)
@@ -103,7 +135,13 @@ def test_cramer_upper_bounds_exact(rng):
         space = small_poly_space(rng, max_n=1, max_d=2, max_dim=3)
         pts = random_points(rng, space.dimension(), 1, min_sep=0.3)
         exact = norming_constant(space, pts, budget=20001).value
-        assert cramer_bound(space, pts, budget=20001) >= exact * (1 - 1e-9)
+        bound = cramer_bound(space, pts, budget=20001)
+        assert bound >= exact * (1 - 1e-9)
+        # one grid pass over all basis functions equals one pass per function
+        l = space.dimension()
+        sup = max(certified_supnorm(space, e, budget=20001).upper for e in np.eye(l))
+        delta = interpolation_determinant(space, pts)
+        assert bound == sup**l * l * math.factorial(l) / abs(delta)
 
 
 def test_fekete_exhaustive_known():
