@@ -33,12 +33,19 @@ def covering_number(points, eps: float, *, exact_cap: int = DEFAULT_COVER_CAP,
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = as_points(points)
+    D = linf_distances(pts, pts) if pts.shape[0] > 1 and pts.shape[1] > 1 else None
+    return _cover_count(pts, D, eps, exact_cap, heuristic)
+
+
+def _cover_count(pts: np.ndarray, D: Optional[np.ndarray], eps: float, exact_cap: int,
+                 heuristic: bool) -> int:
+    """``covering_number`` of ``pts`` given their l-inf distance matrix ``D``
+    (not read for a single point or in one dimension)."""
     m = pts.shape[0]
     if m == 1:
         return 1
     if pts.shape[1] == 1:
         return _cover_1d(np.sort(pts[:, 0]), eps)
-    D = linf_distances(pts, pts)
     masks = []
     for j in range(m):
         mask = 0
@@ -184,15 +191,10 @@ def metric_span(points, d: int, *, coefficients=None,
     pts = as_points(points)
     n = pts.shape[1]
     m = pts.shape[0]
-    if m > 1:
-        D = linf_distances(pts, pts)
-        iu = np.triu_indices(m, 1)
-        bps = np.unique(D[iu])
-        bps = bps[bps > _EPS_TOL]
-    else:
-        bps = np.empty(0)
-    counts = [m] + [covering_number(pts, float(b), exact_cap=exact_cap,
-                                    heuristic=heuristic) for b in bps]
+    D = linf_distances(pts, pts)
+    bps = np.unique(D[np.triu_indices(m, 1)])
+    bps = bps[bps > _EPS_TOL]
+    counts = [m] + [_cover_count(pts, D, float(b), exact_cap, heuristic) for b in bps]
 
     def phi(eps: float, K: int) -> float:
         return eps**n * (K - universal_polynomial(n, d, eps, coefficients))

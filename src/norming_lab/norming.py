@@ -12,14 +12,16 @@ per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
 LPs directly and is used as a cross-check.
 
 The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
-about 4,000 grid points is evaluated first; the Markov inequality then
-bounds every vertex and every coarse cell, and only the vertices and cells
-that can still reach the coarse maximum are evaluated on the full grid.
-The skipped ones provably cannot hold the grid maximum, so the result is
-that of a dense pass. Pruning needs a certified Markov constant (identity
-modulus, polynomial or trigonometric space) and the space's own cube; for
-fewnomial spaces, power moduli, explicit sub-boxes and grids too small to
-coarsen, every grid point is evaluated. Both passes run in blocks of
+about 9 * sqrt(G) of the G grid points is evaluated first; the Markov
+inequality then bounds every vertex and every coarse cell, and only the
+vertices and cells that can still reach the coarse maximum are evaluated on
+the full grid, as index ranges expanded in grid order. The skipped ones
+provably cannot hold the grid maximum, so the result is that of a dense
+pass. Pruning needs a certified Markov constant (identity modulus,
+polynomial or trigonometric space) and a box inside the space's own cube;
+on a strict sub-box it also needs the certified sup over the cube, which
+``_certified_max`` computes first. Fewnomial spaces, power moduli and grids
+too small to coarsen evaluate every grid point. Both passes run in blocks of
 bounded size.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
@@ -43,9 +45,8 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
 VERTEX_BUDGET = 4_000_000
 FEKETE_CAP = 500_000
-# grid maximiser: coarse sub-lattice size, values per evaluated block, and
-# the relative slack that keeps rounding from pruning a maximiser
-_COARSE_TARGET = 4_000
+# grid maximiser: values per evaluated block, and the relative slack that
+# keeps rounding from pruning a maximiser
 _BLOCK_VALUES = 1 << 20
 _PRUNE_RTOL = 1e-9
 
@@ -259,14 +260,17 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
         tries += 1
     if tries:
         spacing = h
-    lower, point, column, h_eff = _grid_max(space, W, box, spacing, budget, M)
+    whole = None
+    if domain is not None and (np.any(lo > domain[0] + 1e-15)
+                               or np.any(hi < domain[1] - 1e-15)):
+        whole, _ = _certified_max(space, W, domain, spacing, budget)
+    sup = whole.upper if whole is not None and whole.certified else None
+    lower, point, column, h_eff = _grid_max(space, W, box, spacing, budget, M, sup)
     pad = M.value * omega(h_eff / 2)
     certified = M.certified and pad < 1.0
     if pad >= 1.0:
         upper = math.inf
-    elif domain is not None and (np.any(lo > domain[0] + 1e-15)
-                                 or np.any(hi < domain[1] - 1e-15)):
-        whole, _ = _certified_max(space, W, domain, spacing, budget)
+    elif whole is not None:
         upper = lower + pad * whole.upper
         certified = certified and whole.certified
     else:
@@ -338,14 +342,16 @@ def _half_signs(l: int):
 
 
 def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
-              M: MarkovConstant):
+              M: MarkovConstant, sup=None):
     """Maximum of |phi(x) @ W[:, k]| over the uniform grid on ``box`` and all k.
 
     Returns (value, point, column, effective_spacing). Point and column are
     the first maximiser in grid order and column order, as one dense
     ``np.abs(Phi @ W)`` would give. Where ``_coarse_prune`` applies, only the
     columns and grid cells that can reach the maximum are evaluated; the
-    rest is skipped exactly, not approximately. Either way the grid is
+    rest is skipped exactly, not approximately. ``sup``, when given, bounds
+    sup |phi @ W[:, k]| over the space's own box for every k, which lets a
+    strict sub-box of that box be pruned too. Either way the grid is
     evaluated in blocks of bounded size.
     """
     axes, h_eff = _grid_axes(box, spacing, budget)
@@ -353,7 +359,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
     total = math.prod(shape)
     cols = np.arange(W.shape[1])
     keep = None
-    pruned = _coarse_prune(space, W, box, axes, M)
+    pruned = _coarse_prune(space, W, box, axes, M, sup)
     if pruned is not None:
         cols, keep = pruned
     Wk = W[:, cols]
@@ -374,34 +380,47 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
     return top, _grid_points(axes, shape, np.array([gi]))[0], col, h_eff
 
 
-def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant):
+def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant,
+                  sup=None):
     """Columns of W and flat grid indices that can still attain the grid maximum.
 
     The coarse sub-lattice keeps every s-th index per axis plus the last
     one, so every grid point x lies within r (half the largest coarse gap)
-    of its nearest coarse point c. On the space's own box the Markov
-    inequality |f(x) - f(c)| <= M * omega(r) * sup|f| gives, with
-    pad = M * omega(r) and coarse column maximum C_k,
+    of its nearest coarse point c. For x in the space's own box the Markov
+    inequality |f(x) - f(c)| <= M * omega(r) * sup|f| over that box gives,
+    with pad = M * omega(r) and a bound U_k on sup |f_k|,
 
-        sup |f_k| <= U_k = C_k / (1 - pad),
         |f_k(x)| <= |f_k(c)| + pad * U_k.
 
-    The coarse maximum ``best`` is a grid value, so columns with U_k < best
-    and cells whose bound is below ``best`` cannot hold the grid maximum.
-    Returns None, meaning "evaluate everything", where the inequality is not
-    certified, the box is not the space's own box, the grid is too small to
-    coarsen, pad >= 1, or a coarse value is not finite.
+    On the whole box U_k = C_k / (1 - pad), from the coarse column maximum
+    C_k; on a strict sub-box U_k = ``sup`` for every k. The coarse maximum
+    ``best`` is a grid value, so columns with U_k < best and cells whose
+    bound is below ``best`` cannot hold the grid maximum. The stride s makes
+    the coarse lattice about 9 * sqrt(G) of the G grid points: G / s^n
+    coarse points then cost about as much as some 80 kept cells of s^n fine
+    points each.
+
+    Returns (columns, ascending flat indices), with None for the indices
+    when every cell is kept. Returns None, meaning "evaluate everything",
+    where the inequality is not certified, the box is not inside the
+    space's own box, a strict sub-box comes without a finite ``sup``, the
+    grid is too small to coarsen, pad >= 1, or a coarse value is not finite.
     """
     cube = space.default_box()
-    if (not M.certified or cube is None
-            or not (np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1]))):
+    if not M.certified or cube is None:
+        return None
+    if np.any(box[0] < cube[0]) or np.any(box[1] > cube[1]):
+        return None
+    on_cube = np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
+    if not on_cube and (sup is None or not math.isfinite(sup)):
         return None
     shape = [len(ax) for ax in axes]
-    s = int(round((math.prod(shape) / _COARSE_TARGET) ** (1.0 / len(shape))))
+    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
     if s <= 1:
         return None
-    sub = [np.unique(np.append(np.arange(0, k, s), k - 1)) for k in shape]
-    r = max(float(np.max(np.diff(ax[i]))) / 2.0 for ax, i in zip(axes, sub))
+    sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
+    # half the largest coarse gap; a flat axis contributes 0
+    r = max(float(np.max(np.diff(ax[i], prepend=ax[0]))) / 2.0 for ax, i in zip(axes, sub))
     pad = M.value * float(space.modulus(r))
     if pad >= 1.0:
         return None
@@ -418,7 +437,7 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
     # |phi @ w| is off by at most about l * eps * ||w||_1.
     slack = (_PRUNE_RTOL * best
              + 2 * W.shape[0] * np.finfo(float).eps * float(np.abs(W).sum(axis=0).max()))
-    upper = colmax / (1.0 - pad)
+    upper = colmax / (1.0 - pad) if on_cube else np.full(W.shape[1], sup)
     cols = np.flatnonzero(upper >= best - slack)
     Wk, padU = W[:, cols], pad * upper[cols]
 
@@ -428,9 +447,37 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
         block = np.abs(Phi[start:start + step] @ Wk) + padU
         bound[start:start + step] = block.max(axis=1)
     cell_ok = (bound >= best - slack).reshape([i.size for i in sub])
-    # nearest coarse index of every fine index, per axis
-    owner = [np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(k)) for i, k in zip(sub, shape)]
-    return cols, np.flatnonzero(cell_ok[np.ix_(*owner)])
+    if cell_ok.all():
+        return cols, None
+    return cols, _cell_indices(cell_ok, sub, shape)
+
+
+def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
+    """Ascending flat grid indices owned by the kept coarse cells.
+
+    Coarse index c on an axis with coarse indices i owns the fine indices
+    (i[c-1] + i[c]) // 2 + 1 .. (i[c] + i[c+1]) // 2, those nearest to i[c].
+    The kept cells, in lexicographic order, are expanded one axis at a
+    time: each run of entries that share a flat prefix and a coarse index
+    is repeated once per fine index that coarse index owns, which keeps the
+    flat indices in ascending order without sorting them.
+    """
+    coords = np.nonzero(cell_ok)
+    flat = np.zeros(coords[0].size, dtype=np.int64)
+    for d, (i, k) in enumerate(zip(sub, shape)):
+        first = np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1))
+        owned = np.diff(np.append(first, k))
+        c = coords[d]
+        run = np.flatnonzero(np.diff(flat) | np.diff(c)) + 1
+        starts = np.concatenate(([0], run))
+        width = np.diff(np.append(starts, c.size))
+        size = width * owned[c[starts]]
+        g = np.repeat(np.arange(starts.size), size)
+        p = np.arange(g.size) - np.repeat(np.cumsum(size) - size, size)
+        entry = starts[g] + p % width[g]
+        flat = flat[entry] * k + first[c[starts]][g] + p // width[g]
+        coords = [x[entry] for x in coords]
+    return flat
 
 
 def _block_rows(l: int, width: int) -> int:
@@ -491,10 +538,15 @@ def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
                       budget=None, box=None) -> float:
     """Grid maximum (a lower bound, uncertified) of sum_i |L_i| for a unisolvent set."""
     C = lagrange_basis(space, points)
-    dom = _domain_box(space, points, box)
-    grid, _ = uniform_grid(dom, spacing=grid_spacing, budget=budget)
-    lam = np.abs(space.evaluate_basis(grid) @ C).sum(axis=1)
-    return float(np.max(lam))
+    axes, _ = _grid_axes(_domain_box(space, points, box), grid_spacing, budget)
+    shape = tuple(len(ax) for ax in axes)
+    total = math.prod(shape)
+    step = _block_rows(*C.shape)
+    top = -math.inf
+    for start in range(0, total, step):
+        block = _grid_points(axes, shape, np.arange(start, min(total, start + step)))
+        top = np.maximum(top, np.abs(space.evaluate_basis(block) @ C).sum(axis=1).max())
+    return float(top)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,17 @@ def test_span_matches_grid_oracle_2d(rng):
         assert approx <= exact + 1e-9
 
 
+def test_span_counts_match_covering_number():
+    # metric_span counts every piece from one distance matrix; each count
+    # must equal a standalone covering_number call at that breakpoint
+    for seed in range(4):
+        pts = np.random.default_rng(seed).uniform(-1, 1, size=(8 + 3 * seed, 2))
+        profile = metric_span(pts, 2)
+        assert len(profile.breakpoints) > 0
+        assert profile.cover_counts == (len(pts),) + tuple(
+            covering_number(pts, b) for b in profile.breakpoints)
+
+
 def test_span_rejects_degree_zero():
     with pytest.raises(ValueError):
         metric_span([[0.0]], 0)

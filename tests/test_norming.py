@@ -9,6 +9,7 @@ from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
                          certified_supnorm, cramer_bound, fekete_select,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
+from norming_lab import norming
 from norming_lab.norming import uniform_grid
 from norming_lab.simplex import norming_lp_value
 
@@ -44,6 +45,17 @@ def test_lebesgue_closed_form():
     # Lebesgue function of {-1, 0, 1} in degree 2 is 1 + |x| - x^2
     val = lebesgue_constant(P2, [[-1.0], [0.0], [1.0]], grid_spacing=1e-4)
     assert val == pytest.approx(1.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.polynomial(1, 4),
+                                   SpaceDescriptor.polynomial(2, 2)], ids=["P4", "P2-2d"])
+def test_lebesgue_blocks_match_dense_formula(space, monkeypatch):
+    # small blocks, so that the maximum is taken over many of them
+    monkeypatch.setattr(norming, "_BLOCK_VALUES", 500)
+    pts = random_points(np.random.default_rng(3), space.dimension(), space.n, min_sep=0.1)
+    grid, _ = uniform_grid(space.default_box(), budget=5000)
+    dense = np.max(np.abs(space.evaluate_basis(grid) @ lagrange_basis(space, pts)).sum(axis=1))
+    assert lebesgue_constant(space, pts, budget=5000) == pytest.approx(dense, rel=1e-12)
 
 
 def test_norming_equals_lebesgue_for_unisolvent(rng):
