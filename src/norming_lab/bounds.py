@@ -203,8 +203,7 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
     findings = []
     for name in sorted(set(bounds)):
         br = _evaluate_named(space, points, name, mu=mu, lam=lam, delta=delta,
-                             nested_d=nested_d, grid_spacing=grid_spacing,
-                             budget=budget)
+                             nested_d=nested_d)
         ratio = br.value / exact if br.applicable and math.isfinite(br.value) else None
         violation = br.applicable and ratio is not None and ratio < 1.0 - VIOLATION_TOL
         repro = (f"norming-lab audit --bounds {name} on the echoed space/points "
@@ -213,8 +212,7 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
     return AuditReport(exact, tuple(findings), sum(f.violation for f in findings))
 
 
-def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d,
-                    grid_spacing, budget) -> BoundResult:
+def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d) -> BoundResult:
     d, n = space.degree, space.n
     if name == "remez":
         if mu is None:
@@ -231,7 +229,7 @@ def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d,
         from .norming import as_points
 
         sub = as_points(points)[list(idx)]
-        value = cramer_bound(space, sub, grid_spacing=grid_spacing, budget=budget)
+        value = cramer_bound(space, sub)
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})
     if name == "rd_span":
         profile = entropy.metric_span(points, d)

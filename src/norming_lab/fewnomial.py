@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .spaces import _box_corners
+
 
 def _require_c(c, m):
     if m > 0 and c is None:
@@ -117,12 +119,6 @@ def geodesic_point(x, y, t: float):
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     return en_map(t * log_map(x) + (1.0 - t) * log_map(y))
-
-
-def _box_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distinct corners of the box [a, b], one per row."""
-    corners = np.meshgrid(*zip(a, b), indexing="ij")
-    return np.unique(np.stack([c.ravel() for c in corners], axis=1), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

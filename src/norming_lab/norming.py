@@ -24,11 +24,21 @@ on a strict sub-box it also needs the certified sup over the cube, which
 too small to coarsen evaluate every grid point. Both passes run in blocks of
 bounded size.
 
-Certification (``_certified_max``, shared by ``norming_constant``,
-``certified_supnorm`` and ``cramer_bound``): the grid maximum is the lower
-bound; the spacing h is halved while M * omega(h/2) >= 1. The upper bound
-is lower / (1 - M * omega(h/2)) on the cube, and lower + M * omega(h/2) *
+Certification (``_certified_max``, shared by ``norming_constant`` and
+``certified_supnorm``): the grid maximum is the lower bound; the spacing h
+is halved while M * omega(h/2) >= 1. The upper bound is
+lower / (1 - M * omega(h/2)) on the cube, and lower + M * omega(h/2) *
 sup_cube on a strict sub-box, whose M is relative to the sup over the cube.
+The cube bracket sup_cube of a single coefficient vector is kept in a memo
+of at most 8 entries, keyed by the exact arguments of the cube call (space,
+coefficient bytes, refined spacing, budget); a sub-interval sweep after a
+cube call then reuses it instead of repeating the cube pass. Wider W, such
+as the vertex matrix of ``norming_constant``, is never kept.
+
+``cramer_bound`` needs no grid: every basis function is a product of
+per-axis factors whose modulus peaks at an end of the interval, so
+max_i sup |f_i| over a box is attained at one of its corners
+(``SpaceDescriptor.basis_sup``) and is computed exactly from 2^n rows.
 """
 from __future__ import annotations
 
@@ -49,6 +59,10 @@ FEKETE_CAP = 500_000
 # keeps rounding from pruning a maximiser
 _BLOCK_VALUES = 1 << 20
 _PRUNE_RTOL = 1e-9
+# cube brackets of the last few single coefficient vectors, keyed by the
+# arguments of the cube call, for the sub-box rule of _certified_max
+_CUBE_MEMO_SIZE = 8
+_cube_memo: dict = {}
 
 
 class NotNormingError(RuntimeError):
@@ -206,9 +220,14 @@ def lagrange_basis(space: SpaceDescriptor, points) -> np.ndarray:
     return C
 
 
-def cramer_bound(space: SpaceDescriptor, points, *, grid_spacing=None,
-                 budget=None, box=None) -> float:
-    """Upper bound (max_i sup|f_i|)^l * l * l! / |det| on the norming constant."""
+def cramer_bound(space: SpaceDescriptor, points, *, box=None) -> float:
+    """Cramer-rule upper bound S^l * l * l! / |det| on the norming constant.
+
+    ``points`` is a unisolvent set of l = dim V points and S = max_i sup |f_i|
+    over the box (the space's cube by default). S is exact, not a grid
+    bracket: every basis function attains its sup modulus at a corner of the
+    box (``SpaceDescriptor.basis_sup``), so only the corners are evaluated.
+    """
     pts = as_points(points, space.n)
     l = space.dimension()
     if pts.shape[0] != l:
@@ -216,10 +235,7 @@ def cramer_bound(space: SpaceDescriptor, points, *, grid_spacing=None,
     delta = interpolation_determinant(space, pts)
     if delta == 0.0:
         raise NotNormingError("zero interpolation determinant: not norming via this subset")
-    # one grid pass over all basis functions; on the cube the shared pad makes
-    # (max_i lower_i) / (1 - pad) equal to max_i of the per-function uppers
-    sup = _certified_max(space, np.eye(l), _domain_box(space, points, box),
-                         grid_spacing, budget)[0].upper
+    sup = space.basis_sup(_domain_box(space, points, box))
     return sup**l * l * math.factorial(l) / abs(delta)
 
 
@@ -251,6 +267,7 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     ``spacing`` and ``budget`` reach ``_grid_max`` unchanged unless refined."""
     lo, hi = box
     domain = space.default_box()
+    input_spacing = spacing
     M = markov_constant(space, box=box if domain is None else domain)
     omega = space.modulus
     h = spacing if spacing is not None else _grid_axes(box, None, budget)[1]
@@ -263,7 +280,9 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     whole = None
     if domain is not None and (np.any(lo > domain[0] + 1e-15)
                                or np.any(hi < domain[1] - 1e-15)):
-        whole, _ = _certified_max(space, W, domain, spacing, budget)
+        whole = _cube_memo.get(_cube_key(space, W, spacing, budget))
+        if whole is None:
+            whole, _ = _certified_max(space, W, domain, spacing, budget)
     sup = whole.upper if whole is not None and whole.certified else None
     lower, point, column, h_eff = _grid_max(space, W, box, spacing, budget, M, sup)
     pad = M.value * omega(h_eff / 2)
@@ -275,7 +294,27 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
         certified = certified and whole.certified
     else:
         upper = lower / (1.0 - pad)
-    return SupBracket(lower, upper, certified, h_eff, point), column
+    bracket = SupBracket(lower, upper, certified, h_eff, point)
+    if domain is not None and np.array_equal(lo, domain[0]) and np.array_equal(hi, domain[1]):
+        _remember_cube(_cube_key(space, W, input_spacing, budget), bracket)
+    return bracket, column
+
+
+def _cube_key(space: SpaceDescriptor, W: np.ndarray, spacing, budget):
+    """Memo key of the cube bracket of one coefficient vector; None for wider W."""
+    if W.shape[1] != 1:
+        return None
+    return (space, W.dtype.str, W.shape, W.tobytes(), spacing, budget)
+
+
+def _remember_cube(key, bracket: SupBracket):
+    # emptied when full: a sweep reads the entry its cube call just stored,
+    # and no step iterates over the dict while another thread may change it
+    if key is None:
+        return
+    if len(_cube_memo) >= _CUBE_MEMO_SIZE:
+        _cube_memo.clear()
+    _cube_memo[key] = bracket
 
 
 # ---------------------------------------------------------------------------

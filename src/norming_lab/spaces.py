@@ -69,34 +69,6 @@ def power_modulus(gamma: float) -> ModulusOfContinuity:
 # basis functions
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One basis element, with enough data to evaluate it anywhere.
-
-    ``kind`` is "monomial" (integer exponent tuple), "trig" (per-axis
-    frequency/phase table) or "power" (real exponent vector).
-    """
-
-    kind: str
-    data: tuple
-
-    def __call__(self, point):
-        x = np.atleast_2d(np.asarray(point, dtype=float))
-        if self.kind == "monomial":
-            return float(np.prod(x[0] ** np.asarray(self.data)))
-        if self.kind == "trig":
-            val = 1.0
-            for xi, (freq, phase) in zip(x[0], self.data):
-                if freq == 0:
-                    continue
-                f = math.cos if phase == 0 else math.sin
-                val *= f(freq * math.pi * xi)
-            return val
-        if np.any(x <= 0):
-            raise DomainError("fewnomial basis needs positive coordinates")
-        return float(np.exp(np.log(x[0]) @ np.asarray(self.data)))
-
-
 def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
     exps = [a for a in product(range(d + 1), repeat=n) if sum(a) <= d]
     # graded lexicographic: by total degree, then x1 before x2 before ...
@@ -104,19 +76,17 @@ def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
     return exps
 
 
-def _trig_axis_index(k: int) -> tuple[int, int]:
-    # 0 -> constant; 2j-1 -> cos(j pi x); 2j -> sin(j pi x)
-    if k == 0:
-        return (0, 0)
-    j = (k + 1) // 2
-    return (j, 0) if k % 2 == 1 else (j, 1)
-
-
 def _trig_tuples(n: int, d: int) -> list[tuple[int, ...]]:
+    # per-axis factor k: 0 -> 1; 2j-1 -> cos(j pi x); 2j -> sin(j pi x)
     tuples = list(product(range(2 * d + 1), repeat=n))
     freq = lambda t: sum((k + 1) // 2 for k in t)
     tuples.sort(key=lambda t: (freq(t), t))
     return tuples
+
+
+def _box_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distinct corners of the box [a, b], one per row, in lexicographic order."""
+    return np.array(list(product(*(sorted({x, y}) for x, y in zip(a, b)))), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +133,6 @@ class SpaceDescriptor:
         if self.kind == "trigonometric":
             return (2 * self.degree + 1) ** self.n
         return len(self.exponents)
-
-    def basis(self) -> list[BasisFunction]:
-        if self.kind == "polynomial":
-            return [BasisFunction("monomial", e) for e in _monomial_exponents(self.n, self.degree)]
-        if self.kind == "trigonometric":
-            return [
-                BasisFunction("trig", tuple(_trig_axis_index(k) for k in t))
-                for t in _trig_tuples(self.n, self.degree)
-            ]
-        return [BasisFunction("power", alpha) for alpha in self.exponents]
 
     def evaluate_basis(self, points) -> np.ndarray:
         """Basis values at one point (returns (l,)) or many ((m, l))."""
@@ -227,6 +187,19 @@ class SpaceDescriptor:
         if self.kind == "fewnomial":
             return None
         return (-np.ones(self.n), np.ones(self.n))
+
+    def basis_sup(self, box) -> float:
+        """max_i sup |f_i| over a box, exactly: the largest |f_i| at its corners.
+
+        Every basis function is a product of per-axis factors, and each
+        factor's modulus is largest at an end of its interval: |x_j|^k grows
+        with |x_j|, and x_j^alpha (x_j > 0) is monotone in x_j. A product of
+        nonnegative factors is then largest at a corner of the box. For
+        trigonometric spaces every factor is bounded by 1 and the constant
+        function 1 is in the basis, so the sup is 1, attained at every point.
+        """
+        lo, hi = (np.asarray(b, dtype=float) for b in box)
+        return float(np.max(np.abs(self.evaluate_basis(_box_corners(lo, hi)))))
 
     def to_json(self) -> dict:
         mod = "identity" if self.modulus.kind == "identity" else {

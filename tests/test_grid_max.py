@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_points
-from norming_lab import SpaceDescriptor, norming_constant
+from norming_lab import SpaceDescriptor, certified_supnorm, norming_constant
+from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
                                  _feasible_vertices, _grid_axes, _grid_max, uniform_grid)
 from norming_lab.simplex import norming_lp_value
@@ -96,8 +97,7 @@ def test_subbox_is_not_pruned_without_cube_bound():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_identity_columns_keep_every_cell(n):
-    # W = I, as cramer_bound passes it: the constant column ties with the
-    # maximum everywhere, so no cell is pruned and no index array is built
+    # W = I: the constant column ties with the maximum everywhere, so no cell is pruned and no index array is built
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())
@@ -169,3 +169,83 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+def _spy_grid_max(monkeypatch):
+    """Record the (box, sup) of every ``_grid_max`` call."""
+    calls, real = [], norming._grid_max
+
+    def spy(space, W, box, spacing, budget, M, sup=None):
+        calls.append((box, sup))
+        return real(space, W, box, spacing, budget, M, sup)
+
+    monkeypatch.setattr(norming, "_grid_max", spy)
+    return calls
+
+
+def _on_cube(space, box):
+    cube = space.default_box()
+    return np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
+
+
+SWEEP = [(np.array([a]), np.array([b])) for a, b in ((-1.0, -0.4), (-0.2, 0.3), (0.5, 1.0))]
+
+
+def _as_tuple(br):
+    return (br.lower, br.upper, br.certified, br.grid_spacing, tuple(br.argmax))
+
+
+def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
+    space = SpaceDescriptor.polynomial(1, 5)
+    coeff = np.random.default_rng(5).normal(size=space.dimension())
+    norming._cube_memo.clear()
+    calls = _spy_grid_max(monkeypatch)
+    certified_supnorm(space, coeff, grid_spacing=1e-4)
+    got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
+    assert len(calls) == 1 + len(SWEEP)
+    assert sum(_on_cube(space, box) for box, _ in calls) == 1
+    for box, br in zip(SWEEP, got):
+        norming._cube_memo.clear()
+        assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
+                                                            grid_spacing=1e-4))
+
+
+def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
+    # the pad term needs a bound on the sup over the cube: the cube bracket's
+    # upper end, not its grid value
+    space = SpaceDescriptor.polynomial(1, 4)
+    coeff = np.random.default_rng(6).normal(size=space.dimension())
+    cube = certified_supnorm(space, coeff, budget=2001)
+    assert cube.certified and cube.upper > cube.lower
+    for memo in (False, True):
+        if not memo:
+            norming._cube_memo.clear()
+        calls = _spy_grid_max(monkeypatch)
+        certified_supnorm(space, coeff, SWEEP[1], budget=2001)
+        monkeypatch.undo()
+        assert [sup for box, sup in calls if not _on_cube(space, box)] == [cube.upper]
+
+
+def test_cube_memo_keeps_single_coefficient_vectors_only():
+    space = SpaceDescriptor.polynomial(1, 2)
+    norming._cube_memo.clear()
+    rep = norming_constant(space, [[0.0], [0.02], [0.05], [0.1]], budget=2001,
+                           box=(np.array([0.0]), np.array([0.1])))
+    assert rep.norming and rep.lower <= rep.upper
+    assert not norming._cube_memo
+    rng = np.random.default_rng(8)
+    for _ in range(3 * norming._CUBE_MEMO_SIZE):
+        certified_supnorm(space, rng.normal(size=3), budget=2001)
+    assert 0 < len(norming._cube_memo) <= norming._CUBE_MEMO_SIZE
+    assert all(key[2] == (3, 1) for key in norming._cube_memo)
+
+
+def test_cube_memo_ignores_boxes_beyond_the_cube():
+    space = SpaceDescriptor.polynomial(1, 3)
+    coeff = np.array([0.5, -1.0, 0.25, 2.0])
+    norming._cube_memo.clear()
+    fresh = certified_supnorm(space, coeff, SWEEP[1], budget=2001)
+    norming._cube_memo.clear()
+    certified_supnorm(space, coeff, (np.array([-1.5]), np.array([1.5])), budget=2001)
+    assert not norming._cube_memo
+    assert _as_tuple(certified_supnorm(space, coeff, SWEEP[1], budget=2001)) == _as_tuple(fresh)

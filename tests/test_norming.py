@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -142,18 +143,62 @@ def test_certified_supnorm_subbox():
     assert br.certified
 
 
+def _cramer_closed_form(space, pts, box):
+    corners = np.array(list(product(*zip(*box))))
+    S = np.abs(space.evaluate_basis(corners)).max()
+    l = space.dimension()
+    return S**l * l * math.factorial(l) / abs(interpolation_determinant(space, pts))
+
+
+def _cramer_case(space, seed, box=None):
+    box = space.default_box() if box is None else box
+    lo, hi = box
+    pts = random_points(np.random.default_rng(seed), space.dimension(), space.n, min_sep=0.1)
+    return space, lo + (hi - lo) * (pts + 1.0) / 2.0, box
+
+
+CRAMER_CASES = {
+    "P2-2d": _cramer_case(SpaceDescriptor.polynomial(2, 2), 1),
+    "P1-3d": _cramer_case(SpaceDescriptor.polynomial(3, 1), 2),
+    "P2-3d": _cramer_case(SpaceDescriptor.polynomial(3, 2), 3),
+    "T1": _cramer_case(SpaceDescriptor.trigonometric(1, 1), 4),
+    "T1-2d": _cramer_case(SpaceDescriptor.trigonometric(2, 1), 5),
+    "fewnomial": _cramer_case(SpaceDescriptor.fewnomial_span([[0.5], [1.0], [2.5]]), 6,
+                              (np.array([0.5]), np.array([2.0]))),
+    "fewnomial-2d": _cramer_case(SpaceDescriptor.fewnomial_span([[0.0, 0.0], [1.5, 0.0],
+                                                                 [0.5, -1.0]]), 7,
+                                 (np.array([0.2, 0.5]), np.array([1.5, 3.0]))),
+    "P3-inside": _cramer_case(SpaceDescriptor.polynomial(1, 3), 8,
+                              (np.array([-0.5]), np.array([0.3]))),
+    "P3-beyond": _cramer_case(SpaceDescriptor.polynomial(1, 3), 9,
+                              (np.array([-2.0]), np.array([1.5]))),
+    "P2-2d-beyond": _cramer_case(SpaceDescriptor.polynomial(2, 2), 10,
+                                 (np.array([-1.5, -0.5]), np.array([1.0, 2.0]))),
+}
+
+
+def _check_cramer(space, pts, box, budget):
+    exact = norming_constant(space, pts, box=box, budget=budget).value
+    bound = cramer_bound(space, pts, box=box)
+    assert bound >= exact * (1 - 1e-9)
+    # S = max_i sup |f_i| is taken at the corners of the box, exactly; the
+    # grid bracket of each basis function can only be larger
+    assert bound == _cramer_closed_form(space, pts, box)
+    l = space.dimension()
+    sup = max(certified_supnorm(space, e, box, budget=budget).upper for e in np.eye(l))
+    assert bound <= sup**l * l * math.factorial(l) / abs(interpolation_determinant(space, pts))
+
+
 def test_cramer_upper_bounds_exact(rng):
     for _ in range(5):
         space = small_poly_space(rng, max_n=1, max_d=2, max_dim=3)
         pts = random_points(rng, space.dimension(), 1, min_sep=0.3)
-        exact = norming_constant(space, pts, budget=20001).value
-        bound = cramer_bound(space, pts, budget=20001)
-        assert bound >= exact * (1 - 1e-9)
-        # one grid pass over all basis functions equals one pass per function
-        l = space.dimension()
-        sup = max(certified_supnorm(space, e, budget=20001).upper for e in np.eye(l))
-        delta = interpolation_determinant(space, pts)
-        assert bound == sup**l * l * math.factorial(l) / abs(delta)
+        _check_cramer(space, pts, space.default_box(), 20001)
+
+
+@pytest.mark.parametrize("case", list(CRAMER_CASES.values()), ids=list(CRAMER_CASES))
+def test_cramer_bound_is_the_corner_closed_form(case):
+    _check_cramer(*case, 20001)
 
 
 def test_fekete_exhaustive_known():

@@ -1,11 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norming_lab import (IDENTITY, SpaceDescriptor, markov_constant,
                          power_modulus, space_from_json)
-from norming_lab.spaces import (DomainError, _monomial_exponents,
+from norming_lab.norming import uniform_grid
+from norming_lab.spaces import (DomainError, _monomial_exponents, _trig_tuples,
                                 gram_schmidt_markov_bound, uniform_quadrature)
 
 
@@ -30,6 +34,24 @@ def test_monomial_order_graded_lex():
     assert len(exps) == 6
 
 
+def _scalar_basis(space):
+    """The basis as one scalar function per element, in canonical order."""
+    if space.kind == "polynomial":
+        return [lambda x, e=e: float(np.prod(x ** np.asarray(e)))
+                for e in _monomial_exponents(space.n, space.degree)]
+    if space.kind == "trigonometric":
+        # per-axis factor k: 0 -> 1; 2j-1 -> cos(j pi x); 2j -> sin(j pi x)
+        def factor(k, xi):
+            if k == 0:
+                return 1.0
+            f = math.cos if k % 2 == 1 else math.sin
+            return f((k + 1) // 2 * math.pi * xi)
+        return [lambda x, t=t: math.prod(factor(k, xi) for k, xi in zip(t, x))
+                for t in _trig_tuples(space.n, space.degree)]
+    return [lambda x, a=a: float(np.exp(np.log(x) @ np.asarray(a)))
+            for a in space.exponents]
+
+
 def test_vectorized_matches_scalar_basis(rng):
     for space in (SpaceDescriptor.polynomial(2, 3),
                   SpaceDescriptor.trigonometric(2, 1),
@@ -37,10 +59,50 @@ def test_vectorized_matches_scalar_basis(rng):
         lo = 0.1 if space.kind == "fewnomial" else -1.0
         pts = rng.uniform(lo, 1.0, size=(20, space.n))
         V = space.evaluate_basis(pts)
-        funcs = space.basis()
+        funcs = _scalar_basis(space)
+        assert len(funcs) == space.dimension()
         for j, f in enumerate(funcs):
             for i in range(20):
                 assert V[i, j] == pytest.approx(f(pts[i]), abs=1e-12)
+
+
+_SIDE = st.one_of(st.just(0.0), st.floats(1e-3, 1.5))
+
+
+@st.composite
+def _space_and_box(draw):
+    kind = draw(st.sampled_from(["polynomial", "trigonometric", "fewnomial"]))
+    if kind == "fewnomial":
+        n = draw(st.integers(1, 2))
+        alpha = st.tuples(*[st.floats(-3.0, 3.0) for _ in range(n)])
+        space = SpaceDescriptor.fewnomial_span(
+            draw(st.lists(alpha, min_size=1, max_size=4, unique=True)))
+        lo = np.array(draw(st.lists(st.floats(0.1, 1.5), min_size=n, max_size=n)))
+    else:
+        n = draw(st.integers(1, 3 if kind == "polynomial" else 2))
+        d = draw(st.integers(0, 4 if kind == "polynomial" else 2))
+        space = (SpaceDescriptor.polynomial(n, d) if kind == "polynomial"
+                 else SpaceDescriptor.trigonometric(n, d))
+        lo = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(_SIDE, min_size=n, max_size=n)))
+    return space, (lo, hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_space_and_box())
+def test_basis_sup_is_the_dense_grid_maximum(case):
+    # the grid holds every corner, and no grid point may exceed them
+    space, box = case
+    grid, _ = uniform_grid(box, budget=3000)
+    corners = np.array(list(product(*zip(*box))))
+    assert np.all((grid[:, None, :] == corners[None]).all(axis=2).any(axis=0))
+    dense = np.abs(space.evaluate_basis(grid) @ np.eye(space.dimension())).max()
+    if space.kind == "fewnomial" and space.n > 1:
+        # log(x) @ alpha is a BLAS product, whose rounding at one point may
+        # depend on how many rows are evaluated with it
+        assert space.basis_sup(box) == pytest.approx(dense, rel=4 * np.finfo(float).eps)
+    else:
+        assert space.basis_sup(box) == dense
 
 
 def test_single_point_shape():
