@@ -229,7 +229,7 @@ def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d) -> BoundRe
         from .norming import as_points
 
         sub = as_points(points)[list(idx)]
-        value = cramer_bound(space, sub)
+        value = cramer_bound(space, sub, box=getattr(points, "box", None))
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})
     if name == "rd_span":
         profile = entropy.metric_span(points, d)

@@ -1,8 +1,10 @@
 """Command-line surface: file ingestion, configuration, report emission.
 
-Exit codes: 0 success, 1 error, 2 "not norming" (so audits can script over
-families of sets). Every report embeds the tool version and a verbatim
-config echo for reproducibility.
+Exit codes: 0 success, 1 error (usage errors included), 2 "not norming"
+(so audits can script over families of sets). Every report embeds the tool
+version and a verbatim config echo for reproducibility. Each subcommand
+declares only the options its handler reads, spelled out in full; a setting
+it does not take is echoed at its ``RunConfig`` default.
 """
 from __future__ import annotations
 
@@ -256,19 +258,10 @@ def cmd_estimate_c(args) -> int:
 # parser
 
 
-def _add_common(p):
+def _add_grid(p):
     p.add_argument("--grid", type=float, default=None, help="grid spacing h")
-    p.add_argument("--rank-tol", type=float, default=RunConfig.rank_threshold,
-                   dest="rank_tol")
     p.add_argument("--budget", type=int, default=RunConfig.lp_budget,
                    help="max grid points")
-    p.add_argument("--cover-cap", type=int, default=RunConfig.cover_cap, dest="cover_cap")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--text", action="store_false", dest="json")
-    p.add_argument("--heuristic-cover", action="store_true", dest="heuristic_cover")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,26 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norming", help="norming constant of a finite set")
     p.add_argument("--space", required=True)
     p.add_argument("--points", required=True)
-    _add_common(p)
+    _add_grid(p)
+    p.add_argument("--rank-tol", type=float, default=RunConfig.rank_threshold,
+                   dest="rank_tol")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_norming)
 
     p = sub.add_parser("lebesgue", help="Lebesgue constant of a unisolvent set")
     p.add_argument("--space", required=True)
     p.add_argument("--points", required=True)
-    _add_common(p)
+    _add_grid(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lebesgue)
 
     p = sub.add_parser("fekete", help="max-|det| subset selection")
     p.add_argument("--space", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fekete)
 
     p = sub.add_parser("span", help="metric (d,n)-span of a point set")
     p.add_argument("--points", required=True)
     p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--cover-cap", type=int, default=RunConfig.cover_cap, dest="cover_cap")
+    p.add_argument("--heuristic-cover", action="store_true", dest="heuristic_cover")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_span)
 
     p = sub.add_parser("bound", help="evaluate one closed-form bound")
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--cc", type=float, default=None, help="analytic-space constant C")
     p.add_argument("--exponents", default="", help="comma-separated d_1,...,d_n")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("audit", help="audit bounds against the exact constant")
@@ -322,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    _add_common(p)
+    _add_grid(p)
+    p.add_argument("--text", action="store_false", dest="json",
+                   help="print the findings summary instead of the JSON report")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("tn", help="1-D Turan-Nazarov bound")
@@ -330,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-re-rate", type=float, required=True, dest="max_re_rate")
     p.add_argument("--len-i", type=float, required=True, dest="len_i")
     p.add_argument("--meas-z", type=float, required=True, dest="meas_z")
-    _add_common(p)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tn)
 
     p = sub.add_parser("fewnomial", help="fewnomial Remez-type bounds")
@@ -344,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-scalar", type=float, default=None, dest="b_scalar")
     p.add_argument("--meas-z", type=float, default=None, dest="meas_z")
     p.add_argument("--span", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fewnomial)
 
     p = sub.add_parser("lipschitz", help="Lipschitz stability audit")
@@ -354,21 +358,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", action="store_true")
     p.add_argument("--magnitudes", default="0.05")
     p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
+    _add_grid(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("estimate-c", help="empirical Turan-Nazarov constant")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--m-max", type=int, default=3, dest="m_max")
     p.add_argument("--rate-box", type=float, default=2.0, dest="rate_box")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate_c)
 
+    # A prefix of a declared flag is not that flag: "span --c" must not
+    # read as "--cover-cap", nor "bound --c" as "--cc".
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0, usage errors 2
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except NotNormingError as exc:

@@ -175,12 +175,6 @@ def _tensor(axes):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def uniform_grid(box, spacing=None, budget=None):
-    """Uniform grid on a box; returns (points, effective_spacing)."""
-    axes, h_eff = _grid_axes(box, spacing, budget)
-    return _tensor(axes), h_eff
-
-
 # ---------------------------------------------------------------------------
 # interpolation machinery
 
@@ -496,27 +490,13 @@ def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
 
     Coarse index c on an axis with coarse indices i owns the fine indices
     (i[c-1] + i[c]) // 2 + 1 .. (i[c] + i[c+1]) // 2, those nearest to i[c].
-    The kept cells, in lexicographic order, are expanded one axis at a
-    time: each run of entries that share a flat prefix and a coarse index
-    is repeated once per fine index that coarse index owns, which keeps the
-    flat indices in ascending order without sorting them.
+    Each axis of the kept-cell mask is widened to the fine grid by repeating
+    cell c once per fine index it owns.
     """
-    coords = np.nonzero(cell_ok)
-    flat = np.zeros(coords[0].size, dtype=np.int64)
     for d, (i, k) in enumerate(zip(sub, shape)):
         first = np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1))
-        owned = np.diff(np.append(first, k))
-        c = coords[d]
-        run = np.flatnonzero(np.diff(flat) | np.diff(c)) + 1
-        starts = np.concatenate(([0], run))
-        width = np.diff(np.append(starts, c.size))
-        size = width * owned[c[starts]]
-        g = np.repeat(np.arange(starts.size), size)
-        p = np.arange(g.size) - np.repeat(np.cumsum(size) - size, size)
-        entry = starts[g] + p % width[g]
-        flat = flat[entry] * k + first[c[starts]][g] + p // width[g]
-        coords = [x[entry] for x in coords]
-    return flat
+        cell_ok = np.repeat(cell_ok, np.diff(np.append(first, k)), axis=d)
+    return np.flatnonzero(cell_ok)
 
 
 def _block_rows(l: int, width: int) -> int:

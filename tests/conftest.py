@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from norming_lab import SpaceDescriptor
+from norming_lab.norming import _grid_axes, _tensor
 
 
 @pytest.fixture
@@ -26,3 +27,9 @@ def small_poly_space(rng, max_n=2, max_d=3, max_dim=6):
         space = SpaceDescriptor.polynomial(n, d)
         if space.dimension() <= max_dim:
             return space
+
+
+def uniform_grid(box, spacing=None, budget=None):
+    """Uniform grid on a box; returns (points, effective_spacing)."""
+    axes, h_eff = _grid_axes(box, spacing, budget)
+    return _tensor(axes), h_eff

@@ -6,6 +6,7 @@ import pytest
 from norming_lab import (SpaceDescriptor, analytic_bound, audit, bg_bound,
                          bg_upper_envelope, chebyshev, cor22_bound, curve_bound,
                          e_function, nested_bound, rd_span_bound, remez_bound)
+from norming_lab import PointSet
 
 P2 = SpaceDescriptor.polynomial(1, 2)
 
@@ -107,3 +108,16 @@ def test_audit_cramer_not_violating():
     report = audit(P2, [[-1.0], [0.0], [1.0]], ["cramer"], budget=20001)
     assert report.violations == 0
     assert report.findings[0].ratio >= 1.0
+
+
+def test_audit_cramer_on_declared_fewnomial_box():
+    # the Fekete subset keeps the box the point set declares; a fewnomial
+    # space has no default cube to fall back on
+    space = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
+    pts = PointSet(np.array([[0.3], [0.8], [1.4], [1.9]]),
+                   box=(np.array([0.2]), np.array([2.0])))
+    report = audit(space, pts, ["cramer"])
+    assert report.violations == 0
+    f = report.findings[0]
+    assert math.isfinite(f.bound.value)
+    assert f.ratio >= 1.0

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from norming_lab.cli import main
+from norming_lab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -123,3 +124,60 @@ def test_out_flag_writes_file(capsys, space_file, points_csv, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["result"]["norming"] is True
+
+
+def test_missing_required_flag_is_usage_error(capsys, space_file):
+    assert main(["norming", "--space", space_file]) == 1
+    assert "--points" in capsys.readouterr().err
+
+
+def test_undeclared_flag_is_usage_error(capsys, space_file, points_csv):
+    # --rank-tol is read only by norming; audit runs at the default threshold
+    code = main(["audit", "--space", space_file, "--points", points_csv,
+                 "--bounds", "cor22", "--rank-tol", "1e-6"])
+    assert code == 1
+    assert "--rank-tol" in capsys.readouterr().err
+
+
+def test_flag_prefix_is_not_abbreviation(capsys, points_csv):
+    # "--c" is a flag of tn and fewnomial only, not short for --cover-cap
+    assert main(["span", "--points", points_csv, "--degree", "2", "--c", "3"]) == 1
+
+
+def test_version_exits_zero(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip()
+
+
+# Every option string of each subcommand: its own arguments, then the shared
+# settings it reads, then --out.
+OPTIONS = {
+    "norming": "--space --points --grid --budget --rank-tol --out",
+    "lebesgue": "--space --points --grid --budget --out",
+    "audit": "--space --points --bounds --mu --lam --delta --grid --budget --text --out",
+    "lipschitz": ("--space --z1 --z2 --experiment --magnitudes --trials"
+                  " --grid --budget --seed --out"),
+    "span": "--points --degree --cover-cap --heuristic-cover --out",
+    "tn": "--m --max-re-rate --len-i --meas-z --c --out",
+    "fewnomial": ("--form --exponents --a --b --a-scalar --b-scalar --meas-z --span"
+                  " --c --out"),
+    "estimate-c": "--trials --m-max --rate-box --seed --out",
+    "fekete": "--space --points --mode --out",
+    "bound": "--name --d --n --x --mu --lam --omega --delta --cc --exponents --out",
+}
+
+
+def _subparsers():
+    ap = build_parser()
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_is_listed():
+    assert set(_subparsers()) == set(OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_declares_only_the_options_it_reads(command):
+    p = _subparsers()[command]
+    declared = {s for a in p._actions for s in a.option_strings}
+    assert declared == set(OPTIONS[command].split()) | {"-h", "--help"}

@@ -3,11 +3,11 @@ that ``norming_constant`` reports."""
 import numpy as np
 import pytest
 
-from conftest import random_points
+from conftest import random_points, uniform_grid
 from norming_lab import SpaceDescriptor, certified_supnorm, norming_constant
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
-                                 _feasible_vertices, _grid_axes, _grid_max, uniform_grid)
+                                 _feasible_vertices, _grid_axes, _grid_max)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 

@@ -5,13 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_points, small_poly_space
+from conftest import random_points, small_poly_space, uniform_grid
 from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
                          certified_supnorm, cramer_bound, fekete_select,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
 from norming_lab import norming
-from norming_lab.norming import uniform_grid
 from norming_lab.simplex import norming_lp_value
 
 P1 = SpaceDescriptor.polynomial(1, 1)

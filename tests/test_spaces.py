@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import uniform_grid
 from norming_lab import (IDENTITY, SpaceDescriptor, markov_constant,
                          power_modulus, space_from_json)
-from norming_lab.norming import uniform_grid
 from norming_lab.spaces import (DomainError, _monomial_exponents, _trig_tuples,
                                 gram_schmidt_markov_bound, uniform_quadrature)
 
