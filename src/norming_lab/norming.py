@@ -12,17 +12,21 @@ per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
 LPs directly and is used as a cross-check.
 
 The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
-about 9 * sqrt(G) of the G grid points is evaluated first; the Markov
-inequality then bounds every vertex and every coarse cell, and only the
+about 9 * sqrt(G) of the G grid points is evaluated first; a bound on how
+far each vertex's function can move between a grid point and its nearest
+coarse point then bounds every vertex and every coarse cell, and only the
 vertices and cells that can still reach the coarse maximum are evaluated on
 the full grid, as index ranges expanded in grid order. The skipped ones
 provably cannot hold the grid maximum, so the result is that of a dense
-pass. Pruning needs a certified Markov constant (identity modulus,
-polynomial or trigonometric space) and a box inside the space's own cube;
-on a strict sub-box it also needs the certified sup over the cube, which
-``_certified_max`` computes first. Fewnomial spaces, power moduli and grids
-too small to coarsen evaluate every grid point. Both passes run in blocks of
-bounded size.
+pass. For polynomial and trigonometric spaces the bound is the Markov
+inequality, which needs a certified Markov constant (identity modulus) and
+a box inside the space's own cube; on a strict sub-box it also needs the
+certified sup over the cube, which ``_certified_max`` computes first. For
+fewnomial spans it is the corner Lipschitz bound: every partial derivative
+of a basis function x^alpha peaks in modulus at a corner of the box
+(``SpaceDescriptor.basis_lipschitz``). Polynomial and trigonometric spaces
+with a power modulus, and grids too small to coarsen, evaluate every grid
+point. Both passes run in blocks of bounded size.
 
 Certification (``_certified_max``, shared by ``norming_constant`` and
 ``certified_supnorm``): the grid maximum is the lower bound; the spacing h
@@ -419,34 +423,42 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
 
     The coarse sub-lattice keeps every s-th index per axis plus the last
     one, so every grid point x lies within r (half the largest coarse gap)
-    of its nearest coarse point c. For x in the space's own box the Markov
-    inequality |f(x) - f(c)| <= M * omega(r) * sup|f| over that box gives,
-    with pad = M * omega(r) and a bound U_k on sup |f_k|,
+    of its nearest coarse point c. Each column k gets a pad P_k with
 
-        |f_k(x)| <= |f_k(c)| + pad * U_k.
+        |f_k(x)| <= |f_k(c)| + P_k,
 
-    On the whole box U_k = C_k / (1 - pad), from the coarse column maximum
-    C_k; on a strict sub-box U_k = ``sup`` for every k. The coarse maximum
-    ``best`` is a grid value, so columns with U_k < best and cells whose
-    bound is below ``best`` cannot hold the grid maximum. The stride s makes
-    the coarse lattice about 9 * sqrt(G) of the G grid points: G / s^n
-    coarse points then cost about as much as some 80 kept cells of s^n fine
-    points each.
+    by one of two routes:
+
+    * Markov (polynomial and trigonometric spaces, identity modulus, box
+      inside the space's own box): |f(x) - f(c)| <= M * omega(r) * sup|f|
+      over that box, so P_k = pad * U_k with pad = M * omega(r) and a bound
+      U_k on sup |f_k|. On the whole box U_k = C_k / (1 - pad), from the
+      coarse column maximum C_k; on a strict sub-box U_k = ``sup`` for
+      every k.
+    * Corner Lipschitz (fewnomial spans, any box): f_k is L_k-Lipschitz in
+      l-inf with L_k = sum_i |W_ik| G_i, G = ``basis_lipschitz(box)``, so
+      P_k = L_k * r and U_k = C_k + P_k.
+
+    The coarse maximum ``best`` is a grid value, so columns with U_k < best
+    and cells with max_k (|f_k(c)| + P_k) < best cannot hold the grid
+    maximum. The stride s makes the coarse lattice about 9 * sqrt(G) of the
+    G grid points: G / s^n coarse points then cost about as much as some 80
+    kept cells of s^n fine points each.
 
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept. Returns None, meaning "evaluate everything",
-    where the inequality is not certified, the box is not inside the
-    space's own box, a strict sub-box comes without a finite ``sup``, the
-    grid is too small to coarsen, pad >= 1, or a coarse value is not finite.
+    where neither route applies (a power modulus on a polynomial or
+    trigonometric space), the box is not inside the space's own box, a
+    strict sub-box comes without a finite ``sup``, the grid is too small to
+    coarsen, pad >= 1, or a coarse value or L_k is not finite.
     """
     cube = space.default_box()
-    if not M.certified or cube is None:
-        return None
-    if np.any(box[0] < cube[0]) or np.any(box[1] > cube[1]):
-        return None
-    on_cube = np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
-    if not on_cube and (sup is None or not math.isfinite(sup)):
-        return None
+    if cube is not None:
+        if not M.certified or np.any(box[0] < cube[0]) or np.any(box[1] > cube[1]):
+            return None
+        on_cube = np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
+        if not on_cube and (sup is None or not math.isfinite(sup)):
+            return None
     shape = [len(ax) for ax in axes]
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
     if s <= 1:
@@ -454,9 +466,10 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
     sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
     # half the largest coarse gap; a flat axis contributes 0
     r = max(float(np.max(np.diff(ax[i], prepend=ax[0]))) / 2.0 for ax, i in zip(axes, sub))
-    pad = M.value * float(space.modulus(r))
-    if pad >= 1.0:
-        return None
+    if cube is not None:
+        pad = M.value * float(space.modulus(r))
+        if pad >= 1.0:
+            return None
 
     Phi = space.evaluate_basis(_tensor([ax[i] for ax, i in zip(axes, sub)]))
     colmax = np.zeros(W.shape[1])
@@ -466,13 +479,25 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
     if not np.all(np.isfinite(colmax)):
         return None
     best = float(colmax.max())
-    # Rounding slack: basis values are at most 1 on the cube, so one computed
-    # |phi @ w| is off by at most about l * eps * ||w||_1.
-    slack = (_PRUNE_RTOL * best
-             + 2 * W.shape[0] * np.finfo(float).eps * float(np.abs(W).sum(axis=0).max()))
-    upper = colmax / (1.0 - pad) if on_cube else np.full(W.shape[1], sup)
+    if cube is not None:
+        upper = colmax / (1.0 - pad) if on_cube else np.full(W.shape[1], sup)
+        padU = pad * upper
+        vmax = 1.0  # basis values are at most 1 on the cube
+    else:
+        # fewnomial: corner Lipschitz bound, with a relative margin for the
+        # exp/log rounding of the corner values
+        lip = (1.0 + _PRUNE_RTOL) * (np.abs(W).T @ space.basis_lipschitz(box))
+        if not np.all(np.isfinite(lip)):
+            return None
+        padU = lip * r
+        upper = colmax + padU
+        vmax = max(1.0, space.basis_sup(box))
+    # Rounding slack: basis values are at most vmax on the box, so one
+    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
+    slack = (_PRUNE_RTOL * best + 2 * W.shape[0] * np.finfo(float).eps
+             * float(np.abs(W).sum(axis=0).max()) * vmax)
     cols = np.flatnonzero(upper >= best - slack)
-    Wk, padU = W[:, cols], pad * upper[cols]
+    Wk, padU = W[:, cols], padU[cols]
 
     bound = np.empty(Phi.shape[0])
     step = _block_rows(W.shape[0], cols.size)

@@ -201,6 +201,27 @@ class SpaceDescriptor:
         lo, hi = (np.asarray(b, dtype=float) for b in box)
         return float(np.max(np.abs(self.evaluate_basis(_box_corners(lo, hi)))))
 
+    def basis_lipschitz(self, box) -> np.ndarray:
+        """Per basis function x^alpha of a fewnomial span, sum_j max |d_j x^alpha|
+        over a box, exactly: the largest |alpha_j| * x^(alpha - e_j) at its corners.
+
+        Each partial derivative is again a product of per-axis factors x_k^beta,
+        monotone in x_k > 0, so its modulus peaks at a corner (as in
+        ``basis_sup``). The sum bounds the l-inf Lipschitz constant of x^alpha
+        on the box: |f(x) - f(y)| <= sum_j sup |d_j f| * |x_j - y_j|.
+        """
+        if self.kind != "fewnomial":
+            raise ValueError("basis_lipschitz is defined for fewnomial spans")
+        lo, hi = (np.asarray(b, dtype=float) for b in box)
+        corners = _box_corners(lo, hi)
+        if np.any(corners <= 0):
+            raise DomainError("fewnomial evaluation needs positive coordinates")
+        logc, alphas = np.log(corners), np.asarray(self.exponents)
+        out = np.zeros(len(alphas))
+        for j, e in enumerate(np.eye(self.n)):
+            out += np.abs(alphas[:, j]) * np.exp(logc @ (alphas - e).T).max(axis=0)
+        return out
+
     def to_json(self) -> dict:
         mod = "identity" if self.modulus.kind == "identity" else {
             "kind": "power", "gamma": self.modulus.gamma}

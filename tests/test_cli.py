@@ -149,6 +149,26 @@ def test_version_exits_zero(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_parser_is_built_once(capsys, space_file, points_csv, tmp_path, monkeypatch):
+    parsers, real = [], argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    two = tmp_path / "two.csv"
+    two.write_text("-1\n1\n")
+    norming = ["norming", "--space", space_file, "--grid", "0.01", "--points"]
+    # a usage error leaves the shared parser fit for the calls that follow
+    assert main(norming[:-1]) == 1
+    assert main(norming + [points_csv]) == 0
+    assert main(norming + [str(two)]) == 2
+    assert main(norming + [points_csv, "--bogus"]) == 1
+    assert len(parsers) == 4
+    assert all(p is parsers[0] for p in parsers)
+
+
 # Every option string of each subcommand: its own arguments, then the shared
 # settings it reads, then --out.
 OPTIONS = {

@@ -13,6 +13,8 @@ from norming_lab.spaces import markov_constant, power_modulus
 
 FEW = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5], [2.5]])
 FEW_BOX = (np.array([0.2]), np.array([2.0]))
+FEW2 = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5], [2.0, 2.5]])
+FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
 
 
 def _dense(space, W, box, spacing, budget):
@@ -46,7 +48,8 @@ CASES = {
     "poly-3d": (SpaceDescriptor.polynomial(3, 1), None, None, 64000, True),
     "trig-1d": (SpaceDescriptor.trigonometric(1, 2), None, None, 20001, True),
     "spacing": (SpaceDescriptor.polynomial(2, 2), None, 0.01, None, True),
-    "fewnomial": (FEW, FEW_BOX, None, 20001, False),
+    "fewnomial": (FEW, FEW_BOX, None, 20001, True),
+    "fewnomial-2d": (FEW2, FEW2_BOX, None, 40000, True),
     "power-modulus": (SpaceDescriptor.polynomial(1, 3, power_modulus(0.5)), None, None,
                       20001, False),
     "sub-box": (SpaceDescriptor.polynomial(2, 2),
@@ -167,6 +170,30 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert _coarse_prune(T1, W, box, axes, M) is not None
     value, point, col, _ = _grid_max(T1, W, box, None, 20001, M)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
+    assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
+    # As above on span{1, x, x^2}, where no Markov constant is certified:
+    # column 0 peaks midway between two coarse points, column 1 on one.
+    # Only the corner Lipschitz pad L_k * r keeps column 0 and its cell.
+    space = SpaceDescriptor.fewnomial_span([[0.0], [1.0], [2.0]])
+    box = (np.array([0.5]), np.array([1.5]))
+    axes, _ = _grid_axes(box, None, 20001)
+    stride = 16  # round(sqrt(20001) / 9)
+    x0, y0 = axes[0][312 * stride + stride // 2], axes[0][1000 * stride]
+    bump = lambda c: np.array([1.0 - c * c, 2.0 * c, -1.0])  # 1 - (x - c)^2
+    W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)
+    coarse = space.evaluate_basis(axes[0][::stride, None]) @ W
+    assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
+    M = markov_constant(space, box=box)
+    assert not M.certified
+    cols, keep = _coarse_prune(space, W, box, axes, M)
+    assert list(cols) == [0, 1]
+    assert keep is not None and keep.size < axes[0].size
+    value, point, col, _ = _grid_max(space, W, box, None, 20001, M)
+    ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
 

@@ -105,6 +105,58 @@ def test_basis_sup_is_the_dense_grid_maximum(case):
         assert space.basis_sup(box) == dense
 
 
+_EXPONENT = st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _fewnomial_and_box(draw, n):
+    alpha = st.tuples(*[_EXPONENT for _ in range(n)])
+    space = SpaceDescriptor.fewnomial_span(
+        draw(st.lists(alpha, min_size=1, max_size=4, unique=True)))
+    lo = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    return space, (lo, hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fewnomial_and_box(1))
+def test_basis_lipschitz_is_the_dense_derivative_maximum(case):
+    space, box = case
+    grid, _ = uniform_grid(box, budget=2001)
+    assert grid[0, 0] == box[0][0] and grid[-1, 0] == box[1][0]
+    alpha = np.array(space.exponents)[:, 0]
+    deriv = np.abs(alpha * grid ** (alpha - 1.0))  # |f_i'| on the grid, one column each
+    assert space.basis_lipschitz(box) == pytest.approx(deriv.max(axis=0), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fewnomial_and_box(2), st.integers(0, 2**32 - 1))
+def test_basis_lipschitz_bounds_every_difference_quotient(case, seed):
+    space, (lo, hi) = case
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, hi, size=(200, 2))
+    # far pairs, near pairs, and pairs along a single axis
+    y = np.concatenate([rng.uniform(lo, hi, size=(200, 2)),
+                        np.clip(x + rng.uniform(-1e-3, 1e-3, size=x.shape), lo, hi),
+                        np.where(rng.random(x.shape) < 0.5, x, rng.uniform(lo, hi, x.shape))])
+    x = np.tile(x, (3, 1))
+    dist = np.max(np.abs(x - y), axis=1)
+    ok = dist > 1e-6
+    fx, fy, dist = space.evaluate_basis(x[ok]), space.evaluate_basis(y[ok]), dist[ok, None]
+    # the evaluated values carry a relative error of a few ulp each
+    rounding = 64 * np.finfo(float).eps * (np.abs(fx) + np.abs(fy)) / dist
+    lip = space.basis_lipschitz((lo, hi))
+    assert np.all(np.abs(fx - fy) / dist <= lip * (1 + 1e-12) + rounding)
+
+
+def test_basis_lipschitz_needs_a_fewnomial_span_in_the_orthant():
+    with pytest.raises(ValueError):
+        SpaceDescriptor.polynomial(1, 2).basis_lipschitz((np.array([-1.0]), np.array([1.0])))
+    with pytest.raises(DomainError):
+        SpaceDescriptor.fewnomial_span([(1.5,)]).basis_lipschitz((np.array([0.0]),
+                                                                  np.array([1.0])))
+
+
 def test_single_point_shape():
     space = SpaceDescriptor.polynomial(2, 1)
     v = space.evaluate_basis(np.array([0.5, -0.5]))
