@@ -78,6 +78,9 @@ def load_space(path: str):
 
 
 def load_points(path: str) -> PointSet:
+    """Points from CSV rows or from JSON ``{"points": [...]}``; the JSON form
+    may add ``"box": [[lo...], [hi...]]``, the domain of a fewnomial span."""
+    box = None
     if path.endswith(".json"):
         with open(path) as fh:
             try:
@@ -87,6 +90,7 @@ def load_points(path: str) -> PointSet:
         if "points" not in obj:
             raise ValueError(f"{path}: missing key 'points'")
         pts = np.asarray(obj["points"], dtype=float)
+        box = obj.get("box")
     else:
         rows = []
         with open(path, newline="") as fh:
@@ -102,7 +106,17 @@ def load_points(path: str) -> PointSet:
         pts = np.asarray(rows, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return PointSet(pts)
+    if box is not None:
+        try:
+            box = np.asarray(box, dtype=float)
+        except (TypeError, ValueError):
+            box = np.empty(0)
+        if (box.shape != (2, pts.shape[1]) or not np.all(np.isfinite(box))
+                or np.any(box[0] > box[1])):
+            raise ValueError(f"{path}: 'box' must be [[lo...], [hi...]], "
+                             f"{pts.shape[1]} finite coordinates each, lo <= hi")
+        box = (box[0], box[1])
+    return PointSet(pts, box=box)
 
 
 def _emit(payload: dict, cfg: RunConfig, text: Optional[str] = None) -> None:

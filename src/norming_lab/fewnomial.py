@@ -17,6 +17,11 @@ import numpy as np
 
 from .spaces import _box_corners
 
+# sample sizes and stop rule of sup_abs_on_interval
+SUP_START = 257
+SUP_REL_TOL = 1e-6
+SUP_CAP = 1 << 14
+
 
 def _require_c(c, m):
     if m > 0 and c is None:
@@ -74,24 +79,19 @@ class ExpPoly:
         return vals[0] if single else vals
 
 
-def sup_abs_on_interval(p: ExpPoly, a: float, b: float, *, rel_tol: float = 1e-6,
-                        start: int = 257, cap: int = 1 << 14) -> float:
-    """Dense-sampling estimate of sup |p| on [a, b], refined by doubling the
-    sample until the relative change drops below ``rel_tol``. Uncertified:
-    no Markov constant is available for exponential sums here."""
+def sup_abs_on_interval(p: ExpPoly, a: float, b: float) -> float:
+    """Dense-sampling estimate of sup |p| on [a, b]: the sample starts at
+    ``SUP_START`` points and doubles until the relative change drops below
+    ``SUP_REL_TOL`` or it reaches ``SUP_CAP`` points. Uncertified: no Markov
+    constant is available for exponential sums here."""
     if b < a:
         raise ValueError("empty interval")
-    m = start
-    prev = None
+    m, prev = SUP_START, -math.inf
     while True:
-        xs = np.linspace(a, b, m)
-        cur = float(np.max(np.abs(p(xs))))
-        if prev is not None and (cur - prev) <= rel_tol * max(cur, 1e-300):
+        cur = float(np.max(np.abs(p(np.linspace(a, b, m)))))
+        if cur - prev <= SUP_REL_TOL * max(cur, 1e-300) or m >= SUP_CAP:
             return cur
-        if m >= cap:
-            return cur
-        prev = cur
-        m = 2 * m - 1
+        prev, m = cur, 2 * m - 1
 
 
 def sup_abs_on_union(p: ExpPoly, intervals) -> float:

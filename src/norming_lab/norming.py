@@ -30,14 +30,15 @@ point. Both passes run in blocks of bounded size.
 
 Certification (``_certified_max``, shared by ``norming_constant`` and
 ``certified_supnorm``): the grid maximum is the lower bound; the spacing h
-is halved while M * omega(h/2) >= 1. The upper bound is
-lower / (1 - M * omega(h/2)) on the cube, and lower + M * omega(h/2) *
-sup_cube on a strict sub-box, whose M is relative to the sup over the cube.
-The cube bracket sup_cube of a single coefficient vector is kept in a memo
-of at most 8 entries, keyed by the exact arguments of the cube call (space,
-coefficient bytes, refined spacing, budget); a sub-interval sweep after a
-cube call then reuses it instead of repeating the cube pass. Wider W, such
-as the vertex matrix of ``norming_constant``, is never kept.
+is halved while M * omega(h/2) >= 1, and the grid is built once per spacing.
+The upper bound is lower / (1 - M * omega(h/2)) on the cube, and
+lower + M * omega(h/2) * sup_cube on a box that leaves part of the cube out,
+whose M is relative to the sup over the cube. The cube bracket of one
+coefficient vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
+``certified_supnorm`` on the cube and the sub-box rule both read, so a
+sub-interval sweep after a cube call makes no second cube pass. Wider W,
+such as the vertex matrix of ``norming_constant``, takes a direct cube call
+and is never cached.
 
 ``cramer_bound`` needs no grid: every basis function is a product of
 per-axis factors whose modulus peaks at an end of the interval, so
@@ -46,8 +47,9 @@ max_i sup |f_i| over a box is attained at one of its corners
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -63,10 +65,6 @@ FEKETE_CAP = 500_000
 # keeps rounding from pruning a maximiser
 _BLOCK_VALUES = 1 << 20
 _PRUNE_RTOL = 1e-9
-# cube brackets of the last few single coefficient vectors, keyed by the
-# arguments of the cube call, for the sub-box rule of _certified_max
-_CUBE_MEMO_SIZE = 8
-_cube_memo: dict = {}
 
 
 class NotNormingError(RuntimeError):
@@ -134,11 +132,10 @@ def as_points(points, n: Optional[int] = None) -> np.ndarray:
 
 
 def _domain_box(space: SpaceDescriptor, points=None, box=None):
+    if box is None and isinstance(points, PointSet):
+        box = points.box
     if box is not None:
-        return (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
-    if isinstance(points, PointSet) and points.box is not None:
-        return (np.asarray(points.box[0], dtype=float),
-                np.asarray(points.box[1], dtype=float))
+        return tuple(np.asarray(b, dtype=float) for b in box)
     cube = space.default_box()
     if cube is None:
         raise ValueError("fewnomial spaces need an explicit bounding box")
@@ -148,23 +145,16 @@ def _domain_box(space: SpaceDescriptor, points=None, box=None):
 def _grid_axes(box, spacing=None, budget=None):
     """Axes of the uniform grid on a box; returns (axes, effective_spacing)."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
-    n = lo.size
-    if budget is None:
-        budget = DEFAULT_GRID_BUDGET
+    if spacing is None:
+        budget = DEFAULT_GRID_BUDGET if budget is None else budget
+        per_axis = max(2, int(budget ** (1.0 / lo.size)))
     axes = []
     h_eff = 0.0
-    if spacing is None:
-        per_axis = max(2, int(budget ** (1.0 / n)))
-    else:
-        per_axis = None
     for a, b in zip(lo, hi):
         if b <= a + 1e-15:
             axes.append(np.array([a]))
             continue
-        if per_axis is not None:
-            m = per_axis
-        else:
-            m = int(math.ceil((b - a) / spacing)) + 1
+        m = per_axis if spacing is None else int(math.ceil((b - a) / spacing)) + 1
         axes.append(np.linspace(a, b, m))
         h_eff = max(h_eff, (b - a) / (m - 1))
     total = math.prod(len(ax) for ax in axes)
@@ -254,65 +244,59 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
                       grid_spacing=None, budget=None) -> SupBracket:
     """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
     coeff = np.asarray(coefficients, dtype=float)
-    bracket, _ = _certified_max(space, coeff[:, None], _domain_box(space, box=box),
-                                grid_spacing, budget)
-    return bracket
+    box = _domain_box(space, box=box)
+    if _is_cube(space, box):
+        bracket = _cube_bracket(space, coeff.tobytes(), grid_spacing, budget)
+        return replace(bracket, argmax=bracket.argmax.copy())
+    return _certified_max(space, coeff[:, None], box, grid_spacing, budget)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -> SupBracket:
+    """Cube bracket of one coefficient vector, given as its float64 bytes.
+    Its ``argmax`` is shared by every caller: copy it before handing it out."""
+    W = np.frombuffer(coeff_bytes)[:, None]
+    return _certified_max(space, W, space.default_box(), spacing, budget)[0]
+
+
+def _is_cube(space: SpaceDescriptor, box) -> bool:
+    """True when ``box`` is exactly the space's own box (fewnomials have none)."""
+    cube = space.default_box()
+    return cube is not None and all(map(np.array_equal, box, cube))
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k |phi(x) @ W[:, k]|, by the rule in
     the module docstring. Returns (SupBracket, column of W at the argmax).
-    ``spacing`` and ``budget`` reach ``_grid_max`` unchanged unless refined."""
-    lo, hi = box
-    domain = space.default_box()
-    input_spacing = spacing
-    M = markov_constant(space, box=box if domain is None else domain)
+    The grid axes are built again only when the spacing is refined. A box
+    that leaves part of the cube out takes the sub-box rule."""
+    cube = space.default_box()
+    M = markov_constant(space, box=box if cube is None else cube)
     omega = space.modulus
-    h = spacing if spacing is not None else _grid_axes(box, None, budget)[1]
-    tries = 0
-    while M.value * omega(h / 2) >= 1.0 and tries < 20:
+    axes, h_eff = _grid_axes(box, spacing, budget)
+    h0 = h = h_eff if spacing is None else spacing
+    while M.value * omega(h / 2) >= 1.0 and h > h0 / 2**20:  # at most 20 halvings
         h /= 2.0
-        tries += 1
-    if tries:
+    if h < h0:
         spacing = h
+        axes, h_eff = _grid_axes(box, spacing, budget)
     whole = None
-    if domain is not None and (np.any(lo > domain[0] + 1e-15)
-                               or np.any(hi < domain[1] - 1e-15)):
-        whole = _cube_memo.get(_cube_key(space, W, spacing, budget))
-        if whole is None:
-            whole, _ = _certified_max(space, W, domain, spacing, budget)
+    # clipped to the cube, a box is the cube only when it covers the cube
+    if cube is not None and not _is_cube(space, (np.maximum(box[0], cube[0]),
+                                                 np.minimum(box[1], cube[1]))):
+        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
+                 else _certified_max(space, W, cube, spacing, budget)[0])
     sup = whole.upper if whole is not None and whole.certified else None
-    lower, point, column, h_eff = _grid_max(space, W, box, spacing, budget, M, sup)
+    lower, point, column = _grid_max(space, W, box, axes, M, sup)
     pad = M.value * omega(h_eff / 2)
-    certified = M.certified and pad < 1.0
+    certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
         upper = math.inf
     elif whole is not None:
         upper = lower + pad * whole.upper
-        certified = certified and whole.certified
     else:
         upper = lower / (1.0 - pad)
-    bracket = SupBracket(lower, upper, certified, h_eff, point)
-    if domain is not None and np.array_equal(lo, domain[0]) and np.array_equal(hi, domain[1]):
-        _remember_cube(_cube_key(space, W, input_spacing, budget), bracket)
-    return bracket, column
-
-
-def _cube_key(space: SpaceDescriptor, W: np.ndarray, spacing, budget):
-    """Memo key of the cube bracket of one coefficient vector; None for wider W."""
-    if W.shape[1] != 1:
-        return None
-    return (space, W.dtype.str, W.shape, W.tobytes(), spacing, budget)
-
-
-def _remember_cube(key, bracket: SupBracket):
-    # emptied when full: a sweep reads the entry its cube call just stored,
-    # and no step iterates over the dict while another thread may change it
-    if key is None:
-        return
-    if len(_cube_memo) >= _CUBE_MEMO_SIZE:
-        _cube_memo.clear()
-    _cube_memo[key] = bracket
+    return SupBracket(lower, upper, certified, h_eff, point), column
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +362,11 @@ def _half_signs(l: int):
         yield [1.0] + [1.0 if (bits >> k) & 1 else -1.0 for k in range(l - 1)]
 
 
-def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
-              M: MarkovConstant, sup=None):
-    """Maximum of |phi(x) @ W[:, k]| over the uniform grid on ``box`` and all k.
+def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant,
+              sup=None):
+    """Maximum of |phi(x) @ W[:, k]| over the tensor grid ``axes`` and all k.
 
-    Returns (value, point, column, effective_spacing). Point and column are
+    Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
     ``np.abs(Phi @ W)`` would give. Where ``_coarse_prune`` applies, only the
     columns and grid cells that can reach the maximum are evaluated; the
@@ -391,7 +375,6 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
     strict sub-box of that box be pruned too. Either way the grid is
     evaluated in blocks of bounded size.
     """
-    axes, h_eff = _grid_axes(box, spacing, budget)
     shape = tuple(len(ax) for ax in axes)
     total = math.prod(shape)
     cols = np.arange(W.shape[1])
@@ -414,7 +397,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget,
             top, gi, col = float(rowmax[j]), int(flat[j]), int(cols[np.argmax(vals[j])])
             if not math.isfinite(top):
                 break
-    return top, _grid_points(axes, shape, np.array([gi]))[0], col, h_eff
+    return top, _grid_points(axes, shape, np.array([gi]))[0], col
 
 
 def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant,
@@ -456,7 +439,7 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
     if cube is not None:
         if not M.certified or np.any(box[0] < cube[0]) or np.any(box[1] > cube[1]):
             return None
-        on_cube = np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
+        on_cube = _is_cube(space, box)
         if not on_cube and (sup is None or not math.isfinite(sup)):
             return None
     shape = [len(ax) for ax in axes]

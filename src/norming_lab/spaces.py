@@ -38,7 +38,7 @@ class ModulusOfContinuity:
     """omega(t): increasing concave, omega(0) = 0, omega(t) -> infinity.
 
     Built-ins: ``identity`` (omega(t) = t) and ``power`` (omega(t) = t**gamma,
-    0 < gamma <= 1).
+    0 < gamma <= 1). A power modulus with gamma = 1 is the identity.
     """
 
     kind: str = "identity"
@@ -49,6 +49,8 @@ class ModulusOfContinuity:
             raise ValueError(f"unknown modulus kind {self.kind!r}")
         if self.kind == "power" and not (0.0 < self.gamma <= 1.0):
             raise ValueError("power modulus needs gamma in (0, 1]")
+        if self.kind == "power" and self.gamma == 1.0:
+            object.__setattr__(self, "kind", "identity")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from norming_lab import PointSet, SpaceDescriptor, norming_constant
 from norming_lab.cli import build_parser, main
 
 
@@ -98,6 +99,46 @@ def test_lipschitz_subcommand(capsys, tmp_path):
     res = json.loads(out)["result"]
     assert res["satisfied"] is True
     assert res["lhs"] == pytest.approx(0.1, abs=1e-9)
+
+
+@pytest.fixture
+def fewnomial_files(tmp_path):
+    """span{1, x^0.5, x^1.5} and the points 0.3, 0.9, 1.7 with the box [0.2, 2]."""
+    sp = tmp_path / "few.json"
+    sp.write_text(json.dumps({"kind": "fewnomial", "exponents": [[0.0], [0.5], [1.5]]}))
+    pts = tmp_path / "few-pts.json"
+    pts.write_text(json.dumps({"points": [[0.3], [0.9], [1.7]], "box": [[0.2], [2.0]]}))
+    return str(sp), str(pts)
+
+
+def test_fewnomial_points_file_carries_its_box(capsys, fewnomial_files):
+    space_path, points_path = fewnomial_files
+    code, out = run(capsys, ["norming", "--space", space_path, "--points", points_path,
+                             "--budget", "20001"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    rep = norming_constant(SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]]),
+                           PointSet([[0.3], [0.9], [1.7]], box=([0.2], [2.0])),
+                           budget=20001)
+    assert (result["lower"], result["upper"]) == (rep.lower, rep.upper)
+    code, out = run(capsys, ["audit", "--space", space_path, "--points", points_path,
+                             "--bounds", "cramer", "--budget", "20001"])
+    assert code == 0
+    assert json.loads(out)["result"]["exact"] == rep.value
+    # the Lipschitz audit needs a Markov constant on the space's own box
+    assert main(["lipschitz", "--space", space_path, "--z1", points_path,
+                 "--z2", points_path]) == 1
+
+
+@pytest.mark.parametrize("box", [[0.2, 2.0], [[0.2], [2.0], [3.0]], [[0.2, 0.3], [2.0, 2.1]],
+                                 [[2.0], [0.2]], [[0.2], ["x"]], [[0.2], [None]],
+                                 [[0.2], [float("inf")]], {"lo": 0.2}, "box", [[0.2], [2.0, 3.0]]])
+def test_malformed_box_is_an_error(capsys, fewnomial_files, box):
+    space_path, points_path = fewnomial_files
+    with open(points_path, "w") as fh:
+        json.dump({"points": [[0.3], [0.9], [1.7]], "box": box}, fh)
+    assert main(["norming", "--space", space_path, "--points", points_path]) == 1
+    assert "'box' must be" in capsys.readouterr().err
 
 
 def test_estimate_c_subcommand(capsys):

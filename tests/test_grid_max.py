@@ -7,7 +7,7 @@ from conftest import random_points, uniform_grid
 from norming_lab import SpaceDescriptor, certified_supnorm, norming_constant
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
-                                 _feasible_vertices, _grid_axes, _grid_max)
+                                 _cube_bracket, _feasible_vertices, _grid_axes, _grid_max)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 
@@ -78,10 +78,10 @@ def test_grid_max_matches_dense_oracle(name):
         inst_box = space.default_box() if name in ("flat-axis", "beyond-cube") else box
         W = _instance(rng, space, inst_box, extra)
         sup = _cube_sup(space, W, box, spacing, budget)
-        axes, _ = _grid_axes(box, spacing, budget)
+        axes, h = _grid_axes(box, spacing, budget)
         kept = _coarse_prune(space, W, box, axes, M, sup)
         assert (kept is not None) == pruned
-        value, point, col, h = _grid_max(space, W, box, spacing, budget, M, sup)
+        value, point, col = _grid_max(space, W, box, axes, M, sup)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert np.array_equal(point, ref_point)
         assert col == ref_col
@@ -108,7 +108,7 @@ def test_identity_columns_keep_every_cell(n):
     axes, _ = _grid_axes(box, None, budget)
     cols, keep = _coarse_prune(space, W, box, axes, M)
     assert keep is None
-    value, point, col, _ = _grid_max(space, W, box, None, budget, M)
+    value, point, col = _grid_max(space, W, box, axes, M)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
@@ -168,7 +168,7 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(T1, box=box)
     assert _coarse_prune(T1, W, box, axes, M) is not None
-    value, point, col, _ = _grid_max(T1, W, box, None, 20001, M)
+    value, point, col = _grid_max(T1, W, box, axes, M)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -192,7 +192,7 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     cols, keep = _coarse_prune(space, W, box, axes, M)
     assert list(cols) == [0, 1]
     assert keep is not None and keep.size < axes[0].size
-    value, point, col, _ = _grid_max(space, W, box, None, 20001, M)
+    value, point, col = _grid_max(space, W, box, axes, M)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -202,9 +202,9 @@ def _spy_grid_max(monkeypatch):
     """Record the (box, sup) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(space, W, box, spacing, budget, M, sup=None):
+    def spy(space, W, box, axes, M, sup=None):
         calls.append((box, sup))
-        return real(space, W, box, spacing, budget, M, sup)
+        return real(space, W, box, axes, M, sup)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
@@ -225,14 +225,14 @@ def _as_tuple(br):
 def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 5)
     coeff = np.random.default_rng(5).normal(size=space.dimension())
-    norming._cube_memo.clear()
+    _cube_bracket.cache_clear()
     calls = _spy_grid_max(monkeypatch)
     certified_supnorm(space, coeff, grid_spacing=1e-4)
     got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
     assert len(calls) == 1 + len(SWEEP)
     assert sum(_on_cube(space, box) for box, _ in calls) == 1
     for box, br in zip(SWEEP, got):
-        norming._cube_memo.clear()
+        _cube_bracket.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
                                                             grid_spacing=1e-4))
 
@@ -246,7 +246,7 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
     assert cube.certified and cube.upper > cube.lower
     for memo in (False, True):
         if not memo:
-            norming._cube_memo.clear()
+            _cube_bracket.cache_clear()
         calls = _spy_grid_max(monkeypatch)
         certified_supnorm(space, coeff, SWEEP[1], budget=2001)
         monkeypatch.undo()
@@ -255,24 +255,67 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
 
 def test_cube_memo_keeps_single_coefficient_vectors_only():
     space = SpaceDescriptor.polynomial(1, 2)
-    norming._cube_memo.clear()
+    _cube_bracket.cache_clear()
     rep = norming_constant(space, [[0.0], [0.02], [0.05], [0.1]], budget=2001,
                            box=(np.array([0.0]), np.array([0.1])))
     assert rep.norming and rep.lower <= rep.upper
-    assert not norming._cube_memo
+    assert _cube_bracket.cache_info().currsize == 0
     rng = np.random.default_rng(8)
-    for _ in range(3 * norming._CUBE_MEMO_SIZE):
+    size = _cube_bracket.cache_info().maxsize
+    for _ in range(3 * size):
         certified_supnorm(space, rng.normal(size=3), budget=2001)
-    assert 0 < len(norming._cube_memo) <= norming._CUBE_MEMO_SIZE
-    assert all(key[2] == (3, 1) for key in norming._cube_memo)
+    info = _cube_bracket.cache_info()
+    assert 0 < info.currsize <= size
+    # every entry ever stored came from one of the single-vector calls
+    assert info.misses == 3 * size
 
 
 def test_cube_memo_ignores_boxes_beyond_the_cube():
     space = SpaceDescriptor.polynomial(1, 3)
     coeff = np.array([0.5, -1.0, 0.25, 2.0])
-    norming._cube_memo.clear()
+    _cube_bracket.cache_clear()
     fresh = certified_supnorm(space, coeff, SWEEP[1], budget=2001)
-    norming._cube_memo.clear()
+    _cube_bracket.cache_clear()
     certified_supnorm(space, coeff, (np.array([-1.5]), np.array([1.5])), budget=2001)
-    assert not norming._cube_memo
+    assert _cube_bracket.cache_info().currsize == 0
     assert _as_tuple(certified_supnorm(space, coeff, SWEEP[1], budget=2001)) == _as_tuple(fresh)
+
+
+def test_equal_cube_calls_share_one_pass_and_own_their_argmax(monkeypatch):
+    space = SpaceDescriptor.polynomial(1, 4)
+    coeff = np.random.default_rng(9).normal(size=space.dimension())
+    _cube_bracket.cache_clear()
+    calls = _spy_grid_max(monkeypatch)
+    first = certified_supnorm(space, coeff, budget=2001)
+    second = certified_supnorm(space, coeff, budget=2001)
+    assert len(calls) == 1
+    assert _as_tuple(first) == _as_tuple(second)
+    assert first.argmax is not second.argmax
+    assert first.argmax.flags.writeable and second.argmax.flags.writeable
+    first.argmax[:] = np.nan
+    assert _as_tuple(certified_supnorm(space, coeff, budget=2001)) == _as_tuple(second)
+
+
+def _spy_grid_axes(monkeypatch):
+    calls, real = [], norming._grid_axes
+
+    def spy(box, spacing=None, budget=None):
+        calls.append(spacing)
+        return real(box, spacing, budget)
+
+    monkeypatch.setattr(norming, "_grid_axes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spacing, budget, refined", [(None, 2001, False), (1e-3, None, False),
+                                                      (None, 11, True), (0.1, None, True)])
+def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, budget, refined):
+    # P5 has M = 25: spacing 0.1 (or 11 points on [-1, 1]) gives M * h / 2 >= 1
+    space = SpaceDescriptor.polynomial(1, 5)
+    W = np.random.default_rng(10).normal(size=(space.dimension(), 2))
+    calls = _spy_grid_axes(monkeypatch)
+    bracket, _ = _certified_max(space, W, space.default_box(), spacing, budget)
+    assert len(calls) == (2 if refined else 1)
+    h0 = spacing if spacing is not None else 2.0 / (budget - 1)
+    assert (bracket.grid_spacing < h0) == refined
+    assert bracket.certified

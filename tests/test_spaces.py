@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import uniform_grid
 from norming_lab import (IDENTITY, SpaceDescriptor, markov_constant,
-                         power_modulus, space_from_json)
+                         norming_constant, power_modulus, space_from_json)
 from norming_lab.spaces import (DomainError, _monomial_exponents, _trig_tuples,
                                 gram_schmidt_markov_bound, uniform_quadrature)
 
@@ -176,6 +176,20 @@ def test_modulus_validation():
         power_modulus(1.5)
     assert IDENTITY(0.25) == 0.25
     assert power_modulus(0.5)(0.25) == pytest.approx(0.5)
+
+
+def test_power_modulus_one_is_the_identity():
+    assert power_modulus(1.0) == IDENTITY
+    space = SpaceDescriptor.polynomial(1, 3, power_modulus(1.0))
+    assert space == SpaceDescriptor.polynomial(1, 3)
+    assert markov_constant(space) == markov_constant(SpaceDescriptor.polynomial(1, 3))
+    for mod in ("power:1", {"kind": "power", "gamma": 1.0}):
+        obj = {"kind": "polynomial", "vars": 1, "degree": 3, "modulus": mod}
+        assert space_from_json(obj).to_json()["modulus"] == "identity"
+    pts = [[-1.0], [-0.4], [0.1], [0.5], [1.0]]
+    reports = [norming_constant(s, pts, budget=20001).to_json()
+               for s in (space, SpaceDescriptor.polynomial(1, 3))]
+    assert reports[0] == reports[1] and reports[0]["certified"]
 
 
 def test_markov_certified_values():
