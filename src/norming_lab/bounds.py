@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import entropy
-from .norming import NotNormingError, cramer_bound, fekete_select, norming_constant
+from .norming import (NotNormingError, as_points, cramer_bound, fekete_select,
+                      norming_constant)
 from .spaces import SpaceDescriptor
 
 
@@ -106,8 +107,6 @@ def rd_span_bound(n: int, d: int, omega: float) -> BoundResult:
 
 def cor22_bound(points, d: int) -> BoundResult:
     """Min-gap bound T_d((2 - delta)/delta) for finite 1-D sets with m >= d+1."""
-    from .norming import as_points
-
     pts = as_points(points)
     if pts.shape[1] != 1:
         raise ValueError("this bound applies to 1-D point sets")
@@ -226,8 +225,6 @@ def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d) -> BoundRe
         return cor22_bound(points, d)
     if name == "cramer":
         idx, _ = fekete_select(space, points, mode="exhaustive")
-        from .norming import as_points
-
         sub = as_points(points)[list(idx)]
         value = cramer_bound(space, sub, box=getattr(points, "box", None))
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})

@@ -18,23 +18,31 @@ coarse point then bounds every vertex and every coarse cell, and only the
 vertices and cells that can still reach the coarse maximum are evaluated on
 the full grid, as index ranges expanded in grid order. The skipped ones
 provably cannot hold the grid maximum, so the result is that of a dense
-pass. For polynomial and trigonometric spaces the bound is the Markov
-inequality, which needs a certified Markov constant (identity modulus) and
-a box inside the space's own cube; on a strict sub-box it also needs the
-certified sup over the cube, which ``_certified_max`` computes first. For
-fewnomial spans it is the corner Lipschitz bound: every partial derivative
-of a basis function x^alpha peaks in modulus at a corner of the box
-(``SpaceDescriptor.basis_lipschitz``). Polynomial and trigonometric spaces
-with a power modulus, and grids too small to coarsen, evaluate every grid
-point. Both passes run in blocks of bounded size.
+pass. The bound is one per-column rule: column k, with coarse maximum C_k,
+moves by at most L_k * r within distance r of a coarse point, where
+
+    L_k = a_k + b * C_k / (1 - b * r),
+
+and ``_certified_max`` alone picks (a, b). On the space's own cube the
+Markov inequality gives a = 0, b = M; on a strict sub-box of the cube it
+gives a = M * sup_cube, b = 0, from the certified sup over the cube, which
+``_certified_max`` computes first; for fewnomial spans a_k is the corner
+Lipschitz bound, b = 0: every partial derivative of a basis function
+x^alpha peaks in modulus at a corner of the box
+(``SpaceDescriptor.basis_lipschitz``). Any other box, and grids too small
+to coarsen, evaluate every grid point. Both passes run in blocks of bounded
+size.
 
 Certification (``_certified_max``, shared by ``norming_constant`` and
-``certified_supnorm``): the grid maximum is the lower bound; the spacing h
-is halved while M * omega(h/2) >= 1, and the grid is built once per spacing.
-The upper bound is lower / (1 - M * omega(h/2)) on the cube, and
-lower + M * omega(h/2) * sup_cube on a box that leaves part of the cube out,
-whose M is relative to the sup over the cube. The cube bracket of one
-coefficient vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
+``certified_supnorm``): the grid maximum is the lower bound. A grid point
+lies within h/2 of every point of its cell, so the grid-to-continuum step
+needs only the plain l-inf Lipschitz bound M * sup|f|, with M the Markov
+constant of the identity modulus, whatever the space's own modulus (which
+serves the Lipschitz stability of 1/N_V(Z) only). The spacing h is halved
+while M * h/2 >= 1, and the grid is built once per spacing. The upper bound
+is lower / (1 - M * h/2) on the cube, and lower + M * h/2 * sup_cube on a
+box that leaves part of the cube out. The cube bracket of one coefficient
+vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
 ``certified_supnorm`` on the cube and the sub-box rule both read, so a
 sub-interval sweep after a cube call makes no second cube pass. Wider W,
 such as the vertex matrix of ``norming_constant``, takes a direct cube call
@@ -55,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import MarkovConstant, SpaceDescriptor, markov_constant
+from .spaces import IDENTITY, SpaceDescriptor, markov_constant
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -245,7 +253,8 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
     """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
     coeff = np.asarray(coefficients, dtype=float)
     box = _domain_box(space, box=box)
-    if _is_cube(space, box):
+    cube = space.default_box()
+    if cube is not None and _same_box(box, cube):
         bracket = _cube_bracket(space, coeff.tobytes(), grid_spacing, budget)
         return replace(bracket, argmax=bracket.argmax.copy())
     return _certified_max(space, coeff[:, None], box, grid_spacing, budget)[0]
@@ -259,36 +268,42 @@ def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -
     return _certified_max(space, W, space.default_box(), spacing, budget)[0]
 
 
-def _is_cube(space: SpaceDescriptor, box) -> bool:
-    """True when ``box`` is exactly the space's own box (fewnomials have none)."""
-    cube = space.default_box()
-    return cube is not None and all(map(np.array_equal, box, cube))
+def _same_box(a, b) -> bool:
+    return all(map(np.array_equal, a, b))
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k |phi(x) @ W[:, k]|, by the rule in
     the module docstring. Returns (SupBracket, column of W at the argmax).
     The grid axes are built again only when the spacing is refined. A box
-    that leaves part of the cube out takes the sub-box rule."""
+    that leaves part of the cube out takes the sub-box rule. This is the one
+    place that picks the pruning rule (a, b) handed to ``_grid_max``."""
     cube = space.default_box()
-    M = markov_constant(space, box=box if cube is None else cube)
-    omega = space.modulus
+    M = markov_constant(replace(space, modulus=IDENTITY), box=box if cube is None else cube)
     axes, h_eff = _grid_axes(box, spacing, budget)
     h0 = h = h_eff if spacing is None else spacing
-    while M.value * omega(h / 2) >= 1.0 and h > h0 / 2**20:  # at most 20 halvings
+    while M.value * (h / 2) >= 1.0 and h > h0 / 2**20:  # at most 20 halvings
         h /= 2.0
     if h < h0:
         spacing = h
         axes, h_eff = _grid_axes(box, spacing, budget)
-    whole = None
-    # clipped to the cube, a box is the cube only when it covers the cube
-    if cube is not None and not _is_cube(space, (np.maximum(box[0], cube[0]),
-                                                 np.minimum(box[1], cube[1]))):
-        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
-                 else _certified_max(space, W, cube, spacing, budget)[0])
-    sup = whole.upper if whole is not None and whole.certified else None
-    lower, point, column = _grid_max(space, W, box, axes, M, sup)
-    pad = M.value * omega(h_eff / 2)
+    whole = rule = None
+    if cube is None:
+        # corner Lipschitz bound, with a relative margin for the exp/log
+        # rounding of the corner values
+        rule = ((1.0 + _PRUNE_RTOL) * (np.abs(W).T @ space.basis_lipschitz(box)), 0.0)
+    elif _same_box(box, cube):
+        rule = (0.0, M.value)
+    else:
+        clipped = (np.maximum(box[0], cube[0]), np.minimum(box[1], cube[1]))
+        # clipped to the cube, a box is the cube only when it covers the cube
+        if not _same_box(clipped, cube):
+            whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
+                     else _certified_max(space, W, cube, spacing, budget)[0])
+            if _same_box(clipped, box):  # inside the cube
+                rule = (M.value * whole.upper, 0.0)
+    lower, point, column = _grid_max(space, W, axes, rule)
+    pad = M.value * (h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
         upper = math.inf
@@ -362,24 +377,23 @@ def _half_signs(l: int):
         yield [1.0] + [1.0 if (bits >> k) & 1 else -1.0 for k in range(l - 1)]
 
 
-def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant,
-              sup=None):
+def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule=None):
     """Maximum of |phi(x) @ W[:, k]| over the tensor grid ``axes`` and all k.
 
     Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
-    ``np.abs(Phi @ W)`` would give. Where ``_coarse_prune`` applies, only the
-    columns and grid cells that can reach the maximum are evaluated; the
-    rest is skipped exactly, not approximately. ``sup``, when given, bounds
-    sup |phi @ W[:, k]| over the space's own box for every k, which lets a
-    strict sub-box of that box be pruned too. Either way the grid is
-    evaluated in blocks of bounded size.
+    ``np.abs(Phi @ W)`` would give. ``rule`` is the (a, b) of the per-column
+    bound L_k = a_k + b * C_k / (1 - b * r) that ``_certified_max`` picks;
+    with it, ``_coarse_prune`` skips the columns and grid cells that cannot
+    reach the maximum, exactly, not approximately. Without it, or where
+    ``_coarse_prune`` declines, every grid point is evaluated. Either way
+    the grid is evaluated in blocks of bounded size.
     """
     shape = tuple(len(ax) for ax in axes)
     total = math.prod(shape)
     cols = np.arange(W.shape[1])
     keep = None
-    pruned = _coarse_prune(space, W, box, axes, M, sup)
+    pruned = None if rule is None else _coarse_prune(space, W, axes, rule)
     if pruned is not None:
         cols, keep = pruned
     Wk = W[:, cols]
@@ -400,48 +414,33 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstan
     return top, _grid_points(axes, shape, np.array([gi]))[0], col
 
 
-def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovConstant,
-                  sup=None):
+def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     """Columns of W and flat grid indices that can still attain the grid maximum.
 
     The coarse sub-lattice keeps every s-th index per axis plus the last
     one, so every grid point x lies within r (half the largest coarse gap)
-    of its nearest coarse point c. Each column k gets a pad P_k with
+    of its nearest coarse point c. With C_k the coarse maximum of column k
+    and ``rule`` = (a, b),
 
-        |f_k(x)| <= |f_k(c)| + P_k,
+        |f_k(x)| <= |f_k(c)| + L_k * r,   L_k = a_k + b * C_k / (1 - b * r).
 
-    by one of two routes:
+    ``_certified_max`` picks (a, b). On the cube, the Markov inequality
+    |f(x) - f(c)| <= M * r * sup|f| with sup|f| <= C_k / (1 - M * r) gives
+    a = 0, b = M; on a strict sub-box of the cube sup|f| is bounded by the
+    cube bracket's upper end U, a = M * U, b = 0; on a fewnomial span a_k is
+    the corner Lipschitz bound of f_k, b = 0.
 
-    * Markov (polynomial and trigonometric spaces, identity modulus, box
-      inside the space's own box): |f(x) - f(c)| <= M * omega(r) * sup|f|
-      over that box, so P_k = pad * U_k with pad = M * omega(r) and a bound
-      U_k on sup |f_k|. On the whole box U_k = C_k / (1 - pad), from the
-      coarse column maximum C_k; on a strict sub-box U_k = ``sup`` for
-      every k.
-    * Corner Lipschitz (fewnomial spans, any box): f_k is L_k-Lipschitz in
-      l-inf with L_k = sum_i |W_ik| G_i, G = ``basis_lipschitz(box)``, so
-      P_k = L_k * r and U_k = C_k + P_k.
-
-    The coarse maximum ``best`` is a grid value, so columns with U_k < best
-    and cells with max_k (|f_k(c)| + P_k) < best cannot hold the grid
-    maximum. The stride s makes the coarse lattice about 9 * sqrt(G) of the
-    G grid points: G / s^n coarse points then cost about as much as some 80
-    kept cells of s^n fine points each.
+    The coarse maximum ``best`` is a grid value, so columns with
+    C_k + L_k * r < best and cells with max_k (|f_k(c)| + L_k * r) < best
+    cannot hold the grid maximum. The stride s makes the coarse lattice
+    about 9 * sqrt(G) of the G grid points: G / s^n coarse points then cost
+    about as much as some 80 kept cells of s^n fine points each.
 
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept. Returns None, meaning "evaluate everything",
-    where neither route applies (a power modulus on a polynomial or
-    trigonometric space), the box is not inside the space's own box, a
-    strict sub-box comes without a finite ``sup``, the grid is too small to
-    coarsen, pad >= 1, or a coarse value or L_k is not finite.
+    where the grid is too small to coarsen, b * r >= 1, or some L_k is not
+    finite (a non-finite coarse value included).
     """
-    cube = space.default_box()
-    if cube is not None:
-        if not M.certified or np.any(box[0] < cube[0]) or np.any(box[1] > cube[1]):
-            return None
-        on_cube = _is_cube(space, box)
-        if not on_cube and (sup is None or not math.isfinite(sup)):
-            return None
     shape = [len(ax) for ax in axes]
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
     if s <= 1:
@@ -449,43 +448,32 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, box, axes, M: MarkovCon
     sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
     # half the largest coarse gap; a flat axis contributes 0
     r = max(float(np.max(np.diff(ax[i], prepend=ax[0]))) / 2.0 for ax, i in zip(axes, sub))
-    if cube is not None:
-        pad = M.value * float(space.modulus(r))
-        if pad >= 1.0:
-            return None
+    a, b = rule
+    if b * r >= 1.0:
+        return None
 
     Phi = space.evaluate_basis(_tensor([ax[i] for ax, i in zip(axes, sub)]))
     colmax = np.zeros(W.shape[1])
     step = _block_rows(W.shape[0], W.shape[1])
     for start in range(0, Phi.shape[0], step):
         colmax = np.maximum(colmax, np.abs(Phi[start:start + step] @ W).max(axis=0))
-    if not np.all(np.isfinite(colmax)):
+    pad = (a + b * colmax / (1.0 - b * r)) * r
+    if not np.all(np.isfinite(pad)):
         return None
     best = float(colmax.max())
-    if cube is not None:
-        upper = colmax / (1.0 - pad) if on_cube else np.full(W.shape[1], sup)
-        padU = pad * upper
-        vmax = 1.0  # basis values are at most 1 on the cube
-    else:
-        # fewnomial: corner Lipschitz bound, with a relative margin for the
-        # exp/log rounding of the corner values
-        lip = (1.0 + _PRUNE_RTOL) * (np.abs(W).T @ space.basis_lipschitz(box))
-        if not np.all(np.isfinite(lip)):
-            return None
-        padU = lip * r
-        upper = colmax + padU
-        vmax = max(1.0, space.basis_sup(box))
-    # Rounding slack: basis values are at most vmax on the box, so one
-    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
+    # Rounding slack: basis values peak in modulus at the box's corners
+    # (trigonometric ones are at most 1), which the coarse lattice holds, so
+    # one computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
+    vmax = max(1.0, float(np.abs(Phi).max()))
     slack = (_PRUNE_RTOL * best + 2 * W.shape[0] * np.finfo(float).eps
              * float(np.abs(W).sum(axis=0).max()) * vmax)
-    cols = np.flatnonzero(upper >= best - slack)
-    Wk, padU = W[:, cols], padU[cols]
+    cols = np.flatnonzero(colmax + pad >= best - slack)
+    Wk, pad = W[:, cols], pad[cols]
 
     bound = np.empty(Phi.shape[0])
     step = _block_rows(W.shape[0], cols.size)
     for start in range(0, Phi.shape[0], step):
-        block = np.abs(Phi[start:start + step] @ Wk) + padU
+        block = np.abs(Phi[start:start + step] @ Wk) + pad
         bound[start:start + step] = block.max(axis=1)
     cell_ok = (bound >= best - slack).reshape([i.size for i in sub])
     if cell_ok.all():

@@ -1,13 +1,18 @@
 """The coarse-to-fine grid maximiser against a dense oracle, and the witness
 that ``norming_constant`` reports."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_points, uniform_grid
-from norming_lab import SpaceDescriptor, certified_supnorm, norming_constant
+from conftest import random_points
+from norming_lab import IDENTITY, SpaceDescriptor, certified_supnorm, norming_constant
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
-                                 _cube_bracket, _feasible_vertices, _grid_axes, _grid_max)
+                                 _cube_bracket, _feasible_vertices, _grid_axes, _grid_max,
+                                 _tensor)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 
@@ -17,11 +22,17 @@ FEW2 = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5], [2.0
 FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
 
 
-def _dense(space, W, box, spacing, budget):
-    grid, h = uniform_grid(box, spacing=spacing, budget=budget)
+def _dense_on(space, W, axes):
+    """(value, point, column) of one dense pass over the tensor grid ``axes``."""
+    grid = _tensor(axes)
     vals = np.abs(space.evaluate_basis(grid) @ W)
     gi = int(np.argmax(vals.max(axis=1)))
-    return float(vals[gi].max()), grid[gi], int(np.argmax(vals[gi])), h
+    return float(vals[gi].max()), grid[gi], int(np.argmax(vals[gi]))
+
+
+def _dense(space, W, box, spacing, budget):
+    axes, h = _grid_axes(box, spacing, budget)
+    return (*_dense_on(space, W, axes), h)
 
 
 def _instance(rng, space, box, extra):
@@ -33,12 +44,14 @@ def _instance(rng, space, box, extra):
     return W
 
 
-def _cube_sup(space, W, box, spacing, budget):
-    """The bound ``_certified_max`` hands ``_grid_max`` on a strict sub-box."""
-    cube = space.default_box()
-    if cube is None or (np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])):
-        return None
-    return _certified_max(space, W, cube, spacing, budget)[0].upper
+def _handed(space, W, box, spacing, budget):
+    """The bracket of ``_certified_max`` on ``box``, and the (axes, rule) it
+    hands ``_grid_max`` for that box (its last call: a sub-box bracket
+    brackets the cube first)."""
+    with mock.patch.object(norming, "_grid_max", wraps=norming._grid_max) as spy:
+        bracket, column = _certified_max(space, W, box, spacing, budget)
+    _, _, axes, rule = spy.call_args.args
+    return bracket, column, axes, rule
 
 
 # (space, box or None for the cube, grid_spacing, budget, pruned?)
@@ -50,8 +63,9 @@ CASES = {
     "spacing": (SpaceDescriptor.polynomial(2, 2), None, 0.01, None, True),
     "fewnomial": (FEW, FEW_BOX, None, 20001, True),
     "fewnomial-2d": (FEW2, FEW2_BOX, None, 40000, True),
+    # the grid step needs the identity modulus's Markov constant only
     "power-modulus": (SpaceDescriptor.polynomial(1, 3, power_modulus(0.5)), None, None,
-                      20001, False),
+                      20001, True),
     "sub-box": (SpaceDescriptor.polynomial(2, 2),
                 (np.array([-0.5, -1.0]), np.array([0.75, 0.2])), None, 40000, True),
     "sub-box-1d": (SpaceDescriptor.polynomial(1, 5),
@@ -70,18 +84,18 @@ CASES = {
 def test_grid_max_matches_dense_oracle(name):
     space, box, spacing, budget, pruned = CASES[name]
     box = space.default_box() if box is None else box
-    M = markov_constant(space, box=box)
     rng = np.random.default_rng(sorted(CASES).index(name))
     for extra in range(3):
         # an instance for these boxes needs its points inside the cube and off
         # the flat axis
         inst_box = space.default_box() if name in ("flat-axis", "beyond-cube") else box
         W = _instance(rng, space, inst_box, extra)
-        sup = _cube_sup(space, W, box, spacing, budget)
         axes, h = _grid_axes(box, spacing, budget)
-        kept = _coarse_prune(space, W, box, axes, M, sup)
+        _, _, handed_axes, rule = _handed(space, W, box, spacing, budget)
+        assert all(map(np.array_equal, handed_axes, axes))
+        kept = None if rule is None else _coarse_prune(space, W, axes, rule)
         assert (kept is not None) == pruned
-        value, point, col = _grid_max(space, W, box, axes, M, sup)
+        value, point, col = _grid_max(space, W, axes, rule)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert np.array_equal(point, ref_point)
         assert col == ref_col
@@ -93,9 +107,10 @@ def test_subbox_is_not_pruned_without_cube_bound():
     space, box, spacing, budget, _ = CASES["sub-box-1d"]
     W = _instance(np.random.default_rng(0), space, box, 1)
     axes, _ = _grid_axes(box, spacing, budget)
-    M = markov_constant(space)
-    assert _coarse_prune(space, W, box, axes, M) is None
-    assert _coarse_prune(space, W, box, axes, M, np.inf) is None
+    M = markov_constant(space).value
+    # a = M * sup_cube, where an uncertified cube bracket has sup_cube = inf
+    assert _coarse_prune(space, W, axes, (M * np.nan, 0.0)) is None
+    assert _coarse_prune(space, W, axes, (M * np.inf, 0.0)) is None
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -104,11 +119,10 @@ def test_identity_columns_keep_every_cell(n):
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())
-    M = markov_constant(space)
-    axes, _ = _grid_axes(box, None, budget)
-    cols, keep = _coarse_prune(space, W, box, axes, M)
+    _, _, axes, rule = _handed(space, W, box, None, budget)
+    cols, keep = _coarse_prune(space, W, axes, rule)
     assert keep is None
-    value, point, col = _grid_max(space, W, box, axes, M)
+    value, point, col = _grid_max(space, W, axes, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
@@ -166,9 +180,10 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)
     coarse = T1.evaluate_basis(axes[0][::stride, None]) @ W
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
-    M = markov_constant(T1, box=box)
-    assert _coarse_prune(T1, W, box, axes, M) is not None
-    value, point, col = _grid_max(T1, W, box, axes, M)
+    _, _, handed_axes, rule = _handed(T1, W, box, None, 20001)
+    assert all(map(np.array_equal, handed_axes, axes))
+    assert _coarse_prune(T1, W, axes, rule) is not None
+    value, point, col = _grid_max(T1, W, axes, rule)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -189,30 +204,32 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(space, box=box)
     assert not M.certified
-    cols, keep = _coarse_prune(space, W, box, axes, M)
+    _, _, handed_axes, rule = _handed(space, W, box, None, 20001)
+    assert all(map(np.array_equal, handed_axes, axes))
+    cols, keep = _coarse_prune(space, W, axes, rule)
     assert list(cols) == [0, 1]
     assert keep is not None and keep.size < axes[0].size
-    value, point, col = _grid_max(space, W, box, axes, M)
+    value, point, col = _grid_max(space, W, axes, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
 
 
 def _spy_grid_max(monkeypatch):
-    """Record the (box, sup) of every ``_grid_max`` call."""
+    """Record the (axes, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(space, W, box, axes, M, sup=None):
-        calls.append((box, sup))
-        return real(space, W, box, axes, M, sup)
+    def spy(space, W, axes, rule=None):
+        calls.append((axes, rule))
+        return real(space, W, axes, rule)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
 
 
-def _on_cube(space, box):
-    cube = space.default_box()
-    return np.array_equal(box[0], cube[0]) and np.array_equal(box[1], cube[1])
+def _on_cube(space, axes):
+    lo, hi = space.default_box()
+    return all(ax[0] == a and ax[-1] == b for ax, a, b in zip(axes, lo, hi))
 
 
 SWEEP = [(np.array([a]), np.array([b])) for a, b in ((-1.0, -0.4), (-0.2, 0.3), (0.5, 1.0))]
@@ -230,7 +247,7 @@ def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
     certified_supnorm(space, coeff, grid_spacing=1e-4)
     got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
     assert len(calls) == 1 + len(SWEEP)
-    assert sum(_on_cube(space, box) for box, _ in calls) == 1
+    assert sum(_on_cube(space, axes) for axes, _ in calls) == 1
     for box, br in zip(SWEEP, got):
         _cube_bracket.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
@@ -241,6 +258,7 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
     # the pad term needs a bound on the sup over the cube: the cube bracket's
     # upper end, not its grid value
     space = SpaceDescriptor.polynomial(1, 4)
+    M = markov_constant(space).value
     coeff = np.random.default_rng(6).normal(size=space.dimension())
     cube = certified_supnorm(space, coeff, budget=2001)
     assert cube.certified and cube.upper > cube.lower
@@ -250,7 +268,8 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
         calls = _spy_grid_max(monkeypatch)
         certified_supnorm(space, coeff, SWEEP[1], budget=2001)
         monkeypatch.undo()
-        assert [sup for box, sup in calls if not _on_cube(space, box)] == [cube.upper]
+        assert [rule for axes, rule in calls if not _on_cube(space, axes)] == [(M * cube.upper,
+                                                                                 0.0)]
 
 
 def test_cube_memo_keeps_single_coefficient_vectors_only():
@@ -319,3 +338,64 @@ def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, bu
     h0 = spacing if spacing is not None else 2.0 / (budget - 1)
     assert (bracket.grid_spacing < h0) == refined
     assert bracket.certified
+
+
+@st.composite
+def _certified_max_case(draw, family, power, where):
+    """A space of ``family``, a box placed as ``where`` says and random
+    coefficient columns W (1 to 40 of them)."""
+    n = draw(st.integers(1, 2))
+    floats = lambda a, b: st.lists(st.floats(a, b), min_size=n, max_size=n).map(np.array)
+    if family == "fewnomial":
+        # half-integer exponents: nearly equal ones make the sampled Markov
+        # estimate's Gram matrix singular (RankDeficiencyError)
+        alpha = st.tuples(*[st.integers(-4, 6).map(lambda k: k / 2.0) for _ in range(n)])
+        space = SpaceDescriptor.fewnomial_span(
+            draw(st.lists(alpha, min_size=1, max_size=4, unique=True)))
+        lo = draw(floats(0.1, 1.5))
+        box = (lo, lo + draw(floats(0.05, 1.5)))
+    else:
+        modulus = power_modulus(draw(st.floats(0.3, 0.9))) if power else IDENTITY
+        top = (4, 2) if family == "polynomial" else (2, 1)
+        space = getattr(SpaceDescriptor, family)(n, draw(st.integers(1, top[n - 1])), modulus)
+        if where == "cube":
+            box = space.default_box()
+        elif where == "outside":
+            lo = draw(floats(-1.5, 0.5))
+            lo[0] = draw(st.floats(-1.5, -1.05))  # reaches below the cube
+            box = (lo, lo + draw(floats(0.2, 2.6)))
+        else:
+            lo = draw(floats(-1.0, 0.9))
+            hi = np.minimum(lo + draw(floats(0.05, 2.0)), 1.0)
+            if where == "flat":
+                j = draw(st.integers(0, n - 1))
+                hi[j] = lo[j]
+            box = (lo, hi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.normal(size=(space.dimension(), draw(st.integers(1, 40))))
+    return space, box, W
+
+
+PROPERTY_CASES = [("fewnomial", False, "box")] + [
+    (family, power, where) for family in ("polynomial", "trigonometric")
+    for power in (False, True) for where in ("cube", "inside", "flat", "outside")]
+
+
+@pytest.mark.parametrize("family, power, where", PROPERTY_CASES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, power, where,
+                                                                     data):
+    space, box, W = data.draw(_certified_max_case(family, power, where))
+    budget = 2001 if space.n == 1 else 1600
+    bracket, column, axes, rule = _handed(space, W, box, None, budget)
+    value, point, col = _dense_on(space, W, axes)
+    assert bracket.lower == pytest.approx(value, rel=1e-12)
+    assert np.array_equal(bracket.argmax, point)
+    assert column == col
+    if bracket.certified:
+        # both sides are rounded: allow one |phi @ w| evaluation's rounding,
+        # l * eps * ||w||_1 * max |phi| (a one-point box has upper == lower)
+        eps = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=0).max()
+        fine, _ = _grid_axes(box, bracket.grid_spacing / 4)
+        assert bracket.upper >= _dense_on(space, W, fine)[0] - eps * max(1.0, space.basis_sup(box))
