@@ -33,6 +33,15 @@ x^alpha peaks in modulus at a corner of the box
 to coarsen, evaluate every grid point. Both passes run in blocks of bounded
 size.
 
+Before the coarse pass, the vertex columns are thinned on nested
+sub-lattices of the coarse lattice, coarsest first: level j keeps every
+4^j-th coarse index per axis plus the last, and reuses the coarse basis
+rows. Each level holds the box's corners and lies within its half-gap r_j
+of every point of the box, so the same rule at r_j, against the level's
+maximum (a grid value), drops only columns that stay below the grid
+maximum at every grid point. The dense pass's first maximiser, point and
+column, is therefore never dropped. A single column skips the levels.
+
 Certification (``_certified_max``, shared by ``norming_constant`` and
 ``certified_supnorm``): the grid maximum is the lower bound. A grid point
 lies within h/2 of every point of its cell, so the grid-to-continuum step
@@ -385,7 +394,9 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule=None):
     ``np.abs(Phi @ W)`` would give. ``rule`` is the (a, b) of the per-column
     bound L_k = a_k + b * C_k / (1 - b * r) that ``_certified_max`` picks;
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
-    reach the maximum, exactly, not approximately. Without it, or where
+    reach the maximum, exactly, not approximately: columns on nested
+    sub-lattices of its coarse lattice first, then columns and cells on the
+    whole coarse lattice. Without it, or where
     ``_coarse_prune`` declines, every grid point is evaluated. Either way
     the grid is evaluated in blocks of bounded size.
     """
@@ -418,9 +429,9 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     """Columns of W and flat grid indices that can still attain the grid maximum.
 
     The coarse sub-lattice keeps every s-th index per axis plus the last
-    one, so every grid point x lies within r (half the largest coarse gap)
-    of its nearest coarse point c. With C_k the coarse maximum of column k
-    and ``rule`` = (a, b),
+    one, so every point of the box lies within r (half the largest coarse
+    gap) of its nearest coarse point c. With C_k the coarse maximum of
+    column k and ``rule`` = (a, b),
 
         |f_k(x)| <= |f_k(c)| + L_k * r,   L_k = a_k + b * C_k / (1 - b * r).
 
@@ -436,6 +447,16 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     about 9 * sqrt(G) of the G grid points: G / s^n coarse points then cost
     about as much as some 80 kept cells of s^n fine points each.
 
+    Most columns of a vertex matrix are dropped before that pass, on
+    nested sub-lattices of the coarse lattice (``_column_levels``): level j
+    keeps every 4^j-th coarse index per axis plus the last, and the levels
+    run coarsest first, each on rows of the coarse basis table. A level
+    holds the box's corners and lies within its own half-gap r_j of every
+    point of the box, so the same rule at r_j, against that level's maximum
+    best_j (a grid value too), drops only columns that stay below the grid
+    maximum everywhere. The dense pass's first maximiser, point and column,
+    is then among what is kept.
+
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept. Returns None, meaning "evaluate everything",
     where the grid is too small to coarsen, b * r >= 1, or some L_k is not
@@ -446,39 +467,84 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     if s <= 1:
         return None
     sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
-    # half the largest coarse gap; a flat axis contributes 0
-    r = max(float(np.max(np.diff(ax[i], prepend=ax[0]))) / 2.0 for ax, i in zip(axes, sub))
+    coarse = [ax[i] for ax, i in zip(axes, sub)]
+    r = _half_gap(coarse)
     a, b = rule
     if b * r >= 1.0:
         return None
 
-    Phi = space.evaluate_basis(_tensor([ax[i] for ax, i in zip(axes, sub)]))
-    colmax = np.zeros(W.shape[1])
-    step = _block_rows(W.shape[0], W.shape[1])
-    for start in range(0, Phi.shape[0], step):
-        colmax = np.maximum(colmax, np.abs(Phi[start:start + step] @ W).max(axis=0))
-    pad = (a + b * colmax / (1.0 - b * r)) * r
+    Phi = space.evaluate_basis(_tensor(coarse))
+    a = np.broadcast_to(a, W.shape[1])
+    # Rounding slack: basis values peak in modulus at the box's corners
+    # (trigonometric ones are at most 1), which every level holds, so one
+    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
+    vmax = max(1.0, float(np.abs(Phi).max()))
+    slack = (2 * W.shape[0] * np.finfo(float).eps
+             * float(np.abs(W).sum(axis=0).max()) * vmax)
+    cols = _column_levels(Phi, coarse, W, a, b, slack)
+    colmax = _colmax(Phi, W[:, cols])
+    pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
     if not np.all(np.isfinite(pad)):
         return None
     best = float(colmax.max())
-    # Rounding slack: basis values peak in modulus at the box's corners
-    # (trigonometric ones are at most 1), which the coarse lattice holds, so
-    # one computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
-    vmax = max(1.0, float(np.abs(Phi).max()))
-    slack = (_PRUNE_RTOL * best + 2 * W.shape[0] * np.finfo(float).eps
-             * float(np.abs(W).sum(axis=0).max()) * vmax)
-    cols = np.flatnonzero(colmax + pad >= best - slack)
-    Wk, pad = W[:, cols], pad[cols]
+    floor = best - (_PRUNE_RTOL * best + slack)
+    keep = colmax + pad >= floor
+    cols, Wk, pad = cols[keep], W[:, cols[keep]], pad[keep]
 
     bound = np.empty(Phi.shape[0])
     step = _block_rows(W.shape[0], cols.size)
     for start in range(0, Phi.shape[0], step):
         block = np.abs(Phi[start:start + step] @ Wk) + pad
         bound[start:start + step] = block.max(axis=1)
-    cell_ok = (bound >= best - slack).reshape([i.size for i in sub])
+    cell_ok = (bound >= floor).reshape([c.size for c in coarse])
     if cell_ok.all():
         return cols, None
     return cols, _cell_indices(cell_ok, sub, shape)
+
+
+def _column_levels(Phi, coarse, W, a, b, slack):
+    """Columns of W left after the nested levels of ``_coarse_prune``.
+
+    Level j is every 4^j-th coarse index per axis plus the last (a flat axis
+    keeps its one index), taken coarsest first while some axis still has an
+    interior index. At each level with b * r_j < 1 and finite pads, column k
+    goes when C^j_k + L^j_k * r_j < best_j - slack. The levels stop once one
+    column is left, so a single column runs none.
+    """
+    sizes = [c.size for c in coarse]
+    table = Phi.reshape(sizes + [Phi.shape[1]])
+    strides = [4]
+    while strides[-1] < max(sizes) - 1:
+        strides.append(4 * strides[-1])
+    cols = np.arange(W.shape[1])
+    for q in reversed(strides[:-1]):
+        if cols.size == 1:
+            break
+        level = [np.append(np.arange(0, k - 1, q), k - 1) for k in sizes]
+        r = _half_gap([c[i] for c, i in zip(coarse, level)])
+        if b * r >= 1.0:
+            continue
+        colmax = _colmax(table[np.ix_(*level)].reshape(-1, Phi.shape[1]), W[:, cols])
+        pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
+        if not np.all(np.isfinite(pad)):
+            continue
+        best = float(colmax.max())
+        cols = cols[colmax + pad >= best - (_PRUNE_RTOL * best + slack)]
+    return cols
+
+
+def _half_gap(axes) -> float:
+    """Half the largest gap between neighbours on any axis; a flat axis gives 0."""
+    return max(float(np.max(np.diff(ax, prepend=ax[0]))) / 2.0 for ax in axes)
+
+
+def _colmax(Phi, W) -> np.ndarray:
+    """max over the rows of Phi of |Phi @ W|, per column, in bounded blocks."""
+    out = np.zeros(W.shape[1])
+    step = _block_rows(W.shape[0], W.shape[1])
+    for start in range(0, Phi.shape[0], step):
+        out = np.maximum(out, np.abs(Phi[start:start + step] @ W).max(axis=0))
+    return out
 
 
 def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:

@@ -155,8 +155,11 @@ class SpaceDescriptor:
         exps = np.asarray(_monomial_exponents(self.n, self.degree))
         m = pts.shape[0]
         V = np.ones((m, exps.shape[0]))
+        powers = np.ones((m, self.degree + 1))
         for j in range(self.n):
-            powers = pts[:, j][:, None] ** np.arange(self.degree + 1)[None, :]
+            # x^k as x^(k-1) * x: k - 1 roundings at most, and far cheaper than pow
+            for k in range(1, self.degree + 1):
+                np.multiply(powers[:, k - 1], pts[:, j], out=powers[:, k])
             V *= powers[:, exps[:, j]]
         return V
 
@@ -288,10 +291,18 @@ def _axis_samples(n: int) -> int:
 
 
 def uniform_quadrature(box, samples_per_axis: int = 65):
-    """Tensor trapezoid rule on a box; returns (points, weights)."""
+    """Tensor trapezoid rule on a box; returns (points, weights).
+
+    A flat axis (lo == hi) gets one node of weight 1, so the rule keeps
+    positive mass on a box of lower dimension.
+    """
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     axes, wts = [], []
     for a, b in zip(lo, hi):
+        if a == b:
+            axes.append(np.array([a]))
+            wts.append(np.ones(1))
+            continue
         x = np.linspace(a, b, samples_per_axis)
         w = np.full(samples_per_axis, (b - a) / (samples_per_axis - 1))
         w[0] *= 0.5

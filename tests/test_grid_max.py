@@ -23,11 +23,16 @@ FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
 
 
 def _dense_on(space, W, axes):
-    """(value, point, column) of one dense pass over the tensor grid ``axes``."""
+    """(value, point, column) of one dense pass over the tensor grid ``axes``,
+    in row blocks: each row keeps its maximum and first maximising column."""
     grid = _tensor(axes)
-    vals = np.abs(space.evaluate_basis(grid) @ W)
-    gi = int(np.argmax(vals.max(axis=1)))
-    return float(vals[gi].max()), grid[gi], int(np.argmax(vals[gi]))
+    rowmax, rowcol = [], []
+    for start in range(0, len(grid), 4096):
+        vals = np.abs(space.evaluate_basis(grid[start:start + 4096]) @ W)
+        rowmax.append(vals.max(axis=1))
+        rowcol.append(np.argmax(vals, axis=1))
+    gi = int(np.argmax(np.concatenate(rowmax)))
+    return float(np.concatenate(rowmax)[gi]), grid[gi], int(np.concatenate(rowcol)[gi])
 
 
 def _dense(space, W, box, spacing, budget):
@@ -101,6 +106,50 @@ def test_grid_max_matches_dense_oracle(name):
         assert col == ref_col
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert h == ref_h
+
+
+# Real vertex matrices with hundreds of columns: (space, box or None for the
+# cube, m, budget, column levels that must run). In 2-D the Markov pad
+# admits only the finest level at any budget a dense oracle can afford.
+WIDE = {
+    "P6-1d-m10": (SpaceDescriptor.polynomial(1, 6), None, 10, 20001, 2),
+    "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1),
+    "T2-1d-m9": (SpaceDescriptor.trigonometric(1, 2), None, 9, 20001, 2),
+    "fewnomial-m6": (FEW, FEW_BOX, 6, 20001, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch):
+    space, box, m, budget, levels = WIDE[name]
+    box = space.default_box() if box is None else box
+    W = _instance(np.random.default_rng(sorted(WIDE).index(name)), space, box,
+                  m - space.dimension())
+    assert W.shape[1] > 20
+    axes, _ = _grid_axes(box, None, budget)
+    _, _, _, rule = _handed(space, W, box, None, budget)
+    # one blocked column maximum per level that runs, and one on the whole
+    # coarse lattice
+    colmax = mock.Mock(wraps=norming._colmax)
+    monkeypatch.setattr(norming, "_colmax", colmax)
+    cols, _ = _coarse_prune(space, W, axes, rule)
+    assert colmax.call_count - 1 >= levels
+    assert cols.size < W.shape[1]
+    value, point, col = _grid_max(space, W, axes, rule)
+    ref_value, ref_point, ref_col = _dense_on(space, W, axes)
+    assert np.array_equal(point, ref_point)
+    assert col == ref_col
+    assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_one_column_runs_no_level(monkeypatch):
+    space = SpaceDescriptor.polynomial(1, 6)
+    axes, _ = _grid_axes(space.default_box(), None, 20001)
+    W = np.random.default_rng(11).normal(size=(space.dimension(), 1))
+    colmax = mock.Mock(wraps=norming._colmax)
+    monkeypatch.setattr(norming, "_colmax", colmax)
+    assert _coarse_prune(space, W, axes, (0.0, 36.0)) is not None
+    assert colmax.call_count == 1
 
 
 def test_subbox_is_not_pruned_without_cube_bound():
@@ -342,18 +391,24 @@ def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, bu
 
 @st.composite
 def _certified_max_case(draw, family, power, where):
-    """A space of ``family``, a box placed as ``where`` says and random
-    coefficient columns W (1 to 40 of them)."""
+    """A space of ``family``, a box placed as ``where`` says and coefficient
+    columns W: 1 to 40 random ones, or up to 300 near-tied copies of a few."""
     n = draw(st.integers(1, 2))
     floats = lambda a, b: st.lists(st.floats(a, b), min_size=n, max_size=n).map(np.array)
     if family == "fewnomial":
         # half-integer exponents: nearly equal ones make the sampled Markov
-        # estimate's Gram matrix singular (RankDeficiencyError)
+        # estimate's Gram matrix singular (RankDeficiencyError); on a flat
+        # axis j they must differ off axis j for the same reason
+        j = draw(st.integers(0, n - 1))
         alpha = st.tuples(*[st.integers(-4, 6).map(lambda k: k / 2.0) for _ in range(n)])
+        off_flat = (lambda a: a[:j] + a[j + 1:]) if where == "flat" else (lambda a: a)
         space = SpaceDescriptor.fewnomial_span(
-            draw(st.lists(alpha, min_size=1, max_size=4, unique=True)))
+            draw(st.lists(alpha, min_size=1, max_size=4, unique_by=off_flat)))
         lo = draw(floats(0.1, 1.5))
-        box = (lo, lo + draw(floats(0.05, 1.5)))
+        hi = lo + draw(floats(0.05, 1.5))
+        if where == "flat":
+            hi[j] = lo[j]
+        box = (lo, hi)
     else:
         modulus = power_modulus(draw(st.floats(0.3, 0.9))) if power else IDENTITY
         top = (4, 2) if family == "polynomial" else (2, 1)
@@ -372,11 +427,18 @@ def _certified_max_case(draw, family, power, where):
                 hi[j] = lo[j]
             box = (lo, hi)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    W = rng.normal(size=(space.dimension(), draw(st.integers(1, 40))))
+    if draw(st.booleans()):
+        W = rng.normal(size=(space.dimension(), draw(st.integers(1, 40))))
+    else:
+        # perturbed copies of a few base columns: maxima tied within ~1e-9
+        base = rng.normal(size=(space.dimension(), draw(st.integers(1, 4))))
+        W = base[:, rng.integers(base.shape[1], size=draw(st.integers(2, 300)))]
+        W = W * (1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+                 * rng.uniform(-1.0, 1.0, size=W.shape))
     return space, box, W
 
 
-PROPERTY_CASES = [("fewnomial", False, "box")] + [
+PROPERTY_CASES = [("fewnomial", False, "box"), ("fewnomial", False, "flat")] + [
     (family, power, where) for family in ("polynomial", "trigonometric")
     for power in (False, True) for where in ("cube", "inside", "flat", "outside")]
 

@@ -234,3 +234,27 @@ def test_sandwich_on_random_sets(rng):
         pts = random_points(rng, space.dimension() + 2, space.n, min_sep=0.2)
         rep = sandwich_check(space, pts, budget=10000)
         assert rep.ok, (rep.n_full, rep.n_fekete, rep.max_abs_lagrange_on_z)
+
+
+def test_fewnomial_on_a_box_with_a_flat_axis():
+    # On y = 0.7 the span {1, x^0.5 y, x^1.5 y^-0.5} is {1, x^0.5, x^1.5} with
+    # rescaled coefficients, so the grid maxima match the 1-D ones.
+    flat = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5]])
+    line = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
+    box = (np.array([0.3, 0.7]), np.array([1.8, 0.7]))
+    box1 = (np.array([0.3]), np.array([1.8]))
+    coeff = np.array([1.0, -0.5, 0.3])
+    sup = certified_supnorm(flat, coeff, box, grid_spacing=1e-3)
+    ref = certified_supnorm(line, coeff * [1.0, 0.7, 0.7 ** -0.5], box1, grid_spacing=1e-3)
+    assert sup.lower == pytest.approx(ref.lower, rel=1e-12)
+    assert sup.argmax[0] == ref.argmax[0] and sup.argmax[1] == 0.7
+    assert sup.lower <= sup.upper
+    xs = [0.3, 0.9, 1.4, 1.8]
+    rep = norming_constant(flat, PointSet([[x, 0.7] for x in xs], box=box), grid_spacing=1e-3)
+    ref = norming_constant(line, PointSet([[x] for x in xs], box=box1), grid_spacing=1e-3)
+    assert rep.norming and rep.value == pytest.approx(ref.value, rel=1e-9)
+    assert rep.lower <= rep.upper
+    one = SpaceDescriptor.fewnomial_span([[0.0]])
+    point = (np.array([1.0]), np.array([1.0]))
+    assert certified_supnorm(one, [2.0], point).lower == 2.0
+    assert norming_constant(one, PointSet([[1.0]], box=point)).value == 1.0

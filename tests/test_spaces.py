@@ -66,6 +66,17 @@ def test_vectorized_matches_scalar_basis(rng):
                 assert V[i, j] == pytest.approx(f(pts[i]), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", range(13))
+def test_power_table_matches_pow(d):
+    # x^k is built by k - 1 products, so it is within k rounding errors of pow
+    x = np.concatenate([[0.0, 1.0, -1.0, -0.0],
+                        np.random.default_rng(d).uniform(-1.5, 1.5, 60)])
+    V = SpaceDescriptor.polynomial(1, d).evaluate_basis(x[:, None])
+    for k in range(d + 1):
+        ref = x ** float(k)
+        assert np.all(np.abs(V[:, k] - ref) <= k * np.finfo(float).eps * np.abs(ref))
+
+
 _SIDE = st.one_of(st.just(0.0), st.floats(1e-3, 1.5))
 
 
@@ -215,6 +226,14 @@ def test_gram_schmidt_bound_covers_affine_lipschitz():
     pts, w = uniform_quadrature(space.default_box(), samples_per_axis=401)
     est = gram_schmidt_markov_bound(space, pts, w)
     assert est >= 1.0
+
+
+def test_quadrature_gives_a_flat_axis_one_node_of_weight_one():
+    pts, w = uniform_quadrature((np.array([0.3, 0.7]), np.array([1.8, 0.7])), 5)
+    assert np.all(pts[:, 1] == 0.7) and pts.shape == (5, 2)
+    assert w.sum() == pytest.approx(1.5)
+    pts, w = uniform_quadrature((np.array([1.0]), np.array([1.0])), 5)
+    assert pts.tolist() == [[1.0]] and w.tolist() == [1.0]
 
 
 def test_json_roundtrip():
