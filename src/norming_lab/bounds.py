@@ -100,9 +100,8 @@ def rd_span_bound(n: int, d: int, omega: float) -> BoundResult:
     if omega > 1.0:
         return BoundResult("rd_span", math.inf, {"n": n, "d": d, "omega": omega},
                            applicable=False, reason="span outside bound domain")
-    s = (1.0 - omega) ** (1.0 / n)
-    value = 1.0 if s >= 1.0 else chebyshev(d, (1.0 + s) / (1.0 - s))
-    return BoundResult("rd_span", value, {"n": n, "d": d, "omega": omega})
+    # the measure-ratio formula with lambda = omega
+    return BoundResult("rd_span", bg_bound(n, d, omega).value, {"n": n, "d": d, "omega": omega})
 
 
 def cor22_bound(points, d: int) -> BoundResult:

@@ -21,26 +21,29 @@ provably cannot hold the grid maximum, so the result is that of a dense
 pass. The bound is one per-column rule: column k, with coarse maximum C_k,
 moves by at most L_k * r within distance r of a coarse point, where
 
-    L_k = a_k + b * C_k / (1 - b * r),
+    L_k = a_k + b * C_k / (1 - b * r).
 
-and ``_certified_max`` alone picks (a, b). On the space's own cube the
-Markov inequality gives a = 0, b = M; on a strict sub-box of the cube it
-gives a = M * sup_cube, b = 0, from the certified sup over the cube, which
-``_certified_max`` computes first; for fewnomial spans a_k is the corner
-Lipschitz bound, b = 0: every partial derivative of a basis function
-x^alpha peaks in modulus at a corner of the box
-(``SpaceDescriptor.basis_lipschitz``). Any other box, and grids too small
-to coarsen, evaluate every grid point. Both passes run in blocks of bounded
-size.
+The column test runs once, in a loop over nested lattices from every
+4^j-th coarse index per axis plus the last down to the coarse lattice; each
+lattice holds the box's corners, so it drops only columns below the grid
+maximum everywhere. The cell test runs on the coarse lattice. Grids too
+small to coarsen, b * r >= 1 and non-finite pads keep every cell. Both
+passes run in blocks of bounded size.
 
-Before the coarse pass, the vertex columns are thinned on nested
-sub-lattices of the coarse lattice, coarsest first: level j keeps every
-4^j-th coarse index per axis plus the last, and reuses the coarse basis
-rows. Each level holds the box's corners and lies within its half-gap r_j
-of every point of the box, so the same rule at r_j, against the level's
-maximum (a grid value), drops only columns that stay below the grid
-maximum at every grid point. The dense pass's first maximiser, point and
-column, is therefore never dropped. A single column skips the levels.
+``_certified_max`` alone picks (a, b), and every box gets a rule:
+
+* fewnomial spans: a_k is the corner Lipschitz bound, b = 0; every partial
+  derivative of x^alpha peaks in modulus at a corner of the box
+  (``SpaceDescriptor.basis_lipschitz``);
+* the cube, a polynomial box that leaves the cube, and a trigonometric box
+  that covers the cube: a = 0, b = M, with M relative to the sup over the
+  box itself. A polynomial box that leaves the cube takes its own Markov
+  constant sum_j 2 d^2 / (hi_j - lo_j) (``markov_constant(space, box)``);
+  a trigonometric box that covers the cube holds a whole period;
+* every other box (polynomial boxes strictly inside the cube, trigonometric
+  boxes that do not cover it): a = M * sup_cube, b = 0, from the certified
+  sup over the cube, which ``_certified_max`` computes first. Bernstein's
+  inequality holds on all of R^n, so this is sound for any trigonometric box.
 
 Certification (``_certified_max``, shared by ``norming_constant`` and
 ``certified_supnorm``): the grid maximum is the lower bound. A grid point
@@ -49,10 +52,10 @@ needs only the plain l-inf Lipschitz bound M * sup|f|, with M the Markov
 constant of the identity modulus, whatever the space's own modulus (which
 serves the Lipschitz stability of 1/N_V(Z) only). The spacing h is halved
 while M * h/2 >= 1, and the grid is built once per spacing. The upper bound
-is lower / (1 - M * h/2) on the cube, and lower + M * h/2 * sup_cube on a
-box that leaves part of the cube out. The cube bracket of one coefficient
-vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
-``certified_supnorm`` on the cube and the sub-box rule both read, so a
+is lower / (1 - M * h/2) under the multiplicative rule, and
+lower + M * h/2 * sup_cube under the additive one. The cube bracket of one
+coefficient vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
+``certified_supnorm`` on the cube and the additive rule both read, so a
 sub-interval sweep after a cube call makes no second cube pass. Wider W,
 such as the vertex matrix of ``norming_constant``, takes a direct cube call
 and is never cached.
@@ -164,7 +167,8 @@ def _grid_axes(box, spacing=None, budget=None):
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if spacing is None:
         budget = DEFAULT_GRID_BUDGET if budget is None else budget
-        per_axis = max(2, int(budget ** (1.0 / lo.size)))
+        live = max(1, int(np.sum(hi > lo + 1e-15)))  # a flat axis takes one point
+        per_axis = max(2, int(budget ** (1.0 / live)))
     axes = []
     h_eff = 0.0
     for a, b in zip(lo, hi):
@@ -284,11 +288,18 @@ def _same_box(a, b) -> bool:
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k |phi(x) @ W[:, k]|, by the rule in
     the module docstring. Returns (SupBracket, column of W at the argmax).
-    The grid axes are built again only when the spacing is refined. A box
-    that leaves part of the cube out takes the sub-box rule. This is the one
-    place that picks the pruning rule (a, b) handed to ``_grid_max``."""
+    The grid axes are built again only when the spacing is refined. This is
+    the one place that picks the pruning rule (a, b) handed to ``_grid_max``,
+    and every box gets one."""
     cube = space.default_box()
-    M = markov_constant(replace(space, modulus=IDENTITY), box=box if cube is None else cube)
+    inside = additive = False
+    whole = None
+    if cube is not None:
+        # clipped to the cube, a box is the cube only when it covers the cube
+        clipped = (np.maximum(box[0], cube[0]), np.minimum(box[1], cube[1]))
+        inside = _same_box(clipped, box)
+        additive = not _same_box(clipped, cube) and (inside or space.kind != "polynomial")
+    M = markov_constant(replace(space, modulus=IDENTITY), box=None if inside else box)
     axes, h_eff = _grid_axes(box, spacing, budget)
     h0 = h = h_eff if spacing is None else spacing
     while M.value * (h / 2) >= 1.0 and h > h0 / 2**20:  # at most 20 halvings
@@ -296,21 +307,16 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     if h < h0:
         spacing = h
         axes, h_eff = _grid_axes(box, spacing, budget)
-    whole = rule = None
     if cube is None:
         # corner Lipschitz bound, with a relative margin for the exp/log
         # rounding of the corner values
         rule = ((1.0 + _PRUNE_RTOL) * (np.abs(W).T @ space.basis_lipschitz(box)), 0.0)
-    elif _same_box(box, cube):
-        rule = (0.0, M.value)
+    elif additive:
+        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
+                 else _certified_max(space, W, cube, spacing, budget)[0])
+        rule = (M.value * whole.upper, 0.0)
     else:
-        clipped = (np.maximum(box[0], cube[0]), np.minimum(box[1], cube[1]))
-        # clipped to the cube, a box is the cube only when it covers the cube
-        if not _same_box(clipped, cube):
-            whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
-                     else _certified_max(space, W, cube, spacing, budget)[0])
-            if _same_box(clipped, box):  # inside the cube
-                rule = (M.value * whole.upper, 0.0)
+        rule = (0.0, M.value)
     lower, point, column = _grid_max(space, W, axes, rule)
     pad = M.value * (h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
@@ -386,7 +392,7 @@ def _half_signs(l: int):
         yield [1.0] + [1.0 if (bits >> k) & 1 else -1.0 for k in range(l - 1)]
 
 
-def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule=None):
+def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     """Maximum of |phi(x) @ W[:, k]| over the tensor grid ``axes`` and all k.
 
     Returns (value, point, column). Point and column are
@@ -394,19 +400,13 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule=None):
     ``np.abs(Phi @ W)`` would give. ``rule`` is the (a, b) of the per-column
     bound L_k = a_k + b * C_k / (1 - b * r) that ``_certified_max`` picks;
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
-    reach the maximum, exactly, not approximately: columns on nested
-    sub-lattices of its coarse lattice first, then columns and cells on the
-    whole coarse lattice. Without it, or where
-    ``_coarse_prune`` declines, every grid point is evaluated. Either way
+    reach the maximum, exactly, not approximately. Where it keeps every
+    cell, every grid point is evaluated for the columns it keeps. Either way
     the grid is evaluated in blocks of bounded size.
     """
     shape = tuple(len(ax) for ax in axes)
     total = math.prod(shape)
-    cols = np.arange(W.shape[1])
-    keep = None
-    pruned = None if rule is None else _coarse_prune(space, W, axes, rule)
-    if pruned is not None:
-        cols, keep = pruned
+    cols, keep = _coarse_prune(space, W, axes, rule)
     Wk = W[:, cols]
     top, gi, col = -math.inf, 0, 0
     step = _block_rows(W.shape[0], Wk.shape[1])
@@ -428,114 +428,93 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule=None):
 def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     """Columns of W and flat grid indices that can still attain the grid maximum.
 
-    The coarse sub-lattice keeps every s-th index per axis plus the last
-    one, so every point of the box lies within r (half the largest coarse
-    gap) of its nearest coarse point c. With C_k the coarse maximum of
+    The coarse lattice keeps every s-th grid index per axis plus the last
+    one. The stride s makes it about 9 * sqrt(G) of the G grid points, taken
+    over the non-flat axes: G / s^n coarse points then cost about as much as
+    some 80 kept cells of s^n fine points each. Nested in it are sub-lattices
+    of every 4^j-th coarse index per axis plus the last (a flat axis keeps
+    its one index), and the loop runs from the coarsest down to the coarse
+    lattice itself, each on rows of the coarse basis table. Every lattice
+    holds the box's corners, and every point of the box lies within r (the
+    lattice's half-gap) of a lattice point c. With C_k the lattice maximum of
     column k and ``rule`` = (a, b),
 
         |f_k(x)| <= |f_k(c)| + L_k * r,   L_k = a_k + b * C_k / (1 - b * r).
 
-    ``_certified_max`` picks (a, b). On the cube, the Markov inequality
-    |f(x) - f(c)| <= M * r * sup|f| with sup|f| <= C_k / (1 - M * r) gives
-    a = 0, b = M; on a strict sub-box of the cube sup|f| is bounded by the
-    cube bracket's upper end U, a = M * U, b = 0; on a fewnomial span a_k is
-    the corner Lipschitz bound of f_k, b = 0.
+    ``_certified_max`` picks (a, b) as the module docstring says; b = M
+    comes from sup|f| <= C_k / (1 - M * r) on the box.
 
-    The coarse maximum ``best`` is a grid value, so columns with
-    C_k + L_k * r < best and cells with max_k (|f_k(c)| + L_k * r) < best
-    cannot hold the grid maximum. The stride s makes the coarse lattice
-    about 9 * sqrt(G) of the G grid points: G / s^n coarse points then cost
-    about as much as some 80 kept cells of s^n fine points each.
-
-    Most columns of a vertex matrix are dropped before that pass, on
-    nested sub-lattices of the coarse lattice (``_column_levels``): level j
-    keeps every 4^j-th coarse index per axis plus the last, and the levels
-    run coarsest first, each on rows of the coarse basis table. A level
-    holds the box's corners and lies within its own half-gap r_j of every
-    point of the box, so the same rule at r_j, against that level's maximum
-    best_j (a grid value too), drops only columns that stay below the grid
-    maximum everywhere. The dense pass's first maximiser, point and column,
-    is then among what is kept.
+    The lattice maximum ``best`` is a grid value, so a column with
+    C_k + L_k * r < best - slack stays below the grid maximum at every grid
+    point, and each lattice drops such columns; the dense pass's first
+    maximiser, point and column, is never dropped. Sub-lattices are skipped
+    where b * r >= 1 or a pad is not finite, and once one column is left.
+    On the coarse lattice, cells with max_k (|f_k(c)| + L_k * r) below the
+    same floor go too.
 
     Returns (columns, ascending flat indices), with None for the indices
-    when every cell is kept. Returns None, meaning "evaluate everything",
-    where the grid is too small to coarsen, b * r >= 1, or some L_k is not
-    finite (a non-finite coarse value included).
+    when every cell is kept: where the grid is too small to coarsen, or the
+    coarse lattice has b * r >= 1 or a pad that is not finite (a non-finite
+    lattice value included).
     """
     shape = [len(ax) for ax in axes]
-    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
+    cols = np.arange(W.shape[1])
+    live = max(1, sum(k > 1 for k in shape))
+    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
     if s <= 1:
-        return None
+        return cols, None
     sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
     coarse = [ax[i] for ax, i in zip(axes, sub)]
-    r = _half_gap(coarse)
     a, b = rule
-    if b * r >= 1.0:
-        return None
-
+    if b * _half_gap(coarse) >= 1.0:
+        return cols, None
+    sizes = [c.size for c in coarse]
     Phi = space.evaluate_basis(_tensor(coarse))
+    table = Phi.reshape(sizes + [Phi.shape[1]])
     a = np.broadcast_to(a, W.shape[1])
     # Rounding slack: basis values peak in modulus at the box's corners
-    # (trigonometric ones are at most 1), which every level holds, so one
+    # (trigonometric ones are at most 1), which every lattice holds, so one
     # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
     vmax = max(1.0, float(np.abs(Phi).max()))
     slack = (2 * W.shape[0] * np.finfo(float).eps
              * float(np.abs(W).sum(axis=0).max()) * vmax)
-    cols = _column_levels(Phi, coarse, W, a, b, slack)
-    colmax = _colmax(Phi, W[:, cols])
-    pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
-    if not np.all(np.isfinite(pad)):
-        return None
-    best = float(colmax.max())
-    floor = best - (_PRUNE_RTOL * best + slack)
-    keep = colmax + pad >= floor
-    cols, Wk, pad = cols[keep], W[:, cols[keep]], pad[keep]
+    strides = [1]
+    while 4 * strides[-1] < max(sizes) - 1:
+        strides.append(4 * strides[-1])
+    for q in reversed(strides):
+        if q > 1 and cols.size == 1:
+            continue
+        level = [np.append(np.arange(0, k - 1, q), k - 1) for k in sizes]
+        r = _half_gap([c[i] for c, i in zip(coarse, level)])
+        if b * r >= 1.0:
+            continue
+        rows = Phi if q == 1 else table[np.ix_(*level)].reshape(-1, Phi.shape[1])
+        colmax = _colmax(rows, W[:, cols])
+        pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
+        if not np.all(np.isfinite(pad)):
+            if q == 1:
+                return cols, None
+            continue
+        best = float(colmax.max())
+        floor = best - (_PRUNE_RTOL * best + slack)
+        keep = colmax + pad >= floor
+        cols, pad = cols[keep], pad[keep]
 
     bound = np.empty(Phi.shape[0])
     step = _block_rows(W.shape[0], cols.size)
+    Wk = W[:, cols]
     for start in range(0, Phi.shape[0], step):
         block = np.abs(Phi[start:start + step] @ Wk) + pad
         bound[start:start + step] = block.max(axis=1)
-    cell_ok = (bound >= floor).reshape([c.size for c in coarse])
+    cell_ok = (bound >= floor).reshape(sizes)
     if cell_ok.all():
         return cols, None
     return cols, _cell_indices(cell_ok, sub, shape)
 
 
-def _column_levels(Phi, coarse, W, a, b, slack):
-    """Columns of W left after the nested levels of ``_coarse_prune``.
-
-    Level j is every 4^j-th coarse index per axis plus the last (a flat axis
-    keeps its one index), taken coarsest first while some axis still has an
-    interior index. At each level with b * r_j < 1 and finite pads, column k
-    goes when C^j_k + L^j_k * r_j < best_j - slack. The levels stop once one
-    column is left, so a single column runs none.
-    """
-    sizes = [c.size for c in coarse]
-    table = Phi.reshape(sizes + [Phi.shape[1]])
-    strides = [4]
-    while strides[-1] < max(sizes) - 1:
-        strides.append(4 * strides[-1])
-    cols = np.arange(W.shape[1])
-    for q in reversed(strides[:-1]):
-        if cols.size == 1:
-            break
-        level = [np.append(np.arange(0, k - 1, q), k - 1) for k in sizes]
-        r = _half_gap([c[i] for c, i in zip(coarse, level)])
-        if b * r >= 1.0:
-            continue
-        colmax = _colmax(table[np.ix_(*level)].reshape(-1, Phi.shape[1]), W[:, cols])
-        pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
-        if not np.all(np.isfinite(pad)):
-            continue
-        best = float(colmax.max())
-        cols = cols[colmax + pad >= best - (_PRUNE_RTOL * best + slack)]
-    return cols
-
-
 def _half_gap(axes) -> float:
     """Half the largest gap between neighbours on any axis; a flat axis gives 0."""
-    return max(float(np.max(np.diff(ax, prepend=ax[0]))) / 2.0 for ax in axes)
+    return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
 
 
 def _colmax(Phi, W) -> np.ndarray:

@@ -272,10 +272,16 @@ def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
 
     Exact for polynomial/trigonometric spaces with the identity modulus
     (Markov resp. Bernstein); otherwise an uncertified sampled estimate.
+    A polynomial box takes its own constant sum_j 2 d^2 / (hi_j - lo_j) over
+    the non-flat axes, from Markov's inequality on each axis segment; the
+    cube's is d^2 * n. Bernstein's inequality holds on all of R^n.
     """
     if space.modulus.kind == "identity":
         if space.kind == "polynomial":
-            return MarkovConstant(float(space.degree**2 * space.n), True)
+            if box is None:
+                return MarkovConstant(float(space.degree**2 * space.n), True)
+            width = np.asarray(box[1], dtype=float) - np.asarray(box[0], dtype=float)
+            return MarkovConstant(float(np.sum(2.0 * space.degree**2 / width[width > 0])), True)
         if space.kind == "trigonometric":
             return MarkovConstant(math.pi * space.degree * space.n, True)
     if box is None:

@@ -75,9 +75,16 @@ CASES = {
                 (np.array([-0.5, -1.0]), np.array([0.75, 0.2])), None, 40000, True),
     "sub-box-1d": (SpaceDescriptor.polynomial(1, 5),
                    (np.array([-0.3]), np.array([0.45])), 1e-4, None, True),
-    # the Markov inequality holds on the cube only
+    # a polynomial box that leaves the cube takes its own Markov constant
     "beyond-cube": (SpaceDescriptor.polynomial(1, 5),
-                    (np.array([-1.2]), np.array([0.3])), 1e-4, None, False),
+                    (np.array([-1.2]), np.array([0.3])), 1e-4, None, True),
+    # Bernstein's inequality holds on all of R: a trigonometric box crossing
+    # the cube's edge takes the additive rule, one covering it the
+    # multiplicative rule
+    "trig-edge": (SpaceDescriptor.trigonometric(1, 2),
+                  (np.array([-1.4]), np.array([0.3])), None, 20001, True),
+    "trig-period": (SpaceDescriptor.trigonometric(1, 3),
+                    (np.array([-1.5]), np.array([1.5])), None, 20001, True),
     # 1-D grids below 182 points have a coarse stride of 1
     "s-is-one": (SpaceDescriptor.polynomial(1, 4), None, None, 150, False),
     "flat-axis": (SpaceDescriptor.polynomial(2, 2),
@@ -90,22 +97,37 @@ def test_grid_max_matches_dense_oracle(name):
     space, box, spacing, budget, pruned = CASES[name]
     box = space.default_box() if box is None else box
     rng = np.random.default_rng(sorted(CASES).index(name))
+    # on a box longer than the period, periodic copies of the maximiser tie
+    periodic = space.kind == "trigonometric" and np.any(box[1] - box[0] > 2.0)
     for extra in range(3):
-        # an instance for these boxes needs its points inside the cube and off
-        # the flat axis
-        inst_box = space.default_box() if name in ("flat-axis", "beyond-cube") else box
+        # an instance needs its points inside the cube and off a flat axis
+        inst_box = box if name.startswith(("sub-box", "fewnomial")) else space.default_box()
         W = _instance(rng, space, inst_box, extra)
         axes, h = _grid_axes(box, spacing, budget)
         _, _, handed_axes, rule = _handed(space, W, box, spacing, budget)
         assert all(map(np.array_equal, handed_axes, axes))
-        kept = None if rule is None else _coarse_prune(space, W, axes, rule)
-        assert (kept is not None) == pruned
+        # pruned: the coarse lattice is evaluated; otherwise every column and
+        # every cell is kept
+        with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
+            cols, keep = _coarse_prune(space, W, axes, rule)
+        assert colmax.called == pruned
+        assert pruned or (cols.size == W.shape[1] and keep is None)
         value, point, col = _grid_max(space, W, axes, rule)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
-        assert np.array_equal(point, ref_point)
-        assert col == ref_col
         assert value == pytest.approx(ref_value, rel=1e-12)
+        if periodic:
+            attained = abs(space.evaluate_basis(point) @ W[:, col])
+            assert attained == pytest.approx(value, rel=1e-12)
+        else:
+            assert np.array_equal(point, ref_point)
+            assert col == ref_col
         assert h == ref_h
+
+
+def _keeps_everything(space, W, axes, rule):
+    """True when ``_coarse_prune`` keeps every column and every grid cell."""
+    cols, keep = _coarse_prune(space, W, axes, rule)
+    return cols.size == W.shape[1] and keep is None
 
 
 # Real vertex matrices with hundreds of columns: (space, box or None for the
@@ -152,14 +174,68 @@ def test_one_column_runs_no_level(monkeypatch):
     assert colmax.call_count == 1
 
 
+# (space, box, multiplicative?) with the Markov or Bernstein constant M of
+# the rule: the box's own for a polynomial box that leaves the cube, the
+# cube's otherwise
+RULES = {
+    "cube": (SpaceDescriptor.polynomial(1, 5), (-1.0, 1.0), True, 25.0),
+    "poly-beyond": (SpaceDescriptor.polynomial(1, 5), (-1.2, 0.3), True, 50.0 / 1.5),
+    "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), True, 50.0 / 3.0),
+    "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), False, 25.0),
+    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), False, 2 * np.pi),
+    "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), True, 3 * np.pi),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_every_box_gets_a_rule(name):
+    space, (lo, hi), multiplicative, M = RULES[name]
+    box = (np.array([lo]), np.array([hi]))
+    W = np.random.default_rng(12).normal(size=(space.dimension(), 3))
+    bracket, _, _, (a, b) = _handed(space, W, box, None, 2001)
+    assert bracket.certified
+    if multiplicative:
+        assert (a, b) == pytest.approx((0.0, M), rel=1e-15)
+        assert markov_constant(space, box=box).value == pytest.approx(M, rel=1e-15)
+    else:
+        cube = _certified_max(space, W, space.default_box(), None, 2001)[0]
+        assert (a, b) == pytest.approx((M * cube.upper, 0.0), rel=1e-15)
+
+
+def test_off_cube_polynomial_bracket_holds_the_sup():
+    # T_20(x) * (x + 1.3) peaks on [-1.3, -1], outside the cube, where
+    # the cube's Markov inequality does not apply: the bracket must use
+    # the box's own constant 2 * 21^2 / 1.3
+    space = SpaceDescriptor.polynomial(1, 21)
+    t20 = np.polynomial.chebyshev.cheb2poly([0.0] * 20 + [1.0])
+    coeff = np.polynomial.polynomial.polymul(t20, [1.3, 1.0])
+    x = np.linspace(-1.3, -1.0, 300_001)
+    sup = np.max(np.abs(np.polynomial.chebyshev.chebval(x, [0.0] * 20 + [1.0]) * (x + 1.3)))
+    box = (np.array([-1.3]), np.array([0.0]))
+    for h in np.linspace(0.5, 1.99, 25) / 21**2:
+        bracket = certified_supnorm(space, coeff, box, grid_spacing=h)
+        assert bracket.certified and bracket.upper >= sup
+
+
+def test_flat_axis_takes_the_whole_budget():
+    axes, _ = _grid_axes((np.array([0.3, 0.7]), np.array([1.8, 0.7])))
+    assert [ax.size for ax in axes] == [200_001, 1]
+    # the coarse stride counts the non-flat axes only: 4,001 coarse points
+    space = SpaceDescriptor.polynomial(2, 2)
+    W = np.random.default_rng(13).normal(size=(space.dimension(), 1))
+    with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
+        _coarse_prune(space, W, axes, (0.0, 8.0))
+    assert colmax.call_args.args[0].shape[0] == 4001
+
+
 def test_subbox_is_not_pruned_without_cube_bound():
     space, box, spacing, budget, _ = CASES["sub-box-1d"]
     W = _instance(np.random.default_rng(0), space, box, 1)
     axes, _ = _grid_axes(box, spacing, budget)
     M = markov_constant(space).value
     # a = M * sup_cube, where an uncertified cube bracket has sup_cube = inf
-    assert _coarse_prune(space, W, axes, (M * np.nan, 0.0)) is None
-    assert _coarse_prune(space, W, axes, (M * np.inf, 0.0)) is None
+    assert _keeps_everything(space, W, axes, (M * np.nan, 0.0))
+    assert _keeps_everything(space, W, axes, (M * np.inf, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -268,7 +344,7 @@ def _spy_grid_max(monkeypatch):
     """Record the (axes, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(space, W, axes, rule=None):
+    def spy(space, W, axes, rule):
         calls.append((axes, rule))
         return real(space, W, axes, rule)
 

@@ -210,6 +210,10 @@ def test_markov_certified_values():
     M = markov_constant(SpaceDescriptor.trigonometric(2, 3))
     assert M.value == pytest.approx(6 * math.pi)
     assert M.certified
+    # a polynomial box: 2 d^2 / width summed over its non-flat axes
+    box = (np.array([-1.5, 0.2]), np.array([0.5, 0.2]))
+    M = markov_constant(SpaceDescriptor.polynomial(2, 3), box=box)
+    assert M.value == 9.0 and M.certified
 
 
 def test_markov_sampled_estimate_flagged():
