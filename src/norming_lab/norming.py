@@ -11,11 +11,19 @@ the grid-wise maximum of |f_v(x)| over vertices v. This is exactly the
 per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
 LPs directly and is used as a cross-check.
 
+The maximiser takes one kind of column, a group: W has shape (l, K, g) and
+column k's value is sum_j |phi(x) @ W[:, k, j]|. Vertices and single
+coefficient vectors are groups of one. A unisolvent set (|Z| = dim V = l)
+takes one Lebesgue column in place of its 2^(l-1) vertices: its Lagrange
+matrix, one group of l, whose value is the LP value sum_i |L_i(x)|. Every
+rule below holds for a group as for one function, because
+sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
+
 The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
 about 9 * sqrt(G) of the G grid points is evaluated first; a bound on how
-far each vertex's function can move between a grid point and its nearest
-coarse point then bounds every vertex and every coarse cell, and only the
-vertices and cells that can still reach the coarse maximum are evaluated on
+far each column's value can move between a grid point and its nearest
+coarse point then bounds every column and every coarse cell, and only the
+columns and cells that can still reach the coarse maximum are evaluated on
 the full grid, as index ranges expanded in grid order. The skipped ones
 provably cannot hold the grid maximum, so the result is that of a dense
 pass. The bound is one per-column rule: column k, with coarse maximum C_k,
@@ -32,9 +40,9 @@ passes run in blocks of bounded size.
 
 ``_certified_max`` alone picks (a, b), and every box gets a rule:
 
-* fewnomial spans: a_k is the corner Lipschitz bound, b = 0; every partial
-  derivative of x^alpha peaks in modulus at a corner of the box
-  (``SpaceDescriptor.basis_lipschitz``);
+* fewnomial spans: a_k = sum_j |W[:, k, j]| . G with G the corner Lipschitz
+  bound of the basis, b = 0; every partial derivative of x^alpha peaks in
+  modulus at a corner of the box (``SpaceDescriptor.basis_lipschitz``);
 * the cube, a polynomial box that leaves the cube, and a trigonometric box
   that covers the cube: a = 0, b = M, with M relative to the sup over the
   box itself. A polynomial box that leaves the cube takes its own Markov
@@ -45,20 +53,21 @@ passes run in blocks of bounded size.
   sup over the cube, which ``_certified_max`` computes first. Bernstein's
   inequality holds on all of R^n, so this is sound for any trigonometric box.
 
-Certification (``_certified_max``, shared by ``norming_constant`` and
-``certified_supnorm``): the grid maximum is the lower bound. A grid point
-lies within h/2 of every point of its cell, so the grid-to-continuum step
-needs only the plain l-inf Lipschitz bound M * sup|f|, with M the Markov
-constant of the identity modulus, whatever the space's own modulus (which
-serves the Lipschitz stability of 1/N_V(Z) only). The spacing h is halved
-while M * h/2 >= 1, and the grid is built once per spacing. The upper bound
-is lower / (1 - M * h/2) under the multiplicative rule, and
-lower + M * h/2 * sup_cube under the additive one. The cube bracket of one
-coefficient vector is ``_cube_bracket``, an ``lru_cache`` of 8 entries that
-``certified_supnorm`` on the cube and the additive rule both read, so a
-sub-interval sweep after a cube call makes no second cube pass. Wider W,
-such as the vertex matrix of ``norming_constant``, takes a direct cube call
-and is never cached.
+Certification (``_certified_max``, shared by ``norming_constant``,
+``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
+lower bound. A grid point lies within h/2 of every point of its cell, so
+the grid-to-continuum step needs only the plain l-inf Lipschitz bound
+M * sup|f|, with M the Markov constant of the identity modulus, whatever
+the space's own modulus (which serves the Lipschitz stability of 1/N_V(Z)
+only). The spacing h is halved while M * h/2 >= 1, and the grid is built
+once per spacing. The upper bound is lower / (1 - M * h/2) under the
+multiplicative rule, and lower + M * h/2 * sup_cube under the additive one.
+The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
+``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
+on the cube and the additive rule both read, so a sub-interval sweep after
+a cube call makes no second cube pass. Every other W, such as the vertex
+matrix or the Lagrange group of ``norming_constant``, takes a direct cube
+call and is never cached.
 
 ``cramer_bound`` needs no grid: every basis function is a product of
 per-axis factors whose modulus peaks at an end of the interval, so
@@ -270,14 +279,14 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
     if cube is not None and _same_box(box, cube):
         bracket = _cube_bracket(space, coeff.tobytes(), grid_spacing, budget)
         return replace(bracket, argmax=bracket.argmax.copy())
-    return _certified_max(space, coeff[:, None], box, grid_spacing, budget)[0]
+    return _certified_max(space, coeff[:, None, None], box, grid_spacing, budget)[0]
 
 
 @functools.lru_cache(maxsize=8)
 def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -> SupBracket:
     """Cube bracket of one coefficient vector, given as its float64 bytes.
     Its ``argmax`` is shared by every caller: copy it before handing it out."""
-    W = np.frombuffer(coeff_bytes)[:, None]
+    W = np.frombuffer(coeff_bytes)[:, None, None]
     return _certified_max(space, W, space.default_box(), spacing, budget)[0]
 
 
@@ -286,8 +295,8 @@ def _same_box(a, b) -> bool:
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
-    """Bracket on sup over ``box`` of max_k |phi(x) @ W[:, k]|, by the rule in
-    the module docstring. Returns (SupBracket, column of W at the argmax).
+    """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
+    rule in the module docstring. Returns (SupBracket, group of W at the argmax).
     The grid axes are built again only when the spacing is refined. This is
     the one place that picks the pruning rule (a, b) handed to ``_grid_max``,
     and every box gets one."""
@@ -310,9 +319,10 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     if cube is None:
         # corner Lipschitz bound, with a relative margin for the exp/log
         # rounding of the corner values
-        rule = ((1.0 + _PRUNE_RTOL) * (np.abs(W).T @ space.basis_lipschitz(box)), 0.0)
+        rule = ((1.0 + _PRUNE_RTOL)
+                * (np.abs(W).sum(axis=2).T @ space.basis_lipschitz(box)), 0.0)
     elif additive:
-        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1] == 1
+        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1:] == (1, 1)
                  else _certified_max(space, W, cube, spacing, budget)[0])
         rule = (M.value * whole.upper, 0.0)
     else:
@@ -371,8 +381,6 @@ def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
         raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
     signs = np.array(list(_half_signs(l)), dtype=float)  # (2^(l-1), l)
-    if m == l:
-        return np.linalg.solve(B, signs.T).T
     combos = list(combinations(range(m), l))
     sub = B[np.asarray(combos)]  # (C, l, l)
     dets = np.linalg.det(sub)
@@ -393,11 +401,12 @@ def _half_signs(l: int):
 
 
 def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
-    """Maximum of |phi(x) @ W[:, k]| over the tensor grid ``axes`` and all k.
+    """Maximum of sum_j |phi(x) @ W[:, k, j]| over the tensor grid ``axes``
+    and all groups k.
 
     Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
-    ``np.abs(Phi @ W)`` would give. ``rule`` is the (a, b) of the per-column
+    ``_group_values(Phi, W)`` would give. ``rule`` is the (a, b) of the per-column
     bound L_k = a_k + b * C_k / (1 - b * r) that ``_certified_max`` picks;
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
     reach the maximum, exactly, not approximately. Where it keeps every
@@ -409,13 +418,13 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     cols, keep = _coarse_prune(space, W, axes, rule)
     Wk = W[:, cols]
     top, gi, col = -math.inf, 0, 0
-    step = _block_rows(W.shape[0], Wk.shape[1])
+    step = _block_rows(Wk)
     for start in range(0, total if keep is None else keep.size, step):
         if keep is None:
             flat = np.arange(start, min(total, start + step))
         else:
             flat = keep[start:start + step]
-        vals = np.abs(space.evaluate_basis(_grid_points(axes, shape, flat)) @ Wk)
+        vals = _group_values(space.evaluate_basis(_grid_points(axes, shape, flat)), Wk)
         rowmax = vals.max(axis=1)
         j = int(np.argmax(rowmax))
         if not rowmax[j] <= top:  # strictly larger, or NaN
@@ -426,7 +435,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
 
 
 def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
-    """Columns of W and flat grid indices that can still attain the grid maximum.
+    """Groups of W and flat grid indices that can still attain the grid maximum.
 
     The coarse lattice keeps every s-th grid index per axis plus the last
     one. The stride s makes it about 9 * sqrt(G) of the G grid points, taken
@@ -474,10 +483,11 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     a = np.broadcast_to(a, W.shape[1])
     # Rounding slack: basis values peak in modulus at the box's corners
     # (trigonometric ones are at most 1), which every lattice holds, so one
-    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax.
+    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax,
+    # and a group's value by the sum of that over its members.
     vmax = max(1.0, float(np.abs(Phi).max()))
     slack = (2 * W.shape[0] * np.finfo(float).eps
-             * float(np.abs(W).sum(axis=0).max()) * vmax)
+             * float(np.abs(W).sum(axis=(0, 2)).max()) * vmax)
     strides = [1]
     while 4 * strides[-1] < max(sizes) - 1:
         strides.append(4 * strides[-1])
@@ -501,10 +511,10 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
         cols, pad = cols[keep], pad[keep]
 
     bound = np.empty(Phi.shape[0])
-    step = _block_rows(W.shape[0], cols.size)
     Wk = W[:, cols]
+    step = _block_rows(Wk)
     for start in range(0, Phi.shape[0], step):
-        block = np.abs(Phi[start:start + step] @ Wk) + pad
+        block = _group_values(Phi[start:start + step], Wk) + pad
         bound[start:start + step] = block.max(axis=1)
     cell_ok = (bound >= floor).reshape(sizes)
     if cell_ok.all():
@@ -518,12 +528,20 @@ def _half_gap(axes) -> float:
 
 
 def _colmax(Phi, W) -> np.ndarray:
-    """max over the rows of Phi of |Phi @ W|, per column, in bounded blocks."""
+    """max over the rows of Phi of ``_group_values(Phi, W)``, per group, in bounded blocks."""
     out = np.zeros(W.shape[1])
-    step = _block_rows(W.shape[0], W.shape[1])
+    step = _block_rows(W)
     for start in range(0, Phi.shape[0], step):
-        out = np.maximum(out, np.abs(Phi[start:start + step] @ W).max(axis=0))
+        out = np.maximum(out, _group_values(Phi[start:start + step], W).max(axis=0))
     return out
+
+
+def _group_values(Phi, W) -> np.ndarray:
+    """sum_j |Phi @ W[:, k, j]| per row and group k; a group of one is |Phi @ W[:, k, 0]|."""
+    if W.shape[2] == 1:
+        return np.abs(Phi @ W[:, :, 0])
+    l, K, g = W.shape
+    return np.abs(Phi @ W.reshape(l, K * g)).reshape(-1, K, g).sum(axis=2)
 
 
 def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
@@ -540,8 +558,9 @@ def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
     return np.flatnonzero(cell_ok)
 
 
-def _block_rows(l: int, width: int) -> int:
-    return max(1, _BLOCK_VALUES // max(l, width, 1))
+def _block_rows(W: np.ndarray) -> int:
+    """Rows per block of Phi (l values a row) and of Phi @ W (K * g values a row)."""
+    return max(1, _BLOCK_VALUES // max(W.shape[0], W.shape[1] * W.shape[2], 1))
 
 
 def _grid_points(axes, shape, flat: np.ndarray) -> np.ndarray:
@@ -559,6 +578,10 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     interpolation matrix below ``rank_threshold``; the witness is the
     corresponding null direction (an f in V vanishing on Z), normalized to
     unit grid sup over the cube.
+
+    The witness is W[:, k] @ s for the maximising group k, with s_j the sign
+    of member j at the witness point relative to member 0 (-1 where it
+    vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
     """
     pts = as_points(points, space.n)
     B = interpolation_matrix(space, pts)
@@ -580,33 +603,39 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
             grid_spacing=bracket.grid_spacing, witness_coefficients=null,
             witness_point=None, method="rank_deficient", certified=True)
 
-    verts = _feasible_vertices(B)
-    if verts.shape[0] == 0:
-        raise IllConditionedError("no feasible LP vertex despite full rank",
-                                  direction=Vh[-1] / colmax)
-    bracket, vi = _certified_max(space, verts.T, dom, grid_spacing, budget)
+    if B.shape[0] == l:
+        W = np.linalg.solve(B, np.eye(l))[:, None, :]
+    else:
+        verts = _feasible_vertices(B)
+        if verts.shape[0] == 0:
+            raise IllConditionedError("no feasible LP vertex despite full rank",
+                                      direction=Vh[-1] / colmax)
+        W = verts.T[:, :, None]
+    bracket, k = _certified_max(space, W, dom, grid_spacing, budget)
+    s = np.ones(W.shape[2])
+    if s.size > 1:
+        v = space.evaluate_basis(bracket.argmax) @ W[:, k]
+        s = np.where(v * (-1.0 if v[0] < 0 else 1.0) > 0, 1.0, -1.0)
+        s[0] = 1.0
+    witness = W[:, k] @ s
     if not math.isfinite(bracket.lower):
         raise IllConditionedError("LP value not finite despite full rank",
-                                  direction=verts[vi])
+                                  direction=witness)
     return NormingReport(
         norming=True, value=bracket.lower, lower=bracket.lower, upper=bracket.upper,
-        grid_spacing=bracket.grid_spacing, witness_coefficients=verts[vi],
+        grid_spacing=bracket.grid_spacing, witness_coefficients=witness,
         witness_point=bracket.argmax, method="lp_grid", certified=bracket.certified)
 
 
 def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
                       budget=None, box=None) -> float:
-    """Grid maximum (a lower bound, uncertified) of sum_i |L_i| for a unisolvent set."""
+    """Lebesgue constant sup_box sum_i |L_i| of a unisolvent set: the lower end
+    of the certified, pruned bracket of ``_certified_max`` on the Lagrange
+    matrix as one group, the grid maximum that ``norming_constant`` reports
+    for the same set, spacing and budget."""
     C = lagrange_basis(space, points)
-    axes, _ = _grid_axes(_domain_box(space, points, box), grid_spacing, budget)
-    shape = tuple(len(ax) for ax in axes)
-    total = math.prod(shape)
-    step = _block_rows(*C.shape)
-    top = -math.inf
-    for start in range(0, total, step):
-        block = _grid_points(axes, shape, np.arange(start, min(total, start + step)))
-        top = np.maximum(top, np.abs(space.evaluate_basis(block) @ C).sum(axis=1).max())
-    return float(top)
+    dom = _domain_box(space, points, box)
+    return float(_certified_max(space, C[:, None, :], dom, grid_spacing, budget)[0].lower)
 
 
 # ---------------------------------------------------------------------------

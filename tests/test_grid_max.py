@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from norming_lab import IDENTITY, SpaceDescriptor, certified_supnorm, norming_constant
+from norming_lab import (IDENTITY, SpaceDescriptor, certified_supnorm, lebesgue_constant,
+                         norming_constant)
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
                                  _cube_bracket, _feasible_vertices, _grid_axes, _grid_max,
@@ -24,11 +25,14 @@ FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
 
 def _dense_on(space, W, axes):
     """(value, point, column) of one dense pass over the tensor grid ``axes``,
-    in row blocks: each row keeps its maximum and first maximising column."""
+    in row blocks: each row keeps its maximum and first maximising group.
+    Group k of W, of shape (l, K, g), takes the value sum_j |phi @ W[:, k, j]|."""
     grid = _tensor(axes)
+    l, K, g = W.shape
     rowmax, rowcol = [], []
     for start in range(0, len(grid), 4096):
-        vals = np.abs(space.evaluate_basis(grid[start:start + 4096]) @ W)
+        vals = np.abs(space.evaluate_basis(grid[start:start + 4096]) @ W.reshape(l, K * g))
+        vals = vals.reshape(-1, K, g).sum(axis=2)
         rowmax.append(vals.max(axis=1))
         rowcol.append(np.argmax(vals, axis=1))
     gi = int(np.argmax(np.concatenate(rowmax)))
@@ -46,7 +50,7 @@ def _instance(rng, space, box, extra):
     pts = lo + (hi - lo) * (random_points(rng, m, space.n, min_sep=0.1) + 1.0) / 2.0
     W = _feasible_vertices(space.evaluate_basis(pts)).T
     assert W.shape[1] > 0
-    return W
+    return W[:, :, None]
 
 
 def _handed(space, W, box, spacing, budget):
@@ -116,7 +120,7 @@ def test_grid_max_matches_dense_oracle(name):
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
-            attained = abs(space.evaluate_basis(point) @ W[:, col])
+            attained = np.abs(space.evaluate_basis(point) @ W[:, col]).sum()
             assert attained == pytest.approx(value, rel=1e-12)
         else:
             assert np.array_equal(point, ref_point)
@@ -167,7 +171,7 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
 def test_one_column_runs_no_level(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 6)
     axes, _ = _grid_axes(space.default_box(), None, 20001)
-    W = np.random.default_rng(11).normal(size=(space.dimension(), 1))
+    W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
     assert _coarse_prune(space, W, axes, (0.0, 36.0)) is not None
@@ -191,7 +195,7 @@ RULES = {
 def test_every_box_gets_a_rule(name):
     space, (lo, hi), multiplicative, M = RULES[name]
     box = (np.array([lo]), np.array([hi]))
-    W = np.random.default_rng(12).normal(size=(space.dimension(), 3))
+    W = np.random.default_rng(12).normal(size=(space.dimension(), 3))[:, :, None]
     bracket, _, _, (a, b) = _handed(space, W, box, None, 2001)
     assert bracket.certified
     if multiplicative:
@@ -222,7 +226,7 @@ def test_flat_axis_takes_the_whole_budget():
     assert [ax.size for ax in axes] == [200_001, 1]
     # the coarse stride counts the non-flat axes only: 4,001 coarse points
     space = SpaceDescriptor.polynomial(2, 2)
-    W = np.random.default_rng(13).normal(size=(space.dimension(), 1))
+    W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
     with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
         _coarse_prune(space, W, axes, (0.0, 8.0))
     assert colmax.call_args.args[0].shape[0] == 4001
@@ -243,7 +247,7 @@ def test_identity_columns_keep_every_cell(n):
     # W = I: the constant column ties with the maximum everywhere, so no cell is pruned and no index array is built
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
-    W = np.eye(space.dimension())
+    W = np.eye(space.dimension())[:, :, None]
     _, _, axes, rule = _handed(space, W, box, None, budget)
     cols, keep = _coarse_prune(space, W, axes, rule)
     assert keep is None
@@ -292,6 +296,47 @@ def test_norming_witness_is_feasible_and_attains_value(space):
         assert norming_lp_value(B, phi) == pytest.approx(rep.value, rel=1e-8)
 
 
+# unisolvent sets: (space, where its points lie, {box name: box})
+_B = lambda lo, hi: (np.array(lo, dtype=float), np.array(hi, dtype=float))
+UNISOLVENT = {
+    "P3": (SpaceDescriptor.polynomial(1, 3), None,
+           {"cube": None, "inside": _B([-0.4], [0.7]), "beyond": _B([-1.3], [0.6])}),
+    "P2-2d": (SpaceDescriptor.polynomial(2, 2), None,
+              {"cube": None, "inside": _B([-0.6, -0.2], [0.5, 0.9]),
+               "beyond": _B([-1.2, -1.0], [0.4, 1.3])}),
+    "T2": (SpaceDescriptor.trigonometric(1, 2), None,
+           {"cube": None, "inside": _B([-0.7], [0.2]), "beyond": _B([-1.4], [0.3])}),
+    "fewnomial": (FEW, FEW_BOX,
+                  {"box": FEW_BOX, "inside": _B([0.6], [1.5]), "beyond": _B([0.1], [2.6])}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNISOLVENT))
+def test_lebesgue_group_matches_vertex_enumeration(name):
+    space, at, boxes = UNISOLVENT[name]
+    rng = np.random.default_rng(sorted(UNISOLVENT).index(name) + 20)
+    lo, hi = space.default_box() if at is None else at
+    budget = 20001 if space.n == 1 else 40000
+    for _ in range(2):
+        pts = lo + (hi - lo) * (random_points(rng, space.dimension(), space.n, min_sep=0.1)
+                                + 1.0) / 2.0
+        B = space.evaluate_basis(pts)
+        W = _feasible_vertices(B).T[:, :, None]
+        for box in boxes.values():
+            box = space.default_box() if box is None else box
+            with mock.patch.object(norming, "_feasible_vertices",
+                                   side_effect=AssertionError("enumerated")):
+                rep = norming_constant(space, pts, box=box, budget=budget)
+            verts, _ = _certified_max(space, W, box, None, budget)
+            assert rep.norming and rep.certified == verts.certified
+            assert rep.lower == pytest.approx(verts.lower, rel=1e-12)
+            assert rep.upper == pytest.approx(verts.upper, rel=1e-12)
+            w = rep.witness_coefficients
+            assert np.max(np.abs(B @ w)) <= 1.0 + 1e-9
+            attained = abs(space.evaluate_basis(rep.witness_point) @ w)
+            assert attained == pytest.approx(rep.lower, rel=1e-12)
+
+
 def test_grid_max_finds_a_peak_between_coarse_points():
     # Column 0 peaks midway between two coarse points, 1e-8 above column 1's
     # peak, which sits on a coarse point; at every coarse point column 0
@@ -302,8 +347,8 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     stride = 16  # round(sqrt(20001) / 9)
     x0, y0 = axes[0][625 * stride + stride // 2], axes[0][938 * stride]
     bump = lambda c: np.array([1.0, np.cos(np.pi * c), np.sin(np.pi * c)])
-    W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)
-    coarse = T1.evaluate_basis(axes[0][::stride, None]) @ W
+    W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
+    coarse = T1.evaluate_basis(axes[0][::stride, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     _, _, handed_axes, rule = _handed(T1, W, box, None, 20001)
     assert all(map(np.array_equal, handed_axes, axes))
@@ -324,8 +369,8 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     stride = 16  # round(sqrt(20001) / 9)
     x0, y0 = axes[0][312 * stride + stride // 2], axes[0][1000 * stride]
     bump = lambda c: np.array([1.0 - c * c, 2.0 * c, -1.0])  # 1 - (x - c)^2
-    W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)
-    coarse = space.evaluate_basis(axes[0][::stride, None]) @ W
+    W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
+    coarse = space.evaluate_basis(axes[0][::stride, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(space, box=box)
     assert not M.certified
@@ -400,9 +445,14 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
 def test_cube_memo_keeps_single_coefficient_vectors_only():
     space = SpaceDescriptor.polynomial(1, 2)
     _cube_bracket.cache_clear()
-    rep = norming_constant(space, [[0.0], [0.02], [0.05], [0.1]], budget=2001,
-                           box=(np.array([0.0]), np.array([0.1])))
+    box = (np.array([0.0]), np.array([0.1]))
+    rep = norming_constant(space, [[0.0], [0.02], [0.05], [0.1]], budget=2001, box=box)
     assert rep.norming and rep.lower <= rep.upper
+    # one Lebesgue group, W of shape (3, 1, 3), on the same sub-box
+    rep = norming_constant(space, [[0.0], [0.05], [0.1]], budget=2001, box=box)
+    assert rep.norming and rep.lower == pytest.approx(1.25, rel=1e-12)
+    assert 1.25 <= rep.upper
+    assert lebesgue_constant(space, [[0.0], [0.05], [0.1]], budget=2001, box=box) == rep.lower
     assert _cube_bracket.cache_info().currsize == 0
     rng = np.random.default_rng(8)
     size = _cube_bracket.cache_info().maxsize
@@ -456,7 +506,7 @@ def _spy_grid_axes(monkeypatch):
 def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, budget, refined):
     # P5 has M = 25: spacing 0.1 (or 11 points on [-1, 1]) gives M * h / 2 >= 1
     space = SpaceDescriptor.polynomial(1, 5)
-    W = np.random.default_rng(10).normal(size=(space.dimension(), 2))
+    W = np.random.default_rng(10).normal(size=(space.dimension(), 2))[:, :, None]
     calls = _spy_grid_axes(monkeypatch)
     bracket, _ = _certified_max(space, W, space.default_box(), spacing, budget)
     assert len(calls) == (2 if refined else 1)
@@ -468,7 +518,9 @@ def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, bu
 @st.composite
 def _certified_max_case(draw, family, power, where):
     """A space of ``family``, a box placed as ``where`` says and coefficient
-    columns W: 1 to 40 random ones, or up to 300 near-tied copies of a few."""
+    groups W of shape (l, K, g): 1 to 40 random columns, up to 300 near-tied
+    copies of a few (groups of one each), or 1 to 3 Lebesgue groups of
+    g >= 2 members."""
     n = draw(st.integers(1, 2))
     floats = lambda a, b: st.lists(st.floats(a, b), min_size=n, max_size=n).map(np.array)
     if family == "fewnomial":
@@ -503,14 +555,30 @@ def _certified_max_case(draw, family, power, where):
                 hi[j] = lo[j]
             box = (lo, hi)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        W = rng.normal(size=(space.dimension(), draw(st.integers(1, 40))))
-    else:
+    l = space.dimension()
+    kind = draw(st.sampled_from(["random", "tied", "groups"]))
+    if kind == "random":
+        W = rng.normal(size=(l, draw(st.integers(1, 40))))[:, :, None]
+    elif kind == "tied":
         # perturbed copies of a few base columns: maxima tied within ~1e-9
-        base = rng.normal(size=(space.dimension(), draw(st.integers(1, 4))))
+        base = rng.normal(size=(l, draw(st.integers(1, 4))))
         W = base[:, rng.integers(base.shape[1], size=draw(st.integers(2, 300)))]
         W = W * (1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-9]))
                  * rng.uniform(-1.0, 1.0, size=W.shape))
+        W = W[:, :, None]
+    else:
+        # the Lagrange matrices of random sets of l points in the cube (in
+        # [lo, lo + 1] for a fewnomial span), whose values are Lebesgue
+        # functions, or random members: where l = 1, on a coin flip, or where
+        # a draw is ill-conditioned
+        K = draw(st.integers(1, 3))
+        W = rng.normal(size=(l, K, draw(st.integers(2, 6))))
+        if l >= 2 and draw(st.booleans()):
+            at = (lambda p: box[0] + (p + 1.0) / 2.0) if family == "fewnomial" else (lambda p: p)
+            sets = [at(rng.uniform(-1.0, 1.0, size=(l, n))) for _ in range(K)]
+            B = [space.evaluate_basis(z) for z in sets]
+            if all(np.linalg.cond(b) < 1e8 for b in B):
+                W = np.stack([np.linalg.solve(b, np.eye(l)) for b in B], axis=1)
     return space, box, W
 
 
@@ -532,8 +600,8 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
     assert np.array_equal(bracket.argmax, point)
     assert column == col
     if bracket.certified:
-        # both sides are rounded: allow one |phi @ w| evaluation's rounding,
-        # l * eps * ||w||_1 * max |phi| (a one-point box has upper == lower)
-        eps = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=0).max()
+        # both sides are rounded: allow one group evaluation's rounding,
+        # l * eps * sum_j ||w_j||_1 * max |phi| (a one-point box has upper == lower)
+        eps = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=(0, 2)).max()
         fine, _ = _grid_axes(box, bracket.grid_spacing / 4)
         assert bracket.upper >= _dense_on(space, W, fine)[0] - eps * max(1.0, space.basis_sup(box))

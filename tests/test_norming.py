@@ -47,15 +47,25 @@ def test_lebesgue_closed_form():
     assert val == pytest.approx(1.25, abs=1e-6)
 
 
-@pytest.mark.parametrize("space", [SpaceDescriptor.polynomial(1, 4),
-                                   SpaceDescriptor.polynomial(2, 2)], ids=["P4", "P2-2d"])
-def test_lebesgue_blocks_match_dense_formula(space, monkeypatch):
+@pytest.mark.parametrize("space, box", [
+    (SpaceDescriptor.polynomial(1, 4), None),
+    (SpaceDescriptor.polynomial(2, 2), None),
+    # the additive rule, which prunes with the cube bracket of the whole group
+    (SpaceDescriptor.polynomial(1, 4), (np.array([-0.3]), np.array([0.45]))),
+    (SpaceDescriptor.polynomial(2, 2), (np.array([-0.5, -1.0]), np.array([0.75, 0.2]))),
+    (SpaceDescriptor.trigonometric(1, 2), (np.array([-1.4]), np.array([0.3]))),
+], ids=["P4", "P2-2d", "P4-inside", "P2-2d-inside", "T2-edge"])
+def test_lebesgue_blocks_match_dense_formula(space, box, monkeypatch):
     # small blocks, so that the maximum is taken over many of them
     monkeypatch.setattr(norming, "_BLOCK_VALUES", 500)
     pts = random_points(np.random.default_rng(3), space.dimension(), space.n, min_sep=0.1)
-    grid, _ = uniform_grid(space.default_box(), budget=5000)
+    box = space.default_box() if box is None else box
+    norming._cube_bracket.cache_clear()
+    grid, _ = uniform_grid(box, budget=5000)
     dense = np.max(np.abs(space.evaluate_basis(grid) @ lagrange_basis(space, pts)).sum(axis=1))
-    assert lebesgue_constant(space, pts, budget=5000) == pytest.approx(dense, rel=1e-12)
+    assert lebesgue_constant(space, pts, budget=5000, box=box) == pytest.approx(dense, rel=1e-12)
+    # a group is never read back from the cube memo as one coefficient vector
+    assert norming._cube_bracket.cache_info().currsize == 0
 
 
 def test_norming_equals_lebesgue_for_unisolvent(rng):
@@ -113,16 +123,30 @@ def test_coarse_grid_spacing_is_refined():
 
 
 @pytest.mark.parametrize("space, pts", [
-    (SpaceDescriptor.trigonometric(1, 12),
-     np.linspace(-1.0, 1.0, 25, endpoint=False)[:, None]),
     (SpaceDescriptor.polynomial(2, 3),
      np.stack(np.meshgrid(np.linspace(-1, 1, 8), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)),
-], ids=["unisolvent-l25", "m40-l10"])
+], ids=["m40-l10"])
 def test_vertex_budget_checked_before_enumeration(space, pts):
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="vertex enumeration budget"):
         norming_constant(space, pts)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_unisolvent_l25_takes_one_lebesgue_group():
+    # 2^24 sign vertices would exceed the vertex budget; the Lagrange matrix
+    # is one group whose value is the Lebesgue function
+    space = SpaceDescriptor.trigonometric(1, 12)
+    pts = np.linspace(-1.0, 1.0, 25, endpoint=False)[:, None]
+    t0 = time.perf_counter()
+    rep = norming_constant(space, pts)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.norming and rep.certified
+    grid, h = uniform_grid(space.default_box())
+    assert h == rep.grid_spacing
+    dense = np.max(np.abs(space.evaluate_basis(grid) @ lagrange_basis(space, pts)).sum(axis=1))
+    assert rep.lower == pytest.approx(dense, rel=1e-12)
+    assert rep.lower <= rep.upper
 
 
 def test_certified_supnorm_brackets_truth():
