@@ -59,9 +59,17 @@ lower bound. A grid point lies within h/2 of every point of its cell, so
 the grid-to-continuum step needs only the plain l-inf Lipschitz bound
 M * sup|f|, with M the Markov constant of the identity modulus, whatever
 the space's own modulus (which serves the Lipschitz stability of 1/N_V(Z)
-only). The spacing h is halved while M * h/2 >= 1, and the grid is built
-once per spacing. The upper bound is lower / (1 - M * h/2) under the
-multiplicative rule, and lower + M * h/2 * sup_cube under the additive one.
+only). The spacing h is halved while M * h/2 >= 1. The upper bound is
+lower / (1 - M * h/2) under the multiplicative rule, and
+lower + M * h/2 * sup_cube under the additive one.
+
+All that depends on (space, box, spacing, budget) alone is one read-only
+grid plan (``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
+the box's float64 bytes, the spacing and the budget): M, the spacing after
+halving, h_eff, the axes as (lo, hi, m, step) in place of O(G) points, the
+coarse lattice and, built on first use, its basis table (about
+9 * sqrt(G) * l floats) and the levels' indices, half-gaps and rows. Z and
+W never enter a plan, so every set in one space on one box shares it.
 The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
 ``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
 on the cube and the additive rule both read, so a sub-interval sweep after
@@ -78,13 +86,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .spaces import IDENTITY, SpaceDescriptor, markov_constant
+from .spaces import IDENTITY, MarkovConstant, SpaceDescriptor, _read_only, markov_constant
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -172,7 +180,8 @@ def _domain_box(space: SpaceDescriptor, points=None, box=None):
 
 
 def _grid_axes(box, spacing=None, budget=None):
-    """Axes of the uniform grid on a box; returns (axes, effective_spacing)."""
+    """Axes (lo, hi, m, step) of the uniform grid on a box; returns
+    (axes, effective_spacing). A flat axis is (lo, lo, 1, 0.0)."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if spacing is None:
         budget = DEFAULT_GRID_BUDGET if budget is None else budget
@@ -182,15 +191,29 @@ def _grid_axes(box, spacing=None, budget=None):
     h_eff = 0.0
     for a, b in zip(lo, hi):
         if b <= a + 1e-15:
-            axes.append(np.array([a]))
+            axes.append((a, a, 1, 0.0))
             continue
         m = per_axis if spacing is None else int(math.ceil((b - a) / spacing)) + 1
-        axes.append(np.linspace(a, b, m))
-        h_eff = max(h_eff, (b - a) / (m - 1))
-    total = math.prod(len(ax) for ax in axes)
-    if total > 50_000_000:
+        axes.append((a, b, m, (b - a) / (m - 1)))
+        h_eff = max(h_eff, axes[-1][3])
+    if math.prod(ax[2] for ax in axes) > 50_000_000:
         raise ValueError("grid exceeds the hard point budget; coarsen spacing")
-    return axes, h_eff
+    return tuple(axes), h_eff
+
+
+def _axis_points(axis, i: np.ndarray) -> np.ndarray:
+    """Points i of a grid axis (lo, hi, m, step): i * step + lo, and hi at
+    i = m - 1, bit for bit those of np.linspace(lo, hi, m)."""
+    lo, hi, m, step = axis
+    x = i * step + lo
+    x[i == m - 1] = hi
+    return x
+
+
+def _grid_points(axes, flat: np.ndarray) -> np.ndarray:
+    """Points of the tensor grid at the given flat (last axis fastest) indices."""
+    multi = np.unravel_index(flat, [ax[2] for ax in axes])
+    return np.stack([_axis_points(ax, i) for ax, i in zip(axes, multi)], axis=1)
 
 
 def _tensor(axes):
@@ -294,15 +317,57 @@ def _same_box(a, b) -> bool:
     return all(map(np.array_equal, a, b))
 
 
-def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
-    """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
-    rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    The grid axes are built again only when the spacing is refined. This is
-    the one place that picks the pruning rule (a, b) handed to ``_grid_max``,
-    and every box gets one."""
+@dataclass(frozen=True, eq=False)
+class _GridPlan:
+    """What a bracket on one (space, box, spacing, budget) needs that does
+    not depend on W; made by ``_grid_plan``. Its arrays are read-only."""
+
+    markov: MarkovConstant  # of the identity modulus, for the box
+    spacing: Optional[float]  # after halving; None where the budget sets it
+    h_eff: float
+    axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
+    shape: tuple
+    additive: bool  # the rule takes a = M * sup_cube
+    lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
+    sub: Optional[tuple]  # grid indices of the coarse lattice; None below stride 2
+    coarse: tuple  # coordinates of the coarse lattice, per axis
+    strides: tuple  # strides q of the nested lattices, 1 (the coarse lattice) first
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    def table(self, space: SpaceDescriptor):
+        """(Phi, vmax): the basis table of ``space`` on the coarse lattice and
+        max(1, max |Phi|), built on first use like every part below."""
+        if "table" not in self._memo:
+            Phi = _read_only(space.evaluate_basis(_tensor(self.coarse)))
+            self._memo["table"] = Phi, max(1.0, float(np.abs(Phi).max()))
+        return self._memo["table"]
+
+    def level(self, q: int):
+        """(indices per axis into the coarse lattice, half-gap) of stride q."""
+        if ("level", q) not in self._memo:
+            idx = tuple(_read_only(np.append(np.arange(0, c.size - 1, q), c.size - 1))
+                        for c in self.coarse)
+            self._memo["level", q] = idx, _half_gap([c[i] for c, i in zip(self.coarse, idx)])
+        return self._memo["level", q]
+
+    def rows(self, space: SpaceDescriptor, q: int) -> np.ndarray:
+        """The rows of ``table`` on the lattice of stride q."""
+        Phi = self.table(space)[0]
+        if q > 1 and ("rows", q) not in self._memo:
+            table = Phi.reshape([c.size for c in self.coarse] + [Phi.shape[1]])
+            self._memo["rows", q] = _read_only(
+                table[np.ix_(*self.level(q)[0])].reshape(-1, Phi.shape[1]))
+        return Phi if q == 1 else self._memo["rows", q]
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
+    """The grid plan of a box, given as the float64 bytes of its rows (lo, hi).
+    Here the spacing is halved while M * h/2 >= 1, and the rule's kind, the
+    grid and the coarse lattice are fixed."""
+    box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
     cube = space.default_box()
     inside = additive = False
-    whole = None
     if cube is not None:
         # clipped to the cube, a box is the cube only when it covers the cube
         clipped = (np.maximum(box[0], cube[0]), np.minimum(box[1], cube[1]))
@@ -316,19 +381,42 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     if h < h0:
         spacing = h
         axes, h_eff = _grid_axes(box, spacing, budget)
-    if cube is None:
+    lipschitz = None if cube is not None else _read_only(space.basis_lipschitz(box))
+    shape = tuple(ax[2] for ax in axes)
+    # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
+    live = max(1, sum(k > 1 for k in shape))
+    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
+    sub, coarse, strides = None, (), [1]
+    if s > 1:
+        sub = tuple(_read_only(np.append(np.arange(0, k - 1, s), k - 1)) for k in shape)
+        coarse = tuple(_read_only(_axis_points(ax, i)) for ax, i in zip(axes, sub))
+        while 4 * strides[-1] < max(i.size for i in sub) - 1:
+            strides.append(4 * strides[-1])
+    return _GridPlan(M, spacing, h_eff, axes, shape, additive, lipschitz, sub, coarse,
+                     tuple(strides))
+
+
+def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
+    """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
+    rule in the module docstring. Returns (SupBracket, group of W at the argmax).
+    M, the spacing and the grid come from ``_grid_plan``. This is the one place
+    that picks the pruning rule (a, b) handed to ``_grid_max``, and every box
+    gets one."""
+    plan = _grid_plan(space, np.asarray(box, dtype=float).tobytes(), spacing, budget)
+    M, whole = plan.markov, None
+    if plan.lipschitz is not None:
         # corner Lipschitz bound, with a relative margin for the exp/log
         # rounding of the corner values
-        rule = ((1.0 + _PRUNE_RTOL)
-                * (np.abs(W).sum(axis=2).T @ space.basis_lipschitz(box)), 0.0)
-    elif additive:
-        whole = (_cube_bracket(space, W.tobytes(), spacing, budget) if W.shape[1:] == (1, 1)
-                 else _certified_max(space, W, cube, spacing, budget)[0])
+        rule = ((1.0 + _PRUNE_RTOL) * (np.abs(W).sum(axis=2).T @ plan.lipschitz), 0.0)
+    elif plan.additive:
+        whole = (_cube_bracket(space, W.tobytes(), plan.spacing, budget)
+                 if W.shape[1:] == (1, 1)
+                 else _certified_max(space, W, space.default_box(), plan.spacing, budget)[0])
         rule = (M.value * whole.upper, 0.0)
     else:
         rule = (0.0, M.value)
-    lower, point, column = _grid_max(space, W, axes, rule)
-    pad = M.value * (h_eff / 2)
+    lower, point, column = _grid_max(space, W, plan, rule)
+    pad = M.value * (plan.h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
         upper = math.inf
@@ -336,7 +424,7 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
         upper = lower + pad * whole.upper
     else:
         upper = lower / (1.0 - pad)
-    return SupBracket(lower, upper, certified, h_eff, point), column
+    return SupBracket(lower, upper, certified, plan.h_eff, point), column
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +468,7 @@ def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     m, l = B.shape
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
         raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
-    signs = np.array(list(_half_signs(l)), dtype=float)  # (2^(l-1), l)
+    signs = _half_signs(l)
     combos = list(combinations(range(m), l))
     sub = B[np.asarray(combos)]  # (C, l, l)
     dets = np.linalg.det(sub)
@@ -395,14 +483,17 @@ def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     return verts[feas]
 
 
-def _half_signs(l: int):
-    for bits in range(2 ** max(l - 1, 0)):
-        yield [1.0] + [1.0 if (bits >> k) & 1 else -1.0 for k in range(l - 1)]
+@functools.lru_cache(maxsize=8)
+def _half_signs(l: int) -> np.ndarray:
+    """The 2^(l-1) sign vectors with s_0 = +1, one read-only row each; row
+    ``bits`` has s_(k+1) = +1 where bit k of ``bits`` is set."""
+    bits = np.arange(2 ** max(l - 1, 0))[:, None] >> np.arange(l - 1) & 1
+    return _read_only(np.hstack([np.ones((bits.shape[0], 1)), np.where(bits, 1.0, -1.0)]))
 
 
-def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
-    """Maximum of sum_j |phi(x) @ W[:, k, j]| over the tensor grid ``axes``
-    and all groups k.
+def _grid_max(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
+    """Maximum of sum_j |phi(x) @ W[:, k, j]| over the grid of ``plan`` and
+    all groups k.
 
     Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
@@ -413,9 +504,8 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     cell, every grid point is evaluated for the columns it keeps. Either way
     the grid is evaluated in blocks of bounded size.
     """
-    shape = tuple(len(ax) for ax in axes)
-    total = math.prod(shape)
-    cols, keep = _coarse_prune(space, W, axes, rule)
+    total = math.prod(plan.shape)
+    cols, keep = _coarse_prune(space, W, plan, rule)
     Wk = W[:, cols]
     top, gi, col = -math.inf, 0, 0
     step = _block_rows(Wk)
@@ -424,26 +514,27 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, axes, rule):
             flat = np.arange(start, min(total, start + step))
         else:
             flat = keep[start:start + step]
-        vals = _group_values(space.evaluate_basis(_grid_points(axes, shape, flat)), Wk)
+        vals = _group_values(space.evaluate_basis(_grid_points(plan.axes, flat)), Wk)
         rowmax = vals.max(axis=1)
         j = int(np.argmax(rowmax))
         if not rowmax[j] <= top:  # strictly larger, or NaN
             top, gi, col = float(rowmax[j]), int(flat[j]), int(cols[np.argmax(vals[j])])
             if not math.isfinite(top):
                 break
-    return top, _grid_points(axes, shape, np.array([gi]))[0], col
+    return top, _grid_points(plan.axes, np.array([gi]))[0], col
 
 
-def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
+def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
-    The coarse lattice keeps every s-th grid index per axis plus the last
-    one. The stride s makes it about 9 * sqrt(G) of the G grid points, taken
-    over the non-flat axes: G / s^n coarse points then cost about as much as
-    some 80 kept cells of s^n fine points each. Nested in it are sub-lattices
-    of every 4^j-th coarse index per axis plus the last (a flat axis keeps
-    its one index), and the loop runs from the coarsest down to the coarse
-    lattice itself, each on rows of the coarse basis table. Every lattice
+    The plan's coarse lattice keeps every s-th grid index per axis plus the
+    last one. The stride s makes it about 9 * sqrt(G) of the G grid points,
+    taken over the non-flat axes: G / s^n coarse points then cost about as
+    much as some 80 kept cells of s^n fine points each. Nested in it are the
+    plan's levels, sub-lattices of every 4^j-th coarse index per axis plus
+    the last (a flat axis keeps its one index), and the loop runs from the
+    coarsest down to the coarse lattice itself, each on rows of the plan's
+    coarse basis table, which every W on the plan shares. Every lattice
     holds the box's corners, and every point of the box lies within r (the
     lattice's half-gap) of a lattice point c. With C_k the lattice maximum of
     column k and ``rule`` = (a, b),
@@ -466,40 +557,25 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     coarse lattice has b * r >= 1 or a pad that is not finite (a non-finite
     lattice value included).
     """
-    shape = [len(ax) for ax in axes]
     cols = np.arange(W.shape[1])
-    live = max(1, sum(k > 1 for k in shape))
-    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
-    if s <= 1:
-        return cols, None
-    sub = [np.append(np.arange(0, k - 1, s), k - 1) for k in shape]
-    coarse = [ax[i] for ax, i in zip(axes, sub)]
     a, b = rule
-    if b * _half_gap(coarse) >= 1.0:
+    if plan.sub is None or b * plan.level(1)[1] >= 1.0:
         return cols, None
-    sizes = [c.size for c in coarse]
-    Phi = space.evaluate_basis(_tensor(coarse))
-    table = Phi.reshape(sizes + [Phi.shape[1]])
+    Phi, vmax = plan.table(space)
     a = np.broadcast_to(a, W.shape[1])
     # Rounding slack: basis values peak in modulus at the box's corners
     # (trigonometric ones are at most 1), which every lattice holds, so one
     # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax,
     # and a group's value by the sum of that over its members.
-    vmax = max(1.0, float(np.abs(Phi).max()))
     slack = (2 * W.shape[0] * np.finfo(float).eps
              * float(np.abs(W).sum(axis=(0, 2)).max()) * vmax)
-    strides = [1]
-    while 4 * strides[-1] < max(sizes) - 1:
-        strides.append(4 * strides[-1])
-    for q in reversed(strides):
+    for q in reversed(plan.strides):
         if q > 1 and cols.size == 1:
             continue
-        level = [np.append(np.arange(0, k - 1, q), k - 1) for k in sizes]
-        r = _half_gap([c[i] for c, i in zip(coarse, level)])
+        r = plan.level(q)[1]
         if b * r >= 1.0:
             continue
-        rows = Phi if q == 1 else table[np.ix_(*level)].reshape(-1, Phi.shape[1])
-        colmax = _colmax(rows, W[:, cols])
+        colmax = _colmax(plan.rows(space, q), W[:, cols])
         pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
         if not np.all(np.isfinite(pad)):
             if q == 1:
@@ -516,10 +592,10 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, axes, rule):
     for start in range(0, Phi.shape[0], step):
         block = _group_values(Phi[start:start + step], Wk) + pad
         bound[start:start + step] = block.max(axis=1)
-    cell_ok = (bound >= floor).reshape(sizes)
+    cell_ok = (bound >= floor).reshape([i.size for i in plan.sub])
     if cell_ok.all():
         return cols, None
-    return cols, _cell_indices(cell_ok, sub, shape)
+    return cols, _cell_indices(cell_ok, plan.sub, plan.shape)
 
 
 def _half_gap(axes) -> float:
@@ -561,12 +637,6 @@ def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
 def _block_rows(W: np.ndarray) -> int:
     """Rows per block of Phi (l values a row) and of Phi @ W (K * g values a row)."""
     return max(1, _BLOCK_VALUES // max(W.shape[0], W.shape[1] * W.shape[2], 1))
-
-
-def _grid_points(axes, shape, flat: np.ndarray) -> np.ndarray:
-    """Points of the tensor grid at the given flat (last axis fastest) indices."""
-    multi = np.unravel_index(flat, shape)
-    return np.stack([ax[i] for ax, i in zip(axes, multi)], axis=1)
 
 
 def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,

@@ -13,6 +13,7 @@ Supported families:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -71,19 +72,28 @@ def power_modulus(gamma: float) -> ModulusOfContinuity:
 # basis functions
 
 
-def _monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _monomial_exponents(n: int, d: int) -> np.ndarray:
+    """Exponents of the monomial basis, one read-only row each."""
     exps = [a for a in product(range(d + 1), repeat=n) if sum(a) <= d]
     # graded lexicographic: by total degree, then x1 before x2 before ...
     exps.sort(key=lambda a: (sum(a), tuple(-ai for ai in a)))
-    return exps
+    return _read_only(np.array(exps).reshape(-1, n))
 
 
-def _trig_tuples(n: int, d: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _trig_tuples(n: int, d: int) -> np.ndarray:
+    """Per-axis factors of the trigonometric basis, one read-only row each."""
     # per-axis factor k: 0 -> 1; 2j-1 -> cos(j pi x); 2j -> sin(j pi x)
     tuples = list(product(range(2 * d + 1), repeat=n))
     freq = lambda t: sum((k + 1) // 2 for k in t)
     tuples.sort(key=lambda t: (freq(t), t))
-    return tuples
+    return _read_only(np.array(tuples).reshape(-1, n))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _box_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +162,7 @@ class SpaceDescriptor:
         return V[0] if single else V
 
     def _eval_poly(self, pts):
-        exps = np.asarray(_monomial_exponents(self.n, self.degree))
+        exps = _monomial_exponents(self.n, self.degree)
         m = pts.shape[0]
         V = np.ones((m, exps.shape[0]))
         powers = np.ones((m, self.degree + 1))
@@ -175,7 +185,7 @@ class SpaceDescriptor:
                 if 2 * k <= 2 * d:
                     t[:, 2 * k] = np.sin(k * np.pi * pts[:, j])
             tables.append(t)
-        tuples = np.asarray(_trig_tuples(self.n, d))
+        tuples = _trig_tuples(self.n, d)
         V = np.ones((m, tuples.shape[0]))
         for j in range(self.n):
             V *= tables[j][:, tuples[:, j]]

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from norming_lab import SpaceDescriptor
-from norming_lab.norming import _grid_axes, _tensor
+from norming_lab.norming import _grid_axes, _grid_plan, _grid_points
 
 
 @pytest.fixture
@@ -32,4 +34,9 @@ def small_poly_space(rng, max_n=2, max_d=3, max_dim=6):
 def uniform_grid(box, spacing=None, budget=None):
     """Uniform grid on a box; returns (points, effective_spacing)."""
     axes, h_eff = _grid_axes(box, spacing, budget)
-    return _tensor(axes), h_eff
+    return _grid_points(axes, np.arange(math.prod(ax[2] for ax in axes))), h_eff
+
+
+def grid_plan(space, box, spacing=None, budget=None):
+    """The grid plan that ``_certified_max`` takes for these arguments."""
+    return _grid_plan(space, np.asarray(box, dtype=float).tobytes(), spacing, budget)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points
+from conftest import grid_plan, random_points, uniform_grid
 from norming_lab import (IDENTITY, SpaceDescriptor, certified_supnorm, lebesgue_constant,
                          norming_constant)
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
                                  _cube_bracket, _feasible_vertices, _grid_axes, _grid_max,
-                                 _tensor)
+                                 _grid_plan, _grid_points)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 
@@ -24,10 +24,11 @@ FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
 
 
 def _dense_on(space, W, axes):
-    """(value, point, column) of one dense pass over the tensor grid ``axes``,
-    in row blocks: each row keeps its maximum and first maximising group.
-    Group k of W, of shape (l, K, g), takes the value sum_j |phi @ W[:, k, j]|."""
-    grid = _tensor(axes)
+    """(value, point, column) of one dense pass over the tensor grid of
+    ``axes`` (lo, hi, m, step), in row blocks: each row keeps its maximum and
+    first maximising group. Group k of W, of shape (l, K, g), takes the value
+    sum_j |phi @ W[:, k, j]|."""
+    grid = _grid_points(axes, np.arange(np.prod([ax[2] for ax in axes])))
     l, K, g = W.shape
     rowmax, rowcol = [], []
     for start in range(0, len(grid), 4096):
@@ -54,13 +55,13 @@ def _instance(rng, space, box, extra):
 
 
 def _handed(space, W, box, spacing, budget):
-    """The bracket of ``_certified_max`` on ``box``, and the (axes, rule) it
+    """The bracket of ``_certified_max`` on ``box``, and the (plan, rule) it
     hands ``_grid_max`` for that box (its last call: a sub-box bracket
     brackets the cube first)."""
     with mock.patch.object(norming, "_grid_max", wraps=norming._grid_max) as spy:
         bracket, column = _certified_max(space, W, box, spacing, budget)
-    _, _, axes, rule = spy.call_args.args
-    return bracket, column, axes, rule
+    _, _, plan, rule = spy.call_args.args
+    return bracket, column, plan, rule
 
 
 # (space, box or None for the cube, grid_spacing, budget, pruned?)
@@ -108,15 +109,15 @@ def test_grid_max_matches_dense_oracle(name):
         inst_box = box if name.startswith(("sub-box", "fewnomial")) else space.default_box()
         W = _instance(rng, space, inst_box, extra)
         axes, h = _grid_axes(box, spacing, budget)
-        _, _, handed_axes, rule = _handed(space, W, box, spacing, budget)
-        assert all(map(np.array_equal, handed_axes, axes))
+        _, _, plan, rule = _handed(space, W, box, spacing, budget)
+        assert plan is grid_plan(space, box, spacing, budget) and plan.axes == axes
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
         with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-            cols, keep = _coarse_prune(space, W, axes, rule)
+            cols, keep = _coarse_prune(space, W, plan, rule)
         assert colmax.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
-        value, point, col = _grid_max(space, W, axes, rule)
+        value, point, col = _grid_max(space, W, plan, rule)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
@@ -128,9 +129,9 @@ def test_grid_max_matches_dense_oracle(name):
         assert h == ref_h
 
 
-def _keeps_everything(space, W, axes, rule):
+def _keeps_everything(space, W, plan, rule):
     """True when ``_coarse_prune`` keeps every column and every grid cell."""
-    cols, keep = _coarse_prune(space, W, axes, rule)
+    cols, keep = _coarse_prune(space, W, plan, rule)
     return cols.size == W.shape[1] and keep is None
 
 
@@ -152,17 +153,16 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     W = _instance(np.random.default_rng(sorted(WIDE).index(name)), space, box,
                   m - space.dimension())
     assert W.shape[1] > 20
-    axes, _ = _grid_axes(box, None, budget)
-    _, _, _, rule = _handed(space, W, box, None, budget)
+    _, _, plan, rule = _handed(space, W, box, None, budget)
     # one blocked column maximum per level that runs, and one on the whole
     # coarse lattice
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
-    cols, _ = _coarse_prune(space, W, axes, rule)
+    cols, _ = _coarse_prune(space, W, plan, rule)
     assert colmax.call_count - 1 >= levels
     assert cols.size < W.shape[1]
-    value, point, col = _grid_max(space, W, axes, rule)
-    ref_value, ref_point, ref_col = _dense_on(space, W, axes)
+    value, point, col = _grid_max(space, W, plan, rule)
+    ref_value, ref_point, ref_col = _dense_on(space, W, plan.axes)
     assert np.array_equal(point, ref_point)
     assert col == ref_col
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -170,11 +170,11 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
 
 def test_one_column_runs_no_level(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 6)
-    axes, _ = _grid_axes(space.default_box(), None, 20001)
+    plan = grid_plan(space, space.default_box(), None, 20001)
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
-    assert _coarse_prune(space, W, axes, (0.0, 36.0)) is not None
+    assert _coarse_prune(space, W, plan, (0.0, 36.0)) is not None
     assert colmax.call_count == 1
 
 
@@ -222,24 +222,25 @@ def test_off_cube_polynomial_bracket_holds_the_sup():
 
 
 def test_flat_axis_takes_the_whole_budget():
-    axes, _ = _grid_axes((np.array([0.3, 0.7]), np.array([1.8, 0.7])))
-    assert [ax.size for ax in axes] == [200_001, 1]
-    # the coarse stride counts the non-flat axes only: 4,001 coarse points
+    box = (np.array([0.3, 0.7]), np.array([1.8, 0.7]))
     space = SpaceDescriptor.polynomial(2, 2)
+    plan = grid_plan(space, box, None, None)
+    assert plan.shape == tuple(ax[2] for ax in _grid_axes(box)[0]) == (200_001, 1)
+    # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
     with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-        _coarse_prune(space, W, axes, (0.0, 8.0))
+        _coarse_prune(space, W, plan, (0.0, 8.0))
     assert colmax.call_args.args[0].shape[0] == 4001
 
 
 def test_subbox_is_not_pruned_without_cube_bound():
     space, box, spacing, budget, _ = CASES["sub-box-1d"]
     W = _instance(np.random.default_rng(0), space, box, 1)
-    axes, _ = _grid_axes(box, spacing, budget)
+    plan = grid_plan(space, box, spacing, budget)
     M = markov_constant(space).value
     # a = M * sup_cube, where an uncertified cube bracket has sup_cube = inf
-    assert _keeps_everything(space, W, axes, (M * np.nan, 0.0))
-    assert _keeps_everything(space, W, axes, (M * np.inf, 0.0))
+    assert _keeps_everything(space, W, plan, (M * np.nan, 0.0))
+    assert _keeps_everything(space, W, plan, (M * np.inf, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -248,10 +249,10 @@ def test_identity_columns_keep_every_cell(n):
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())[:, :, None]
-    _, _, axes, rule = _handed(space, W, box, None, budget)
-    cols, keep = _coarse_prune(space, W, axes, rule)
+    _, _, plan, rule = _handed(space, W, box, None, budget)
+    cols, keep = _coarse_prune(space, W, plan, rule)
     assert keep is None
-    value, point, col = _grid_max(space, W, axes, rule)
+    value, point, col = _grid_max(space, W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
@@ -344,16 +345,17 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     T1 = SpaceDescriptor.trigonometric(1, 1)
     box = T1.default_box()
     axes, _ = _grid_axes(box, None, 20001)
+    x = uniform_grid(box, None, 20001)[0][:, 0]
     stride = 16  # round(sqrt(20001) / 9)
-    x0, y0 = axes[0][625 * stride + stride // 2], axes[0][938 * stride]
+    x0, y0 = x[625 * stride + stride // 2], x[938 * stride]
     bump = lambda c: np.array([1.0, np.cos(np.pi * c), np.sin(np.pi * c)])
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
-    coarse = T1.evaluate_basis(axes[0][::stride, None]) @ W[:, :, 0]
+    coarse = T1.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
-    _, _, handed_axes, rule = _handed(T1, W, box, None, 20001)
-    assert all(map(np.array_equal, handed_axes, axes))
-    assert _coarse_prune(T1, W, axes, rule) is not None
-    value, point, col = _grid_max(T1, W, axes, rule)
+    _, _, plan, rule = _handed(T1, W, box, None, 20001)
+    assert plan.axes == axes
+    assert _coarse_prune(T1, W, plan, rule) is not None
+    value, point, col = _grid_max(T1, W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -366,40 +368,58 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     space = SpaceDescriptor.fewnomial_span([[0.0], [1.0], [2.0]])
     box = (np.array([0.5]), np.array([1.5]))
     axes, _ = _grid_axes(box, None, 20001)
+    x = uniform_grid(box, None, 20001)[0][:, 0]
     stride = 16  # round(sqrt(20001) / 9)
-    x0, y0 = axes[0][312 * stride + stride // 2], axes[0][1000 * stride]
+    x0, y0 = x[312 * stride + stride // 2], x[1000 * stride]
     bump = lambda c: np.array([1.0 - c * c, 2.0 * c, -1.0])  # 1 - (x - c)^2
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
-    coarse = space.evaluate_basis(axes[0][::stride, None]) @ W[:, :, 0]
+    coarse = space.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(space, box=box)
     assert not M.certified
-    _, _, handed_axes, rule = _handed(space, W, box, None, 20001)
-    assert all(map(np.array_equal, handed_axes, axes))
-    cols, keep = _coarse_prune(space, W, axes, rule)
+    _, _, plan, rule = _handed(space, W, box, None, 20001)
+    assert plan.axes == axes
+    cols, keep = _coarse_prune(space, W, plan, rule)
     assert list(cols) == [0, 1]
-    assert keep is not None and keep.size < axes[0].size
-    value, point, col = _grid_max(space, W, axes, rule)
+    assert keep is not None and keep.size < x.size
+    value, point, col = _grid_max(space, W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
 
 
+def test_fewnomial_group_rule_bounds_the_group_slope():
+    # Each group's second member dominates, so a rule that read the corner
+    # Lipschitz bound of the first member only would fall below the slope.
+    rng = np.random.default_rng(14)
+    l = FEW.dimension()
+    W = np.stack([1e-3 * rng.normal(size=(l, 2)), rng.normal(size=(l, 2))], axis=2)
+    _, _, _, (a, b) = _handed(FEW, W, FEW_BOX, None, 20001)
+    assert b == 0.0
+    x = np.linspace(FEW_BOX[0][0], FEW_BOX[1][0], 200_001)
+    phi = FEW.evaluate_basis(x[:, None])
+    lip = FEW.basis_lipschitz(FEW_BOX)
+    for k in range(W.shape[1]):
+        vals = np.abs(phi @ W[:, k]).sum(axis=1)
+        slope = np.max(np.abs(np.diff(vals)) / np.diff(x))
+        assert np.abs(W[:, k, 0]) @ lip < slope <= a[k]
+
+
 def _spy_grid_max(monkeypatch):
-    """Record the (axes, rule) of every ``_grid_max`` call."""
+    """Record the (plan, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(space, W, axes, rule):
-        calls.append((axes, rule))
-        return real(space, W, axes, rule)
+    def spy(space, W, plan, rule):
+        calls.append((plan, rule))
+        return real(space, W, plan, rule)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
 
 
-def _on_cube(space, axes):
+def _on_cube(space, plan):
     lo, hi = space.default_box()
-    return all(ax[0] == a and ax[-1] == b for ax, a, b in zip(axes, lo, hi))
+    return all(ax[0] == a and ax[1] == b for ax, a, b in zip(plan.axes, lo, hi))
 
 
 SWEEP = [(np.array([a]), np.array([b])) for a, b in ((-1.0, -0.4), (-0.2, 0.3), (0.5, 1.0))]
@@ -417,7 +437,7 @@ def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
     certified_supnorm(space, coeff, grid_spacing=1e-4)
     got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
     assert len(calls) == 1 + len(SWEEP)
-    assert sum(_on_cube(space, axes) for axes, _ in calls) == 1
+    assert sum(_on_cube(space, plan) for plan, _ in calls) == 1
     for box, br in zip(SWEEP, got):
         _cube_bracket.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
@@ -438,7 +458,7 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
         calls = _spy_grid_max(monkeypatch)
         certified_supnorm(space, coeff, SWEEP[1], budget=2001)
         monkeypatch.undo()
-        assert [rule for axes, rule in calls if not _on_cube(space, axes)] == [(M * cube.upper,
+        assert [rule for plan, rule in calls if not _on_cube(space, plan)] == [(M * cube.upper,
                                                                                  0.0)]
 
 
@@ -503,16 +523,29 @@ def _spy_grid_axes(monkeypatch):
 
 @pytest.mark.parametrize("spacing, budget, refined", [(None, 2001, False), (1e-3, None, False),
                                                       (None, 11, True), (0.1, None, True)])
-def test_certified_max_builds_the_grid_once_per_spacing(monkeypatch, spacing, budget, refined):
+def test_certified_max_makes_one_plan_and_halves_inside_it(monkeypatch, spacing, budget,
+                                                           refined):
     # P5 has M = 25: spacing 0.1 (or 11 points on [-1, 1]) gives M * h / 2 >= 1
     space = SpaceDescriptor.polynomial(1, 5)
-    W = np.random.default_rng(10).normal(size=(space.dimension(), 2))[:, :, None]
+    rng = np.random.default_rng(10)
+    _grid_plan.cache_clear()
     calls = _spy_grid_axes(monkeypatch)
-    bracket, _ = _certified_max(space, W, space.default_box(), spacing, budget)
+    for _ in range(2):
+        W = rng.normal(size=(space.dimension(), 2))[:, :, None]
+        bracket, _ = _certified_max(space, W, space.default_box(), spacing, budget)
+        assert bracket.certified
+    info = _grid_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the plan builds its grid once, and once more where it halves the spacing
     assert len(calls) == (2 if refined else 1)
+    plan = grid_plan(space, space.default_box(), spacing, budget)
+    assert plan.h_eff == bracket.grid_spacing
     h0 = spacing if spacing is not None else 2.0 / (budget - 1)
-    assert (bracket.grid_spacing < h0) == refined
-    assert bracket.certified
+    assert (plan.h_eff < h0) == refined
+    if refined:
+        assert plan.h_eff <= plan.spacing < h0
+    else:
+        assert plan.spacing == spacing
 
 
 @st.composite
@@ -594,11 +627,18 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
                                                                      data):
     space, box, W = data.draw(_certified_max_case(family, power, where))
     budget = 2001 if space.n == 1 else 1600
-    bracket, column, axes, rule = _handed(space, W, box, None, budget)
-    value, point, col = _dense_on(space, W, axes)
+    bracket, column, plan, rule = _handed(space, W, box, None, budget)
+    value, point, col = _dense_on(space, W, plan.axes)
     assert bracket.lower == pytest.approx(value, rel=1e-12)
     assert np.array_equal(bracket.argmax, point)
-    assert column == col
+    # tied groups can round differently in the dense product, so the returned
+    # group need not be the oracle's first; it attains the grid maximum to
+    # one group evaluation's rounding, l * eps * sum_j ||w_j||_1 * vmax
+    group = W[:, column]
+    attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
+    vmax = max(1.0, space.basis_sup(box))
+    tol = W.shape[0] * np.finfo(float).eps * np.abs(group).sum() * vmax
+    assert abs(attained - bracket.lower) <= tol
     if bracket.certified:
         # both sides are rounded: allow one group evaluation's rounding,
         # l * eps * sum_j ||w_j||_1 * max |phi| (a one-point box has upper == lower)

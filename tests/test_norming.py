@@ -1,16 +1,20 @@
 import math
+import sys
+import threading
 import time
 from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import random_points, small_poly_space, uniform_grid
+from conftest import grid_plan, random_points, small_poly_space, uniform_grid
 from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
                          certified_supnorm, cramer_bound, fekete_select,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
 from norming_lab import norming
+from norming_lab.norming import _grid_points, _half_signs
+from norming_lab.spaces import _monomial_exponents, _trig_tuples
 from norming_lab.simplex import norming_lp_value
 
 P1 = SpaceDescriptor.polynomial(1, 1)
@@ -282,3 +286,96 @@ def test_fewnomial_on_a_box_with_a_flat_axis():
     point = (np.array([1.0]), np.array([1.0]))
     assert certified_supnorm(one, [2.0], point).lower == 2.0
     assert norming_constant(one, PointSet([[1.0]], box=point)).value == 1.0
+
+
+# ---------------------------------------------------------------------------
+# grid plans
+
+
+@pytest.mark.parametrize("box, plans", [(None, 1), ((np.array([-0.4]), np.array([0.7])), 2)],
+                         ids=["cube", "inside"])
+def test_sets_in_one_space_share_one_plan(box, plans):
+    # inside the cube the additive rule brackets the cube too: a second plan
+    space = SpaceDescriptor.polynomial(1, 4)
+    rng = np.random.default_rng(15)
+    sets = [random_points(rng, space.dimension() + extra, 1, min_sep=0.1) for extra in (0, 2)]
+    norming._grid_plan.cache_clear()
+    shared = [norming_constant(space, pts, box=box, budget=20001).to_json() for pts in sets]
+    info = norming._grid_plan.cache_info()
+    assert (info.misses, info.hits) == (plans, plans)
+    for pts, rep in zip(sets, shared):
+        norming._grid_plan.cache_clear()
+        assert norming_constant(space, pts, box=box, budget=20001).to_json() == rep
+
+
+def test_threads_sharing_one_plan_get_the_serial_reports():
+    # a plan's tables are built on first use; threads racing to build them
+    # must each see complete tables
+    space = SpaceDescriptor.polynomial(2, 2)
+    rng = np.random.default_rng(16)
+    sets = [random_points(rng, space.dimension() + k % 3, 2, min_sep=0.1) for k in range(6)]
+    serial = [norming_constant(space, pts, budget=10000).to_json() for pts in sets]
+    norming._grid_plan.cache_clear()
+    got = [None] * len(sets)
+
+    def run(k):
+        got[k] = norming_constant(space, sets[k], budget=10000).to_json()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(sets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
+
+
+def test_plans_are_keyed_by_space_box_spacing_and_budget():
+    P4, cube = SpaceDescriptor.polynomial(1, 4), (np.array([-1.0]), np.array([1.0]))
+    few_box = (np.array([0.2]), np.array([2.0]))
+    keys = [(P4, cube, None, 2001), (P4, (np.array([-0.5]), np.array([1.0])), None, 2001),
+            (P4, cube, 1e-3, None), (P4, cube, None, 4001),
+            (SpaceDescriptor.polynomial(1, 3), cube, None, 2001),
+            (SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]]), few_box, None, 2001),
+            (SpaceDescriptor.fewnomial_span([[0.0], [0.5], [2.5]]), few_box, None, 2001)]
+    norming._grid_plan.cache_clear()
+    plans = [grid_plan(*key) for key in keys]
+    assert len({id(plan) for plan in plans}) == len(keys)
+    assert all(grid_plan(*key) is plan for key, plan in zip(keys, plans))
+    info = norming._grid_plan.cache_info()
+    assert (info.misses, info.hits) == (len(keys), len(keys))
+
+
+def test_plan_arrays_are_read_only():
+    space = SpaceDescriptor.polynomial(2, 2)
+    plan = grid_plan(space, space.default_box(), None, 40000)
+    few = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
+    arrays = [plan.table(space)[0], plan.rows(space, 4), *plan.sub, *plan.coarse,
+              *(i for q in plan.strides for i in plan.level(q)[0]),
+              grid_plan(few, (np.array([0.2]), np.array([2.0])), None, 2001).lipschitz,
+              _half_signs(4), _monomial_exponents(2, 3), _trig_tuples(2, 1)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+@pytest.mark.parametrize("box, spacing, budget", [
+    ((np.array([-1.0]), np.array([1.0])), None, None),
+    ((np.array([-0.7331]), np.array([0.91234])), 1e-3, None),
+    ((np.array([-1.0, 0.3]), np.array([0.4, 0.3])), None, 40000),
+    ((np.array([-0.9, -0.13, 0.2]), np.array([0.77, 1.0, 0.9])), 0.031, None),
+], ids=["cube", "spacing", "flat-axis", "3d"])
+def test_plan_points_are_linspace_bit_for_bit(box, spacing, budget):
+    space = SpaceDescriptor.polynomial(len(box[0]), 1)
+    plan = grid_plan(space, box, spacing, budget)
+    for j, (lo, hi, m, _) in enumerate(plan.axes):
+        ref = np.linspace(box[0][j], box[1][j], m)
+        along = np.arange(m) * math.prod(plan.shape[j + 1:])  # every other index 0
+        got = _grid_points(plan.axes, along)
+        assert got[:, j].tobytes() == ref.tobytes() and got[-1, j] == box[1][j]
+        assert plan.coarse[j].tobytes() == ref[plan.sub[j]].tobytes()

@@ -25,7 +25,7 @@ def test_trigonometric_dimension():
 
 
 def test_monomial_order_graded_lex():
-    exps = _monomial_exponents(2, 2)
+    exps = [tuple(e) for e in _monomial_exponents(2, 2)]
     assert exps[0] == (0, 0)
     assert set(exps[1:3]) == {(1, 0), (0, 1)}
     # within a degree block x1 comes first
