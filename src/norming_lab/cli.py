@@ -71,10 +71,14 @@ def load_space(path: str):
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a space must be a JSON object")
     try:
         return space_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed space ({exc})") from exc
 
 
 def load_points(path: str) -> PointSet:

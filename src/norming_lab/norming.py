@@ -6,7 +6,8 @@ over a uniform grid on the cube, of the per-point linear program
     maximize  sum_i a_i f_i(x)   s.t.  |sum_i a_i f_i(z_j)| <= 1  for all j.
 
 The LP optimum is attained at a vertex of the feasible polytope, and the
-polytope does not depend on x, so we enumerate its vertices once and take
+polytope does not depend on x, so we enumerate its vertices once (in the
+orthonormal basis Q of B = QR, mapped back by R^-1) and take
 the grid-wise maximum of |f_v(x)| over vertices v. This is exactly the
 per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
 LPs directly and is used as a cross-check.
@@ -65,11 +66,12 @@ lower + M * h/2 * sup_cube under the additive one.
 
 All that depends on (space, box, spacing, budget) alone is one read-only
 grid plan (``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
-the box's float64 bytes, the spacing and the budget): M, the spacing after
-halving, h_eff, the axes as (lo, hi, m, step) in place of O(G) points, the
-coarse lattice and, built on first use, its basis table (about
-9 * sqrt(G) * l floats) and the levels' indices, half-gaps and rows. Z and
-W never enter a plan, so every set in one space on one box shares it.
+the box's float64 bytes, the spacing and the budget). It carries its space,
+M, the spacing after halving, h_eff, the axes as (lo, hi, m, step) in place
+of O(G) points and the coarse lattice's indices and half-gap. Its basis
+table there (about 9 * sqrt(G) * l floats) is built on first use, and the
+levels' rows and half-gaps on the first call with more than one column.
+Z and W never enter a plan, so every set in one space on one box shares it.
 The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
 ``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
 on the cube and the additive rule both read, so a sub-interval sweep after
@@ -86,7 +88,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -216,12 +218,6 @@ def _grid_points(axes, flat: np.ndarray) -> np.ndarray:
     return np.stack([_axis_points(ax, i) for ax, i in zip(axes, multi)], axis=1)
 
 
-def _tensor(axes):
-    """All points of the tensor grid, last axis fastest."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # interpolation machinery
 
@@ -322,6 +318,7 @@ class _GridPlan:
     """What a bracket on one (space, box, spacing, budget) needs that does
     not depend on W; made by ``_grid_plan``. Its arrays are read-only."""
 
+    space: SpaceDescriptor
     markov: MarkovConstant  # of the identity modulus, for the box
     spacing: Optional[float]  # after halving; None where the budget sets it
     h_eff: float
@@ -330,34 +327,29 @@ class _GridPlan:
     additive: bool  # the rule takes a = M * sup_cube
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
     sub: Optional[tuple]  # grid indices of the coarse lattice; None below stride 2
-    coarse: tuple  # coordinates of the coarse lattice, per axis
-    strides: tuple  # strides q of the nested lattices, 1 (the coarse lattice) first
-    _memo: dict = field(default_factory=dict, repr=False)
+    r: float  # half-gap of the coarse lattice
 
-    def table(self, space: SpaceDescriptor):
-        """(Phi, vmax): the basis table of ``space`` on the coarse lattice and
-        max(1, max |Phi|), built on first use like every part below."""
-        if "table" not in self._memo:
-            Phi = _read_only(space.evaluate_basis(_tensor(self.coarse)))
-            self._memo["table"] = Phi, max(1.0, float(np.abs(Phi).max()))
-        return self._memo["table"]
+    @functools.cached_property
+    def table(self):
+        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|)."""
+        flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
+        Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
+        return Phi, max(1.0, float(np.abs(Phi).max()))
 
-    def level(self, q: int):
-        """(indices per axis into the coarse lattice, half-gap) of stride q."""
-        if ("level", q) not in self._memo:
-            idx = tuple(_read_only(np.append(np.arange(0, c.size - 1, q), c.size - 1))
-                        for c in self.coarse)
-            self._memo["level", q] = idx, _half_gap([c[i] for c, i in zip(self.coarse, idx)])
-        return self._memo["level", q]
-
-    def rows(self, space: SpaceDescriptor, q: int) -> np.ndarray:
-        """The rows of ``table`` on the lattice of stride q."""
-        Phi = self.table(space)[0]
-        if q > 1 and ("rows", q) not in self._memo:
-            table = Phi.reshape([c.size for c in self.coarse] + [Phi.shape[1]])
-            self._memo["rows", q] = _read_only(
-                table[np.ix_(*self.level(q)[0])].reshape(-1, Phi.shape[1]))
-        return Phi if q == 1 else self._memo["rows", q]
+    @functools.cached_property
+    def levels(self) -> tuple:
+        """((rows, r), ...) of the sub-lattices of every 4^j-th coarse index
+        per axis plus the last, coarsest first: the rows of ``table`` there
+        and the sub-lattice's half-gap."""
+        Phi = self.table[0]
+        table = Phi.reshape([i.size for i in self.sub] + [Phi.shape[1]])
+        levels, q = [], 4
+        while q < max(i.size for i in self.sub) - 1:
+            idx = [np.append(np.arange(0, i.size - 1, q), i.size - 1) for i in self.sub]
+            r = _half_gap([_axis_points(ax, i[j]) for ax, i, j in zip(self.axes, self.sub, idx)])
+            levels.append((_read_only(table[np.ix_(*idx)].reshape(-1, Phi.shape[1])), r))
+            q *= 4
+        return tuple(reversed(levels))
 
 
 @functools.lru_cache(maxsize=8)
@@ -386,14 +378,11 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
     # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
     live = max(1, sum(k > 1 for k in shape))
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
-    sub, coarse, strides = None, (), [1]
+    sub, r = None, 0.0
     if s > 1:
         sub = tuple(_read_only(np.append(np.arange(0, k - 1, s), k - 1)) for k in shape)
-        coarse = tuple(_read_only(_axis_points(ax, i)) for ax, i in zip(axes, sub))
-        while 4 * strides[-1] < max(i.size for i in sub) - 1:
-            strides.append(4 * strides[-1])
-    return _GridPlan(M, spacing, h_eff, axes, shape, additive, lipschitz, sub, coarse,
-                     tuple(strides))
+        r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, sub, r)
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
@@ -415,7 +404,7 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
         rule = (M.value * whole.upper, 0.0)
     else:
         rule = (0.0, M.value)
-    lower, point, column = _grid_max(space, W, plan, rule)
+    lower, point, column = _grid_max(W, plan, rule)
     pad = M.value * (plan.h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
@@ -491,7 +480,7 @@ def _half_signs(l: int) -> np.ndarray:
     return _read_only(np.hstack([np.ones((bits.shape[0], 1)), np.where(bits, 1.0, -1.0)]))
 
 
-def _grid_max(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
+def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     """Maximum of sum_j |phi(x) @ W[:, k, j]| over the grid of ``plan`` and
     all groups k.
 
@@ -505,7 +494,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
     the grid is evaluated in blocks of bounded size.
     """
     total = math.prod(plan.shape)
-    cols, keep = _coarse_prune(space, W, plan, rule)
+    cols, keep = _coarse_prune(W, plan, rule)
     Wk = W[:, cols]
     top, gi, col = -math.inf, 0, 0
     step = _block_rows(Wk)
@@ -514,7 +503,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
             flat = np.arange(start, min(total, start + step))
         else:
             flat = keep[start:start + step]
-        vals = _group_values(space.evaluate_basis(_grid_points(plan.axes, flat)), Wk)
+        vals = _group_values(plan.space.evaluate_basis(_grid_points(plan.axes, flat)), Wk)
         rowmax = vals.max(axis=1)
         j = int(np.argmax(rowmax))
         if not rowmax[j] <= top:  # strictly larger, or NaN
@@ -524,7 +513,7 @@ def _grid_max(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
     return top, _grid_points(plan.axes, np.array([gi]))[0], col
 
 
-def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
+def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
     The plan's coarse lattice keeps every s-th grid index per axis plus the
@@ -559,9 +548,9 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
     """
     cols = np.arange(W.shape[1])
     a, b = rule
-    if plan.sub is None or b * plan.level(1)[1] >= 1.0:
+    if plan.sub is None or b * plan.r >= 1.0:
         return cols, None
-    Phi, vmax = plan.table(space)
+    Phi, vmax = plan.table
     a = np.broadcast_to(a, W.shape[1])
     # Rounding slack: basis values peak in modulus at the box's corners
     # (trigonometric ones are at most 1), which every lattice holds, so one
@@ -569,16 +558,13 @@ def _coarse_prune(space: SpaceDescriptor, W: np.ndarray, plan: _GridPlan, rule):
     # and a group's value by the sum of that over its members.
     slack = (2 * W.shape[0] * np.finfo(float).eps
              * float(np.abs(W).sum(axis=(0, 2)).max()) * vmax)
-    for q in reversed(plan.strides):
-        if q > 1 and cols.size == 1:
+    for rows, r in (plan.levels if cols.size > 1 else ()) + ((Phi, plan.r),):
+        if rows is not Phi and (cols.size == 1 or b * r >= 1.0):
             continue
-        r = plan.level(q)[1]
-        if b * r >= 1.0:
-            continue
-        colmax = _colmax(plan.rows(space, q), W[:, cols])
+        colmax = _colmax(rows, W[:, cols])
         pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
         if not np.all(np.isfinite(pad)):
-            if q == 1:
+            if rows is Phi:
                 return cols, None
             continue
         best = float(colmax.max())
@@ -676,11 +662,15 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     if B.shape[0] == l:
         W = np.linalg.solve(B, np.eye(l))[:, None, :]
     else:
-        verts = _feasible_vertices(B)
+        # the vertices of {c : |Qc| <= 1} are R c for those of {a : |Ba| <= 1};
+        # Q's orthonormal columns let the subset test judge the subsets, not
+        # the scale of the basis on a small box
+        Q, R = np.linalg.qr(B)
+        verts = _feasible_vertices(Q)
         if verts.shape[0] == 0:
             raise IllConditionedError("no feasible LP vertex despite full rank",
                                       direction=Vh[-1] / colmax)
-        W = verts.T[:, :, None]
+        W = np.linalg.solve(R, verts.T)[:, :, None]
     bracket, k = _certified_max(space, W, dom, grid_spacing, budget)
     s = np.ones(W.shape[2])
     if s.size > 1:

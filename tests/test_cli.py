@@ -141,6 +141,18 @@ def test_malformed_box_is_an_error(capsys, fewnomial_files, box):
     assert "'box' must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", [[1], "polynomial", {"kind": "fewnomial", "exponents": 5},
+                                   {"kind": "polynomial", "vars": 1, "degree": 2, "modulus": 5},
+                                   {"kind": "polynomial", "vars": 1, "degree": 2, "modulus": [1]},
+                                   {"kind": "polynomial", "vars": [1], "degree": 2}])
+def test_malformed_space_is_an_error(capsys, points_csv, tmp_path, space):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert main(["norming", "--space", str(path), "--points", points_csv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
 def test_estimate_c_subcommand(capsys):
     code, out = run(capsys, ["estimate-c", "--trials", "5", "--seed", "1"])
     assert code == 0

@@ -60,7 +60,7 @@ def _handed(space, W, box, spacing, budget):
     brackets the cube first)."""
     with mock.patch.object(norming, "_grid_max", wraps=norming._grid_max) as spy:
         bracket, column = _certified_max(space, W, box, spacing, budget)
-    _, _, plan, rule = spy.call_args.args
+    _, plan, rule = spy.call_args.args
     return bracket, column, plan, rule
 
 
@@ -114,10 +114,10 @@ def test_grid_max_matches_dense_oracle(name):
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
         with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-            cols, keep = _coarse_prune(space, W, plan, rule)
+            cols, keep = _coarse_prune(W, plan, rule)
         assert colmax.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
-        value, point, col = _grid_max(space, W, plan, rule)
+        value, point, col = _grid_max(W, plan, rule)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
@@ -131,7 +131,7 @@ def test_grid_max_matches_dense_oracle(name):
 
 def _keeps_everything(space, W, plan, rule):
     """True when ``_coarse_prune`` keeps every column and every grid cell."""
-    cols, keep = _coarse_prune(space, W, plan, rule)
+    cols, keep = _coarse_prune(W, plan, rule)
     return cols.size == W.shape[1] and keep is None
 
 
@@ -158,10 +158,10 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     # coarse lattice
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
-    cols, _ = _coarse_prune(space, W, plan, rule)
+    cols, _ = _coarse_prune(W, plan, rule)
     assert colmax.call_count - 1 >= levels
     assert cols.size < W.shape[1]
-    value, point, col = _grid_max(space, W, plan, rule)
+    value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col = _dense_on(space, W, plan.axes)
     assert np.array_equal(point, ref_point)
     assert col == ref_col
@@ -174,7 +174,7 @@ def test_one_column_runs_no_level(monkeypatch):
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
-    assert _coarse_prune(space, W, plan, (0.0, 36.0)) is not None
+    assert _coarse_prune(W, plan, (0.0, 36.0)) is not None
     assert colmax.call_count == 1
 
 
@@ -229,7 +229,7 @@ def test_flat_axis_takes_the_whole_budget():
     # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
     with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-        _coarse_prune(space, W, plan, (0.0, 8.0))
+        _coarse_prune(W, plan, (0.0, 8.0))
     assert colmax.call_args.args[0].shape[0] == 4001
 
 
@@ -250,9 +250,9 @@ def test_identity_columns_keep_every_cell(n):
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())[:, :, None]
     _, _, plan, rule = _handed(space, W, box, None, budget)
-    cols, keep = _coarse_prune(space, W, plan, rule)
+    cols, keep = _coarse_prune(W, plan, rule)
     assert keep is None
-    value, point, col = _grid_max(space, W, plan, rule)
+    value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
@@ -354,8 +354,8 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     _, _, plan, rule = _handed(T1, W, box, None, 20001)
     assert plan.axes == axes
-    assert _coarse_prune(T1, W, plan, rule) is not None
-    value, point, col = _grid_max(T1, W, plan, rule)
+    assert _coarse_prune(W, plan, rule) is not None
+    value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -379,10 +379,10 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     assert not M.certified
     _, _, plan, rule = _handed(space, W, box, None, 20001)
     assert plan.axes == axes
-    cols, keep = _coarse_prune(space, W, plan, rule)
+    cols, keep = _coarse_prune(W, plan, rule)
     assert list(cols) == [0, 1]
     assert keep is not None and keep.size < x.size
-    value, point, col = _grid_max(space, W, plan, rule)
+    value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -409,9 +409,9 @@ def _spy_grid_max(monkeypatch):
     """Record the (plan, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(space, W, plan, rule):
+    def spy(W, plan, rule):
         calls.append((plan, rule))
-        return real(space, W, plan, rule)
+        return real(W, plan, rule)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls

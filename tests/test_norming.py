@@ -355,8 +355,8 @@ def test_plan_arrays_are_read_only():
     space = SpaceDescriptor.polynomial(2, 2)
     plan = grid_plan(space, space.default_box(), None, 40000)
     few = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
-    arrays = [plan.table(space)[0], plan.rows(space, 4), *plan.sub, *plan.coarse,
-              *(i for q in plan.strides for i in plan.level(q)[0]),
+    assert len(plan.levels) == 2
+    arrays = [plan.table[0], *(rows for rows, _ in plan.levels), *plan.sub,
               grid_plan(few, (np.array([0.2]), np.array([2.0])), None, 2001).lipschitz,
               _half_signs(4), _monomial_exponents(2, 3), _trig_tuples(2, 1)]
     for a in arrays:
@@ -373,9 +373,72 @@ def test_plan_arrays_are_read_only():
 def test_plan_points_are_linspace_bit_for_bit(box, spacing, budget):
     space = SpaceDescriptor.polynomial(len(box[0]), 1)
     plan = grid_plan(space, box, spacing, budget)
+    refs = []
     for j, (lo, hi, m, _) in enumerate(plan.axes):
         ref = np.linspace(box[0][j], box[1][j], m)
         along = np.arange(m) * math.prod(plan.shape[j + 1:])  # every other index 0
         got = _grid_points(plan.axes, along)
         assert got[:, j].tobytes() == ref.tobytes() and got[-1, j] == box[1][j]
-        assert plan.coarse[j].tobytes() == ref[plan.sub[j]].tobytes()
+        refs.append(ref[plan.sub[j]])
+    # P1's basis is (1, x_1, ..., x_n), so column 1 + j of a lattice's rows
+    # is coordinate j; the levels keep every q-th coarse index plus the last
+    q = 4 ** len(plan.levels)
+    for rows, r in plan.levels + ((plan.table[0], plan.r),):
+        idx = [np.append(np.arange(0, c.size - 1, q), c.size - 1) for c in refs]
+        lattice = rows.reshape([i.size for i in idx] + [-1])
+        for j, (c, i) in enumerate(zip(refs, idx)):
+            coord = np.moveaxis(lattice[..., 1 + j], j, -1)
+            assert coord.tobytes() == np.broadcast_to(c[i], coord.shape).tobytes()
+        assert r == max(float(np.max(np.diff(c[i]), initial=0.0)) / 2 for c, i in zip(refs, idx))
+        q //= 4
+
+
+def test_one_column_never_builds_the_levels():
+    space = SpaceDescriptor.polynomial(1, 3)
+    box = (np.array([-0.3125]), np.array([0.6875]))
+    norming._grid_plan.cache_clear()
+    norming._cube_bracket.cache_clear()
+    certified_supnorm(space, [0.5, -1.0, 2.0, 0.25], box, budget=20001)
+    plans = [grid_plan(space, b, None, 20001) for b in (box, space.default_box())]
+    assert norming._grid_plan.cache_info().misses == 2
+    for plan in plans:
+        assert "table" in plan.__dict__ and "levels" not in plan.__dict__
+
+
+def test_vertex_matrices_share_the_levels_of_one_plan():
+    space = SpaceDescriptor.polynomial(1, 4)
+    rng = np.random.default_rng(17)
+    sets = [random_points(rng, space.dimension() + 2, 1, min_sep=0.1) for _ in range(2)]
+    norming._grid_plan.cache_clear()
+    norming_constant(space, sets[0], budget=20001)
+    plan = grid_plan(space, space.default_box(), None, 20001)
+    levels = plan.__dict__["levels"]
+    assert len(levels) > 0
+    norming_constant(space, sets[1], budget=20001)
+    assert grid_plan(space, space.default_box(), None, 20001) is plan
+    assert plan.levels is levels
+
+
+@pytest.mark.parametrize("n, d, sizes, budget, draws", [(1, 3, (5, 6), 2001, 12),
+                                                        (2, 2, (8,), 20001, 3)],
+                         ids=["1d-P3", "2d-P2"])
+def test_clustered_sets_match_their_image_on_the_cube(n, d, sizes, budget, draws):
+    # N_V(Z) does not change when Z and its box are mapped affinely onto the
+    # cube, and the two grids are images of each other. On a box 0.02 to 0.04
+    # wide, the scale of the monomials alone once made every vertex subset
+    # look singular.
+    space = SpaceDescriptor.polynomial(n, d)
+    rng = np.random.default_rng(18)
+    for _ in range(draws):
+        w = rng.uniform(0.02, 0.04)
+        lo = rng.uniform(-1, 1 - w, size=n)
+        pts = lo + w * rng.uniform(size=(int(rng.choice(sizes)), n))
+        rep = norming_constant(space, pts, box=(lo, lo + w), budget=budget)
+        cube = norming_constant(space, (pts - lo) / w * 2 - 1, budget=budget)
+        assert rep.norming and rep.certified and cube.certified
+        assert rep.lower <= cube.upper and cube.lower <= rep.upper
+        assert rep.lower == pytest.approx(cube.lower, rel=1e-6)
+        # the witness is in the canonical basis: feasible on Z, the LP value at its point
+        f = rep.witness_coefficients
+        assert np.max(np.abs(space.evaluate_basis(pts) @ f)) <= 1.0 + 1e-6
+        assert abs(space.evaluate_basis(rep.witness_point) @ f) == pytest.approx(rep.lower, rel=1e-6)
