@@ -77,7 +77,7 @@ def load_space(path: str):
         return space_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed space ({exc})") from exc
 
 

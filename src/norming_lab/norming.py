@@ -22,37 +22,70 @@ sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
 
 The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
 about 9 * sqrt(G) of the G grid points is evaluated first; a bound on how
-far each column's value can move between a grid point and its nearest
-coarse point then bounds every column and every coarse cell, and only the
+far each column's value can rise between a lattice point and the grid
+points near it then bounds every column and every coarse cell, and only the
 columns and cells that can still reach the coarse maximum are evaluated on
 the full grid, as index ranges expanded in grid order. The skipped ones
 provably cannot hold the grid maximum, so the result is that of a dense
-pass. The bound is one per-column rule: column k, with coarse maximum C_k,
-moves by at most L_k * r within distance r of a coarse point, where
+pass. The bound is one second-order rule. Every point x of the box lies
+within r of a lattice point c on every axis, and Taylor's theorem on the
+segment from c to x, which stays in the box, gives for p in V
 
-    L_k = a_k + b * C_k / (1 - b * r).
+    |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
+
+so that column k, of value V_k, is bounded near c by
+
+    V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
+
+where H bounds sum_ij sup |d_i d_j p| / sup |p| and S_k bounds sup V_k.
+For a group, D_k(c) = sum_j sum_i |d_i p_j(c)| over its members p_j: with
+sum_j |p_j| = max_s |sum_j s_j p_j| over sign vectors s, each sum_j s_j p_j
+lies in V, its sup is at most sup V_k, and the triangle inequality bounds
+its gradient term by D_k(c). For polynomial and trigonometric spaces D is
+exact, not a bound: d_i maps the basis into itself
+(``SpaceDescriptor.basis_derivatives``), so the derivative members P_i W
+are evaluated on the same basis table as W, at no new basis row. On the
+additive boxes below, H is the cube's and S_k the cube's certified upper
+end; elsewhere H is relative to the box itself, and the sup over x of the
+bound gives sup V_k <= max_c (V_k + r * D_k) + q * sup V_k, so
+S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1. The constants H:
+
+* the cube: n^2 d^2 (d - 1)^2. Markov's inequality on an axis segment,
+  sup |d_j p| <= d^2 sup |p|, applied to p and again to d_i p, which has
+  degree at most d - 1 in every variable;
+* a polynomial box that leaves the cube: the same product with the box's
+  own constants, M_d * M_(d-1) with M_k = sum_j 2 k^2 / (hi_j - lo_j) over
+  the non-flat axes, which is (M * (d - 1) / d)^2 for the box's Markov
+  constant M (``markov_constant(space, box)``);
+* trigonometric spaces: (pi d n)^2, Bernstein's inequality applied twice.
+  It holds on all of R^n, where the sup is that over the cube, one period;
+* fewnomial spans: H = 0, and D_k = sum_j |W[:, k, j]| . G is constant,
+  with G the corner Lipschitz bound of the basis: every partial derivative
+  of x^alpha peaks in modulus at a corner of the box
+  (``SpaceDescriptor.basis_lipschitz``), and the mean value theorem needs
+  no second-order term.
 
 The column test runs once, in a loop over nested lattices from every
 4^j-th coarse index per axis plus the last down to the coarse lattice; each
 lattice holds the box's corners, so it drops only columns below the grid
-maximum everywhere. The cell test runs on the coarse lattice. Grids too
-small to coarsen, b * r >= 1 and non-finite pads keep every cell. Both
-passes run in blocks of bounded size.
+maximum everywhere. A level runs where q < 1. The cell test runs on the
+coarse lattice. Grids too small to coarsen, q >= 1 there and non-finite
+bounds keep every cell. Both passes run in blocks of bounded size. The
+floor a bound must reach is the lattice maximum less a relative 1e-9 and a
+rounding slack: one computed |phi @ w| is off by at most about
+l * eps * ||w||_1 * max |phi|, and a bound by that sum over the group's
+members and, r times, over its derivative members, over 1 - q.
 
-``_certified_max`` alone picks (a, b), and every box gets a rule:
+``_certified_max`` alone picks the rule (H, S), and every box gets one:
 
-* fewnomial spans: a_k = sum_j |W[:, k, j]| . G with G the corner Lipschitz
-  bound of the basis, b = 0; every partial derivative of x^alpha peaks in
-  modulus at a corner of the box (``SpaceDescriptor.basis_lipschitz``);
-* the cube, a polynomial box that leaves the cube, and a trigonometric box
-  that covers the cube: a = 0, b = M, with M relative to the sup over the
-  box itself. A polynomial box that leaves the cube takes its own Markov
-  constant sum_j 2 d^2 / (hi_j - lo_j) (``markov_constant(space, box)``);
-  a trigonometric box that covers the cube holds a whole period;
-* every other box (polynomial boxes strictly inside the cube, trigonometric
-  boxes that do not cover it): a = M * sup_cube, b = 0, from the certified
-  sup over the cube, which ``_certified_max`` computes first. Bernstein's
-  inequality holds on all of R^n, so this is sound for any trigonometric box.
+* the cube, a polynomial box that leaves the cube, a trigonometric box
+  that covers the cube (it holds a whole period) and fewnomial spans:
+  S = None, H relative to the sup over the box itself;
+* every other box, an additive one (polynomial boxes strictly inside the
+  cube, trigonometric boxes that do not cover it): the cube's H, and
+  S = sup_cube, the upper end of the certified bracket over the cube,
+  which ``_certified_max`` computes first. Bernstein's inequality holds on
+  all of R^n, so this is sound for any trigonometric box.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
 ``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
@@ -61,16 +94,17 @@ the grid-to-continuum step needs only the plain l-inf Lipschitz bound
 M * sup|f|, with M the Markov constant of the identity modulus, whatever
 the space's own modulus (which serves the Lipschitz stability of 1/N_V(Z)
 only). The spacing h is halved while M * h/2 >= 1. The upper bound is
-lower / (1 - M * h/2) under the multiplicative rule, and
-lower + M * h/2 * sup_cube under the additive one.
+lower / (1 - M * h/2) where S is None, and lower + M * h/2 * sup_cube on
+the additive boxes.
 
 All that depends on (space, box, spacing, budget) alone is one read-only
 grid plan (``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
 the box's float64 bytes, the spacing and the budget). It carries its space,
 M, the spacing after halving, h_eff, the axes as (lo, hi, m, step) in place
 of O(G) points and the coarse lattice's indices and half-gap. Its basis
-table there (about 9 * sqrt(G) * l floats) is built on first use, and the
-levels' rows and half-gaps on the first call with more than one column.
+table there (about 9 * sqrt(G) * l floats), H and the derivative matrices P
+are built on first use, and the levels' rows and half-gaps on the first
+call with more than one column.
 Z and W never enter a plan, so every set in one space on one box shares it.
 The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
 ``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
@@ -324,10 +358,25 @@ class _GridPlan:
     h_eff: float
     axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
     shape: tuple
-    additive: bool  # the rule takes a = M * sup_cube
+    additive: bool  # the rule takes S = sup_cube
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
     sub: Optional[tuple]  # grid indices of the coarse lattice; None below stride 2
     r: float  # half-gap of the coarse lattice
+
+    @functools.cached_property
+    def H(self) -> float:
+        """Bound on sum_ij sup |d_i d_j f| / sup |f| over the box that M is
+        relative to (see the module docstring); 0 for a fewnomial span."""
+        d, M = self.space.degree, self.markov.value
+        if self.space.kind == "polynomial":
+            return (M * (d - 1) / d) ** 2 if d > 1 else 0.0
+        return M * M if self.space.kind == "trigonometric" else 0.0
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        """``SpaceDescriptor.basis_derivatives`` stacked as (n * l, l)."""
+        P = self.space.basis_derivatives()
+        return _read_only(P.reshape(-1, P.shape[2]))
 
     @functools.cached_property
     def table(self):
@@ -388,23 +437,16 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
     rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    M, the spacing and the grid come from ``_grid_plan``. This is the one place
-    that picks the pruning rule (a, b) handed to ``_grid_max``, and every box
-    gets one."""
+    M, H, the spacing and the grid come from ``_grid_plan``. This is the one
+    place that picks the pruning rule (H, S) handed to ``_grid_max``, and every
+    box gets one."""
     plan = _grid_plan(space, np.asarray(box, dtype=float).tobytes(), spacing, budget)
     M, whole = plan.markov, None
-    if plan.lipschitz is not None:
-        # corner Lipschitz bound, with a relative margin for the exp/log
-        # rounding of the corner values
-        rule = ((1.0 + _PRUNE_RTOL) * (np.abs(W).sum(axis=2).T @ plan.lipschitz), 0.0)
-    elif plan.additive:
+    if plan.additive:
         whole = (_cube_bracket(space, W.tobytes(), plan.spacing, budget)
                  if W.shape[1:] == (1, 1)
                  else _certified_max(space, W, space.default_box(), plan.spacing, budget)[0])
-        rule = (M.value * whole.upper, 0.0)
-    else:
-        rule = (0.0, M.value)
-    lower, point, column = _grid_max(W, plan, rule)
+    lower, point, column = _grid_max(W, plan, (plan.H, None if whole is None else whole.upper))
     pad = M.value * (plan.h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
@@ -453,23 +495,32 @@ class NormingReport:
 
 
 def _feasible_vertices(B: np.ndarray) -> np.ndarray:
-    """Vertices of {a : |Ba| <= 1}, one representative per +/- pair."""
+    """Vertices of {a : |Ba| <= 1}, one representative per +/- pair, subset by
+    subset in combination order and, within a subset, in the row order of
+    ``_half_signs``.
+
+    A nonsingular l-subset of the rows of B, with inverse A, gives the
+    candidates A s for the sign vectors s. They meet the subset's own rows
+    with |B a| = 1 by construction, so only the m - l rows off the subset are
+    tested, for every subset and sign vector in one (C, m - l, S) product.
+    """
     m, l = B.shape
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
         raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
-    signs = _half_signs(l)
-    combos = list(combinations(range(m), l))
-    sub = B[np.asarray(combos)]  # (C, l, l)
+    combos = np.asarray(list(combinations(range(m), l)))
+    sub = B[combos]  # (C, l, l)
     dets = np.linalg.det(sub)
     scale = np.max(np.abs(sub), axis=(1, 2))
     ok = np.abs(dets) > 1e-12 * np.maximum(scale, 1.0) ** l
     if not np.any(ok):
         return np.empty((0, l))
-    rhs = np.broadcast_to(signs.T, (int(ok.sum()), l, signs.shape[0]))
-    verts = np.linalg.solve(sub[ok], rhs)  # (C_ok, l, S)
-    verts = np.swapaxes(verts, 1, 2).reshape(-1, l)
-    feas = np.max(np.abs(verts @ B.T), axis=1) <= 1.0 + 1e-9
-    return verts[feas]
+    verts = np.linalg.inv(sub[ok]) @ _half_signs(l).T  # (C_ok, l, S)
+    # complements reverse the lexicographic order: at the least index where
+    # two l-subsets differ, the earlier subset holds it and its complement not
+    rest = np.array(list(combinations(range(m), m - l)), dtype=np.intp)
+    rest = B[rest.reshape(len(combos), m - l)[::-1][ok]]  # (C_ok, m - l, l)
+    feas = np.max(np.abs(rest @ verts), axis=1, initial=0.0) <= 1.0 + 1e-9  # (C_ok, S)
+    return np.swapaxes(verts, 1, 2)[feas]
 
 
 @functools.lru_cache(maxsize=8)
@@ -486,8 +537,8 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
 
     Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
-    ``_group_values(Phi, W)`` would give. ``rule`` is the (a, b) of the per-column
-    bound L_k = a_k + b * C_k / (1 - b * r) that ``_certified_max`` picks;
+    ``_group_values(Phi, W)`` would give. ``rule`` is the (H, S) of the
+    second-order bound that ``_certified_max`` picks (module docstring);
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
     reach the maximum, exactly, not approximately. Where it keeps every
     cell, every grid point is evaluated for the columns it keeps. Either way
@@ -525,63 +576,85 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     coarsest down to the coarse lattice itself, each on rows of the plan's
     coarse basis table, which every W on the plan shares. Every lattice
     holds the box's corners, and every point of the box lies within r (the
-    lattice's half-gap) of a lattice point c. With C_k the lattice maximum of
-    column k and ``rule`` = (a, b),
+    lattice's half-gap) of a lattice point c, where column k is bounded by
 
-        |f_k(x)| <= |f_k(c)| + L_k * r,   L_k = a_k + b * C_k / (1 - b * r).
+        V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
-    ``_certified_max`` picks (a, b) as the module docstring says; b = M
-    comes from sup|f| <= C_k / (1 - M * r) on the box.
+    with ``rule`` = (H, S) as ``_certified_max`` picks it and D_k from
+    ``_with_slopes``: S_k = max_c (V_k + r * D_k) / (1 - q) where S is None,
+    S itself otherwise (see the module docstring).
 
-    The lattice maximum ``best`` is a grid value, so a column with
-    C_k + L_k * r < best - slack stays below the grid maximum at every grid
-    point, and each lattice drops such columns; the dense pass's first
-    maximiser, point and column, is never dropped. Sub-lattices are skipped
-    where b * r >= 1 or a pad is not finite, and once one column is left.
-    On the coarse lattice, cells with max_k (|f_k(c)| + L_k * r) below the
-    same floor go too.
+    The lattice maximum ``best`` is a grid value, so a column whose bound
+    stays below best - slack at every lattice point stays below the grid
+    maximum at every grid point, and each lattice drops such columns; the
+    dense pass's first maximiser, point and column, is never dropped.
+    Sub-lattices are skipped where q >= 1 or a bound is not finite, and once
+    one column is left. On the coarse lattice, a cell goes too where the
+    largest V_k(c) + r * D_k(c) over the columns the lattice tests, plus the
+    largest q * S_k of those it keeps, lies below the same floor: that sum
+    bounds every kept column near c.
 
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept: where the grid is too small to coarsen, or the
-    coarse lattice has b * r >= 1 or a pad that is not finite (a non-finite
+    coarse lattice has q >= 1 or a bound that is not finite (a non-finite
     lattice value included).
     """
     cols = np.arange(W.shape[1])
-    a, b = rule
-    if plan.sub is None or b * plan.r >= 1.0:
+    H, S = rule
+    if plan.sub is None or not 0.5 * H * plan.r**2 < 1.0:
         return cols, None
     Phi, vmax = plan.table
-    a = np.broadcast_to(a, W.shape[1])
+    Wv, D0 = _with_slopes(W, plan)
+    g = W.shape[2]
     # Rounding slack: basis values peak in modulus at the box's corners
     # (trigonometric ones are at most 1), which every lattice holds, so one
-    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax,
-    # and a group's value by the sum of that over its members.
-    slack = (2 * W.shape[0] * np.finfo(float).eps
-             * float(np.abs(W).sum(axis=(0, 2)).max()) * vmax)
+    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax; a
+    # value and its reach by the sum of that over the group's members and,
+    # r times, over its derivative members, and a bound by 1 / (1 - q) times
+    # that.
+    norms = np.abs(Wv).sum(axis=0)
+    wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
     for rows, r in (plan.levels if cols.size > 1 else ()) + ((Phi, plan.r),):
-        if rows is not Phi and (cols.size == 1 or b * r >= 1.0):
+        q = 0.5 * H * r * r
+        if rows is not Phi and (cols.size == 1 or not q < 1.0):
             continue
-        colmax = _colmax(rows, W[:, cols])
-        pad = (a[cols] + b * colmax / (1.0 - b * r)) * r
-        if not np.all(np.isfinite(pad)):
+        top, reach, rowreach = _colmax(rows, Wv[:, :, cols], g, D0[cols], r)
+        # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
+        bound = reach / (1.0 - q) if S is None else reach + q * S
+        if not np.all(np.isfinite(bound)):
             if rows is Phi:
                 return cols, None
             continue
-        best = float(colmax.max())
+        slack = 2 * W.shape[0] * np.finfo(float).eps * vmax * (wnorm + r * dnorm) / (1.0 - q)
+        best = float(top.max())
         floor = best - (_PRUNE_RTOL * best + slack)
-        keep = colmax + pad >= floor
-        cols, pad = cols[keep], pad[keep]
+        keep = bound >= floor
+        cols = cols[keep]
 
-    bound = np.empty(Phi.shape[0])
-    Wk = W[:, cols]
-    step = _block_rows(Wk)
-    for start in range(0, Phi.shape[0], step):
-        block = _group_values(Phi[start:start + step], Wk) + pad
-        bound[start:start + step] = block.max(axis=1)
-    cell_ok = (bound >= floor).reshape([i.size for i in plan.sub])
+    pad = float((bound - reach)[keep].max())  # the largest q S_k of a kept column
+    cell_ok = (rowreach + pad >= floor).reshape([i.size for i in plan.sub])
     if cell_ok.all():
         return cols, None
     return cols, _cell_indices(cell_ok, plan.sub, plan.shape)
+
+
+def _with_slopes(W: np.ndarray, plan: _GridPlan):
+    """(Wv, D0), the members of W and of their slopes as ``_colmax`` takes them.
+
+    The slope of group k at c is D_k(c) = sum_j sum_i |d_i (phi(c) @ W[:, k, j])|
+    (module docstring). For a polynomial or trigonometric space Wv, of shape
+    (l, (n + 1) * g, K), holds the g members of every group followed by their
+    n * g derivative members P_i @ W[:, :, j], so D_k(c) is the group value of
+    the latter at c, and D0 = 0. A fewnomial span has Wv = the members alone
+    and the constant D0_k = sum_j |W[:, k, j]| . G, with G the corner
+    Lipschitz bound of the basis, and a relative margin for the exp/log
+    rounding of the corner values."""
+    l, K, g = W.shape
+    Wv = W.transpose(0, 2, 1)  # (l, g, K)
+    if plan.lipschitz is not None:
+        return Wv, (1.0 + _PRUNE_RTOL) * (np.abs(W).sum(axis=2).T @ plan.lipschitz)
+    dW = (plan.P @ Wv.reshape(l, g * K)).reshape(-1, l, g * K)  # (n, l, g * K)
+    return np.concatenate([Wv, dW.transpose(1, 0, 2).reshape(l, -1, K)], axis=1), np.zeros(K)
 
 
 def _half_gap(axes) -> float:
@@ -589,13 +662,24 @@ def _half_gap(axes) -> float:
     return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
 
 
-def _colmax(Phi, W) -> np.ndarray:
-    """max over the rows of Phi of ``_group_values(Phi, W)``, per group, in bounded blocks."""
-    out = np.zeros(W.shape[1])
-    step = _block_rows(W)
-    for start in range(0, Phi.shape[0], step):
-        out = np.maximum(out, _group_values(Phi[start:start + step], W).max(axis=0))
-    return out
+def _colmax(rows, Wv, g, D0, r):
+    """(top, reach, rowreach) for the (Wv, D0) of ``_with_slopes``: per group
+    the max over ``rows`` of its value V and of V + r * D, and per row the
+    max over groups of V + r * D, in bounded blocks. Groups lie along the
+    first axis of a block's values, so the sums over members and the maxima
+    over rows run on contiguous memory."""
+    l, members, K = Wv.shape
+    top, reach = np.zeros(K), np.zeros(K)
+    rowreach = np.empty(rows.shape[0])
+    step = _block_rows(Wv)
+    for start in range(0, rows.shape[0], step):
+        vals = Wv.reshape(l, members * K).T @ rows[start:start + step].T
+        vals = np.abs(vals, out=vals).reshape(members, K, -1)
+        V = vals[:g].sum(axis=0)
+        U = V + r * (vals[g:].sum(axis=0) + D0[:, None])
+        top, reach = np.maximum(top, V.max(axis=1)), np.maximum(reach, U.max(axis=1))
+        rowreach[start:start + step] = U.max(axis=0)
+    return top, reach, rowreach
 
 
 def _group_values(Phi, W) -> np.ndarray:

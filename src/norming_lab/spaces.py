@@ -91,6 +91,27 @@ def _trig_tuples(n: int, d: int) -> np.ndarray:
     return _read_only(np.array(tuples).reshape(-1, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_derivatives(kind: str, n: int, d: int) -> np.ndarray:
+    """d_j maps the basis into itself: x^alpha -> alpha_j x^(alpha - e_j), and
+    on axis j cos(k pi x) -> -k pi sin(k pi x), sin(k pi x) -> k pi cos(k pi x).
+    Each column of P[j] holds at most one nonzero entry."""
+    table = (_monomial_exponents if kind == "polynomial" else _trig_tuples)(n, d).tolist()
+    index = {tuple(t): i for i, t in enumerate(table)}
+    P = np.zeros((n, len(table), len(table)))
+    for i, t in enumerate(table):
+        for j, k in enumerate(t):
+            if k == 0:
+                continue
+            if kind == "polynomial":
+                u, c = k - 1, float(k)
+            else:  # factor 2f - 1 is cos(f pi x), 2f is sin(f pi x)
+                f = (k + 1) // 2
+                u, c = (k + 1, -f * math.pi) if k % 2 else (k - 1, f * math.pi)
+            P[j, index[(*t[:j], u, *t[j + 1:])], i] = c
+    return _read_only(P)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -236,6 +257,15 @@ class SpaceDescriptor:
         for j, e in enumerate(np.eye(self.n)):
             out += np.abs(alphas[:, j]) * np.exp(logc @ (alphas - e).T).max(axis=0)
         return out
+
+    def basis_derivatives(self) -> np.ndarray:
+        """Read-only matrices P of shape (n, l, l) with
+        d_j (phi @ w) = phi @ (P[j] @ w), phi the row of basis values, for
+        polynomial and trigonometric spaces (see ``_basis_derivatives``)."""
+        if self.kind == "fewnomial":
+            raise ValueError("basis_derivatives is defined for polynomial and "
+                             "trigonometric spaces")
+        return _basis_derivatives(self.kind, self.n, self.degree)
 
     def to_json(self) -> dict:
         mod = "identity" if self.modulus.kind == "identity" else {

@@ -144,7 +144,13 @@ def test_malformed_box_is_an_error(capsys, fewnomial_files, box):
 @pytest.mark.parametrize("space", [[1], "polynomial", {"kind": "fewnomial", "exponents": 5},
                                    {"kind": "polynomial", "vars": 1, "degree": 2, "modulus": 5},
                                    {"kind": "polynomial", "vars": 1, "degree": 2, "modulus": [1]},
-                                   {"kind": "polynomial", "vars": [1], "degree": 2}])
+                                   {"kind": "polynomial", "vars": [1], "degree": 2},
+                                   {"kind": "polynomial", "vars": 1, "degree": 2,
+                                    "modulus": "power:x"},
+                                   {"kind": "polynomial", "vars": 1, "degree": 2,
+                                    "modulus": "bogus"},
+                                   {"kind": "spline", "vars": 1, "degree": 2},
+                                   {"kind": "fewnomial", "exponents": [["a"]]}])
 def test_malformed_space_is_an_error(capsys, points_csv, tmp_path, space):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space))

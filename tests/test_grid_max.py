@@ -1,5 +1,7 @@
 """The coarse-to-fine grid maximiser against a dense oracle, and the witness
 that ``norming_constant`` reports."""
+import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from norming_lab import (IDENTITY, SpaceDescriptor, certified_supnorm, lebesgue_
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
                                  _cube_bracket, _feasible_vertices, _grid_axes, _grid_max,
-                                 _grid_plan, _grid_points)
+                                 _grid_plan, _grid_points, _half_signs, _with_slopes)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 
@@ -21,6 +23,7 @@ FEW = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5], [2.5]])
 FEW_BOX = (np.array([0.2]), np.array([2.0]))
 FEW2 = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5], [2.0, 2.5]])
 FEW2_BOX = (np.array([0.3, 0.5]), np.array([1.8, 2.0]))
+_B = lambda lo, hi: (np.array(lo, dtype=float), np.array(hi, dtype=float))
 
 
 def _dense_on(space, W, axes):
@@ -78,6 +81,8 @@ CASES = {
                       20001, True),
     "sub-box": (SpaceDescriptor.polynomial(2, 2),
                 (np.array([-0.5, -1.0]), np.array([0.75, 0.2])), None, 40000, True),
+    # the cube sup dwarfs the box sup: a first-order pad of M * sup_cube kept
+    # every column and cell here, the box's own slopes drop them
     "sub-box-1d": (SpaceDescriptor.polynomial(1, 5),
                    (np.array([-0.3]), np.array([0.45])), 1e-4, None, True),
     # a polynomial box that leaves the cube takes its own Markov constant
@@ -117,6 +122,8 @@ def test_grid_max_matches_dense_oracle(name):
             cols, keep = _coarse_prune(W, plan, rule)
         assert colmax.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
+        if name == "sub-box-1d":
+            assert cols.size < W.shape[1] and keep is not None and keep.size < np.prod(plan.shape)
         value, point, col = _grid_max(W, plan, rule)
         ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
@@ -136,22 +143,24 @@ def _keeps_everything(space, W, plan, rule):
 
 
 # Real vertex matrices with hundreds of columns: (space, box or None for the
-# cube, m, budget, column levels that must run). In 2-D the Markov pad
-# admits only the finest level at any budget a dense oracle can afford.
+# cube, m, budget, column levels that must run, seed). A level runs where
+# H * r^2 / 2 < 1: in 2-D P2 (H = 16) at 40,000 points the coarsest level has
+# r = 0.40 and only the finer one runs; at the default 200,001 points both
+# run, with r = 0.25 and 0.063.
 WIDE = {
-    "P6-1d-m10": (SpaceDescriptor.polynomial(1, 6), None, 10, 20001, 2),
-    "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1),
-    "T2-1d-m9": (SpaceDescriptor.trigonometric(1, 2), None, 9, 20001, 2),
-    "fewnomial-m6": (FEW, FEW_BOX, 6, 20001, 2),
+    "P6-1d-m10": (SpaceDescriptor.polynomial(1, 6), None, 10, 20001, 2, 1),
+    "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1, 0),
+    "P2-2d-m10-default": (SpaceDescriptor.polynomial(2, 2), None, 10, None, 2, 4),
+    "T2-1d-m9": (SpaceDescriptor.trigonometric(1, 2), None, 9, 20001, 2, 2),
+    "fewnomial-m6": (FEW, FEW_BOX, 6, 20001, 2, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WIDE))
 def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch):
-    space, box, m, budget, levels = WIDE[name]
+    space, box, m, budget, levels, seed = WIDE[name]
     box = space.default_box() if box is None else box
-    W = _instance(np.random.default_rng(sorted(WIDE).index(name)), space, box,
-                  m - space.dimension())
+    W = _instance(np.random.default_rng(seed), space, box, m - space.dimension())
     assert W.shape[1] > 20
     _, _, plan, rule = _handed(space, W, box, None, budget)
     # one blocked column maximum per level that runs, and one on the whole
@@ -168,42 +177,128 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     assert value == pytest.approx(ref_value, rel=1e-12)
 
 
+def _all_rows_vertices(B):
+    """Reference enumeration: every candidate of every nonsingular l-subset,
+    solved per sign vector, checked against all m rows of B."""
+    m, l = B.shape
+    signs = _half_signs(l)
+    sub = B[np.asarray(list(combinations(range(m), l)))]
+    scale = np.max(np.abs(sub), axis=(1, 2))
+    ok = np.abs(np.linalg.det(sub)) > 1e-12 * np.maximum(scale, 1.0) ** l
+    if not np.any(ok):
+        return np.empty((0, l))
+    rhs = np.broadcast_to(signs.T, (int(ok.sum()), l, signs.shape[0]))
+    verts = np.swapaxes(np.linalg.solve(sub[ok], rhs), 1, 2).reshape(-1, l)
+    return verts[np.max(np.abs(verts @ B.T), axis=1) <= 1.0 + 1e-9]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_feasible_vertices_match_the_all_rows_enumeration(l):
+    rng = np.random.default_rng(30 + l)
+    for m in range(l, l + 5):  # m = l: every candidate is a vertex
+        B = rng.normal(size=(m, l))
+        got, ref = _feasible_vertices(B), _all_rows_vertices(B)
+        assert got.shape == ref.shape and got.shape[0] >= (2 ** (l - 1) if m == l else 1)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max()
+
+
+def test_feasible_vertices_keep_a_vertex_that_every_subset_gives():
+    # |B e_0| = 1 on every row of a Vandermonde matrix: the constant function
+    # is tight everywhere, so each of the C(m, l) subsets yields e_0
+    m, l = 7, 4
+    B = np.vander(np.linspace(-1.0, 1.0, m), l, increasing=True)
+    got, ref = _feasible_vertices(B), _all_rows_vertices(B)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    copies = np.all(np.abs(got - np.eye(l)[0]) <= 1e-12, axis=1)
+    assert copies.sum() == math.comb(m, l)
+
+
+# (space, box or None for the cube): H bounds sum_ij sup |d_i d_j p| / sup |p|
+# over the box. Seeded members, and in 1-D, where one exists, a member that
+# attains the bound: T_2 mapped onto the box (Markov's inequality twice is
+# exact for d = 2), and cos(d pi x) (Bernstein's inequality is exact for it).
+SECOND = {
+    "P2": (SpaceDescriptor.polynomial(1, 2), None),
+    "P5": (SpaceDescriptor.polynomial(1, 5), None),
+    "P2-beyond": (SpaceDescriptor.polynomial(1, 2), _B([-1.4], [0.3])),
+    "P4-beyond": (SpaceDescriptor.polynomial(1, 4), _B([-1.3], [0.6])),
+    "P3-2d": (SpaceDescriptor.polynomial(2, 3), None),
+    "P2-2d-beyond": (SpaceDescriptor.polynomial(2, 2), _B([-1.4, -0.5], [0.3, 1.2])),
+    "P2-3d": (SpaceDescriptor.polynomial(3, 2), None),
+    "T2": (SpaceDescriptor.trigonometric(1, 2), None),
+    "T1-2d": (SpaceDescriptor.trigonometric(2, 1), None),
+    "T1-3d": (SpaceDescriptor.trigonometric(3, 1), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND))
+def test_second_derivatives_are_bounded_by_H(name):
+    space, box = SECOND[name]
+    box = space.default_box() if box is None else box
+    H = grid_plan(space, box, None, 2001).H
+    grid, _ = uniform_grid(box, budget={1: 4001, 2: 40401, 3: 29791}[space.n])
+    Phi, P, l = space.evaluate_basis(grid), space.basis_derivatives(), space.dimension()
+    members = list(np.random.default_rng(40).normal(size=(8, l)))
+    if space.n == 1 and space.kind == "trigonometric":
+        members.append(np.eye(l)[2 * space.degree - 1])  # cos(d pi x)
+    elif space.n == 1 and space.degree == 2:
+        cheb = np.polynomial.Chebyshev.basis(2, domain=[box[0][0], box[1][0]])
+        members.append(cheb.convert(kind=np.polynomial.Polynomial).coef)
+    tight = 0.0
+    for w in members:
+        second = sum(np.abs(Phi @ (P[i] @ P[j] @ w)) for i in range(space.n)
+                     for j in range(space.n))
+        ratio = second.max() / np.abs(Phi @ w).max()
+        assert ratio <= H * (1 + 1e-12)
+        tight = max(tight, ratio)
+    if len(members) > 8:
+        assert tight == pytest.approx(H, rel=1e-9)
+
+
 def test_one_column_runs_no_level(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 6)
     plan = grid_plan(space, space.default_box(), None, 20001)
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     colmax = mock.Mock(wraps=norming._colmax)
     monkeypatch.setattr(norming, "_colmax", colmax)
-    assert _coarse_prune(W, plan, (0.0, 36.0)) is not None
+    assert _coarse_prune(W, plan, (plan.H, None)) is not None
     assert colmax.call_count == 1
 
 
-# (space, box, multiplicative?) with the Markov or Bernstein constant M of
-# the rule: the box's own for a polynomial box that leaves the cube, the
-# cube's otherwise
+# (space, box, multiplicative?, M, H): the Markov or Bernstein constant M
+# and the second-derivative constant H of the rule, the box's own for a
+# polynomial box that leaves the cube and the cube's otherwise. On a segment
+# of width w Markov's inequality gives |p'| <= 2 d^2 / w * sup |p| and
+# |p''| <= 2 (d - 1)^2 / w * sup |p'|; Bernstein's gives pi * d per derivative.
 RULES = {
-    "cube": (SpaceDescriptor.polynomial(1, 5), (-1.0, 1.0), True, 25.0),
-    "poly-beyond": (SpaceDescriptor.polynomial(1, 5), (-1.2, 0.3), True, 50.0 / 1.5),
-    "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), True, 50.0 / 3.0),
-    "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), False, 25.0),
-    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), False, 2 * np.pi),
-    "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), True, 3 * np.pi),
+    "cube": (SpaceDescriptor.polynomial(1, 5), (-1.0, 1.0), True, 25.0, 25.0 * 16.0),
+    "poly-beyond": (SpaceDescriptor.polynomial(1, 5), (-1.2, 0.3), True, 50.0 / 1.5,
+                    (50.0 / 1.5) * (32.0 / 1.5)),
+    "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), True, 50.0 / 3.0,
+                      (50.0 / 3.0) * (32.0 / 3.0)),
+    "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), False, 25.0, 25.0 * 16.0),
+    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), False, 2 * np.pi,
+                  (2 * np.pi) ** 2),
+    "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), True, 3 * np.pi,
+                      (3 * np.pi) ** 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_every_box_gets_a_rule(name):
-    space, (lo, hi), multiplicative, M = RULES[name]
+    space, (lo, hi), multiplicative, M, H = RULES[name]
     box = (np.array([lo]), np.array([hi]))
     W = np.random.default_rng(12).normal(size=(space.dimension(), 3))[:, :, None]
-    bracket, _, _, (a, b) = _handed(space, W, box, None, 2001)
+    bracket, _, plan, (h, S) = _handed(space, W, box, None, 2001)
     assert bracket.certified
+    assert h == pytest.approx(H, rel=1e-15) and plan.markov.value == pytest.approx(M, rel=1e-15)
     if multiplicative:
-        assert (a, b) == pytest.approx((0.0, M), rel=1e-15)
+        assert S is None
         assert markov_constant(space, box=box).value == pytest.approx(M, rel=1e-15)
     else:
         cube = _certified_max(space, W, space.default_box(), None, 2001)[0]
-        assert (a, b) == pytest.approx((M * cube.upper, 0.0), rel=1e-15)
+        assert S == cube.upper
 
 
 def test_off_cube_polynomial_bracket_holds_the_sup():
@@ -229,7 +324,7 @@ def test_flat_axis_takes_the_whole_budget():
     # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
     with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-        _coarse_prune(W, plan, (0.0, 8.0))
+        _coarse_prune(W, plan, (plan.H, None))
     assert colmax.call_args.args[0].shape[0] == 4001
 
 
@@ -237,10 +332,9 @@ def test_subbox_is_not_pruned_without_cube_bound():
     space, box, spacing, budget, _ = CASES["sub-box-1d"]
     W = _instance(np.random.default_rng(0), space, box, 1)
     plan = grid_plan(space, box, spacing, budget)
-    M = markov_constant(space).value
-    # a = M * sup_cube, where an uncertified cube bracket has sup_cube = inf
-    assert _keeps_everything(space, W, plan, (M * np.nan, 0.0))
-    assert _keeps_everything(space, W, plan, (M * np.inf, 0.0))
+    # S = sup_cube, where an uncertified cube bracket has sup_cube = inf
+    assert _keeps_everything(space, W, plan, (plan.H, np.nan))
+    assert _keeps_everything(space, W, plan, (plan.H, np.inf))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -298,7 +392,6 @@ def test_norming_witness_is_feasible_and_attains_value(space):
 
 
 # unisolvent sets: (space, where its points lie, {box name: box})
-_B = lambda lo, hi: (np.array(lo, dtype=float), np.array(hi, dtype=float))
 UNISOLVENT = {
     "P3": (SpaceDescriptor.polynomial(1, 3), None,
            {"cube": None, "inside": _B([-0.4], [0.7]), "beyond": _B([-1.3], [0.6])}),
@@ -360,6 +453,30 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
 
+    # Column 0 = A cos(pi (x - x1)) peaks 0.2 h past the edge of the cell of
+    # the coarse point c = x[625 * stride], which owns the fine points up to
+    # c + 8 h. Its grid maximum, A (1 - 0.02 pi^2 h^2) at c + 8 h, lies just
+    # above column 1's peak of 1 on a coarse point, and its value at c + 9 h,
+    # in the next cell, lies below. At c, 8.2 h from the peak, |f(c)| + q * S
+    # falls short of that grid maximum by about 1.6 pi^2 h^2 (q = pi^2 r^2 / 2
+    # with r = 8 h, and S the column's own bound): the slope term r * D(c)
+    # keeps the cell. |cos| has period 1, so a copy of each peak lies one
+    # period away in the same place relative to its cell.
+    h = x[1] - x[0]
+    x1 = x[625 * stride + stride // 2] + 0.2 * h
+    wave = lambda c: np.array([0.0, np.cos(np.pi * c), np.sin(np.pi * c)])  # cos(pi (x - c))
+    W = np.stack([(1 + 0.1 * (np.pi * h) ** 2) * wave(x1), wave(y0)], axis=1)[:, :, None]
+    coarse = T1.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
+    assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
+    column0 = np.abs(T1.evaluate_basis(x[:, None]) @ W[:, 0, 0])
+    assert column0[625 * stride + stride // 2 + 1] < 1.0 < column0.max()
+    _, _, plan, rule = _handed(T1, W, box, None, 20001)
+    value, point, col = _grid_max(W, plan, rule)
+    ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
+    assert col == ref_col == 0
+    assert np.array_equal(point, ref_point)
+    assert value == pytest.approx(ref_value, rel=1e-12) and value == column0.max()
+
 
 def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     # As above on span{1, x, x^2}, where no Markov constant is certified:
@@ -394,15 +511,16 @@ def test_fewnomial_group_rule_bounds_the_group_slope():
     rng = np.random.default_rng(14)
     l = FEW.dimension()
     W = np.stack([1e-3 * rng.normal(size=(l, 2)), rng.normal(size=(l, 2))], axis=2)
-    _, _, _, (a, b) = _handed(FEW, W, FEW_BOX, None, 20001)
-    assert b == 0.0
+    _, _, plan, rule = _handed(FEW, W, FEW_BOX, None, 20001)
+    assert rule == (0.0, None)
+    slope = _with_slopes(W, plan)[1]  # the constant D_k of each group
     x = np.linspace(FEW_BOX[0][0], FEW_BOX[1][0], 200_001)
     phi = FEW.evaluate_basis(x[:, None])
     lip = FEW.basis_lipschitz(FEW_BOX)
     for k in range(W.shape[1]):
         vals = np.abs(phi @ W[:, k]).sum(axis=1)
-        slope = np.max(np.abs(np.diff(vals)) / np.diff(x))
-        assert np.abs(W[:, k, 0]) @ lip < slope <= a[k]
+        steepest = np.max(np.abs(np.diff(vals)) / np.diff(x))
+        assert np.abs(W[:, k, 0]) @ lip < steepest <= slope[k]
 
 
 def _spy_grid_max(monkeypatch):
@@ -445,10 +563,10 @@ def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
 
 
 def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
-    # the pad term needs a bound on the sup over the cube: the cube bracket's
-    # upper end, not its grid value
+    # the second-order pad needs a bound on the sup over the cube: the cube
+    # bracket's upper end, not its grid value
     space = SpaceDescriptor.polynomial(1, 4)
-    M = markov_constant(space).value
+    H = 4.0**2 * 3.0**2  # the cube's n^2 d^2 (d - 1)^2
     coeff = np.random.default_rng(6).normal(size=space.dimension())
     cube = certified_supnorm(space, coeff, budget=2001)
     assert cube.certified and cube.upper > cube.lower
@@ -458,8 +576,7 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
         calls = _spy_grid_max(monkeypatch)
         certified_supnorm(space, coeff, SWEEP[1], budget=2001)
         monkeypatch.undo()
-        assert [rule for plan, rule in calls if not _on_cube(space, plan)] == [(M * cube.upper,
-                                                                                 0.0)]
+        assert [rule for plan, rule in calls if not _on_cube(space, plan)] == [(H, cube.upper)]
 
 
 def test_cube_memo_keeps_single_coefficient_vectors_only():

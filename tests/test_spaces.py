@@ -168,6 +168,32 @@ def test_basis_lipschitz_needs_a_fewnomial_span_in_the_orthant():
                                                                   np.array([1.0])))
 
 
+@pytest.mark.parametrize("space", [
+    SpaceDescriptor.polynomial(1, 6), SpaceDescriptor.polynomial(2, 3),
+    SpaceDescriptor.polynomial(3, 2), SpaceDescriptor.polynomial(2, 0),
+    SpaceDescriptor.trigonometric(1, 3), SpaceDescriptor.trigonometric(2, 2)],
+    ids=["P6", "P3-2d", "P2-3d", "P0-2d", "T3", "T2-2d"])
+def test_basis_derivatives_match_central_differences(space):
+    rng = np.random.default_rng(3)
+    P = space.basis_derivatives()
+    l = space.dimension()
+    assert P.shape == (space.n, l, l) and not P.flags.writeable
+    assert np.all(np.count_nonzero(P, axis=1) <= 1)  # at most one entry per column
+    x = rng.uniform(-0.9, 0.9, size=(50, space.n))
+    step = 1e-5
+    for j in range(space.n):
+        e = np.zeros(space.n)
+        e[j] = step
+        central = (space.evaluate_basis(x + e) - space.evaluate_basis(x - e)) / (2 * step)
+        exact = space.evaluate_basis(x) @ P[j]  # column i holds d_j f_i
+        assert np.allclose(exact, central, rtol=1e-6, atol=1e-6)
+
+
+def test_basis_derivatives_need_a_polynomial_or_trigonometric_space():
+    with pytest.raises(ValueError):
+        SpaceDescriptor.fewnomial_span([(0.5,), (1.5,)]).basis_derivatives()
+
+
 def test_single_point_shape():
     space = SpaceDescriptor.polynomial(2, 1)
     v = space.evaluate_basis(np.array([0.5, -0.5]))
