@@ -20,16 +20,21 @@ matrix, one group of l, whose value is the LP value sum_i |L_i(x)|. Every
 rule below holds for a group as for one function, because
 sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
 
-The grid maximum is found coarse to fine (``_grid_max``). A sub-lattice of
-about 9 * sqrt(G) of the G grid points is evaluated first; a bound on how
-far each column's value can rise between a lattice point and the grid
-points near it then bounds every column and every coarse cell, and only the
-columns and cells that can still reach the coarse maximum are evaluated on
-the full grid, as index ranges expanded in grid order. The skipped ones
-provably cannot hold the grid maximum, so the result is that of a dense
-pass. The bound is one second-order rule. Every point x of the box lies
-within r of a lattice point c on every axis, and Taylor's theorem on the
-segment from c to x, which stays in the box, gives for p in V
+The grid maximum is found coarse to fine (``_grid_max``). A coarse lattice
+of about 9 * sqrt(G) points is evaluated first: a sub-lattice of the G grid
+points, or, on a box strictly inside the cube, the part of the cube's own
+lattice that lies nearest the box's grid. A bound on how far each column's
+value can rise between a lattice point and the grid points near it then
+bounds every column and every coarse cell, and only the columns and cells
+that can still reach the largest grid value are evaluated on the full
+grid. A cell is the grid points nearest one lattice point, a range of grid
+indices per axis, and the kept cells are expanded into ascending flat
+indices in time linear in what they hold. The skipped ones provably cannot
+hold the grid maximum, so the result is that of a dense pass. The bound is
+one second-order rule. Every grid point x lies within r of the lattice
+point c whose cell holds it, on every axis, and Taylor's theorem on the
+segment from c to x, which stays in the box (in the cube for a borrowed
+lattice), gives for p in V
 
     |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
 
@@ -65,27 +70,41 @@ S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1. The constants H:
   (``SpaceDescriptor.basis_lipschitz``), and the mean value theorem needs
   no second-order term.
 
+The floor a bound must reach is a lower bound on the grid maximum. With
+rho(c) the l-inf distance from c to the grid point x nearest it, the same
+Taylor step gives |p(x)| >= |p(c)| - rho * sum_i |d_i p(c)| - rho^2 / 2 *
+sum_ij sup |d_i d_j p|, and for a group through its sign-matched member
+sum_j s_j p_j, s_j the sign of p_j(c), which lies in V and has value V_k(c)
+at c. So the floor is the largest
+
+    V_k(c) - rho(c) * D_k(c) - H * rho(c)^2 / 2 * S
+
+over lattice points c and groups k. On a lattice of grid points rho = 0
+and the floor is the largest lattice value; a borrowed lattice, whose
+points need not be grid points, is additive, so S is finite there. The
+floor is less a relative 1e-9 and a rounding slack: one computed |phi @ w|
+is off by at most about l * eps * ||w||_1 * max |phi|, and a bound by that
+sum over the group's members and, r times, over its derivative members,
+over 1 - q, once for the bound and once for the floor (rho <= r).
+
 The column test runs once, in a loop over nested lattices from every
 4^j-th coarse index per axis plus the last down to the coarse lattice; each
 lattice holds the box's corners, so it drops only columns below the grid
-maximum everywhere. A level runs where q < 1. The cell test runs on the
-coarse lattice. Grids too small to coarsen, q >= 1 there and non-finite
-bounds keep every cell. Both passes run in blocks of bounded size. The
-floor a bound must reach is the lattice maximum less a relative 1e-9 and a
-rounding slack: one computed |phi @ w| is off by at most about
-l * eps * ||w||_1 * max |phi|, and a bound by that sum over the group's
-members and, r times, over its derivative members, over 1 - q.
+maximum everywhere. A level runs where q < 1; a borrowed lattice has no
+levels. The cell test runs on the coarse lattice. Grids too small to
+coarsen, q >= 1 there and non-finite bounds keep every cell. Both passes
+run in blocks of bounded size.
 
 ``_certified_max`` alone picks the rule (H, S), and every box gets one:
 
 * the cube, a polynomial box that leaves the cube, a trigonometric box
   that covers the cube (it holds a whole period) and fewnomial spans:
   S = None, H relative to the sup over the box itself;
-* every other box, an additive one (polynomial boxes strictly inside the
-  cube, trigonometric boxes that do not cover it): the cube's H, and
-  S = sup_cube, the upper end of the certified bracket over the cube,
-  which ``_certified_max`` computes first. Bernstein's inequality holds on
-  all of R^n, so this is sound for any trigonometric box.
+* every other box, an additive one (polynomial and trigonometric boxes
+  strictly inside the cube, trigonometric boxes that do not cover it): the
+  cube's H, and S = sup_cube, the upper end of the certified bracket over
+  the cube, which ``_certified_max`` computes first. Bernstein's inequality
+  holds on all of R^n, so this is sound for any trigonometric box.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
 ``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
@@ -98,13 +117,20 @@ lower / (1 - M * h/2) where S is None, and lower + M * h/2 * sup_cube on
 the additive boxes.
 
 All that depends on (space, box, spacing, budget) alone is one read-only
-grid plan (``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
-the box's float64 bytes, the spacing and the budget). It carries its space,
-M, the spacing after halving, h_eff, the axes as (lo, hi, m, step) in place
-of O(G) points and the coarse lattice's indices and half-gap. Its basis
-table there (about 9 * sqrt(G) * l floats), H and the derivative matrices P
-are built on first use, and the levels' rows and half-gaps on the first
-call with more than one column.
+grid plan. The cube, boxes that leave it and fewnomial boxes take
+``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space, the box's
+float64 bytes, the spacing and the budget (no budget is the default one,
+and a given spacing drops the budget from the key). Such a plan carries
+its space, M, the spacing after halving, h_eff, the axes as
+(lo, hi, m, step) in place of O(G) points, and its own coarse lattice: its
+grid indices, half-gap and per-axis cell edges. Its basis table there
+(about 9 * sqrt(G) * l floats), H and the derivative matrices P are built on
+first use, and the levels' rows and half-gaps on the first call with more
+than one column. A box strictly inside the cube takes ``_inside_plan``,
+made per call and never cached: its own grid and cell edges, the cube's M
+and H, and a slice of the lattice, table, r and vmax of the cube's cached
+plan at the same spacing, which the additive rule reads anyway, so it
+evaluates no basis row before the fine pass.
 Z and W never enter a plan, so every set in one space on one box shares it.
 The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
 ``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
@@ -122,6 +148,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
@@ -171,8 +198,12 @@ class PointSet:
 
 
 def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of l-inf distances between the rows of ``a`` and the rows of ``b``."""
-    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    """Matrix of l-inf distances between the rows of ``a`` and the rows of ``b``,
+    built one axis at a time, so no (m, k, n) array is formed."""
+    D = np.abs(a[:, :1] - b[:, 0])
+    for j in range(1, a.shape[1]):
+        np.maximum(D, np.abs(a[:, j:j + 1] - b[:, j]), out=D)
+    return D
 
 
 def has_duplicates(pts: np.ndarray) -> bool:
@@ -328,11 +359,12 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
     """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
     coeff = np.asarray(coefficients, dtype=float)
     box = _domain_box(space, box=box)
+    spacing, budget = _grid_key(grid_spacing, budget)
     cube = space.default_box()
-    if cube is not None and _same_box(box, cube):
-        bracket = _cube_bracket(space, coeff.tobytes(), grid_spacing, budget)
+    if cube is not None and _placement(box, cube) == (True, True):
+        bracket = _cube_bracket(space, coeff.tobytes(), spacing, budget)
         return replace(bracket, argmax=bracket.argmax.copy())
-    return _certified_max(space, coeff[:, None, None], box, grid_spacing, budget)[0]
+    return _certified_max(space, coeff[:, None, None], box, spacing, budget)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -343,14 +375,27 @@ def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -
     return _certified_max(space, W, space.default_box(), spacing, budget)[0]
 
 
-def _same_box(a, b) -> bool:
-    return all(map(np.array_equal, a, b))
+def _placement(box, cube):
+    """(inside, covers): whether the box lies in the cube, and whether it covers
+    it; both hold for the cube alone. Compared as lists: boxes are a few floats."""
+    lo, hi, clo, chi = (b.tolist() for b in (*box, *cube))
+    inside = all(map(operator.le, clo, lo)) and all(map(operator.le, hi, chi))
+    return inside, all(map(operator.le, lo, clo)) and all(map(operator.le, chi, hi))
+
+
+def _grid_key(spacing, budget):
+    """(spacing, budget) as grids are keyed: a given spacing makes the budget
+    irrelevant, and no budget means the default one."""
+    if spacing is not None:
+        return spacing, None
+    return None, DEFAULT_GRID_BUDGET if budget is None else budget
 
 
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """What a bracket on one (space, box, spacing, budget) needs that does
-    not depend on W; made by ``_grid_plan``. Its arrays are read-only."""
+    not depend on W; made by ``_grid_plan``, or per call by ``_inside_plan``
+    for a box strictly inside the cube. Its arrays are read-only."""
 
     space: SpaceDescriptor
     markov: MarkovConstant  # of the identity modulus, for the box
@@ -360,8 +405,14 @@ class _GridPlan:
     shape: tuple
     additive: bool  # the rule takes S = sup_cube
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
-    sub: Optional[tuple]  # grid indices of the coarse lattice; None below stride 2
+    sub: Optional[tuple]  # grid indices of its own coarse lattice; None below stride 2
+    # per axis, cell c owns grid indices edges[c] .. edges[c + 1] - 1; None: no lattice
+    edges: Optional[tuple]
     r: float  # half-gap of the coarse lattice
+    # l-inf distance from each lattice point to the nearest grid point, where
+    # the lattice is borrowed; None where it is part of the grid
+    rho: Optional[np.ndarray] = None
+    borrow: Optional[tuple] = None  # (cube plan, per-axis slices of its lattice)
 
     @functools.cached_property
     def H(self) -> float:
@@ -380,16 +431,30 @@ class _GridPlan:
 
     @functools.cached_property
     def table(self):
-        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|)."""
+        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|);
+        a borrowed lattice takes its rows from the cube plan's table, and its vmax."""
+        if self.borrow is not None:
+            cube, take = self.borrow
+            Phi, vmax = cube.table
+            rows = Phi.reshape([i.size for i in cube.sub] + [Phi.shape[1]])[take]
+            return _read_only(rows.reshape(-1, Phi.shape[1])), vmax
         flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
         Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
         return Phi, max(1.0, float(np.abs(Phi).max()))
 
     @functools.cached_property
+    def lattice(self) -> tuple:
+        """Per axis, (points, midpoints of neighbours) of the own coarse lattice."""
+        points = [_axis_points(ax, i) for ax, i in zip(self.axes, self.sub)]
+        return tuple((_read_only(c), _read_only((c[:-1] + c[1:]) / 2.0)) for c in points)
+
+    @functools.cached_property
     def levels(self) -> tuple:
         """((rows, r), ...) of the sub-lattices of every 4^j-th coarse index
         per axis plus the last, coarsest first: the rows of ``table`` there
-        and the sub-lattice's half-gap."""
+        and the sub-lattice's half-gap. A borrowed lattice has none."""
+        if self.sub is None:
+            return ()
         Phi = self.table[0]
         table = Phi.reshape([i.size for i in self.sub] + [Phi.shape[1]])
         levels, q = [], 4
@@ -401,51 +466,104 @@ class _GridPlan:
         return tuple(reversed(levels))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
-    """The grid plan of a box, given as the float64 bytes of its rows (lo, hi).
-    Here the spacing is halved while M * h/2 >= 1, and the rule's kind, the
-    grid and the coarse lattice are fixed."""
-    box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
-    cube = space.default_box()
-    inside = additive = False
-    if cube is not None:
-        # clipped to the cube, a box is the cube only when it covers the cube
-        clipped = (np.maximum(box[0], cube[0]), np.minimum(box[1], cube[1]))
-        inside = _same_box(clipped, box)
-        additive = not _same_box(clipped, cube) and (inside or space.kind != "polynomial")
-    M = markov_constant(replace(space, modulus=IDENTITY), box=None if inside else box)
+def _halved_grid(M: float, box, spacing, budget):
+    """(spacing, axes, h_eff) of the grid on a box, its spacing halved while
+    M * h/2 >= 1, at most 20 times; the spacing stays None where the budget
+    sets it and no halving is needed."""
     axes, h_eff = _grid_axes(box, spacing, budget)
     h0 = h = h_eff if spacing is None else spacing
-    while M.value * (h / 2) >= 1.0 and h > h0 / 2**20:  # at most 20 halvings
+    while M * (h / 2) >= 1.0 and h > h0 / 2**20:
         h /= 2.0
     if h < h0:
         spacing = h
         axes, h_eff = _grid_axes(box, spacing, budget)
+    return spacing, axes, h_eff
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
+    """The grid plan of a box, given as the float64 bytes of its rows (lo, hi),
+    with the box's own coarse lattice. Here the spacing is halved while
+    M * h/2 >= 1, and the rule's kind, the grid and the coarse lattice are fixed."""
+    box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
+    cube = space.default_box()
+    inside = additive = False
+    if cube is not None:
+        inside, covers = _placement(box, cube)
+        additive = not covers and (inside or space.kind != "polynomial")
+    M = markov_constant(replace(space, modulus=IDENTITY), box=None if inside else box)
+    spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     lipschitz = None if cube is not None else _read_only(space.basis_lipschitz(box))
     shape = tuple(ax[2] for ax in axes)
     # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
     live = max(1, sum(k > 1 for k in shape))
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
-    sub, r = None, 0.0
+    sub = edges = None
+    r = 0.0
     if s > 1:
         sub = tuple(_read_only(np.append(np.arange(0, k - 1, s), k - 1)) for k in shape)
+        # coarse index c owns the grid indices nearest to it
+        edges = tuple(_read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k])))
+                      for i, k in zip(sub, shape))
         r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, sub, r)
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, sub, edges, r)
+
+
+def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPlan:
+    """The plan of a box strictly inside the cube, made per call and never
+    cached. The grid is the box's own, M and H are the cube's, and the coarse
+    lattice is borrowed from the cube's cached plan at the same spacing: per
+    axis, the range of its lattice points nearest to the box's grid points,
+    with the table rows, r and vmax of that plan, so no basis row is evaluated
+    here. Cell c owns the grid points nearer to it than to its neighbours, and
+    ``rho`` holds each lattice point's l-inf distance to the grid point nearest
+    it, both to rounding in the grid coordinates, which the slack covers."""
+    M = markov_constant(replace(space, modulus=IDENTITY))
+    spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
+    base = _grid_plan(space, np.asarray(cube).tobytes(), *_grid_key(spacing, budget))
+    shape = tuple(ax[2] for ax in axes)
+    if base.sub is None:
+        return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, None, None, base.r)
+    edges, take, rho = [], [], 0.0
+    for ax, (c, mid) in zip(axes, base.lattice):
+        lo, _, m, step = ax
+        # lattice point k owns the grid points in (mid[k - 1], mid[k]]
+        a, b = np.searchsorted(mid, ax[:2])
+        c = c[a:b + 1]
+        edge = np.empty(b - a + 2, dtype=np.intp)
+        edge[0], edge[-1] = 0, m
+        if m == 1:
+            near = np.abs(c - lo)
+        else:
+            edge[1:-1] = np.floor((mid[a:b] - lo) / step) + 1
+            k = np.minimum(np.maximum(np.rint((c - lo) / step), 0), m - 1)
+            near = np.abs(c - _axis_points(ax, k))
+        edges.append(_read_only(edge))
+        take.append(slice(a, b + 1))
+        rho = np.maximum.outer(rho, near)
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, None, tuple(edges),
+                     base.r, _read_only(rho.ravel()), (base, tuple(take)))
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
     rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    M, H, the spacing and the grid come from ``_grid_plan``. This is the one
+    M, H, the spacing and the grid come from the plan: ``_inside_plan`` for a
+    box strictly inside the cube, ``_grid_plan`` otherwise. This is the one
     place that picks the pruning rule (H, S) handed to ``_grid_max``, and every
     box gets one."""
-    plan = _grid_plan(space, np.asarray(box, dtype=float).tobytes(), spacing, budget)
+    spacing, budget = _grid_key(spacing, budget)
+    box = np.asarray(box, dtype=float)
+    cube = space.default_box()
+    if cube is not None and _placement(box, cube) == (True, False):
+        plan = _inside_plan(space, box, cube, spacing, budget)
+    else:
+        plan = _grid_plan(space, box.tobytes(), spacing, budget)
     M, whole = plan.markov, None
     if plan.additive:
-        whole = (_cube_bracket(space, W.tobytes(), plan.spacing, budget)
-                 if W.shape[1:] == (1, 1)
-                 else _certified_max(space, W, space.default_box(), plan.spacing, budget)[0])
+        key = _grid_key(plan.spacing, budget)
+        whole = (_cube_bracket(space, W.tobytes(), *key) if W.shape[1:] == (1, 1)
+                 else _certified_max(space, W, cube, *key)[0])
     lower, point, column = _grid_max(W, plan, (plan.H, None if whole is None else whole.upper))
     pad = M.value * (plan.h_eff / 2)
     certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
@@ -497,12 +615,18 @@ class NormingReport:
 def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     """Vertices of {a : |Ba| <= 1}, one representative per +/- pair, subset by
     subset in combination order and, within a subset, in the row order of
-    ``_half_signs``.
+    ``_half_signs``; a vertex that several subsets give is kept where it
+    first appears.
 
     A nonsingular l-subset of the rows of B, with inverse A, gives the
     candidates A s for the sign vectors s. They meet the subset's own rows
     with |B a| = 1 by construction, so only the m - l rows off the subset are
     tested, for every subset and sign vector in one (C, m - l, S) product.
+    A vertex is the one point of its active rows (|B a| >= 1 - 1e-9) at their
+    signs, so that code, with the first active row taken as +1 to join a
+    +/- pair, tells copies apart: a base-3 integer, or past 39 rows, where
+    that would overflow int64 and which the vertex budget allows for
+    l <= 5, its bytes.
     """
     m, l = B.shape
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
@@ -520,7 +644,14 @@ def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     rest = np.array(list(combinations(range(m), m - l)), dtype=np.intp)
     rest = B[rest.reshape(len(combos), m - l)[::-1][ok]]  # (C_ok, m - l, l)
     feas = np.max(np.abs(rest @ verts), axis=1, initial=0.0) <= 1.0 + 1e-9  # (C_ok, S)
-    return np.swapaxes(verts, 1, 2)[feas]
+    verts = np.swapaxes(verts, 1, 2)[feas]
+    vals = verts @ B.T
+    active = np.abs(vals) >= 1.0 - 1e-9
+    vals *= np.sign(vals[np.arange(len(vals)), np.argmax(active, axis=1)])[:, None]
+    code = np.where(active, np.where(vals > 0, 1, 2), 0).astype(np.int8)
+    key = (code @ 3 ** np.arange(m, dtype=np.int64) if m <= 39
+           else code.view(np.dtype((np.void, m))).ravel())
+    return verts[np.sort(np.unique(key, return_index=True)[1])]
 
 
 @functools.lru_cache(maxsize=8)
@@ -547,36 +678,38 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     total = math.prod(plan.shape)
     cols, keep = _coarse_prune(W, plan, rule)
     Wk = W[:, cols]
-    top, gi, col = -math.inf, 0, 0
+    top, point, col = -math.inf, None, 0
     step = _block_rows(Wk)
     for start in range(0, total if keep is None else keep.size, step):
         if keep is None:
             flat = np.arange(start, min(total, start + step))
         else:
             flat = keep[start:start + step]
-        vals = _group_values(plan.space.evaluate_basis(_grid_points(plan.axes, flat)), Wk)
+        pts = _grid_points(plan.axes, flat)
+        vals = _group_values(plan.space.evaluate_basis(pts), Wk)
         rowmax = vals.max(axis=1)
         j = int(np.argmax(rowmax))
         if not rowmax[j] <= top:  # strictly larger, or NaN
-            top, gi, col = float(rowmax[j]), int(flat[j]), int(cols[np.argmax(vals[j])])
+            top, point, col = float(rowmax[j]), pts[j].copy(), int(cols[np.argmax(vals[j])])
             if not math.isfinite(top):
                 break
-    return top, _grid_points(plan.axes, np.array([gi]))[0], col
+    return top, point, col
 
 
 def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
-    The plan's coarse lattice keeps every s-th grid index per axis plus the
+    A plan's own coarse lattice keeps every s-th grid index per axis plus the
     last one. The stride s makes it about 9 * sqrt(G) of the G grid points,
     taken over the non-flat axes: G / s^n coarse points then cost about as
     much as some 80 kept cells of s^n fine points each. Nested in it are the
     plan's levels, sub-lattices of every 4^j-th coarse index per axis plus
     the last (a flat axis keeps its one index), and the loop runs from the
     coarsest down to the coarse lattice itself, each on rows of the plan's
-    coarse basis table, which every W on the plan shares. Every lattice
-    holds the box's corners, and every point of the box lies within r (the
-    lattice's half-gap) of a lattice point c, where column k is bounded by
+    coarse basis table, which every W on the plan shares. A borrowed lattice
+    (``_inside_plan``) has no levels. Every grid point lies within r (the
+    lattice's half-gap) of a lattice point c that owns it, where column k is
+    bounded by
 
         V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
@@ -584,10 +717,13 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     ``_with_slopes``: S_k = max_c (V_k + r * D_k) / (1 - q) where S is None,
     S itself otherwise (see the module docstring).
 
-    The lattice maximum ``best`` is a grid value, so a column whose bound
-    stays below best - slack at every lattice point stays below the grid
-    maximum at every grid point, and each lattice drops such columns; the
-    dense pass's first maximiser, point and column, is never dropped.
+    The floor is a lower bound on the grid maximum: the largest
+    V_k(c) - rho(c) * D_k(c) - H * rho(c)^2 / 2 * S over lattice points c and
+    groups k, where the grid point nearest c lies rho(c) away (0 on an own
+    lattice, whose points are grid points), less a rounding slack. So a column
+    whose bound stays below the floor at every lattice point stays below the
+    grid maximum at every grid point, and each lattice drops such columns;
+    the dense pass's first maximiser, point and column, is never dropped.
     Sub-lattices are skipped where q >= 1 or a bound is not finite, and once
     one column is left. On the coarse lattice, a cell goes too where the
     largest V_k(c) + r * D_k(c) over the columns the lattice tests, plus the
@@ -601,7 +737,7 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """
     cols = np.arange(W.shape[1])
     H, S = rule
-    if plan.sub is None or not 0.5 * H * plan.r**2 < 1.0:
+    if plan.edges is None or not 0.5 * H * plan.r**2 < 1.0:
         return cols, None
     Phi, vmax = plan.table
     Wv, D0 = _with_slopes(W, plan)
@@ -614,28 +750,31 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     # that.
     norms = np.abs(Wv).sum(axis=0)
     wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
-    for rows, r in (plan.levels if cols.size > 1 else ()) + ((Phi, plan.r),):
+    lattices = [(rows, r, None) for rows, r in (plan.levels if cols.size > 1 else ())]
+    for rows, r, rho in lattices + [(Phi, plan.r, plan.rho)]:
         q = 0.5 * H * r * r
         if rows is not Phi and (cols.size == 1 or not q < 1.0):
             continue
-        top, reach, rowreach = _colmax(rows, Wv[:, :, cols], g, D0[cols], r)
+        low, reach, rowreach = _colmax(rows, Wv[:, :, cols], g, D0[cols], r, rho)
         # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
         bound = reach / (1.0 - q) if S is None else reach + q * S
         if not np.all(np.isfinite(bound)):
             if rows is Phi:
                 return cols, None
             continue
+        if rho is not None:  # a borrowed lattice is additive: S is finite here
+            low = low - 0.5 * H * S * rho**2
         slack = 2 * W.shape[0] * np.finfo(float).eps * vmax * (wnorm + r * dnorm) / (1.0 - q)
-        best = float(top.max())
-        floor = best - (_PRUNE_RTOL * best + slack)
+        best = float(low.max())
+        floor = best - (_PRUNE_RTOL * abs(best) + slack)
         keep = bound >= floor
         cols = cols[keep]
 
     pad = float((bound - reach)[keep].max())  # the largest q S_k of a kept column
-    cell_ok = (rowreach + pad >= floor).reshape([i.size for i in plan.sub])
+    cell_ok = (rowreach + pad >= floor).reshape([e.size - 1 for e in plan.edges])
     if cell_ok.all():
         return cols, None
-    return cols, _cell_indices(cell_ok, plan.sub, plan.shape)
+    return cols, _cell_indices(cell_ok, plan.edges, plan.shape)
 
 
 def _with_slopes(W: np.ndarray, plan: _GridPlan):
@@ -662,24 +801,29 @@ def _half_gap(axes) -> float:
     return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
 
 
-def _colmax(rows, Wv, g, D0, r):
-    """(top, reach, rowreach) for the (Wv, D0) of ``_with_slopes``: per group
-    the max over ``rows`` of its value V and of V + r * D, and per row the
-    max over groups of V + r * D, in bounded blocks. Groups lie along the
-    first axis of a block's values, so the sums over members and the maxima
-    over rows run on contiguous memory."""
+def _colmax(rows, Wv, g, D0, r, rho):
+    """(low, reach, rowreach) for the (Wv, D0) of ``_with_slopes``: per row the
+    max over groups of V - rho * D (of V where ``rho`` is None), per group the
+    max over ``rows`` of V + r * D, and per row the max over groups of
+    V + r * D, in bounded blocks. Groups lie along the first axis of a block's
+    values, so the sums over members and the maxima over rows run on
+    contiguous memory."""
     l, members, K = Wv.shape
-    top, reach = np.zeros(K), np.zeros(K)
-    rowreach = np.empty(rows.shape[0])
+    reach = np.zeros(K)
+    low, rowreach = np.empty(rows.shape[0]), np.empty(rows.shape[0])
     step = _block_rows(Wv)
     for start in range(0, rows.shape[0], step):
         vals = Wv.reshape(l, members * K).T @ rows[start:start + step].T
         vals = np.abs(vals, out=vals).reshape(members, K, -1)
         V = vals[:g].sum(axis=0)
-        U = V + r * (vals[g:].sum(axis=0) + D0[:, None])
-        top, reach = np.maximum(top, V.max(axis=1)), np.maximum(reach, U.max(axis=1))
+        U = vals[g:].sum(axis=0)
+        U += D0[:, None]  # D, turned into V + r * D in place once low has it
+        low[start:start + step] = (V if rho is None else V - rho[start:start + step] * U).max(axis=0)
+        U *= r
+        U += V
+        reach = np.maximum(reach, U.max(axis=1))
         rowreach[start:start + step] = U.max(axis=0)
-    return top, reach, rowreach
+    return low, reach, rowreach
 
 
 def _group_values(Phi, W) -> np.ndarray:
@@ -690,18 +834,32 @@ def _group_values(Phi, W) -> np.ndarray:
     return np.abs(Phi @ W.reshape(l, K * g)).reshape(-1, K, g).sum(axis=2)
 
 
-def _cell_indices(cell_ok: np.ndarray, sub, shape) -> np.ndarray:
-    """Ascending flat grid indices owned by the kept coarse cells.
+def _cell_indices(cell_ok: np.ndarray, edges, shape) -> np.ndarray:
+    """Ascending flat grid indices owned by the kept cells.
 
-    Coarse index c on an axis with coarse indices i owns the fine indices
-    (i[c-1] + i[c]) // 2 + 1 .. (i[c] + i[c+1]) // 2, those nearest to i[c].
-    Each axis of the kept-cell mask is widened to the fine grid by repeating
-    cell c once per fine index it owns.
+    Cell c of an axis owns the grid indices edges[c] .. edges[c + 1] - 1, and
+    may own none. Axis by axis, each grid index prefix that leads to a kept
+    cell, in ascending order, is extended by the index ranges of the cells on
+    the next axis that lead to one. The work is the kept indices plus one row
+    of an axis's cells per kept prefix; no array of the whole grid is built.
     """
-    for d, (i, k) in enumerate(zip(sub, shape)):
-        first = np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1))
-        cell_ok = np.repeat(cell_ok, np.diff(np.append(first, k)), axis=d)
-    return np.flatnonzero(cell_ok)
+    flat = owner = np.zeros(1, dtype=np.intp)  # index prefixes and their cells
+    last = cell_ok.ndim - 1
+    for d, (edge, m) in enumerate(zip(edges, shape)):
+        ok = cell_ok if d == last else cell_ok.any(axis=tuple(range(d + 1, cell_ok.ndim)))
+        e, c = np.nonzero(ok.reshape(-1, edge.size - 1)[owner])  # prefix-major, cells ascending
+        start = edge[c]
+        size = edge[c + 1] - start
+        flat = np.repeat(flat[e] * m, size) + _ranges(start, size)
+        if d < last:
+            owner = np.repeat(owner[e] * (edge.size - 1) + c, size)
+    return flat
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ranges start[k] .. start[k] + length[k] - 1, concatenated in order."""
+    end = np.cumsum(length)
+    return np.repeat(start - (end - length), length) + np.arange(end[-1] if end.size else 0)
 
 
 def _block_rows(W: np.ndarray) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from norming_lab import SpaceDescriptor
-from norming_lab.norming import _grid_axes, _grid_plan, _grid_points
+from norming_lab.norming import _grid_axes, _grid_key, _grid_plan, _grid_points
 
 
 @pytest.fixture
@@ -38,5 +38,7 @@ def uniform_grid(box, spacing=None, budget=None):
 
 
 def grid_plan(space, box, spacing=None, budget=None):
-    """The grid plan that ``_certified_max`` takes for these arguments."""
-    return _grid_plan(space, np.asarray(box, dtype=float).tobytes(), spacing, budget)
+    """The cached grid plan that ``_certified_max`` takes for these arguments
+    on a box that is not strictly inside the cube (a box strictly inside
+    borrows the lattice of the cube's plan)."""
+    return _grid_plan(space, np.asarray(box, dtype=float).tobytes(), *_grid_key(spacing, budget))

@@ -1,5 +1,6 @@
 """The coarse-to-fine grid maximiser against a dense oracle, and the witness
 that ``norming_constant`` reports."""
+import functools
 import math
 from itertools import combinations
 from unittest import mock
@@ -115,7 +116,13 @@ def test_grid_max_matches_dense_oracle(name):
         W = _instance(rng, space, inst_box, extra)
         axes, h = _grid_axes(box, spacing, budget)
         _, _, plan, rule = _handed(space, W, box, spacing, budget)
-        assert plan is grid_plan(space, box, spacing, budget) and plan.axes == axes
+        assert plan.axes == axes
+        assert (plan.borrow is not None) == (name in ("sub-box", "sub-box-1d", "flat-axis"))
+        if plan.borrow is None:
+            assert plan is grid_plan(space, box, spacing, budget)
+        else:
+            # strictly inside the cube: the cube's cached plan lends its lattice
+            assert plan.borrow[0] is grid_plan(space, space.default_box(), plan.spacing, budget)
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
         with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
@@ -152,7 +159,7 @@ WIDE = {
     "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1, 0),
     "P2-2d-m10-default": (SpaceDescriptor.polynomial(2, 2), None, 10, None, 2, 4),
     "T2-1d-m9": (SpaceDescriptor.trigonometric(1, 2), None, 9, 20001, 2, 2),
-    "fewnomial-m6": (FEW, FEW_BOX, 6, 20001, 2, 3),
+    "fewnomial-m8": (FEW, FEW_BOX, 8, 20001, 2, 3),
 }
 
 
@@ -204,14 +211,21 @@ def test_feasible_vertices_match_the_all_rows_enumeration(l):
 
 def test_feasible_vertices_keep_a_vertex_that_every_subset_gives():
     # |B e_0| = 1 on every row of a Vandermonde matrix: the constant function
-    # is tight everywhere, so each of the C(m, l) subsets yields e_0
+    # is tight everywhere, so each of the C(m, l) subsets yields e_0, and one
+    # copy is kept
     m, l = 7, 4
     B = np.vander(np.linspace(-1.0, 1.0, m), l, increasing=True)
     got, ref = _feasible_vertices(B), _all_rows_vertices(B)
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    copies = np.all(np.abs(got - np.eye(l)[0]) <= 1e-12, axis=1)
-    assert copies.sum() == math.comb(m, l)
+    copies = lambda V: np.all(np.abs(V - np.eye(l)[0]) <= 1e-12, axis=1).sum()
+    assert copies(ref) == math.comb(m, l) and copies(got) == 1
+    # no two kept columns are one vertex up to sign, and every vertex is kept
+    gap = lambda V, v: np.minimum(np.abs(V - v).max(axis=1), np.abs(V + v).max(axis=1))
+    assert all(np.sort(gap(got, v))[1] > 1e-9 for v in got)
+    assert all(gap(got, v).min() <= 1e-12 * np.abs(ref).max() for v in ref)
+    # the LP values on a grid are those of the all-rows enumeration
+    phi = np.vander(np.linspace(-1.0, 1.0, 2001), l, increasing=True)
+    lp, lp_ref = np.abs(phi @ got.T).max(axis=1), np.abs(phi @ ref.T).max(axis=1)
+    assert np.abs(lp - lp_ref).max() <= 1e-12 * lp_ref.max()
 
 
 # (space, box or None for the cube): H bounds sum_ij sup |d_i d_j p| / sup |p|
@@ -292,6 +306,8 @@ def test_every_box_gets_a_rule(name):
     W = np.random.default_rng(12).normal(size=(space.dimension(), 3))[:, :, None]
     bracket, _, plan, (h, S) = _handed(space, W, box, None, 2001)
     assert bracket.certified
+    # a box strictly inside the cube borrows the cube plan's lattice
+    assert (plan.borrow is not None) == (name == "poly-inside")
     assert h == pytest.approx(H, rel=1e-15) and plan.markov.value == pytest.approx(M, rel=1e-15)
     if multiplicative:
         assert S is None
@@ -331,7 +347,8 @@ def test_flat_axis_takes_the_whole_budget():
 def test_subbox_is_not_pruned_without_cube_bound():
     space, box, spacing, budget, _ = CASES["sub-box-1d"]
     W = _instance(np.random.default_rng(0), space, box, 1)
-    plan = grid_plan(space, box, spacing, budget)
+    _, _, plan, _ = _handed(space, W, box, spacing, budget)
+    assert plan.borrow is not None
     # S = sup_cube, where an uncertified cube bracket has sup_cube = inf
     assert _keeps_everything(space, W, plan, (plan.H, np.nan))
     assert _keeps_everything(space, W, plan, (plan.H, np.inf))
@@ -352,10 +369,11 @@ def test_identity_columns_keep_every_cell(n):
     assert np.array_equal(point, ref_point)
 
 
-def _owner_mask_indices(cell_ok, sub, shape):
-    """Reference kept set: nearest coarse index of every fine index per axis,
-    then the whole-grid mask of fine points whose cell is kept."""
-    owner = [np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(k)) for i, k in zip(sub, shape)]
+def _owner_mask_indices(cell_ok, edges, shape):
+    """Reference kept set: the cell of every grid index per axis, then the
+    whole-grid mask of grid points whose cell is kept."""
+    owner = [np.repeat(np.arange(e.size - 1), np.diff(e)) for e in edges]
+    assert all(o.size == k for o, k in zip(owner, shape))
     return np.flatnonzero(cell_ok[np.ix_(*owner)])
 
 
@@ -363,13 +381,24 @@ def _owner_mask_indices(cell_ok, sub, shape):
                                    (9, 1, 14), (12, 11, 13)])
 def test_cell_indices_match_owner_mask(shape):
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
-    for s in (1, 2, 3, 5):
-        sub = [np.unique(np.append(np.arange(0, k, s), k - 1)) for k in shape]
+    for s in (1, 2, 3, 5, None):
+        if s is None:
+            # a borrowed lattice: cells of any size, some of them empty
+            edges = [np.concatenate(([0], np.sort(rng.integers(0, k + 1, size=rng.integers(0, 6))),
+                                     [k])) for k in shape]
+        else:
+            # an own lattice: coarse index c owns the grid indices nearest to it
+            sub = [np.unique(np.append(np.arange(0, k, s), k - 1)) for k in shape]
+            edges = [np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k]))
+                     for i, k in zip(sub, shape)]
+            for e, i, k in zip(edges, sub, shape):
+                nearest = np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(k))
+                assert np.array_equal(np.repeat(np.arange(i.size), np.diff(e)), nearest)
         for density in (0.0, 0.1, 0.5, 1.0):
-            cell_ok = rng.random([i.size for i in sub]) < density
+            cell_ok = rng.random([e.size - 1 for e in edges]) < density
             cell_ok.flat[rng.integers(cell_ok.size)] = True  # the best cell is always kept
-            got = _cell_indices(cell_ok, sub, shape)
-            ref = _owner_mask_indices(cell_ok, sub, shape)
+            got = _cell_indices(cell_ok, edges, shape)
+            ref = _owner_mask_indices(cell_ok, edges, shape)
             assert np.array_equal(got, ref)
 
 
@@ -478,6 +507,25 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert value == pytest.approx(ref_value, rel=1e-12) and value == column0.max()
 
 
+def test_borrowed_floor_counts_the_distance_to_the_grid():
+    # On [-0.3005, 0.2] at h = 1e-4 the cube lattice point nearest the box's
+    # lower end is -0.3008, 3e-4 outside the box. Column 0, 0.4 - 2x, is
+    # 1.0016 there but at most 1.001 on the box's grid; column 1,
+    # 1.0012 - x^2, peaks at the grid point 0 with a bound near 1.0012. A
+    # floor read off the lattice value alone would drop column 1, and with
+    # it the grid maximum; rho * D takes the 6e-4 back.
+    space = SpaceDescriptor.polynomial(1, 2)
+    box = _B([-0.3005], [0.2])
+    W = np.array([[0.4, -2.0, 0.0], [1.0012, 0.0, -1.0]]).T[:, :, None]
+    bracket, column, plan, _ = _handed(space, W, box, 1e-4, None)
+    c = plan.borrow[0].lattice[0][0][plan.borrow[1][0]]
+    assert c[0] == pytest.approx(-0.3008) and plan.rho[0] == pytest.approx(3e-4)
+    assert abs(space.evaluate_basis(c[:1]) @ W[:, 0, 0]) > 1.0015
+    value, point, col = _dense_on(space, W, plan.axes)
+    assert (bracket.lower, column) == (value, col) == (pytest.approx(1.0012), 1)
+    assert np.array_equal(bracket.argmax, point) and point[0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     # As above on span{1, x, x^2}, where no Markov constant is certified:
     # column 0 peaks midway between two coarse points, column 1 on one.
@@ -551,11 +599,15 @@ def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 5)
     coeff = np.random.default_rng(5).normal(size=space.dimension())
     _cube_bracket.cache_clear()
+    _grid_plan.cache_clear()
     calls = _spy_grid_max(monkeypatch)
     certified_supnorm(space, coeff, grid_spacing=1e-4)
     got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
     assert len(calls) == 1 + len(SWEEP)
     assert sum(_on_cube(space, plan) for plan, _ in calls) == 1
+    # the sub-intervals borrow the lattice of the one cached plan, the cube's
+    assert all(plan.borrow[0] is calls[0][0] for plan, _ in calls[1:])
+    assert _grid_plan.cache_info().currsize == 1
     for box, br in zip(SWEEP, got):
         _cube_bracket.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
@@ -577,6 +629,7 @@ def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
         certified_supnorm(space, coeff, SWEEP[1], budget=2001)
         monkeypatch.undo()
         assert [rule for plan, rule in calls if not _on_cube(space, plan)] == [(H, cube.upper)]
+        assert calls[-1][0].borrow[0] is grid_plan(space, space.default_box(), None, 2001)
 
 
 def test_cube_memo_keeps_single_coefficient_vectors_only():
@@ -762,3 +815,107 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
         eps = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=(0, 2)).max()
         fine, _ = _grid_axes(box, bracket.grid_spacing / 4)
         assert bracket.upper >= _dense_on(space, W, fine)[0] - eps * max(1.0, space.basis_sup(box))
+
+
+# Boxes strictly inside the cube, which borrow the lattice of the cube's plan:
+# (space, box, grid_spacing, budget, vertex matrices?). At h = 1e-4 the 1-D
+# cube lattice keeps every 16th grid point, a gap of 1.6e-3, and the narrow
+# boxes lie within one or two of its cells.
+INSIDE = {
+    "1d-vector": (SpaceDescriptor.polynomial(1, 5), _B([-0.3], [0.45]), 1e-4, None, False),
+    "1d-vertices": (SpaceDescriptor.polynomial(1, 4), _B([-0.8], [0.1]), None, 20001, True),
+    "1d-narrow": (SpaceDescriptor.polynomial(1, 5), _B([0.1203], [0.1213]), 1e-4, None, False),
+    "1d-narrow-vertices": (SpaceDescriptor.polynomial(1, 3), _B([-0.5009], [-0.4999]), 1e-4,
+                           None, True),
+    "2d-vector": (SpaceDescriptor.polynomial(2, 2), _B([-0.6, -0.2], [0.5, 0.9]), None, 40000,
+                  False),
+    "2d-vertices": (SpaceDescriptor.polynomial(2, 2), _B([-0.9, -0.4], [0.2, 1.0]), None, 40000,
+                    True),
+    "2d-narrow": (SpaceDescriptor.polynomial(2, 2), _B([0.1, -0.3], [0.11, 0.2]), 4e-3, None,
+                  True),
+    "3d-vector": (SpaceDescriptor.polynomial(3, 2), _B([-0.5, -0.9, 0.1], [0.4, 0.2, 0.8]), None,
+                  64000, False),
+    "3d-vertices": (SpaceDescriptor.polynomial(3, 1), _B([-1.0, -0.3, -0.6], [0.7, 0.5, 1.0]),
+                    None, 64000, True),
+    "flat-axis": (SpaceDescriptor.polynomial(2, 2), _B([-0.7, 0.3], [0.6, 0.3]), 1e-3, None, True),
+    "trig-1d": (SpaceDescriptor.trigonometric(1, 2), _B([-0.7], [0.2]), None, 20001, True),
+    "trig-2d": (SpaceDescriptor.trigonometric(2, 1), _B([-0.5, -0.6], [0.3, 0.1]), None, 40000,
+                False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSIDE))
+def test_inside_boxes_match_a_dense_pass(name):
+    space, box, spacing, budget, vertices = INSIDE[name]
+    rng = np.random.default_rng(50 + sorted(INSIDE).index(name))
+    l = space.dimension()
+    for extra in range(3):
+        if vertices:  # vertex matrices of sets in the cube
+            W = _instance(rng, space, space.default_box(), extra)
+        else:
+            W = rng.normal(size=(l, 1, 1))
+        bracket, column, plan, rule = _handed(space, W, box, spacing, budget)
+        assert plan.borrow is not None
+        value, point, _ = _dense_on(space, W, plan.axes)
+        assert bracket.lower == pytest.approx(value, rel=1e-12)
+        assert np.array_equal(bracket.argmax, point)
+        # the group returned attains the maximum to one group's rounding
+        group = W[:, column]
+        attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
+        tol = l * np.finfo(float).eps * np.abs(group).sum() * max(1.0, space.basis_sup(box))
+        assert abs(attained - bracket.lower) <= tol
+
+
+@pytest.mark.parametrize("name", ["1d-vector", "1d-narrow", "2d-narrow", "3d-vector",
+                                  "flat-axis"])
+def test_borrowed_lattice_covers_the_box_grid(name):
+    # every grid point lies within r of the lattice point whose cell owns it,
+    # and rho is each lattice point's distance to the nearest grid point
+    space, box, spacing, budget, _ = INSIDE[name]
+    W = np.ones((space.dimension(), 1, 1))
+    _, _, plan, _ = _handed(space, W, box, spacing, budget)
+    cube, take = plan.borrow
+    near = []
+    for ax, c, edge, cut in zip(plan.axes, cube.lattice, plan.edges, take):
+        grid, c = _grid_points((ax,), np.arange(ax[2]))[:, 0], c[0][cut]
+        assert edge[0] == 0 and edge[-1] == ax[2] and np.all(np.diff(edge) >= 0)
+        owner = np.repeat(np.arange(c.size), np.diff(edge))
+        assert np.abs(grid - c[owner]).max() <= plan.r * (1 + 1e-12)
+        near.append(np.abs(c[:, None] - grid[None, :]).min(axis=1))
+    rho = functools.reduce(np.maximum, np.ix_(*near))
+    assert np.allclose(plan.rho, np.ravel(rho), rtol=0, atol=1e-15)
+    assert plan.table[0].shape == (plan.rho.size, space.dimension())
+
+
+def test_inside_plans_stay_out_of_the_plan_cache():
+    space = SpaceDescriptor.polynomial(1, 5)
+    coeff = np.random.default_rng(19).normal(size=space.dimension())
+    _grid_plan.cache_clear()
+    for lo in np.linspace(-0.9, 0.4, 12):
+        certified_supnorm(space, coeff, (np.array([lo]), np.array([lo + 0.5])), grid_spacing=1e-4)
+    info = _grid_plan.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (1, 1, 8)
+
+
+@pytest.mark.parametrize("family", ["polynomial", "trigonometric"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_norming_upper_bounds_the_lp_value_at_random_points(family, data):
+    # the certified upper end of N bounds the per-point LP value at every
+    # point of the box, not only at grid points
+    n = data.draw(st.integers(1, 2))
+    top = (4, 2) if family == "polynomial" else (2, 1)
+    space = getattr(SpaceDescriptor, family)(n, data.draw(st.integers(1, top[n - 1])))
+    if data.draw(st.booleans()):
+        lo, hi = space.default_box()
+    else:
+        lo = np.array(data.draw(st.lists(st.floats(-1.0, 0.6), min_size=n, max_size=n)))
+        hi = np.minimum(lo + data.draw(st.floats(0.3, 1.5)), 1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = space.dimension() + data.draw(st.integers(0, 2))
+    pts = lo + (hi - lo) * (random_points(rng, m, n, min_sep=0.1) + 1.0) / 2.0
+    rep = norming_constant(space, pts, box=(lo, hi), budget=2001 if n == 1 else 1600)
+    assert rep.norming
+    B = space.evaluate_basis(pts)
+    for x in lo + (hi - lo) * rng.uniform(size=(20, n)):
+        assert norming_lp_value(B, space.evaluate_basis(x)) <= rep.upper * (1 + 1e-9)

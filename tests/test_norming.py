@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
 from norming_lab import norming
-from norming_lab.norming import _grid_points, _half_signs
+from norming_lab.norming import _grid_points, _half_signs, linf_distances
 from norming_lab.spaces import _monomial_exponents, _trig_tuples
 from norming_lab.simplex import norming_lp_value
 
@@ -24,6 +25,16 @@ P2 = SpaceDescriptor.polynomial(1, 2)
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0], [0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linf_distances_match_the_broadcast_formula(n):
+    rng = np.random.default_rng(40 + n)
+    for a, b in [(rng.normal(size=(7, n)), rng.normal(size=(5, n))),
+                 (rng.normal(size=(1, n)), rng.normal(size=(1, n))),
+                 (rng.normal(size=(1, n)), rng.normal(size=(4, n)))]:
+        ref = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+        assert np.array_equal(linf_distances(a, b), ref)
 
 
 def test_uniform_grid_spacing():
@@ -292,17 +303,19 @@ def test_fewnomial_on_a_box_with_a_flat_axis():
 # grid plans
 
 
-@pytest.mark.parametrize("box, plans", [(None, 1), ((np.array([-0.4]), np.array([0.7])), 2)],
+@pytest.mark.parametrize("box, hits", [(None, 1), ((np.array([-0.4]), np.array([0.7])), 3)],
                          ids=["cube", "inside"])
-def test_sets_in_one_space_share_one_plan(box, plans):
-    # inside the cube the additive rule brackets the cube too: a second plan
+def test_sets_in_one_space_share_one_plan(box, hits):
+    # strictly inside the cube the additive rule brackets the cube too, and
+    # the box borrows the lattice of the cube's plan: one cached plan serves
+    # both calls of each set
     space = SpaceDescriptor.polynomial(1, 4)
     rng = np.random.default_rng(15)
     sets = [random_points(rng, space.dimension() + extra, 1, min_sep=0.1) for extra in (0, 2)]
     norming._grid_plan.cache_clear()
     shared = [norming_constant(space, pts, box=box, budget=20001).to_json() for pts in sets]
     info = norming._grid_plan.cache_info()
-    assert (info.misses, info.hits) == (plans, plans)
+    assert (info.misses, info.hits, info.currsize) == (1, hits, 1)
     for pts, rep in zip(sets, shared):
         norming._grid_plan.cache_clear()
         assert norming_constant(space, pts, box=box, budget=20001).to_json() == rep
@@ -333,6 +346,21 @@ def test_threads_sharing_one_plan_get_the_serial_reports():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == serial
+
+
+@pytest.mark.parametrize("spacing, budgets", [(None, (None, norming.DEFAULT_GRID_BUDGET)),
+                                              (1e-3, (None, 2001))], ids=["default", "spacing"])
+def test_plans_ignore_a_budget_they_do_not_use(spacing, budgets):
+    # no budget is the default one, and a given spacing makes the budget moot
+    space = SpaceDescriptor.polynomial(1, 3)
+    coeff = np.array([0.5, -1.0, 0.25, 2.0])
+    norming._grid_plan.cache_clear()
+    norming._cube_bracket.cache_clear()
+    runs = [certified_supnorm(space, coeff, grid_spacing=spacing, budget=b) for b in budgets]
+    assert norming._grid_plan.cache_info().misses == 1
+    assert norming._cube_bracket.cache_info().misses == 1
+    a, b = ((r.lower, r.upper, r.grid_spacing, tuple(r.argmax)) for r in runs)
+    assert a == b
 
 
 def test_plans_are_keyed_by_space_box_spacing_and_budget():
@@ -380,6 +408,10 @@ def test_plan_points_are_linspace_bit_for_bit(box, spacing, budget):
         got = _grid_points(plan.axes, along)
         assert got[:, j].tobytes() == ref.tobytes() and got[-1, j] == box[1][j]
         refs.append(ref[plan.sub[j]])
+        # each cell holds the grid indices nearest its coarse index
+        i = plan.sub[j]
+        nearest = np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(m))
+        assert np.array_equal(np.repeat(np.arange(i.size), np.diff(plan.edges[j])), nearest)
     # P1's basis is (1, x_1, ..., x_n), so column 1 + j of a lattice's rows
     # is coordinate j; the levels keep every q-th coarse index plus the last
     q = 4 ** len(plan.levels)
@@ -393,14 +425,19 @@ def test_plan_points_are_linspace_bit_for_bit(box, spacing, budget):
         q //= 4
 
 
-def test_one_column_never_builds_the_levels():
+def test_one_column_never_builds_the_levels(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 3)
     box = (np.array([-0.3125]), np.array([0.6875]))
     norming._grid_plan.cache_clear()
     norming._cube_bracket.cache_clear()
+    grid_max = mock.Mock(wraps=norming._grid_max)
+    monkeypatch.setattr(norming, "_grid_max", grid_max)
     certified_supnorm(space, [0.5, -1.0, 2.0, 0.25], box, budget=20001)
-    plans = [grid_plan(space, b, None, 20001) for b in (box, space.default_box())]
-    assert norming._grid_plan.cache_info().misses == 2
+    # the cube's plan, cached, and the box's, which borrows its lattice
+    plans = [call.args[1] for call in grid_max.call_args_list]
+    assert plans[0] is grid_plan(space, space.default_box(), None, 20001)
+    assert plans[1].borrow[0] is plans[0]
+    assert norming._grid_plan.cache_info().misses == 1
     for plan in plans:
         assert "table" in plan.__dict__ and "levels" not in plan.__dict__
 
