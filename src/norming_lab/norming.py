@@ -123,10 +123,11 @@ float64 bytes, the spacing and the budget (no budget is the default one,
 and a given spacing drops the budget from the key). Such a plan carries
 its space, M, the spacing after halving, h_eff, the axes as
 (lo, hi, m, step) in place of O(G) points, and its own coarse lattice: its
-grid indices, half-gap and per-axis cell edges. Its basis table there
-(about 9 * sqrt(G) * l floats), H and the derivative matrices P are built on
-first use, and the levels' rows and half-gaps on the first call with more
-than one column. A box strictly inside the cube takes ``_inside_plan``,
+stride, half-gap and per-axis cell edges (its grid indices are made from
+the stride where they are read, and not kept). Its basis table there
+(about 9 * sqrt(G) * l floats), H and the derivative matrices P are built
+on first use, and the levels' rows and half-gaps on the first call with
+more than one column. A box strictly inside the cube takes ``_inside_plan``,
 made per call and never cached: its own grid and cell edges, the cube's M
 and H, and a slice of the lattice, table, r and vmax of the cube's cached
 plan at the same spacing, which the additive rule reads anyway, so it
@@ -405,7 +406,7 @@ class _GridPlan:
     shape: tuple
     additive: bool  # the rule takes S = sup_cube
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
-    sub: Optional[tuple]  # grid indices of its own coarse lattice; None below stride 2
+    stride: int  # of its own coarse lattice, see ``sub``; 0 where it has none
     # per axis, cell c owns grid indices edges[c] .. edges[c + 1] - 1; None: no lattice
     edges: Optional[tuple]
     r: float  # half-gap of the coarse lattice
@@ -413,6 +414,13 @@ class _GridPlan:
     # the lattice is borrowed; None where it is part of the grid
     rho: Optional[np.ndarray] = None
     borrow: Optional[tuple] = None  # (cube plan, per-axis slices of its lattice)
+
+    @property
+    def sub(self) -> Optional[tuple]:
+        """Per axis, the grid indices of its own coarse lattice, every
+        ``stride``-th one and the last; None where it has none. Made on each
+        use and not kept: the table and the levels read it once."""
+        return tuple(_every(k, self.stride) for k in self.shape) if self.stride else None
 
     @functools.cached_property
     def H(self) -> float:
@@ -436,34 +444,34 @@ class _GridPlan:
         if self.borrow is not None:
             cube, take = self.borrow
             Phi, vmax = cube.table
-            rows = Phi.reshape([i.size for i in cube.sub] + [Phi.shape[1]])[take]
+            rows = Phi.reshape([e.size - 1 for e in cube.edges] + [Phi.shape[1]])[take]
             return _read_only(rows.reshape(-1, Phi.shape[1])), vmax
         flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
         Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
         return Phi, max(1.0, float(np.abs(Phi).max()))
 
     @functools.cached_property
-    def lattice(self) -> tuple:
-        """Per axis, (points, midpoints of neighbours) of the own coarse lattice."""
-        points = [_axis_points(ax, i) for ax, i in zip(self.axes, self.sub)]
-        return tuple((_read_only(c), _read_only((c[:-1] + c[1:]) / 2.0)) for c in points)
-
-    @functools.cached_property
     def levels(self) -> tuple:
         """((rows, r), ...) of the sub-lattices of every 4^j-th coarse index
         per axis plus the last, coarsest first: the rows of ``table`` there
         and the sub-lattice's half-gap. A borrowed lattice has none."""
-        if self.sub is None:
+        sub = self.sub
+        if sub is None:
             return ()
         Phi = self.table[0]
-        table = Phi.reshape([i.size for i in self.sub] + [Phi.shape[1]])
+        table = Phi.reshape([i.size for i in sub] + [Phi.shape[1]])
         levels, q = [], 4
-        while q < max(i.size for i in self.sub) - 1:
-            idx = [np.append(np.arange(0, i.size - 1, q), i.size - 1) for i in self.sub]
-            r = _half_gap([_axis_points(ax, i[j]) for ax, i, j in zip(self.axes, self.sub, idx)])
+        while q < max(i.size for i in sub) - 1:
+            idx = [_every(i.size, q) for i in sub]
+            r = _half_gap([_axis_points(ax, i[j]) for ax, i, j in zip(self.axes, sub, idx)])
             levels.append((_read_only(table[np.ix_(*idx)].reshape(-1, Phi.shape[1])), r))
             q *= 4
         return tuple(reversed(levels))
+
+
+def _every(k: int, s: int) -> np.ndarray:
+    """The indices 0, s, 2s, ... below k - 1, and k - 1."""
+    return np.append(np.arange(0, k - 1, s), k - 1)
 
 
 def _halved_grid(M: float, box, spacing, budget):
@@ -498,15 +506,14 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
     # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
     live = max(1, sum(k > 1 for k in shape))
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
-    sub = edges = None
-    r = 0.0
-    if s > 1:
-        sub = tuple(_read_only(np.append(np.arange(0, k - 1, s), k - 1)) for k in shape)
-        # coarse index c owns the grid indices nearest to it
-        edges = tuple(_read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k])))
-                      for i, k in zip(sub, shape))
-        r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, sub, edges, r)
+    if s < 2:
+        return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, 0, None, 0.0)
+    sub = [_every(k, s) for k in shape]
+    # coarse index c owns the grid indices nearest to it
+    edges = tuple(_read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k])))
+                  for i, k in zip(sub, shape))
+    r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, s, edges, r)
 
 
 def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPlan:
@@ -522,11 +529,19 @@ def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPla
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     base = _grid_plan(space, np.asarray(cube).tobytes(), *_grid_key(spacing, budget))
     shape = tuple(ax[2] for ax in axes)
-    if base.sub is None:
-        return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, None, None, base.r)
+    if base.edges is None:
+        return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, 0, None, base.r)
     edges, take, rho = [], [], 0.0
-    for ax, (c, mid) in zip(axes, base.lattice):
+    for ax, cax, cells in zip(axes, base.axes, base.edges):
         lo, _, m, step = ax
+        # the cube's lattice point j is its grid point j * s, or its last; the
+        # ones nearest the box's ends lie within one of those found by grid
+        # index, so the window takes two more either side
+        last = cells.size - 2
+        ja, jb = np.minimum(np.ceil((np.array(ax[:2]) - cax[0]) / (cax[3] * base.stride)), last)
+        w = np.arange(max(int(ja) - 2, 0), min(int(jb) + 2, last) + 1)
+        c = _axis_points(cax, np.minimum(w * base.stride, cax[2] - 1))
+        mid = (c[:-1] + c[1:]) / 2.0
         # lattice point k owns the grid points in (mid[k - 1], mid[k]]
         a, b = np.searchsorted(mid, ax[:2])
         c = c[a:b + 1]
@@ -539,9 +554,9 @@ def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPla
             k = np.minimum(np.maximum(np.rint((c - lo) / step), 0), m - 1)
             near = np.abs(c - _axis_points(ax, k))
         edges.append(_read_only(edge))
-        take.append(slice(a, b + 1))
+        take.append(slice(w[0] + a, w[0] + b + 1))
         rho = np.maximum.outer(rho, near)
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, None, tuple(edges),
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, 0, tuple(edges),
                      base.r, _read_only(rho.ravel()), (base, tuple(take)))
 
 
@@ -615,18 +630,12 @@ class NormingReport:
 def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     """Vertices of {a : |Ba| <= 1}, one representative per +/- pair, subset by
     subset in combination order and, within a subset, in the row order of
-    ``_half_signs``; a vertex that several subsets give is kept where it
-    first appears.
+    ``_half_signs``.
 
     A nonsingular l-subset of the rows of B, with inverse A, gives the
     candidates A s for the sign vectors s. They meet the subset's own rows
     with |B a| = 1 by construction, so only the m - l rows off the subset are
     tested, for every subset and sign vector in one (C, m - l, S) product.
-    A vertex is the one point of its active rows (|B a| >= 1 - 1e-9) at their
-    signs, so that code, with the first active row taken as +1 to join a
-    +/- pair, tells copies apart: a base-3 integer, or past 39 rows, where
-    that would overflow int64 and which the vertex budget allows for
-    l <= 5, its bytes.
     """
     m, l = B.shape
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
@@ -644,14 +653,7 @@ def _feasible_vertices(B: np.ndarray) -> np.ndarray:
     rest = np.array(list(combinations(range(m), m - l)), dtype=np.intp)
     rest = B[rest.reshape(len(combos), m - l)[::-1][ok]]  # (C_ok, m - l, l)
     feas = np.max(np.abs(rest @ verts), axis=1, initial=0.0) <= 1.0 + 1e-9  # (C_ok, S)
-    verts = np.swapaxes(verts, 1, 2)[feas]
-    vals = verts @ B.T
-    active = np.abs(vals) >= 1.0 - 1e-9
-    vals *= np.sign(vals[np.arange(len(vals)), np.argmax(active, axis=1)])[:, None]
-    code = np.where(active, np.where(vals > 0, 1, 2), 0).astype(np.int8)
-    key = (code @ 3 ** np.arange(m, dtype=np.int64) if m <= 39
-           else code.view(np.dtype((np.void, m))).ravel())
-    return verts[np.sort(np.unique(key, return_index=True)[1])]
+    return np.swapaxes(verts, 1, 2)[feas]
 
 
 @functools.lru_cache(maxsize=8)

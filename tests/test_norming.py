@@ -384,7 +384,7 @@ def test_plan_arrays_are_read_only():
     plan = grid_plan(space, space.default_box(), None, 40000)
     few = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
     assert len(plan.levels) == 2
-    arrays = [plan.table[0], *(rows for rows, _ in plan.levels), *plan.sub,
+    arrays = [plan.table[0], *(rows for rows, _ in plan.levels), *plan.edges,
               grid_plan(few, (np.array([0.2]), np.array([2.0])), None, 2001).lipschitz,
               _half_signs(4), _monomial_exponents(2, 3), _trig_tuples(2, 1)]
     for a in arrays:
