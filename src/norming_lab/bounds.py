@@ -188,7 +188,7 @@ VIOLATION_TOL = 1e-6
 
 
 def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
-          delta=None, nested_d=None, grid_spacing=None, budget=None) -> AuditReport:
+          delta=None, grid_spacing=None, budget=None) -> AuditReport:
     """Tightness/violation audit of selected bounds against the exact constant.
 
     A ratio bound/exact below 1 - 1e-6 is flagged as a VIOLATION finding
@@ -200,8 +200,7 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
     exact = rep.value
     findings = []
     for name in sorted(set(bounds)):
-        br = _evaluate_named(space, points, name, mu=mu, lam=lam, delta=delta,
-                             nested_d=nested_d)
+        br = _evaluate_named(space, points, name, mu=mu, lam=lam, delta=delta)
         ratio = br.value / exact if br.applicable and math.isfinite(br.value) else None
         violation = br.applicable and ratio is not None and ratio < 1.0 - VIOLATION_TOL
         repro = (f"norming-lab audit --bounds {name} on the echoed space/points "
@@ -210,7 +209,7 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
     return AuditReport(exact, tuple(findings), sum(f.violation for f in findings))
 
 
-def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d) -> BoundResult:
+def _evaluate_named(space, points, name, *, mu, lam, delta) -> BoundResult:
     d, n = space.degree, space.n
     if name == "remez":
         if mu is None:
@@ -236,6 +235,5 @@ def _evaluate_named(space, points, name, *, mu, lam, delta, nested_d) -> BoundRe
     if name == "nested":
         if delta is None:
             raise ValueError("the nested bound needs delta")
-        dd = nested_d if nested_d is not None else d // 2
-        return nested_bound(dd, delta)
+        return nested_bound(d // 2, delta)
     raise ValueError(f"unknown bound {name!r}")

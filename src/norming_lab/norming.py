@@ -95,16 +95,19 @@ levels. The cell test runs on the coarse lattice. Grids too small to
 coarsen, q >= 1 there and non-finite bounds keep every cell. Both passes
 run in blocks of bounded size.
 
-``_certified_max`` alone picks the rule (H, S), and every box gets one:
+``_certified_max`` places the box once against the cube, and that one
+decision picks both its plan and its rule (H, S), so every box gets one:
 
-* the cube, a polynomial box that leaves the cube, a trigonometric box
-  that covers the cube (it holds a whole period) and fewnomial spans:
-  S = None, H relative to the sup over the box itself;
-* every other box, an additive one (polynomial and trigonometric boxes
-  strictly inside the cube, trigonometric boxes that do not cover it): the
-  cube's H, and S = sup_cube, the upper end of the certified bracket over
-  the cube, which ``_certified_max`` computes first. Bernstein's inequality
-  holds on all of R^n, so this is sound for any trigonometric box.
+* the cube (a single coefficient vector reads ``_cube_bracket``), a
+  polynomial box that leaves the cube, a trigonometric box that covers it
+  (it holds a whole period) and a fewnomial box: the box's own cached plan,
+  M and H relative to the sup over the box itself, and S = None;
+* every other box is additive: the cube's M and H, and S = sup_cube, the
+  upper end of the certified bracket of the same W over the cube, got first
+  by one call on the cube. A box strictly inside the cube borrows the cube's
+  lattice (``_inside_plan``); a trigonometric box that does not cover the
+  cube takes its own cached plan, and Bernstein's inequality, which holds on
+  all of R^n, makes the rule sound for it.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
 ``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
@@ -117,28 +120,22 @@ lower / (1 - M * h/2) where S is None, and lower + M * h/2 * sup_cube on
 the additive boxes.
 
 All that depends on (space, box, spacing, budget) alone is one read-only
-grid plan. The cube, boxes that leave it and fewnomial boxes take
-``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space, the box's
-float64 bytes, the spacing and the budget (no budget is the default one,
-and a given spacing drops the budget from the key). Such a plan carries
-its space, M, the spacing after halving, h_eff, the axes as
-(lo, hi, m, step) in place of O(G) points, and its own coarse lattice: its
-stride, half-gap and per-axis cell edges (its grid indices are made from
-the stride where they are read, and not kept). Its basis table there
-(about 9 * sqrt(G) * l floats), H and the derivative matrices P are built
-on first use, and the levels' rows and half-gaps on the first call with
-more than one column. A box strictly inside the cube takes ``_inside_plan``,
-made per call and never cached: its own grid and cell edges, the cube's M
-and H, and a slice of the lattice, table, r and vmax of the cube's cached
-plan at the same spacing, which the additive rule reads anyway, so it
-evaluates no basis row before the fine pass.
-Z and W never enter a plan, so every set in one space on one box shares it.
-The cube bracket of one coefficient vector (W of shape (l, 1, 1)) is
-``_cube_bracket``, an ``lru_cache`` of 8 entries that ``certified_supnorm``
-on the cube and the additive rule both read, so a sub-interval sweep after
-a cube call makes no second cube pass. Every other W, such as the vertex
-matrix or the Lagrange group of ``norming_constant``, takes a direct cube
-call and is never cached.
+grid plan. ``_grid_plan`` is an ``lru_cache`` of 8 entries keyed by the
+space, the box's float64 bytes, the spacing and the budget (no budget is
+the default one, and a given spacing drops the budget from the key); it
+holds M, the halved spacing, the axes as (lo, hi, m, step) in place of
+O(G) points, and its own coarse lattice, whose basis table (about
+9 * sqrt(G) * l floats), H, P and levels are built on first use.
+``_inside_plan`` is made per call and never cached: the box's own grid on
+a slice of the cube plan's lattice and table, which the additive rule
+reads anyway, so it evaluates no basis row before the fine pass. Both
+lattices take their cells from ``_cells``. Z and W never enter a plan, so
+every set in one space on one box shares it. ``_cube_bracket``, an
+``lru_cache`` of 8 entries, holds the cube bracket of one coefficient
+vector, which ``certified_supnorm`` on the cube and an additive box's cube
+call both read, so a sub-interval sweep after a cube call makes no second
+cube pass; every other W, such as the vertex matrix or the Lagrange group
+of ``norming_constant``, is never cached.
 
 ``cramer_bound`` needs no grid: every basis function is a product of
 per-axis factors whose modulus peaks at an end of the interval, so
@@ -208,12 +205,15 @@ def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def has_duplicates(pts: np.ndarray) -> bool:
-    """True when two rows of ``pts`` lie within 1e-12 of each other in l-inf."""
-    if pts.shape[0] < 2:
-        return False
-    diff = linf_distances(pts, pts)
-    np.fill_diagonal(diff, np.inf)
-    return bool(np.min(diff) < 1e-12)
+    """True when two rows of ``pts`` lie within 1e-12 of each other in l-inf;
+    checked in row blocks of at most ``_BLOCK_VALUES`` distances."""
+    step = max(1, _BLOCK_VALUES // max(len(pts), 1))
+    for start in range(0, len(pts), step):
+        diff = linf_distances(pts[start:start + step], pts)
+        np.fill_diagonal(diff[:, start:], np.inf)
+        if np.min(diff) < 1e-12:
+            return True
+    return False
 
 
 def _check_duplicates(pts: np.ndarray):
@@ -254,14 +254,16 @@ def _grid_axes(box, spacing=None, budget=None):
     if spacing is None:
         budget = DEFAULT_GRID_BUDGET if budget is None else budget
         live = max(1, int(np.sum(hi > lo + 1e-15)))  # a flat axis takes one point
-        per_axis = max(2, int(budget ** (1.0 / live)))
+        per_axis = int(budget ** (1.0 / live))  # the float root may fall short by one
+        while (per_axis + 1) ** live <= budget:
+            per_axis += 1
     axes = []
     h_eff = 0.0
     for a, b in zip(lo, hi):
         if b <= a + 1e-15:
             axes.append((a, a, 1, 0.0))
             continue
-        m = per_axis if spacing is None else int(math.ceil((b - a) / spacing)) + 1
+        m = max(2, per_axis) if spacing is None else int(math.ceil((b - a) / spacing)) + 1
         axes.append((a, b, m, (b - a) / (m - 1)))
         h_eff = max(h_eff, axes[-1][3])
     if math.prod(ax[2] for ax in axes) > 50_000_000:
@@ -358,28 +360,23 @@ class SupBracket:
 def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
                       grid_spacing=None, budget=None) -> SupBracket:
     """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
-    coeff = np.asarray(coefficients, dtype=float)
-    box = _domain_box(space, box=box)
-    spacing, budget = _grid_key(grid_spacing, budget)
-    cube = space.default_box()
-    if cube is not None and _placement(box, cube) == (True, True):
-        bracket = _cube_bracket(space, coeff.tobytes(), spacing, budget)
-        return replace(bracket, argmax=bracket.argmax.copy())
-    return _certified_max(space, coeff[:, None, None], box, spacing, budget)[0]
+    W = np.asarray(coefficients, dtype=float)[:, None, None]
+    return _certified_max(space, W, _domain_box(space, box=box), grid_spacing, budget)[0]
 
 
 @functools.lru_cache(maxsize=8)
 def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -> SupBracket:
-    """Cube bracket of one coefficient vector, given as its float64 bytes.
-    Its ``argmax`` is shared by every caller: copy it before handing it out."""
-    W = np.frombuffer(coeff_bytes)[:, None, None]
-    return _certified_max(space, W, space.default_box(), spacing, budget)[0]
+    """Cube bracket of one coefficient vector, given as its float64 bytes, on
+    the cube's cached plan. Its ``argmax`` is shared: callers get a copy."""
+    plan = _grid_plan(space, np.asarray(space.default_box()).tobytes(), spacing, budget)
+    return _bracket(np.frombuffer(coeff_bytes)[:, None, None], plan, None)[0]
 
 
 def _placement(box, cube):
-    """(inside, covers): whether the box lies in the cube, and whether it covers
-    it; both hold for the cube alone. Compared as lists: boxes are a few floats."""
-    lo, hi, clo, chi = (b.tolist() for b in (*box, *cube))
+    """(inside, covers): whether the box, an array of rows (lo, hi), lies in the
+    cube, and whether it covers it; both hold for the cube alone. Compared as
+    lists: boxes are a few floats."""
+    (lo, hi), clo, chi = box.tolist(), cube[0].tolist(), cube[1].tolist()
     inside = all(map(operator.le, clo, lo)) and all(map(operator.le, hi, chi))
     return inside, all(map(operator.le, lo, clo)) and all(map(operator.le, chi, hi))
 
@@ -404,7 +401,6 @@ class _GridPlan:
     h_eff: float
     axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
     shape: tuple
-    additive: bool  # the rule takes S = sup_cube
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
     stride: int  # of its own coarse lattice, see ``sub``; 0 where it has none
     # per axis, cell c owns grid indices edges[c] .. edges[c + 1] - 1; None: no lattice
@@ -491,29 +487,33 @@ def _halved_grid(M: float, box, spacing, budget):
 @functools.lru_cache(maxsize=8)
 def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
     """The grid plan of a box, given as the float64 bytes of its rows (lo, hi),
-    with the box's own coarse lattice. Here the spacing is halved while
-    M * h/2 >= 1, and the rule's kind, the grid and the coarse lattice are fixed."""
+    with the box's own M (on the cube the cube's) and coarse lattice. Here the
+    spacing is halved while M * h/2 >= 1, and the grid and lattice are fixed."""
     box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
-    cube = space.default_box()
-    inside = additive = False
-    if cube is not None:
-        inside, covers = _placement(box, cube)
-        additive = not covers and (inside or space.kind != "polynomial")
-    M = markov_constant(replace(space, modulus=IDENTITY), box=None if inside else box)
+    M = markov_constant(replace(space, modulus=IDENTITY), box=box)
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
-    lipschitz = None if cube is not None else _read_only(space.basis_lipschitz(box))
+    lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
     shape = tuple(ax[2] for ax in axes)
     # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
     live = max(1, sum(k > 1 for k in shape))
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
     if s < 2:
-        return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, 0, None, 0.0)
+        return _GridPlan(space, M, spacing, h_eff, axes, shape, lipschitz, 0, None, 0.0)
     sub = [_every(k, s) for k in shape]
-    # coarse index c owns the grid indices nearest to it
-    edges = tuple(_read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k])))
-                  for i, k in zip(sub, shape))
+    edges = tuple(_cells(i, k)[0] for i, k in zip(sub, shape))
     r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, additive, lipschitz, s, edges, r)
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, lipschitz, s, edges, r)
+
+
+def _cells(u: np.ndarray, m: int):
+    """(edges, near) of lattice points at ascending grid indices u (integers on
+    an own lattice, fractions on a borrowed one) of an axis of m grid points:
+    cell c owns the grid indices edges[c] .. edges[c + 1] - 1 nearest u[c]
+    (ties go to the lower point), and near[c] is u[c]'s distance to the grid."""
+    edges = np.empty(u.size + 1, dtype=np.intp)
+    edges[0], edges[-1] = 0, m
+    edges[1:-1] = np.minimum(np.maximum(np.floor((u[:-1] + u[1:]) / 2.0) + 1, 0), m)
+    return _read_only(edges), np.abs(u - np.minimum(np.maximum(np.rint(u), 0), m - 1))
 
 
 def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPlan:
@@ -522,15 +522,14 @@ def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPla
     lattice is borrowed from the cube's cached plan at the same spacing: per
     axis, the range of its lattice points nearest to the box's grid points,
     with the table rows, r and vmax of that plan, so no basis row is evaluated
-    here. Cell c owns the grid points nearer to it than to its neighbours, and
-    ``rho`` holds each lattice point's l-inf distance to the grid point nearest
-    it, both to rounding in the grid coordinates, which the slack covers."""
+    here. Cells and ``rho``, each lattice point's l-inf distance to the grid,
+    come from ``_cells``, to rounding in grid coordinates, which the slack covers."""
     M = markov_constant(replace(space, modulus=IDENTITY))
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     base = _grid_plan(space, np.asarray(cube).tobytes(), *_grid_key(spacing, budget))
     shape = tuple(ax[2] for ax in axes)
     if base.edges is None:
-        return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, 0, None, base.r)
+        return _GridPlan(space, M, spacing, h_eff, axes, shape, None, 0, None, base.r)
     edges, take, rho = [], [], 0.0
     for ax, cax, cells in zip(axes, base.axes, base.edges):
         lo, _, m, step = ax
@@ -540,54 +539,52 @@ def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPla
         last = cells.size - 2
         ja, jb = np.minimum(np.ceil((np.array(ax[:2]) - cax[0]) / (cax[3] * base.stride)), last)
         w = np.arange(max(int(ja) - 2, 0), min(int(jb) + 2, last) + 1)
-        c = _axis_points(cax, np.minimum(w * base.stride, cax[2] - 1))
-        mid = (c[:-1] + c[1:]) / 2.0
-        # lattice point k owns the grid points in (mid[k - 1], mid[k]]
-        a, b = np.searchsorted(mid, ax[:2])
-        c = c[a:b + 1]
-        edge = np.empty(b - a + 2, dtype=np.intp)
-        edge[0], edge[-1] = 0, m
-        if m == 1:
-            near = np.abs(c - lo)
-        else:
-            edge[1:-1] = np.floor((mid[a:b] - lo) / step) + 1
-            k = np.minimum(np.maximum(np.rint((c - lo) / step), 0), m - 1)
-            near = np.abs(c - _axis_points(ax, k))
-        edges.append(_read_only(edge))
+        # the window's grid indices; a flat axis counts from its one point
+        unit = step or 1.0
+        u = (_axis_points(cax, np.minimum(w * base.stride, cax[2] - 1)) - lo) / unit
+        # lattice points a .. b own the grid indices 0 .. m - 1
+        a, b = np.searchsorted((u[:-1] + u[1:]) / 2.0, [0, m - 1])
+        edge, near = _cells(u[a:b + 1], m)
+        edges.append(edge)
         take.append(slice(w[0] + a, w[0] + b + 1))
-        rho = np.maximum.outer(rho, near)
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, True, None, 0, tuple(edges),
+        rho = np.maximum.outer(rho, near * unit)
+    return _GridPlan(space, M, spacing, h_eff, axes, shape, None, 0, tuple(edges),
                      base.r, _read_only(rho.ravel()), (base, tuple(take)))
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
     rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    M, H, the spacing and the grid come from the plan: ``_inside_plan`` for a
-    box strictly inside the cube, ``_grid_plan`` otherwise. This is the one
-    place that picks the pruning rule (H, S) handed to ``_grid_max``, and every
-    box gets one."""
+    The one place that places a box, once, picking its plan and rule (H, S)."""
     spacing, budget = _grid_key(spacing, budget)
     box = np.asarray(box, dtype=float)
     cube = space.default_box()
-    if cube is not None and _placement(box, cube) == (True, False):
-        plan = _inside_plan(space, box, cube, spacing, budget)
-    else:
-        plan = _grid_plan(space, box.tobytes(), spacing, budget)
-    M, whole = plan.markov, None
-    if plan.additive:
-        key = _grid_key(plan.spacing, budget)
-        whole = (_cube_bracket(space, W.tobytes(), *key) if W.shape[1:] == (1, 1)
-                 else _certified_max(space, W, cube, *key)[0])
-    lower, point, column = _grid_max(W, plan, (plan.H, None if whole is None else whole.upper))
-    pad = M.value * (plan.h_eff / 2)
-    certified = M.certified and pad < 1.0 and (whole is None or whole.certified)
+    # a fewnomial span has no cube: its rule is relative to its own box
+    inside, covers = (False, True) if cube is None else _placement(box, cube)
+    if inside and covers and W.shape[1:] == (1, 1):
+        bracket = _cube_bracket(space, W.tobytes(), spacing, budget)
+        return replace(bracket, argmax=bracket.argmax.copy()), 0
+    plan = (_inside_plan(space, box, cube, spacing, budget) if inside and not covers
+            else _grid_plan(space, box.tobytes(), spacing, budget))
+    whole = None
+    if not covers and (inside or space.kind != "polynomial"):  # an additive box
+        whole = _certified_max(space, W, cube, plan.spacing, budget)[0]
+    return _bracket(W, plan, whole)
+
+
+def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket]):
+    """``_certified_max`` once the plan is picked: ``whole`` is the cube bracket
+    of the same W on an additive box, None elsewhere."""
+    S = None if whole is None else whole.upper
+    lower, point, column = _grid_max(W, plan, (plan.H, S))
+    pad = plan.markov.value * (plan.h_eff / 2)
+    certified = plan.markov.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
         upper = math.inf
-    elif whole is not None:
-        upper = lower + pad * whole.upper
-    else:
+    elif S is None:
         upper = lower / (1.0 - pad)
+    else:
+        upper = lower + pad * S
     return SupBracket(lower, upper, certified, plan.h_eff, point), column
 
 
@@ -890,7 +887,8 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
 
     colmax = np.maximum(np.max(np.abs(B), axis=0), 1e-300)
     Bs = B / colmax
-    U, s, Vh = np.linalg.svd(Bs, full_matrices=True)
+    # thin unless m < l, where the null vector needs the full Vh
+    _, s, Vh = np.linalg.svd(Bs, full_matrices=B.shape[0] < l)
     smin = s[-1] if B.shape[0] >= l else 0.0
     if B.shape[0] < l or smin < rank_threshold:
         null = Vh[-1] / colmax

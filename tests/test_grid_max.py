@@ -14,9 +14,10 @@ from conftest import grid_plan, random_points, uniform_grid
 from norming_lab import (IDENTITY, SpaceDescriptor, certified_supnorm, lebesgue_constant,
                          norming_constant)
 from norming_lab import norming
-from norming_lab.norming import (_cell_indices, _certified_max, _coarse_prune,
-                                 _cube_bracket, _feasible_vertices, _grid_axes, _grid_max,
-                                 _grid_plan, _grid_points, _half_signs, _with_slopes)
+from norming_lab.norming import (_cell_indices, _cells, _certified_max, _coarse_prune,
+                                 _cube_bracket, _every, _feasible_vertices, _grid_axes,
+                                 _grid_max, _grid_plan, _grid_points, _half_signs,
+                                 _with_slopes)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import markov_constant, power_modulus
 
@@ -289,6 +290,8 @@ RULES = {
                   (2 * np.pi) ** 2),
     "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), True, 3 * np.pi,
                       (3 * np.pi) ** 2),
+    "trig-inside": (SpaceDescriptor.trigonometric(1, 2), (-0.6, 0.4), False, 2 * np.pi,
+                    (2 * np.pi) ** 2),
 }
 
 
@@ -300,7 +303,7 @@ def test_every_box_gets_a_rule(name):
     bracket, _, plan, (h, S) = _handed(space, W, box, None, 2001)
     assert bracket.certified
     # a box strictly inside the cube borrows the cube plan's lattice
-    assert (plan.borrow is not None) == (name == "poly-inside")
+    assert (plan.borrow is not None) == (name in ("poly-inside", "trig-inside"))
     assert h == pytest.approx(H, rel=1e-15) and plan.markov.value == pytest.approx(M, rel=1e-15)
     if multiplicative:
         assert S is None
@@ -360,6 +363,31 @@ def test_identity_columns_keep_every_cell(n):
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cells_give_each_grid_index_to_a_nearest_lattice_point(data):
+    m = data.draw(st.integers(1, 40), label="m")
+    if data.draw(st.booleans(), label="own"):
+        # a plan's own lattice: integer grid indices, every s-th one and the last
+        i = _every(m, data.draw(st.integers(1, 12), label="s"))
+        edges, near = _cells(i, m)
+        assert np.array_equal(edges, np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [m])))
+        assert not near.any()
+        return
+    # a borrowed window: fractional grid indices, some of them off the grid
+    u = np.sort(data.draw(st.lists(st.floats(-3.0, m + 2.0), min_size=1, max_size=12),
+                          label="u"))
+    edges, near = _cells(u, m)
+    assert edges[0] == 0 and edges[-1] == m and np.all(np.diff(edges) >= 0)
+    owner = np.repeat(np.arange(u.size), np.diff(edges))
+    dist = np.abs(u[:, None] - np.arange(m))
+    assert np.all(dist[owner, np.arange(m)] <= dist.min(axis=0) + 1e-12)
+    assert np.allclose(near, dist.min(axis=1), rtol=0, atol=1e-12)
+    # a flat axis: its one grid point is one cell, at the point's distance
+    edges, near = _cells(u[:1], 1)
+    assert np.array_equal(edges, [0, 1]) and near[0] == abs(u[0])
 
 
 def _owner_mask_indices(cell_ok, edges, shape):

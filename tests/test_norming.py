@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -14,7 +15,8 @@ from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
 from norming_lab import norming
-from norming_lab.norming import _grid_points, _half_signs, linf_distances
+from norming_lab.norming import (_grid_axes, _grid_points, _half_signs, has_duplicates,
+                                 linf_distances)
 from norming_lab.spaces import _monomial_exponents, _trig_tuples
 from norming_lab.simplex import norming_lp_value
 
@@ -127,6 +129,47 @@ def test_subbox_norming_bracket_is_sound():
     rep = norming_constant(P2, [[0.0], [0.05], [0.1]], box=box, budget=3)
     assert rep.certified
     assert rep.lower <= 1.25 <= rep.upper
+
+
+@pytest.mark.parametrize("live", [1, 2, 3])
+def test_budget_gives_the_integer_root_points_per_axis(live):
+    # a perfect power k^live gives k points on each non-flat axis, where the
+    # float root can fall short by one (1000 ** (1 / 3) is 9.999999999999998)
+    box = (np.zeros(live + 1), np.append(np.ones(live), 0.0))  # and one flat axis
+    for k in range(2, 200):
+        for budget in (k**live - 1, k**live, k**live + 1):
+            axes, _ = _grid_axes(box, None, budget)
+            m = axes[0][2]
+            assert [ax[2] for ax in axes] == [m] * live + [1]
+            assert m == 2 if budget < 2**live else m**live <= budget < (m + 1) ** live
+    # the default budget of 200,001
+    assert _grid_axes(box, None, None)[0][0][2] == {1: 200_001, 2: 447, 3: 58}[live]
+
+
+@pytest.mark.parametrize("block", [1, 69, 230, 1 << 20])
+def test_duplicates_are_found_across_row_blocks(block, monkeypatch):
+    # 23 points, checked 1, 3, 10 or all 23 rows at a time
+    monkeypatch.setattr(norming, "_BLOCK_VALUES", block)
+    pts = np.random.default_rng(44).normal(size=(23, 2))
+    assert not has_duplicates(pts) and not has_duplicates(pts[:1])
+    for i, j in [(0, 1), (0, 22), (21, 22), (5, 17)]:
+        dup = pts.copy()
+        dup[j] = dup[i] + 5e-13
+        assert has_duplicates(dup)
+
+
+def test_large_set_reaches_the_vertex_budget_without_an_m_by_m_array():
+    # one 3,000 x 3,000 float array is 72 MB: the duplicate check runs in row
+    # blocks and the rank test's SVD is thin, so neither builds one
+    pts = np.linspace(-1.0, 1.0, 3000)[:, None]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex enumeration budget"):
+            norming_constant(P2, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_coarse_grid_spacing_is_refined():
