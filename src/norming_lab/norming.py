@@ -104,10 +104,11 @@ decision picks both its plan and its rule (H, S), so every box gets one:
   M and H relative to the sup over the box itself, and S = None;
 * every other box is additive: the cube's M and H, and S = sup_cube, the
   upper end of the certified bracket of the same W over the cube, got first
-  by one call on the cube. A box strictly inside the cube borrows the cube's
-  lattice (``_inside_plan``); a trigonometric box that does not cover the
-  cube takes its own cached plan, and Bernstein's inequality, which holds on
-  all of R^n, makes the rule sound for it.
+  on the cube's plan (``_on_cube``). A box strictly inside the cube borrows
+  the cube's lattice (``_inside_plan``), and a single vector there also its
+  values on it; a trigonometric box that does not cover the cube takes its
+  own cached plan, and Bernstein's inequality, which holds on all of R^n,
+  makes the rule sound for it.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
 ``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
@@ -127,15 +128,23 @@ holds M, the halved spacing, the axes as (lo, hi, m, step) in place of
 O(G) points, and its own coarse lattice, whose basis table (about
 9 * sqrt(G) * l floats), H, P and levels are built on first use.
 ``_inside_plan`` is made per call and never cached: the box's own grid on
-a slice of the cube plan's lattice and table, which the additive rule
-reads anyway, so it evaluates no basis row before the fine pass. Both
-lattices take their cells from ``_cells``. Z and W never enter a plan, so
-every set in one space on one box shares it. ``_cube_bracket``, an
-``lru_cache`` of 8 entries, holds the cube bracket of one coefficient
-vector, which ``certified_supnorm`` on the cube and an additive box's cube
-call both read, so a sub-interval sweep after a cube call makes no second
-cube pass; every other W, such as the vertex matrix or the Lagrange group
-of ``norming_constant``, is never cached.
+a window of the cube plan's lattice, which the additive rule reads anyway,
+so it evaluates no basis row before the fine pass. Both lattices take
+their cells from ``_cells``. Z and W never enter a plan, so every set in
+one space on one box shares it. ``_cube_bracket``, an ``lru_cache`` of 8
+entries, holds two things of one coefficient vector p: its cube bracket,
+and its values on the cube plan's coarse lattice, V(c) = |p(c)| and
+D(c) = sum_i |d_i p(c)|, two read-only arrays in table row order, which
+the cube pass forms once and prunes on. ``certified_supnorm`` on the cube
+and an additive box's cube call both read the entry, so a sub-interval
+sweep after a cube call makes no second cube pass, and a box strictly
+inside the cube prunes on the slices of V and D on its window: it forms
+no product of lattice rows with p, and takes no rows of the cube's table.
+The entries retain at most 8 * 2 lattice sizes of floats beside their
+brackets (about 9 * sqrt(G) floats a lattice). Every other W, such as the
+vertex matrix or the Lagrange group of ``norming_constant``, is never
+cached, and a box inside the cube multiplies its window's table rows with
+it. The cube itself and its M are made once per space (``_cube``).
 
 ``cramer_bound`` needs no grid: every basis function is a product of
 per-axis factors whose modulus peaks at an end of the interval, so
@@ -149,7 +158,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -237,14 +246,27 @@ def as_points(points, n: Optional[int] = None) -> np.ndarray:
 
 
 def _domain_box(space: SpaceDescriptor, points=None, box=None):
+    """The box of a call as one array of rows (lo, hi): the given box, else a
+    point set's declared box, else the space's cube."""
     if box is None and isinstance(points, PointSet):
         box = points.box
     if box is not None:
-        return tuple(np.asarray(b, dtype=float) for b in box)
-    cube = space.default_box()
+        return np.asarray(box, dtype=float)
+    cube = _cube(space)[0]
     if cube is None:
         raise ValueError("fewnomial spaces need an explicit bounding box")
     return cube
+
+
+@functools.lru_cache(maxsize=8)
+def _cube(space: SpaceDescriptor):
+    """(box, M) made once per space for the callers in this module: the cube
+    as one read-only array of rows (lo, hi), None for a fewnomial span, and
+    the cube's Markov constant of the identity modulus (None there too)."""
+    cube = space.default_box()
+    if cube is None:
+        return None, None
+    return _read_only(np.array(cube)), markov_constant(replace(space, modulus=IDENTITY))
 
 
 def _grid_axes(box, spacing=None, budget=None):
@@ -365,11 +387,44 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
 
 
 @functools.lru_cache(maxsize=8)
-def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget) -> SupBracket:
-    """Cube bracket of one coefficient vector, given as its float64 bytes, on
-    the cube's cached plan. Its ``argmax`` is shared: callers get a copy."""
-    plan = _grid_plan(space, np.asarray(space.default_box()).tobytes(), spacing, budget)
-    return _bracket(np.frombuffer(coeff_bytes)[:, None, None], plan, None)[0]
+def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget):
+    """(bracket, values) of one coefficient vector p, given as its float64
+    bytes, on the cube's cached plan: its cube bracket, and its ``_Lattice``
+    values on the plan's coarse lattice, formed once here (None where the
+    plan has no lattice). The cube pass prunes on them, and so does every box
+    strictly inside the cube that borrows that lattice. Both are shared: a
+    caller that receives the bracket gets a copy of its ``argmax``."""
+    plan = _grid_plan(space, _cube(space)[0].tobytes(), spacing, budget)
+    W = np.frombuffer(coeff_bytes)[:, None, None]
+    values = None
+    if plan.edges is not None:
+        Wv, D0 = _with_slopes(W, plan)
+        blocks = zip(*_lattice_values(plan.table[0], Wv, 1, D0))
+        V, D = (_read_only(np.hstack(a)[0] if len(a) > 1 else a[0][0]) for a in blocks)
+        values = _Lattice(V, D, _slack_norms(Wv, 1))
+    return _bracket(W, plan, None, values)[0], values
+
+
+class _Lattice(NamedTuple):
+    """One coefficient vector p on the cube plan's coarse lattice: V[c] = |p(c)|
+    and D[c] = sum_i |d_i p(c)| at its points c in ``table`` row order, two
+    read-only arrays, and the (wnorm, dnorm) of p's rounding slack
+    (``_slack_norms``)."""
+
+    V: np.ndarray
+    D: np.ndarray
+    norms: tuple
+
+
+def _on_cube(space: SpaceDescriptor, W: np.ndarray, cube, spacing, budget):
+    """(bracket, column, values) of W over the cube, on the cube's cached plan.
+    A single coefficient vector reads ``_cube_bracket``, whose bracket is
+    shared, with its lattice values; any other W takes one pass and has none."""
+    spacing, budget = _grid_key(spacing, budget)
+    if W.shape[1:] == (1, 1):
+        bracket, values = _cube_bracket(space, W.tobytes(), spacing, budget)
+        return bracket, 0, values
+    return (*_bracket(W, _grid_plan(space, cube.tobytes(), spacing, budget), None, None), None)
 
 
 def _placement(box, cube):
@@ -438,13 +493,18 @@ class _GridPlan:
         """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|);
         a borrowed lattice takes its rows from the cube plan's table, and its vmax."""
         if self.borrow is not None:
-            cube, take = self.borrow
-            Phi, vmax = cube.table
-            rows = Phi.reshape([e.size - 1 for e in cube.edges] + [Phi.shape[1]])[take]
-            return _read_only(rows.reshape(-1, Phi.shape[1])), vmax
+            Phi, vmax = self.borrow[0].table
+            return _read_only(self.window(Phi)), vmax
         flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
         Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
         return Phi, max(1.0, float(np.abs(Phi).max()))
+
+    def window(self, a: np.ndarray) -> np.ndarray:
+        """The rows of ``a``, given in the cube plan's lattice row order, at the
+        points of a borrowed window, in this plan's row order."""
+        cube, take = self.borrow
+        lattice = [e.size - 1 for e in cube.edges]
+        return a.reshape(lattice + list(a.shape[1:]))[take].reshape(-1, *a.shape[1:])
 
     @functools.cached_property
     def levels(self) -> tuple:
@@ -516,17 +576,18 @@ def _cells(u: np.ndarray, m: int):
     return _read_only(edges), np.abs(u - np.minimum(np.maximum(np.rint(u), 0), m - 1))
 
 
-def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPlan:
+def _inside_plan(space: SpaceDescriptor, box, cube, M: MarkovConstant, spacing,
+                 budget) -> _GridPlan:
     """The plan of a box strictly inside the cube, made per call and never
-    cached. The grid is the box's own, M and H are the cube's, and the coarse
-    lattice is borrowed from the cube's cached plan at the same spacing: per
-    axis, the range of its lattice points nearest to the box's grid points,
-    with the table rows, r and vmax of that plan, so no basis row is evaluated
-    here. Cells and ``rho``, each lattice point's l-inf distance to the grid,
-    come from ``_cells``, to rounding in grid coordinates, which the slack covers."""
-    M = markov_constant(replace(space, modulus=IDENTITY))
+    cached. The grid is the box's own, M (given) and H are the cube's, and
+    the coarse lattice is borrowed from the cube's cached plan at the same
+    spacing: per axis, the range of its lattice points nearest to the box's
+    grid points, with the table rows, r and vmax of that plan, so no basis
+    row is evaluated here. Cells and ``rho``, each lattice point's l-inf
+    distance to the grid, come from ``_cells``, to rounding in grid
+    coordinates, which the slack covers."""
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
-    base = _grid_plan(space, np.asarray(cube).tobytes(), *_grid_key(spacing, budget))
+    base = _grid_plan(space, cube.tobytes(), *_grid_key(spacing, budget))
     shape = tuple(ax[2] for ax in axes)
     if base.edges is None:
         return _GridPlan(space, M, spacing, h_eff, axes, shape, None, 0, None, base.r)
@@ -536,9 +597,9 @@ def _inside_plan(space: SpaceDescriptor, box, cube, spacing, budget) -> _GridPla
         # the cube's lattice point j is its grid point j * s, or its last; the
         # ones nearest the box's ends lie within one of those found by grid
         # index, so the window takes two more either side
-        last = cells.size - 2
-        ja, jb = np.minimum(np.ceil((np.array(ax[:2]) - cax[0]) / (cax[3] * base.stride)), last)
-        w = np.arange(max(int(ja) - 2, 0), min(int(jb) + 2, last) + 1)
+        last, gap = cells.size - 2, cax[3] * base.stride
+        ja, jb = (min(math.ceil((x - cax[0]) / gap), last) for x in ax[:2])
+        w = np.arange(max(ja - 2, 0), min(jb + 2, last) + 1)
         # the window's grid indices; a flat axis counts from its one point
         unit = step or 1.0
         u = (_axis_points(cax, np.minimum(w * base.stride, cax[2] - 1)) - lo) / unit
@@ -558,25 +619,27 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     The one place that places a box, once, picking its plan and rule (H, S)."""
     spacing, budget = _grid_key(spacing, budget)
     box = np.asarray(box, dtype=float)
-    cube = space.default_box()
+    cube, M = _cube(space)
     # a fewnomial span has no cube: its rule is relative to its own box
     inside, covers = (False, True) if cube is None else _placement(box, cube)
-    if inside and covers and W.shape[1:] == (1, 1):
-        bracket = _cube_bracket(space, W.tobytes(), spacing, budget)
-        return replace(bracket, argmax=bracket.argmax.copy()), 0
-    plan = (_inside_plan(space, box, cube, spacing, budget) if inside and not covers
+    if inside and covers:
+        bracket, column, _ = _on_cube(space, W, cube, spacing, budget)
+        return replace(bracket, argmax=bracket.argmax.copy()), column
+    plan = (_inside_plan(space, box, cube, M, spacing, budget) if inside
             else _grid_plan(space, box.tobytes(), spacing, budget))
-    whole = None
+    whole = values = None
     if not covers and (inside or space.kind != "polynomial"):  # an additive box
-        whole = _certified_max(space, W, cube, plan.spacing, budget)[0]
-    return _bracket(W, plan, whole)
+        whole, _, values = _on_cube(space, W, cube, plan.spacing, budget)
+    return _bracket(W, plan, whole, values if inside else None)
 
 
-def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket]):
+def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket], values):
     """``_certified_max`` once the plan is picked: ``whole`` is the cube bracket
-    of the same W on an additive box, None elsewhere."""
+    of the same W on an additive box, None elsewhere, and ``values`` the
+    ``_Lattice`` of a single vector W on the cube plan's lattice, which is the
+    plan's own or the one it borrows, where ``_cube_bracket`` holds it."""
     S = None if whole is None else whole.upper
-    lower, point, column = _grid_max(W, plan, (plan.H, S))
+    lower, point, column = _grid_max(W, plan, (plan.H, S), values=values)
     pad = plan.markov.value * (plan.h_eff / 2)
     certified = plan.markov.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
@@ -661,7 +724,7 @@ def _half_signs(l: int) -> np.ndarray:
     return _read_only(np.hstack([np.ones((bits.shape[0], 1)), np.where(bits, 1.0, -1.0)]))
 
 
-def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
+def _grid_max(W: np.ndarray, plan: _GridPlan, rule, values=None):
     """Maximum of sum_j |phi(x) @ W[:, k, j]| over the grid of ``plan`` and
     all groups k.
 
@@ -670,12 +733,13 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     ``_group_values(Phi, W)`` would give. ``rule`` is the (H, S) of the
     second-order bound that ``_certified_max`` picks (module docstring);
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
-    reach the maximum, exactly, not approximately. Where it keeps every
-    cell, every grid point is evaluated for the columns it keeps. Either way
-    the grid is evaluated in blocks of bounded size.
+    reach the maximum, exactly, not approximately, on the lattice ``values``
+    of a single vector where the caller has them. Where it keeps every cell,
+    every grid point is evaluated for the columns it keeps. Either way the
+    grid is evaluated in blocks of bounded size.
     """
     total = math.prod(plan.shape)
-    cols, keep = _coarse_prune(W, plan, rule)
+    cols, keep = _coarse_prune(W, plan, rule, values)
     Wk = W[:, cols]
     top, point, col = -math.inf, None, 0
     step = _block_rows(Wk)
@@ -695,7 +759,7 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     return top, point, col
 
 
-def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
+def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule, values=None):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
     A plan's own coarse lattice keeps every s-th grid index per axis plus the
@@ -729,6 +793,12 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     largest q * S_k of those it keeps, lies below the same floor: that sum
     bounds every kept column near c.
 
+    ``values``, where given, is the ``_Lattice`` of a single vector W on the
+    cube plan's lattice (``_cube_bracket``), which is this plan's own or the
+    one it borrows: the coarse lattice then reads V_0 and D_0 there, on a
+    borrowed window their slices, in place of the product of its table rows
+    with W, and the slack reads its norms.
+
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept: where the grid is too small to coarsen, or the
     coarse lattice has q >= 1 or a bound that is not finite (a non-finite
@@ -738,31 +808,36 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     H, S = rule
     if plan.edges is None or not 0.5 * H * plan.r**2 < 1.0:
         return cols, None
-    Phi, vmax = plan.table
-    Wv, D0 = _with_slopes(W, plan)
+    # a borrowed window reads the cube plan's vmax, and takes its rows only
+    # where it forms the product
+    vmax = (plan if plan.borrow is None else plan.borrow[0]).table[1]
     g = W.shape[2]
-    # Rounding slack: basis values peak in modulus at the box's corners
-    # (trigonometric ones are at most 1), which every lattice holds, so one
-    # computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax; a
-    # value and its reach by the sum of that over the group's members and,
-    # r times, over its derivative members, and a bound by 1 / (1 - q) times
-    # that.
-    norms = np.abs(Wv).sum(axis=0)
-    wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
+    if values is None:
+        Wv, D0 = _with_slopes(W, plan)
+        wnorm, dnorm = _slack_norms(Wv, g)
+    else:
+        wnorm, dnorm = values.norms
     lattices = [(rows, r, None) for rows, r in (plan.levels if cols.size > 1 else ())]
-    for rows, r, rho in lattices + [(Phi, plan.r, plan.rho)]:
+    for rows, r, rho in lattices + [(None, plan.r, plan.rho)]:  # None: the coarse lattice
         q = 0.5 * H * r * r
-        if rows is not Phi and (cols.size == 1 or not q < 1.0):
+        if rows is not None and (cols.size == 1 or not q < 1.0):
             continue
-        low, reach, rowreach = _colmax(rows, Wv[:, :, cols], g, D0[cols], r, rho)
+        if values is not None:  # the coarse lattice: a single vector runs no level
+            V, D = values[:2] if plan.borrow is None else map(plan.window, values[:2])
+            blocks = [(V[None], D[None])]
+        else:
+            blocks = _lattice_values(plan.table[0] if rows is None else rows,
+                                     Wv[:, :, cols], g, D0[cols])
+        low, reach, rowreach = _colmax(blocks, r, rho)
         # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
         bound = reach / (1.0 - q) if S is None else reach + q * S
         if not np.all(np.isfinite(bound)):
-            if rows is Phi:
+            if rows is None:
                 return cols, None
             continue
         if rho is not None:  # a borrowed lattice is additive: S is finite here
             low = low - 0.5 * H * S * rho**2
+        # the rounding slack of ``_slack_norms``, for the bound and for the floor
         slack = 2 * W.shape[0] * np.finfo(float).eps * vmax * (wnorm + r * dnorm) / (1.0 - q)
         best = float(low.max())
         floor = best - (_PRUNE_RTOL * abs(best) + slack)
@@ -777,7 +852,7 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
 
 
 def _with_slopes(W: np.ndarray, plan: _GridPlan):
-    """(Wv, D0), the members of W and of their slopes as ``_colmax`` takes them.
+    """(Wv, D0), the members of W and of their slopes as ``_lattice_values`` takes them.
 
     The slope of group k at c is D_k(c) = sum_j sum_i |d_i (phi(c) @ W[:, k, j])|
     (module docstring). For a polynomial or trigonometric space Wv, of shape
@@ -795,34 +870,53 @@ def _with_slopes(W: np.ndarray, plan: _GridPlan):
     return np.concatenate([Wv, dW.transpose(1, 0, 2).reshape(l, -1, K)], axis=1), np.zeros(K)
 
 
+def _slack_norms(Wv: np.ndarray, g: int):
+    """(wnorm, dnorm): the largest sum of |w| over the members of a group of
+    (Wv, g) and over its derivative members, for the rounding slack: basis
+    values peak in modulus at the box's corners (trigonometric ones are at
+    most 1), which every lattice holds, so one computed |phi @ w| is off by
+    at most about l * eps * ||w||_1 * vmax; a value and its reach by the sum
+    of that over the group's members and, r times, over its derivative
+    members, and a bound by 1 / (1 - q) times that."""
+    norms = np.abs(Wv).sum(axis=0)
+    return float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
+
+
 def _half_gap(axes) -> float:
     """Half the largest gap between neighbours on any axis; a flat axis gives 0."""
     return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
 
 
-def _colmax(rows, Wv, g, D0, r, rho):
-    """(low, reach, rowreach) for the (Wv, D0) of ``_with_slopes``: per row the
-    max over groups of V - rho * D (of V where ``rho`` is None), per group the
-    max over ``rows`` of V + r * D, and per row the max over groups of
-    V + r * D, in bounded blocks. Groups lie along the first axis of a block's
-    values, so the sums over members and the maxima over rows run on
-    contiguous memory."""
+def _lattice_values(rows, Wv, g, D0):
+    """The product: (V, D) per block of ``rows``, in blocks of bounded size,
+    for the (Wv, D0) of ``_with_slopes``, each of shape (K, block rows): the
+    group values V and their slopes D. Groups lie along the first axis of a
+    block's values, so the sums over members run on contiguous memory."""
     l, members, K = Wv.shape
-    reach = np.zeros(K)
-    low, rowreach = np.empty(rows.shape[0]), np.empty(rows.shape[0])
     step = _block_rows(Wv)
     for start in range(0, rows.shape[0], step):
         vals = Wv.reshape(l, members * K).T @ rows[start:start + step].T
         vals = np.abs(vals, out=vals).reshape(members, K, -1)
-        V = vals[:g].sum(axis=0)
-        U = vals[g:].sum(axis=0)
-        U += D0[:, None]  # D, turned into V + r * D in place once low has it
-        low[start:start + step] = (V if rho is None else V - rho[start:start + step] * U).max(axis=0)
-        U *= r
+        D = vals[g:].sum(axis=0)
+        D += D0[:, None]
+        yield vals[:g].sum(axis=0), D
+
+
+def _colmax(blocks, r, rho):
+    """The reduction: (low, reach, rowreach) of (V, D) blocks in row order, per
+    row the max over groups of V - rho * D (of V where ``rho`` is None), per
+    group the max over rows of V + r * D, and per row the max over groups of
+    V + r * D. The blocks are read, never written."""
+    low, rowreach, reach, start = [], [], 0.0, 0
+    for V, D in blocks:
+        stop = start + V.shape[1]
+        low.append((V if rho is None else V - rho[start:stop] * D).max(axis=0))
+        U = r * D
         U += V
         reach = np.maximum(reach, U.max(axis=1))
-        rowreach[start:start + step] = U.max(axis=0)
-    return low, reach, rowreach
+        rowreach.append(U.max(axis=0))
+        start = stop
+    return np.concatenate(low), reach, np.concatenate(rowreach)
 
 
 def _group_values(Phi, W) -> np.ndarray:
@@ -881,7 +975,7 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
     """
     pts = as_points(points, space.n)
-    B = interpolation_matrix(space, pts)
+    B = space.evaluate_basis(pts)
     l = space.dimension()
     dom = _domain_box(space, points, box)
 

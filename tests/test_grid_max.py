@@ -335,9 +335,9 @@ def test_flat_axis_takes_the_whole_budget():
     assert plan.shape == tuple(ax[2] for ax in _grid_axes(box)[0]) == (200_001, 1)
     # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
-    with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
+    with mock.patch.object(norming, "_lattice_values", wraps=norming._lattice_values) as product:
         _coarse_prune(W, plan, (plan.H, None))
-    assert colmax.call_args.args[0].shape[0] == 4001
+    assert product.call_args.args[0].shape[0] == 4001
 
 
 def test_subbox_is_not_pruned_without_cube_bound():
@@ -597,9 +597,9 @@ def _spy_grid_max(monkeypatch):
     """Record the (plan, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(W, plan, rule):
+    def spy(W, plan, rule, **values):
         calls.append((plan, rule))
-        return real(W, plan, rule)
+        return real(W, plan, rule, **values)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
@@ -624,16 +624,86 @@ def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
     _grid_plan.cache_clear()
     calls = _spy_grid_max(monkeypatch)
     certified_supnorm(space, coeff, grid_spacing=1e-4)
-    got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
+    with mock.patch.object(norming, "_lattice_values", wraps=norming._lattice_values) as product:
+        got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
     assert len(calls) == 1 + len(SWEEP)
     assert sum(_on_cube(space, plan) for plan, _ in calls) == 1
     # the sub-intervals borrow the lattice of the one cached plan, the cube's
     assert all(plan.borrow[0] is calls[0][0] for plan, _ in calls[1:])
     assert _grid_plan.cache_info().currsize == 1
+    # and prune on the cube pass's values of the vector there: they form no
+    # product over lattice rows, and take no rows of the cube's table
+    assert not product.called
+    assert not any("table" in plan.__dict__ for plan, _ in calls[1:])
     for box, br in zip(SWEEP, got):
         _cube_bracket.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
                                                             grid_spacing=1e-4))
+
+
+def test_evicted_cube_entries_give_the_brackets_of_an_empty_cache():
+    # 3 x maxsize vectors: each cube call is followed by a sub-box of the same
+    # vector, whose entry is cached, and by a sub-box of the vector of maxsize
+    # cube calls earlier, whose entry has been evicted since
+    space = SpaceDescriptor.polynomial(1, 4)
+    size = _cube_bracket.cache_info().maxsize
+    coeffs = np.random.default_rng(21).normal(size=(3 * size, space.dimension()))
+    boxes = [_B([-0.9], [-0.2]), _B([-0.35], [0.4]), _B([0.1], [0.95])]
+    calls = []
+    for k, coeff in enumerate(coeffs):
+        calls.append((coeff, None))
+        calls.append((coeff, boxes[k % 3]))
+        if k >= size:
+            calls.append((coeffs[k - size], boxes[(k + 1) % 3]))
+    _cube_bracket.cache_clear()
+    got = [certified_supnorm(space, c, box, grid_spacing=1e-4) for c, box in calls]
+    info = _cube_bracket.cache_info()
+    # one miss per vector, and one more per entry that was evicted and came back
+    assert info.currsize == size and info.misses == 3 * size + 2 * size
+    for (c, box), br in zip(calls, got):
+        _cube_bracket.cache_clear()
+        assert _as_tuple(br) == _as_tuple(certified_supnorm(space, c, box, grid_spacing=1e-4))
+
+
+# (space, a box strictly inside its cube, spacing, budget)
+KEPT = {
+    "1d": (SpaceDescriptor.polynomial(1, 5), _B([-0.3], [0.45]), 1e-4, None),
+    "2d": (SpaceDescriptor.polynomial(2, 3), _B([-0.6, -0.2], [0.5, 0.9]), None, 40000),
+    "3d": (SpaceDescriptor.polynomial(3, 2), _B([-0.5, -0.9, 0.1], [0.4, 0.2, 0.8]), None,
+           64000),
+    "trig": (SpaceDescriptor.trigonometric(1, 3), _B([-0.7], [0.2]), None, 20001),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_cube_entry_keeps_the_values_of_the_window_product(name):
+    space, box, spacing, budget = KEPT[name]
+    coeff = np.random.default_rng(sorted(KEPT).index(name) + 22).normal(size=space.dimension())
+    W = coeff[:, None, None]
+    _cube_bracket.cache_clear()
+    _, _, plan, _ = _handed(space, W, box, spacing, budget)
+    cube = plan.borrow[0]
+    bracket, (V, D, norms) = _cube_bracket(space, W.tobytes(),
+                                           *norming._grid_key(plan.spacing, budget))
+    assert _as_tuple(bracket) == _as_tuple(certified_supnorm(space, coeff, box=None,
+                                                             grid_spacing=cube.spacing,
+                                                             budget=budget))
+    Phi = cube.table[0]
+    lattice = math.prod(e.size - 1 for e in cube.edges)
+    for a in (V, D):
+        assert not a.flags.writeable and a.shape == (lattice,) == Phi.shape[:1]
+    # V = |p| and D = sum_i |d_i p| at the lattice points
+    P = space.basis_derivatives()
+    assert np.allclose(V, np.abs(Phi @ coeff), rtol=1e-12, atol=1e-12)
+    assert np.allclose(D, sum(np.abs(Phi @ (Pi @ coeff)) for Pi in P), rtol=1e-12, atol=1e-12)
+    # on the box's window, exactly what the product of its table rows gives
+    rows = plan.table[0]
+    assert rows.shape[0] == plan.rho.size < lattice
+    Wv, D0 = _with_slopes(W, plan)
+    window = [np.hstack(a)[0] for a in zip(*norming._lattice_values(rows, Wv, 1, D0))]
+    assert np.array_equal(plan.window(V), window[0])
+    assert np.array_equal(plan.window(D), window[1])
+    assert norms == norming._slack_norms(Wv, 1)
 
 
 def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):

@@ -158,6 +158,23 @@ def test_duplicates_are_found_across_row_blocks(block, monkeypatch):
         assert has_duplicates(dup)
 
 
+@pytest.mark.parametrize("pts", [[[-1.0], [-0.3], [0.4], [1.0]], [[-1.0], [1.0]]],
+                         ids=["norming", "rank-deficient"])
+def test_norming_constant_checks_the_set_for_duplicates_once(pts, monkeypatch):
+    checks = mock.Mock(wraps=has_duplicates)
+    monkeypatch.setattr(norming, "has_duplicates", checks)
+    from_array = norming_constant(P2, np.array(pts), budget=2001)
+    assert checks.call_count == 1
+    points = PointSet(np.array(pts))
+    assert checks.call_count == 2  # by the constructor
+    from_set = norming_constant(P2, points, budget=2001)
+    assert checks.call_count == 2
+    assert from_set.to_json() == from_array.to_json()
+    assert from_set.norming == (len(pts) > 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        norming_constant(P2, np.array([[0.5], [-0.2], [0.5]]))
+
+
 def test_large_set_reaches_the_vertex_budget_without_an_m_by_m_array():
     # one 3,000 x 3,000 float array is 72 MB: the duplicate check runs in row
     # blocks and the rank test's SVD is thin, so neither builds one
@@ -482,7 +499,10 @@ def test_one_column_never_builds_the_levels(monkeypatch):
     assert plans[1].borrow[0] is plans[0]
     assert norming._grid_plan.cache_info().misses == 1
     for plan in plans:
-        assert "table" in plan.__dict__ and "levels" not in plan.__dict__
+        assert "levels" not in plan.__dict__
+    # the box prunes on the cube pass's lattice values of the vector: it takes
+    # no rows of the cube's table, so it forms no product with them
+    assert "table" in plans[0].__dict__ and "table" not in plans[1].__dict__
 
 
 def test_vertex_matrices_share_the_levels_of_one_plan():
