@@ -91,10 +91,9 @@ def load_points(path: str) -> PointSet:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed JSON ({exc})") from exc
-        if "points" not in obj:
-            raise ValueError(f"{path}: missing key 'points'")
-        pts = np.asarray(obj["points"], dtype=float)
-        box = obj.get("box")
+        if not isinstance(obj, dict) or "points" not in obj:
+            raise ValueError(f"{path}: a points file must be a JSON object with key 'points'")
+        rows, box = obj["points"], obj.get("box")
     else:
         rows = []
         with open(path, newline="") as fh:
@@ -107,7 +106,12 @@ def load_points(path: str) -> PointSet:
                     raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
         if not rows:
             raise ValueError(f"{path}: no points")
+    try:
         pts = np.asarray(rows, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("a coordinate is not finite")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: points must be finite, rows of one length ({exc})") from exc
     if pts.ndim == 1:
         pts = pts[:, None]
     if box is not None:

@@ -6,8 +6,8 @@ over a uniform grid on the cube, of the per-point linear program
     maximize  sum_i a_i f_i(x)   s.t.  |sum_i a_i f_i(z_j)| <= 1  for all j.
 
 The LP optimum is attained at a vertex of the feasible polytope, and the
-polytope does not depend on x, so we enumerate its vertices once (in the
-orthonormal basis Q of B = QR, mapped back by R^-1) and take
+polytope does not depend on x, so we enumerate its vertices once (in U of the
+rank test's SVD B / colmax = U diag(s) Vh, mapped back) and take
 the grid-wise maximum of |f_v(x)| over vertices v. This is exactly the
 per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
 LPs directly and is used as a cross-check.
@@ -251,7 +251,11 @@ def _domain_box(space: SpaceDescriptor, points=None, box=None):
     if box is None and isinstance(points, PointSet):
         box = points.box
     if box is not None:
-        return np.asarray(box, dtype=float)
+        box = np.asarray(box, dtype=float)
+        if box.shape != (2, space.n) or not all(
+                -math.inf < a <= b < math.inf for a, b in zip(*box.tolist())):
+            raise ValueError(f"box must be [lo, hi], {space.n} finite coordinates each, lo <= hi")
+        return box
     cube = _cube(space)[0]
     if cube is None:
         raise ValueError("fewnomial spaces need an explicit bounding box")
@@ -982,7 +986,7 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     colmax = np.maximum(np.max(np.abs(B), axis=0), 1e-300)
     Bs = B / colmax
     # thin unless m < l, where the null vector needs the full Vh
-    _, s, Vh = np.linalg.svd(Bs, full_matrices=B.shape[0] < l)
+    U, s, Vh = np.linalg.svd(Bs, full_matrices=B.shape[0] < l)
     smin = s[-1] if B.shape[0] >= l else 0.0
     if B.shape[0] < l or smin < rank_threshold:
         null = Vh[-1] / colmax
@@ -998,15 +1002,14 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     if B.shape[0] == l:
         W = np.linalg.solve(B, np.eye(l))[:, None, :]
     else:
-        # the vertices of {c : |Qc| <= 1} are R c for those of {a : |Ba| <= 1};
-        # Q's orthonormal columns let the subset test judge the subsets, not
-        # the scale of the basis on a small box
-        Q, R = np.linalg.qr(B)
-        verts = _feasible_vertices(Q)
+        # the vertices c of {c : |Uc| <= 1} give Vh^T diag(1/s) c / colmax for
+        # {a : |Ba| <= 1}; U's orthonormal columns let the subset test judge
+        # the subsets, not the scale of the basis on a small box
+        verts = _feasible_vertices(U)
         if verts.shape[0] == 0:
             raise IllConditionedError("no feasible LP vertex despite full rank",
                                       direction=Vh[-1] / colmax)
-        W = np.linalg.solve(R, verts.T)[:, :, None]
+        W = (Vh.T / s / colmax[:, None] @ verts.T)[:, :, None]
     bracket, k = _certified_max(space, W, dom, grid_spacing, budget)
     s = np.ones(W.shape[2])
     if s.size > 1:

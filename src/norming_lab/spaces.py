@@ -17,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -48,8 +47,8 @@ class ModulusOfContinuity:
     def __post_init__(self):
         if self.kind not in ("identity", "power"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if self.kind == "power" and not (0.0 < self.gamma <= 1.0):
-            raise ValueError("power modulus needs gamma in (0, 1]")
+        if not 0.0 < self.gamma <= 1.0 or (self.kind == "identity" and self.gamma != 1.0):
+            raise ValueError("a power modulus needs gamma in (0, 1], the identity gamma = 1")
         if self.kind == "power" and self.gamma == 1.0:
             object.__setattr__(self, "kind", "identity")
 
@@ -308,32 +307,28 @@ class MarkovConstant:
 
 
 def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
-    """Least M with L_f <= M * sup|f| over the space, relative to its modulus.
-
-    Exact for polynomial/trigonometric spaces with the identity modulus
-    (Markov resp. Bernstein); otherwise an uncertified sampled estimate.
-    A polynomial box takes its own constant sum_j 2 d^2 / (hi_j - lo_j) over
-    the non-flat axes, from Markov's inequality on each axis segment; the
-    cube's is d^2 * n. Bernstein's inequality holds on all of R^n.
+    """Least M with |f(x) - f(y)| <= M * sup|f| * omega(|x - y|_inf) on a box (the
+    cube when none is given), omega the space's modulus. The identity constant M_1
+    is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j) over the non-flat
+    axes by Markov, and trigonometric ones, pi * d * n by Bernstein; a fewnomial
+    span takes an uncertified sampled estimate. As |f(x) - f(y)| <= min(M_1 t, 2)
+    sup|f| at l-inf distance t <= D, the box's largest side, omega(t) = t^gamma
+    gives M_1 * min(D, 2 / M_1)^(1 - gamma), and gamma = 1 for the identity.
     """
-    if space.modulus.kind == "identity":
-        if space.kind == "polynomial":
-            if box is None:
-                return MarkovConstant(float(space.degree**2 * space.n), True)
-            width = np.asarray(box[1], dtype=float) - np.asarray(box[0], dtype=float)
-            return MarkovConstant(float(np.sum(2.0 * space.degree**2 / width[width > 0])), True)
-        if space.kind == "trigonometric":
-            return MarkovConstant(math.pi * space.degree * space.n, True)
-    if box is None:
-        box = space.default_box()
+    box = space.default_box() if box is None else box
     if box is None:
         raise ValueError("fewnomial Markov estimate needs an explicit box")
-    pts, w = uniform_quadrature(box, samples_per_axis=_axis_samples(space.n))
-    return MarkovConstant(gram_schmidt_markov_bound(space, pts, w), False)
-
-
-def _axis_samples(n: int) -> int:
-    return {1: 513, 2: 65}.get(n, 17)
+    width = np.asarray(box[1], dtype=float) - np.asarray(box[0], dtype=float)
+    if space.kind == "polynomial":
+        M = float(np.sum(2.0 * space.degree**2 / width[width > 0]))
+    elif space.kind == "trigonometric":
+        M = math.pi * space.degree * space.n
+    else:
+        pts, w = uniform_quadrature(box, samples_per_axis={1: 513, 2: 65}.get(space.n, 17))
+        M = gram_schmidt_markov_bound(space, pts, w)
+    if M > 0:
+        M *= min(float(np.max(width)), 2.0 / M) ** (1.0 - space.modulus.gamma)
+    return MarkovConstant(M, space.kind != "fewnomial")
 
 
 def uniform_quadrature(box, samples_per_axis: int = 65):
@@ -364,10 +359,11 @@ def uniform_quadrature(box, samples_per_axis: int = 65):
 
 
 def gram_schmidt_markov_bound(space: SpaceDescriptor, sample_points, weights) -> float:
-    """Sampled upper estimate of the Markov constant.
+    """Sampled estimate of the Markov constant of the identity modulus, which
+    ``markov_constant`` takes for fewnomial spans only.
 
     Orthonormalizes the basis in L2 of the supplied quadrature, estimates
-    the Lipschitz constants of the orthonormal functions by difference
+    the l-inf Lipschitz constants of the orthonormal functions by difference
     quotients on sampled pairs, and returns max_i L_i * sqrt(l) * sqrt(mass).
     The difference quotients only lower-bound the true Lipschitz constants,
     so the result is not a certificate.
@@ -390,9 +386,8 @@ def gram_schmidt_markov_bound(space: SpaceDescriptor, sample_points, weights) ->
     keep = dx > 1e-14
     if not np.any(keep):
         return 0.0
-    denom = space.modulus(dx[keep])
     dpsi = np.abs(Psi[pairs[keep, 0]] - Psi[pairs[keep, 1]])
-    lip = float(np.max(dpsi / denom[:, None])) if l else 0.0
+    lip = float(np.max(dpsi / dx[keep, None])) if l else 0.0
     return lip * math.sqrt(l) * math.sqrt(float(w.sum()))
 
 

@@ -159,6 +159,19 @@ def test_malformed_space_is_an_error(capsys, points_csv, tmp_path, space):
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("pts.json", '"points"'), ("pts.json", "[[0.0], [1.0]]"),
+    ("pts.json", '{"points": [["a"]]}'), ("pts.json", '{"points": [[0.0], [1.0, 2.0]]}'),
+    ("pts.json", '{"points": [null]}'), ("pts.json", '{"points": {"x": 1}}'),
+    ("pts.csv", "-1\n0,1\n1\n"), ("pts.csv", "-1\nnan\n1\n")])
+def test_malformed_points_file_is_an_error(capsys, space_file, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["norming", "--space", space_file, "--points", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
 def test_estimate_c_subcommand(capsys):
     code, out = run(capsys, ["estimate-c", "--trials", "5", "--seed", "1"])
     assert code == 0

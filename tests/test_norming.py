@@ -24,6 +24,24 @@ P1 = SpaceDescriptor.polynomial(1, 1)
 P2 = SpaceDescriptor.polynomial(1, 2)
 
 
+def test_reversed_or_non_finite_box_is_rejected():
+    # a reversed axis once read as a flat one, and gave a certified wrong bracket
+    for box in [([0.5], [-0.9]), ([0.5], [np.nan]), ([-np.inf], [0.5]),
+                ([0.0, 0.0], [1.0, 1.0]), [[0.0], [0.5], [1.0]]]:
+        with pytest.raises(ValueError, match="box must be"):
+            certified_supnorm(P2, [0.0, 1.0, 0.0], box=box)
+    pts = [[0.0], [0.2], [0.4]]
+    with pytest.raises(ValueError, match="box must be"):
+        norming_constant(P2, pts, box=([0.4], [0.0]))
+    reversed_set = PointSet(pts, box=([0.4], [0.0]))
+    for call in (norming_constant, lebesgue_constant, cramer_bound):
+        with pytest.raises(ValueError, match="box must be"):
+            call(P2, reversed_set)
+    # a flat axis stays legal
+    flat = certified_supnorm(P2, [0.0, 1.0, 0.0], box=([0.5], [0.5]))
+    assert flat.lower == flat.upper == 0.5 and flat.certified
+
+
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0], [0.0]]))

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_grid
-from norming_lab import (IDENTITY, SpaceDescriptor, markov_constant,
-                         norming_constant, power_modulus, space_from_json)
+from norming_lab import (IDENTITY, ModulusOfContinuity, SpaceDescriptor,
+                         certified_supnorm, markov_constant, norming_constant,
+                         power_modulus, space_from_json)
+from norming_lab import spaces
 from norming_lab.spaces import (DomainError, _monomial_exponents, _trig_tuples,
                                 gram_schmidt_markov_bound, uniform_quadrature)
 
@@ -211,6 +214,8 @@ def test_modulus_validation():
         power_modulus(0.0)
     with pytest.raises(ValueError):
         power_modulus(1.5)
+    with pytest.raises(ValueError):
+        ModulusOfContinuity("identity", 0.5)
     assert IDENTITY(0.25) == 0.25
     assert power_modulus(0.5)(0.25) == pytest.approx(0.5)
 
@@ -240,6 +245,60 @@ def test_markov_certified_values():
     box = (np.array([-1.5, 0.2]), np.array([0.5, 0.2]))
     M = markov_constant(SpaceDescriptor.polynomial(2, 3), box=box)
     assert M.value == 9.0 and M.certified
+
+
+def test_markov_power_modulus_closed_form():
+    # M_1 * min(D, 2 / M_1)^(1 - gamma), D the box's largest side
+    M = markov_constant(SpaceDescriptor.polynomial(1, 2, power_modulus(0.5)))
+    assert M.value == pytest.approx(2 * math.sqrt(2), rel=1e-15) and M.certified
+    M = markov_constant(SpaceDescriptor.trigonometric(1, 2, power_modulus(0.5)))
+    assert M.value == pytest.approx(math.sqrt(4 * math.pi), rel=1e-15) and M.certified
+    # a trigonometric box narrower than 2 / M_1 keeps the slope M_1 * D^(1 - gamma)
+    box = (np.array([0.0, 0.3]), np.array([0.1, 0.35]))
+    M = markov_constant(SpaceDescriptor.trigonometric(2, 1, power_modulus(0.5)), box=box)
+    assert M.value == pytest.approx(2 * math.pi * math.sqrt(0.1), rel=1e-15) and M.certified
+    for space in (SpaceDescriptor.polynomial(2, 0, power_modulus(0.5)),
+                  SpaceDescriptor.trigonometric(1, 0, power_modulus(0.3))):
+        assert markov_constant(space) == spaces.MarkovConstant(0.0, True)
+
+
+def test_markov_samples_only_fewnomial_spans():
+    box = (np.array([0.5, 0.2]), np.array([2.0, 0.2]))
+    with mock.patch.object(spaces, "uniform_quadrature",
+                           wraps=spaces.uniform_quadrature) as spy:
+        for mod in (IDENTITY, power_modulus(0.3), power_modulus(0.7)):
+            for space in (SpaceDescriptor.polynomial(2, 3, mod),
+                          SpaceDescriptor.trigonometric(2, 1, mod)):
+                assert markov_constant(space).certified
+                assert markov_constant(space, box=box).certified
+        assert spy.call_count == 0
+        few = SpaceDescriptor.fewnomial_span([(1.0, 0.0), (2.5, 1.0)], power_modulus(0.5))
+        assert not markov_constant(few, box=box).certified
+        assert spy.call_count == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("polynomial", 1, 1), ("polynomial", 1, 4), ("polynomial", 2, 2),
+                        ("trigonometric", 1, 2), ("trigonometric", 2, 1)]),
+       st.sampled_from([0.3, 0.5, 0.8, 1.0]), st.integers(0, 2**32 - 1))
+def test_markov_constant_bounds_every_modulus_quotient(case, gamma, seed):
+    # |f(x) - f(y)| <= M * sup|f| * |x - y|_inf^gamma, with sup|f| the certified
+    # upper end, at l-inf distances from 1e-4 to the cube's side
+    kind, n, d = case
+    space = getattr(SpaceDescriptor, kind)(n, d, power_modulus(gamma))
+    rng = np.random.default_rng(seed)
+    coeff = rng.normal(size=space.dimension())
+    sup = certified_supnorm(space, coeff, budget=20001)
+    assert sup.certified
+    x = rng.uniform(-1.0, 1.0, size=(600, n))
+    step = rng.uniform(-1.0, 1.0, size=x.shape) * 10.0 ** rng.uniform(-4.0, 0.3, size=(600, 1))
+    y = np.clip(x + step, -1.0, 1.0)
+    t = np.max(np.abs(x - y), axis=1)
+    ok = t > 0
+    lhs = np.abs((space.evaluate_basis(x[ok]) - space.evaluate_basis(y[ok])) @ coeff)
+    M = markov_constant(space)
+    assert M.certified
+    assert np.all(lhs <= M.value * sup.upper * t[ok] ** gamma * (1 + 1e-9))
 
 
 def test_markov_sampled_estimate_flagged():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from norming_lab import (SpaceDescriptor, hausdorff_distance, lipschitz_audit,
-                         norming_constant, perturbation_experiment, stability_ball)
+                         norming_constant, perturbation_experiment, power_modulus,
+                         stability_ball)
 
 P1 = SpaceDescriptor.polynomial(1, 1)
 
@@ -60,6 +61,19 @@ def test_perturbation_experiment_deterministic():
     for row in rows1:
         assert row.within_markov
         assert row.trials == 10
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor.polynomial(1, 2, power_modulus(0.5)),
+                                   SpaceDescriptor.trigonometric(1, 1, power_modulus(0.3))])
+def test_power_modulus_audits_rest_on_a_certified_constant(space):
+    pts = [[-0.8], [0.1], [0.9]]
+    rep = lipschitz_audit(space, pts, [[-0.75], [0.1], [0.95]], budget=20001)
+    assert rep.status == "satisfied" and rep.markov_certified
+    assert 0.0 < rep.lhs <= rep.rhs
+    rows = perturbation_experiment(space, pts, [0.05, 0.2], trials=10, seed=3,
+                                   budget=10001)
+    for row in rows:
+        assert row.within_markov and 0.0 < row.max_ratio <= rep.markov
 
 
 def test_perturbation_experiment_propagates_errors(monkeypatch):
