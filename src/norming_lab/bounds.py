@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import entropy
-from .norming import (NotNormingError, as_points, cramer_bound, fekete_select,
-                      norming_constant)
+from .norming import (NotNormingError, PointSet, as_point_set, cramer_bound,
+                      fekete_select, norming_constant)
 from .spaces import SpaceDescriptor
 
 
@@ -106,7 +106,7 @@ def rd_span_bound(n: int, d: int, omega: float) -> BoundResult:
 
 def cor22_bound(points, d: int) -> BoundResult:
     """Min-gap bound T_d((2 - delta)/delta) for finite 1-D sets with m >= d+1."""
-    pts = as_points(points)
+    pts = as_point_set(points).points
     if pts.shape[1] != 1:
         raise ValueError("this bound applies to 1-D point sets")
     m = pts.shape[0]
@@ -194,6 +194,7 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
     A ratio bound/exact below 1 - 1e-6 is flagged as a VIOLATION finding
     (a reportable discrepancy, not a crash). Findings are ordered by name.
     """
+    points = as_point_set(points, space.n)
     rep = norming_constant(space, points, grid_spacing=grid_spacing, budget=budget)
     if not rep.norming:
         raise NotNormingError("exact constant unavailable: Z is not norming")
@@ -223,8 +224,7 @@ def _evaluate_named(space, points, name, *, mu, lam, delta) -> BoundResult:
         return cor22_bound(points, d)
     if name == "cramer":
         idx, _ = fekete_select(space, points, mode="exhaustive")
-        sub = as_points(points)[list(idx)]
-        value = cramer_bound(space, sub, box=getattr(points, "box", None))
+        value = cramer_bound(space, PointSet(points.points[list(idx)], points.box))
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})
     if name == "rd_span":
         profile = entropy.metric_span(points, d)

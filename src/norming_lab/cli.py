@@ -12,12 +12,9 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import __version__, bounds, entropy, fewnomial, stability
 from .norming import (DEFAULT_GRID_BUDGET, DEFAULT_RANK_THRESHOLD, NotNormingError,
@@ -82,8 +79,8 @@ def load_space(path: str):
 
 
 def load_points(path: str) -> PointSet:
-    """Points from CSV rows or from JSON ``{"points": [...]}``; the JSON form
-    may add ``"box": [[lo...], [hi...]]``, the domain of a fewnomial span."""
+    """Points from CSV rows or from JSON ``{"points": [...]}``, which may add the
+    set's domain, ``"box": [[lo...], [hi...]]``; every error names the file."""
     box = None
     if path.endswith(".json"):
         with open(path) as fh:
@@ -104,27 +101,10 @@ def load_points(path: str) -> PointSet:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
-        if not rows:
-            raise ValueError(f"{path}: no points")
     try:
-        pts = np.asarray(rows, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("a coordinate is not finite")
+        return PointSet(rows, box)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: points must be finite, rows of one length ({exc})") from exc
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if box is not None:
-        try:
-            box = np.asarray(box, dtype=float)
-        except (TypeError, ValueError):
-            box = np.empty(0)
-        if (box.shape != (2, pts.shape[1]) or not np.all(np.isfinite(box))
-                or np.any(box[0] > box[1])):
-            raise ValueError(f"{path}: 'box' must be [[lo...], [hi...]], "
-                             f"{pts.shape[1]} finite coordinates each, lo <= hi")
-        box = (box[0], box[1])
-    return PointSet(pts, box=box)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(payload: dict, cfg: RunConfig, text: Optional[str] = None) -> None:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .norming import as_points, linf_distances
+from .norming import as_point_set, linf_distances
 
 DEFAULT_COVER_CAP = 25
 _EPS_TOL = 1e-12
@@ -32,7 +32,7 @@ def covering_number(points, eps: float, *, exact_cap: int = DEFAULT_COVER_CAP,
     """Minimal number of closed eps-balls centered at points of Z covering Z."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = as_points(points)
+    pts = as_point_set(points).points
     D = linf_distances(pts, pts) if pts.shape[0] > 1 and pts.shape[1] > 1 else None
     return _cover_count(pts, D, eps, exact_cap, heuristic)
 
@@ -128,7 +128,7 @@ def _exact_cover(masks: Sequence[int], m: int) -> int:
 
 def min_gap(points) -> float:
     """Minimal distance between distinct points of a 1-D set."""
-    pts = as_points(points)
+    pts = as_point_set(points).points
     if pts.shape[1] != 1:
         raise ValueError("min_gap is defined for 1-D point sets")
     if pts.shape[0] < 2:
@@ -188,7 +188,7 @@ def metric_span(points, d: int, *, coefficients=None,
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    pts = as_points(points)
+    pts = as_point_set(points).points
     n = pts.shape[1]
     m = pts.shape[0]
     D = linf_distances(pts, pts)

@@ -1,7 +1,7 @@
-"""Exact norming constants over the cube.
+"""Exact norming constants of finite sets over their domain (``PointSet.domain``).
 
 The norming constant of a finite set Z is computed as the certified sup,
-over a uniform grid on the cube, of the per-point linear program
+over a uniform grid on its domain, of the per-point linear program
 
     maximize  sum_i a_i f_i(x)   s.t.  |sum_i a_i f_i(z_j)| <= 1  for all j.
 
@@ -190,18 +190,35 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite list of n-vectors, duplicate-free within 1e-12 in l-inf."""
+    """Finite n-vectors (a flat list holds 1-D points), nonempty and duplicate-free
+    within 1e-12 in l-inf, and the box that holds them (within 1e-12), checked and
+    frozen here."""
 
     points: np.ndarray
-    box: Optional[tuple] = None  # declared bounding box for fewnomial domains
+    box: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        pts = pts.reshape(-1, 1) if pts.ndim < 2 else pts
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("a coordinate is not finite")
+        if pts.shape[0] < 1:
+            raise ValueError("point set must be nonempty")
+        if has_duplicates(pts):
+            raise ValueError("duplicate points (within 1e-12 in l-inf)")
         object.__setattr__(self, "points", pts)
-        _check_duplicates(pts)
+        if self.box is not None:
+            box = _checked_box(self.box, pts.shape[1])
+            if np.any(pts < box[0] - 1e-12) or np.any(pts > box[1] + 1e-12):
+                raise ValueError("a point lies outside the box (by more than 1e-12)")
+            object.__setattr__(self, "box", box)
 
     def __len__(self):
         return self.points.shape[0]
+
+    def domain(self, space: SpaceDescriptor) -> np.ndarray:
+        """The set's box, else the space's cube, as one array of rows (lo, hi)."""
+        return _domain_box(space) if self.box is None else self.box
 
 
 def linf_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,41 +242,34 @@ def has_duplicates(pts: np.ndarray) -> bool:
     return False
 
 
-def _check_duplicates(pts: np.ndarray):
-    if pts.shape[0] < 1:
-        raise ValueError("point set must be nonempty")
-    if has_duplicates(pts):
-        raise ValueError("duplicate points (within 1e-12 in l-inf)")
-
-
-def as_points(points, n: Optional[int] = None) -> np.ndarray:
-    if isinstance(points, PointSet):
-        pts = points.points
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        _check_duplicates(pts)
-    if n is not None and pts.shape[1] != n:
+def as_point_set(points, n: Optional[int] = None) -> PointSet:
+    """``points`` as a ``PointSet``, so checked once, with n coordinates when given."""
+    zs = points if isinstance(points, PointSet) else PointSet(points)
+    if n is not None and zs.points.shape[1] != n:
         raise ValueError(f"points must have {n} coordinates")
-    return pts
+    return zs
 
 
-def _domain_box(space: SpaceDescriptor, points=None, box=None):
-    """The box of a call as one array of rows (lo, hi): the given box, else a
-    point set's declared box, else the space's cube."""
-    if box is None and isinstance(points, PointSet):
-        box = points.box
-    if box is not None:
-        box = np.asarray(box, dtype=float)
-        if box.shape != (2, space.n) or not all(
-                -math.inf < a <= b < math.inf for a, b in zip(*box.tolist())):
-            raise ValueError(f"box must be [lo, hi], {space.n} finite coordinates each, lo <= hi")
-        return box
-    cube = _cube(space)[0]
-    if cube is None:
+def _checked_box(box, n: int) -> np.ndarray:
+    """A box as one read-only array of rows (lo, hi): n finite coordinates
+    each, lo <= hi (a flat axis is legal)."""
+    try:
+        box = np.array(box, dtype=float)
+    except (TypeError, ValueError):
+        box = np.empty(0)
+    if box.shape != (2, n) or not all(
+            -math.inf < a <= b < math.inf for a, b in zip(*box.tolist())):
+        raise ValueError(f"box must be [lo, hi], {n} finite coordinates each, lo <= hi")
+    box.flags.writeable = False
+    return box
+
+
+def _domain_box(space: SpaceDescriptor, box=None) -> np.ndarray:
+    """The given box, checked, else the space's cube."""
+    box = _cube(space)[0] if box is None else _checked_box(box, space.n)
+    if box is None:
         raise ValueError("fewnomial spaces need an explicit bounding box")
-    return cube
+    return box
 
 
 @functools.lru_cache(maxsize=8)
@@ -318,12 +328,12 @@ def _grid_points(axes, flat: np.ndarray) -> np.ndarray:
 
 def interpolation_matrix(space: SpaceDescriptor, points) -> np.ndarray:
     """Matrix (f_i(x^j))_{j,i} in canonical basis order."""
-    pts = as_points(points, space.n)
+    pts = as_point_set(points, space.n).points
     return space.evaluate_basis(pts)
 
 
 def interpolation_determinant(space: SpaceDescriptor, points) -> float:
-    pts = as_points(points, space.n)
+    pts = as_point_set(points, space.n).points
     l = space.dimension()
     if pts.shape[0] != l:
         raise ValueError(f"need exactly {l} points, got {pts.shape[0]}")
@@ -351,22 +361,20 @@ def lagrange_basis(space: SpaceDescriptor, points) -> np.ndarray:
     return C
 
 
-def cramer_bound(space: SpaceDescriptor, points, *, box=None) -> float:
+def cramer_bound(space: SpaceDescriptor, points) -> float:
     """Cramer-rule upper bound S^l * l * l! / |det| on the norming constant.
 
     ``points`` is a unisolvent set of l = dim V points and S = max_i sup |f_i|
-    over the box (the space's cube by default). S is exact, not a grid
+    over the set's domain (``PointSet.domain``). S is exact, not a grid
     bracket: every basis function attains its sup modulus at a corner of the
     box (``SpaceDescriptor.basis_sup``), so only the corners are evaluated.
     """
-    pts = as_points(points, space.n)
+    zs = as_point_set(points, space.n)
     l = space.dimension()
-    if pts.shape[0] != l:
-        raise ValueError(f"need exactly {l} points")
-    delta = interpolation_determinant(space, pts)
+    delta = interpolation_determinant(space, zs)  # raises unless |Z| = l
     if delta == 0.0:
         raise NotNormingError("zero interpolation determinant: not norming via this subset")
-    sup = space.basis_sup(_domain_box(space, points, box))
+    sup = space.basis_sup(zs.domain(space))
     return sup**l * l * math.factorial(l) / abs(delta)
 
 
@@ -387,7 +395,7 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
                       grid_spacing=None, budget=None) -> SupBracket:
     """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
     W = np.asarray(coefficients, dtype=float)[:, None, None]
-    return _certified_max(space, W, _domain_box(space, box=box), grid_spacing, budget)[0]
+    return _certified_max(space, W, _domain_box(space, box), grid_spacing, budget)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -965,23 +973,22 @@ def _block_rows(W: np.ndarray) -> int:
 
 
 def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
-                     budget=None, rank_threshold=DEFAULT_RANK_THRESHOLD,
-                     box=None) -> NormingReport:
+                     budget=None, rank_threshold=DEFAULT_RANK_THRESHOLD) -> NormingReport:
     """Exact-at-desk-scale norming constant of a finite set, with certificate.
 
     Not-norming detection: smallest singular value of the column-scaled
     interpolation matrix below ``rank_threshold``; the witness is the
     corresponding null direction (an f in V vanishing on Z), normalized to
-    unit grid sup over the cube.
+    unit grid sup over the set's domain (``PointSet.domain``).
 
     The witness is W[:, k] @ s for the maximising group k, with s_j the sign
     of member j at the witness point relative to member 0 (-1 where it
     vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
     """
-    pts = as_points(points, space.n)
-    B = space.evaluate_basis(pts)
+    zs = as_point_set(points, space.n)
+    B = space.evaluate_basis(zs.points)
     l = space.dimension()
-    dom = _domain_box(space, points, box)
+    dom = zs.domain(space)
 
     colmax = np.maximum(np.max(np.abs(B), axis=0), 1e-300)
     Bs = B / colmax
@@ -990,7 +997,7 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     smin = s[-1] if B.shape[0] >= l else 0.0
     if B.shape[0] < l or smin < rank_threshold:
         null = Vh[-1] / colmax
-        bracket = certified_supnorm(space, null, box=dom,
+        bracket = certified_supnorm(space, null, dom,
                                     grid_spacing=grid_spacing, budget=budget)
         if bracket.lower > 0:
             null = null / bracket.lower
@@ -1027,14 +1034,14 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
 
 
 def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
-                      budget=None, box=None) -> float:
-    """Lebesgue constant sup_box sum_i |L_i| of a unisolvent set: the lower end
-    of the certified, pruned bracket of ``_certified_max`` on the Lagrange
-    matrix as one group, the grid maximum that ``norming_constant`` reports
-    for the same set, spacing and budget."""
-    C = lagrange_basis(space, points)
-    dom = _domain_box(space, points, box)
-    return float(_certified_max(space, C[:, None, :], dom, grid_spacing, budget)[0].lower)
+                      budget=None) -> float:
+    """Lebesgue constant sup sum_i |L_i| of a unisolvent set over its domain:
+    the lower end of the certified, pruned bracket of ``_certified_max`` on
+    the Lagrange matrix as one group, the grid maximum that
+    ``norming_constant`` reports for the same set, spacing and budget."""
+    zs = as_point_set(points, space.n)
+    W = lagrange_basis(space, zs)[:, None, :]
+    return float(_certified_max(space, W, zs.domain(space), grid_spacing, budget)[0].lower)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1055,7 @@ def fekete_select(space: SpaceDescriptor, points, mode: str = "exhaustive"):
     tie-break: first combination in index order); greedy mode does
     determinant pivoting (row-by-row volume maximization).
     """
-    pts = as_points(points, space.n)
+    pts = as_point_set(points, space.n).points
     l = space.dimension()
     m = pts.shape[0]
     if m < l:
@@ -1102,11 +1109,11 @@ class SandwichReport:
 def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
                    budget=None, rel_tol=1e-6) -> SandwichReport:
     """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1."""
-    pts = as_points(points, space.n)
+    zs = as_point_set(points, space.n)
     l = space.dimension()
-    idx, _ = fekete_select(space, pts, mode="exhaustive")
-    sub = pts[list(idx)]
-    rep_full = norming_constant(space, pts, grid_spacing=grid_spacing, budget=budget)
+    idx, _ = fekete_select(space, zs, mode="exhaustive")
+    sub = PointSet(zs.points[list(idx)], zs.box)
+    rep_full = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
     if not rep_full.norming:
         raise NotNormingError("Z is not norming")
     rep_sub = norming_constant(space, sub, grid_spacing=grid_spacing, budget=budget)
@@ -1114,6 +1121,6 @@ def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
     lower_ok = n_sub >= n_full * (1.0 - rel_tol)
     upper_ok = n_sub <= l * n_full * (1.0 + rel_tol)
     C = lagrange_basis(space, sub)
-    on_z = float(np.max(np.abs(space.evaluate_basis(pts) @ C)))
+    on_z = float(np.max(np.abs(space.evaluate_basis(zs.points) @ C)))
     lagrange_ok = on_z <= 1.0 + 1e-9
     return SandwichReport(idx, n_full, n_sub, lower_ok, upper_ok, lagrange_ok, on_z)

@@ -1,26 +1,43 @@
 """Hausdorff-metric machinery and the Lipschitz stability of 1/N_V(Z).
 
 The modulus of continuity lives on the space descriptor, so the Markov
-constant and the omega-Hausdorff distance always share one modulus. Each
-constant here is the cube's, so certified (a fewnomial span has no cube and
-raises). Reciprocals of non-norming sets are 0 by convention.
+constant and the omega-Hausdorff distance always share one modulus. N, M_V
+and the perturbations of an audit live on the domain its sets share
+(``PointSet.domain``). Sets on different domains raise, and so does a constant
+not certified there: a fewnomial span's is sampled, and Bernstein's holds relative
+to the sup over a period, so on a box covering the cube. 1/N is 0 if not norming.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .norming import (NormingReport, as_points, has_duplicates, linf_distances,
+from .norming import (NormingReport, PointSet, _cube, _placement, as_point_set, linf_distances,
                       norming_constant)
 from .spaces import SpaceDescriptor, markov_constant
 
 
+def _domain(space: SpaceDescriptor, z: PointSet, y: PointSet) -> np.ndarray:
+    """The domain (``PointSet.domain``) that two sets share."""
+    if not np.array_equal(y.domain(space), z.domain(space)):
+        raise ValueError("point sets must share one domain")
+    return z.domain(space)
+
+
+def _markov(space: SpaceDescriptor, box: np.ndarray) -> float:
+    """M_V on the box, refused where not certified (see the module docstring)."""
+    M, kind = markov_constant(space, box), space.kind
+    if not M.certified or kind == "trigonometric" and not _placement(box, _cube(space)[0])[1]:
+        raise ValueError(f"the Markov constant of a {kind} span is not certified on this domain")
+    return M.value
+
+
 def hausdorff_distance(z1, z2) -> float:
     """l-inf Hausdorff distance between finite nonempty sets."""
-    a = as_points(z1)
-    b = as_points(z2)
+    a = as_point_set(z1).points
+    b = as_point_set(z2).points
     if a.shape[1] != b.shape[1]:
         raise ValueError("point sets must share one dimension")
     D = linf_distances(a, b)
@@ -54,28 +71,32 @@ class LipschitzReport:
 def lipschitz_audit(space: SpaceDescriptor, z1, z2, *, grid_spacing=None,
                     budget=None) -> LipschitzReport:
     """Check |1/N(Z1) - 1/N(Z2)| <= M_V * omega(d_H(Z1, Z2))."""
-    M = markov_constant(space)
+    z1, z2 = as_point_set(z1, space.n), as_point_set(z2, space.n)
+    M = _markov(space, _domain(space, z1, z2))
     r1 = norming_constant(space, z1, grid_spacing=grid_spacing, budget=budget)
     r2 = norming_constant(space, z2, grid_spacing=grid_spacing, budget=budget)
     dh = hausdorff_distance(z1, z2)
     dwh = float(space.modulus(dh))
     lhs = abs(r1.reciprocal - r2.reciprocal)
-    rhs = M.value * dwh
+    rhs = M * dwh
     satisfied = lhs <= rhs * (1.0 + 1e-9) + 1e-12
     return LipschitzReport(dh, dwh, r1.reciprocal, r2.reciprocal, lhs, rhs,
-                           satisfied, M.value, M.certified)
+                           satisfied, M, True)
 
 
 @dataclass(frozen=True, eq=False)
 class StabilityBall:
     space: SpaceDescriptor
-    center: np.ndarray
+    center: PointSet
     center_report: NormingReport
     radius: float
     markov: float
 
     def bound_for(self, y):
-        """Guaranteed upper bound on N(Y) for Y inside the open ball, else None."""
+        """Guaranteed upper bound on N(Y) for Y on the center's domain inside the open
+        ball, else None."""
+        y = as_point_set(y, self.space.n)
+        _domain(self.space, self.center, y)
         dwh = float(self.space.modulus(hausdorff_distance(self.center, y)))
         if dwh >= self.radius:
             return None
@@ -86,12 +107,12 @@ class StabilityBall:
 def stability_ball(space: SpaceDescriptor, z, *, grid_spacing=None,
                    budget=None) -> StabilityBall:
     """Open d_omegaH-ball of radius 1/(M_V * N_V(Z)) of guaranteed norming sets."""
+    z = as_point_set(z, space.n)
+    M = _markov(space, z.domain(space))
     rep = norming_constant(space, z, grid_spacing=grid_spacing, budget=budget)
     if not rep.norming:
         raise ValueError("the center set must be norming")
-    M = markov_constant(space)
-    return StabilityBall(space, as_points(z, space.n), rep,
-                         1.0 / (M.value * rep.value), M.value)
+    return StabilityBall(space, z, rep, 1.0 / (M * rep.value), M)
 
 
 @dataclass(frozen=True)
@@ -104,10 +125,7 @@ class PerturbationRow:
     non_norming: int
 
     def to_json(self) -> dict:
-        return {"magnitude": self.magnitude, "trials": self.trials,
-                "skipped": self.skipped, "max_ratio": self.max_ratio,
-                "within_markov": self.within_markov,
-                "non_norming": self.non_norming}
+        return asdict(self)
 
 
 def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[float],
@@ -116,16 +134,16 @@ def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[floa
     """Empirical sharpness study of the Lipschitz bound.
 
     For each magnitude, points of Z are perturbed uniformly and clamped to
-    the cube (so Z stays admissible); the max observed ratio lhs/omega(d_H)
+    its domain (so Z stays admissible); the max observed ratio lhs/omega(d_H)
     is compared against the Markov constant. Deterministic given the seed.
     A trial whose clamped set has merged points counts as skipped; any
     other error propagates.
     """
-    pts = as_points(z, space.n)
-    base = norming_constant(space, pts, grid_spacing=grid_spacing, budget=budget)
+    z = as_point_set(z, space.n)
+    M = _markov(space, z.domain(space))
+    base = norming_constant(space, z, grid_spacing=grid_spacing, budget=budget)
     if not base.norming:
         raise ValueError("Z must be norming")
-    M = markov_constant(space)
     rng = np.random.default_rng(seed)
     rows = []
     for mag in magnitudes:
@@ -133,13 +151,13 @@ def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[floa
         skipped = 0
         non_norming = 0
         for _ in range(trials):
-            shift = rng.uniform(-mag, mag, size=pts.shape)
-            pert = np.clip(pts + shift, -1.0, 1.0)
-            if has_duplicates(pert):
-                # clamping merged points; the set is no longer admissible
+            shift = rng.uniform(-mag, mag, size=z.points.shape)
+            try:
+                pert = PointSet(np.clip(z.points + shift, *z.domain(space)), z.box)
+            except ValueError:  # clamping merged points; the set is no longer admissible
                 skipped += 1
                 continue
-            dh = hausdorff_distance(pts, pert)
+            dh = hausdorff_distance(z, pert)
             if dh <= 0.0:
                 skipped += 1
                 continue
@@ -150,6 +168,6 @@ def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[floa
             lhs = abs(base.reciprocal - rep.reciprocal)
             max_ratio = max(max_ratio, lhs / float(space.modulus(dh)))
         rows.append(PerturbationRow(mag, trials, skipped, max_ratio,
-                                    max_ratio <= M.value * (1 + 1e-9),
+                                    max_ratio <= M * (1 + 1e-9),
                                     non_norming))
     return rows

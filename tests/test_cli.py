@@ -101,6 +101,24 @@ def test_lipschitz_subcommand(capsys, tmp_path):
     assert res["lhs"] == pytest.approx(0.1, abs=1e-9)
 
 
+def test_lipschitz_reads_the_files_box(capsys, tmp_path):
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps({"kind": "polynomial", "vars": 1, "degree": 1}))
+    paths = []
+    for name, pts, box in [("a", [[0.0], [0.1]], [[0.0], [0.1]]),
+                           ("b", [[0.0], [0.05]], [[0.0], [0.1]]),
+                           ("c", [[0.0], [0.05]], [[0.0], [0.2]])]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"points": pts, "box": box}))
+    code, out = run(capsys, ["lipschitz", "--space", str(sp), "--z1", str(paths[0]),
+                             "--z2", str(paths[1])])
+    res = json.loads(out)["result"]
+    assert code == 0 and res["status"] == "satisfied" and res["markov"] == 20.0
+    assert main(["lipschitz", "--space", str(sp), "--z1", str(paths[0]),
+                 "--z2", str(paths[2])]) == 1
+    assert "one domain" in capsys.readouterr().err
+
+
 @pytest.fixture
 def fewnomial_files(tmp_path):
     """span{1, x^0.5, x^1.5} and the points 0.3, 0.9, 1.7 with the box [0.2, 2]."""
@@ -125,9 +143,10 @@ def test_fewnomial_points_file_carries_its_box(capsys, fewnomial_files):
                              "--bounds", "cramer", "--budget", "20001"])
     assert code == 0
     assert json.loads(out)["result"]["exact"] == rep.value
-    # the Lipschitz audit needs a Markov constant on the space's own box
+    # the Lipschitz audit refuses the span's sampled Markov constant
     assert main(["lipschitz", "--space", space_path, "--z1", points_path,
                  "--z2", points_path]) == 1
+    assert "not certified" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("box", [[0.2, 2.0], [[0.2], [2.0], [3.0]], [[0.2, 0.3], [2.0, 2.1]],
@@ -138,7 +157,8 @@ def test_malformed_box_is_an_error(capsys, fewnomial_files, box):
     with open(points_path, "w") as fh:
         json.dump({"points": [[0.3], [0.9], [1.7]], "box": box}, fh)
     assert main(["norming", "--space", space_path, "--points", points_path]) == 1
-    assert "'box' must be" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {points_path}: box must be [lo, hi]")
 
 
 @pytest.mark.parametrize("space", [[1], "polynomial", {"kind": "fewnomial", "exponents": 5},
@@ -163,7 +183,8 @@ def test_malformed_space_is_an_error(capsys, points_csv, tmp_path, space):
     ("pts.json", '"points"'), ("pts.json", "[[0.0], [1.0]]"),
     ("pts.json", '{"points": [["a"]]}'), ("pts.json", '{"points": [[0.0], [1.0, 2.0]]}'),
     ("pts.json", '{"points": [null]}'), ("pts.json", '{"points": {"x": 1}}'),
-    ("pts.csv", "-1\n0,1\n1\n"), ("pts.csv", "-1\nnan\n1\n")])
+    ("pts.csv", "-1\n0,1\n1\n"), ("pts.csv", "-1\nnan\n1\n"), ("pts.csv", "0\n0\n1\n"),
+    ("pts.json", '{"points": [[0.0], [0.5]], "box": [[0.0], [0.4]]}')])
 def test_malformed_points_file_is_an_error(capsys, space_file, tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)

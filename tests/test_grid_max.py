@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_plan, random_points, uniform_grid
-from norming_lab import (IDENTITY, SpaceDescriptor, certified_supnorm, lebesgue_constant,
-                         norming_constant)
+from norming_lab import (IDENTITY, PointSet, SpaceDescriptor, certified_supnorm,
+                         lebesgue_constant, norming_constant)
 from norming_lab import norming
 from norming_lab.norming import (_cell_indices, _cells, _certified_max, _coarse_prune,
                                  _cube_bracket, _every, _feasible_vertices, _grid_axes,
@@ -441,36 +441,35 @@ def test_norming_witness_is_feasible_and_attains_value(space):
         assert norming_lp_value(B, phi) == pytest.approx(rep.value, rel=1e-8)
 
 
-# unisolvent sets: (space, where its points lie, {box name: box})
+# unisolvent sets: (space, {box name: box}); each set is drawn in its box
 UNISOLVENT = {
-    "P3": (SpaceDescriptor.polynomial(1, 3), None,
+    "P3": (SpaceDescriptor.polynomial(1, 3),
            {"cube": None, "inside": _B([-0.4], [0.7]), "beyond": _B([-1.3], [0.6])}),
-    "P2-2d": (SpaceDescriptor.polynomial(2, 2), None,
+    "P2-2d": (SpaceDescriptor.polynomial(2, 2),
               {"cube": None, "inside": _B([-0.6, -0.2], [0.5, 0.9]),
                "beyond": _B([-1.2, -1.0], [0.4, 1.3])}),
-    "T2": (SpaceDescriptor.trigonometric(1, 2), None,
+    "T2": (SpaceDescriptor.trigonometric(1, 2),
            {"cube": None, "inside": _B([-0.7], [0.2]), "beyond": _B([-1.4], [0.3])}),
-    "fewnomial": (FEW, FEW_BOX,
+    "fewnomial": (FEW,
                   {"box": FEW_BOX, "inside": _B([0.6], [1.5]), "beyond": _B([0.1], [2.6])}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNISOLVENT))
 def test_lebesgue_group_matches_vertex_enumeration(name):
-    space, at, boxes = UNISOLVENT[name]
+    space, boxes = UNISOLVENT[name]
     rng = np.random.default_rng(sorted(UNISOLVENT).index(name) + 20)
-    lo, hi = space.default_box() if at is None else at
     budget = 20001 if space.n == 1 else 40000
-    for _ in range(2):
-        pts = lo + (hi - lo) * (random_points(rng, space.dimension(), space.n, min_sep=0.1)
-                                + 1.0) / 2.0
-        B = space.evaluate_basis(pts)
-        W = _feasible_vertices(B).T[:, :, None]
-        for box in boxes.values():
-            box = space.default_box() if box is None else box
+    for box in boxes.values():
+        box = lo, hi = space.default_box() if box is None else box
+        for _ in range(2):
+            pts = lo + (hi - lo) * (random_points(rng, space.dimension(), space.n, min_sep=0.1)
+                                    + 1.0) / 2.0
+            B = space.evaluate_basis(pts)
+            W = _feasible_vertices(B).T[:, :, None]
             with mock.patch.object(norming, "_feasible_vertices",
                                    side_effect=AssertionError("enumerated")):
-                rep = norming_constant(space, pts, box=box, budget=budget)
+                rep = norming_constant(space, PointSet(pts, box), budget=budget)
             verts, _ = _certified_max(space, W, box, None, budget)
             assert rep.norming and rep.certified == verts.certified
             assert rep.lower == pytest.approx(verts.lower, rel=1e-12)
@@ -728,13 +727,14 @@ def test_cube_memo_keeps_single_coefficient_vectors_only():
     space = SpaceDescriptor.polynomial(1, 2)
     _cube_bracket.cache_clear()
     box = (np.array([0.0]), np.array([0.1]))
-    rep = norming_constant(space, [[0.0], [0.02], [0.05], [0.1]], budget=2001, box=box)
+    rep = norming_constant(space, PointSet([[0.0], [0.02], [0.05], [0.1]], box), budget=2001)
     assert rep.norming and rep.lower <= rep.upper
     # one Lebesgue group, W of shape (3, 1, 3), on the same sub-box
-    rep = norming_constant(space, [[0.0], [0.05], [0.1]], budget=2001, box=box)
+    three = PointSet([[0.0], [0.05], [0.1]], box)
+    rep = norming_constant(space, three, budget=2001)
     assert rep.norming and rep.lower == pytest.approx(1.25, rel=1e-12)
     assert 1.25 <= rep.upper
-    assert lebesgue_constant(space, [[0.0], [0.05], [0.1]], budget=2001, box=box) == rep.lower
+    assert lebesgue_constant(space, three, budget=2001) == rep.lower
     assert _cube_bracket.cache_info().currsize == 0
     rng = np.random.default_rng(8)
     size = _cube_bracket.cache_info().maxsize
@@ -1006,7 +1006,7 @@ def test_norming_upper_bounds_the_lp_value_at_random_points(family, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = space.dimension() + data.draw(st.integers(0, 2))
     pts = lo + (hi - lo) * (random_points(rng, m, n, min_sep=0.1) + 1.0) / 2.0
-    rep = norming_constant(space, pts, box=(lo, hi), budget=2001 if n == 1 else 1600)
+    rep = norming_constant(space, PointSet(pts, (lo, hi)), budget=2001 if n == 1 else 1600)
     assert rep.norming
     B = space.evaluate_basis(pts)
     for x in lo + (hi - lo) * rng.uniform(size=(20, n)):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -25,26 +26,37 @@ P2 = SpaceDescriptor.polynomial(1, 2)
 
 
 def test_reversed_or_non_finite_box_is_rejected():
-    # a reversed axis once read as a flat one, and gave a certified wrong bracket
+    # a reversed axis once read as a flat one, and gave a certified wrong bracket;
+    # a point set's box is checked once, when the set is built
+    pts = [[0.0], [0.2], [0.4]]
     for box in [([0.5], [-0.9]), ([0.5], [np.nan]), ([-np.inf], [0.5]),
                 ([0.0, 0.0], [1.0, 1.0]), [[0.0], [0.5], [1.0]]]:
         with pytest.raises(ValueError, match="box must be"):
             certified_supnorm(P2, [0.0, 1.0, 0.0], box=box)
-    pts = [[0.0], [0.2], [0.4]]
-    with pytest.raises(ValueError, match="box must be"):
-        norming_constant(P2, pts, box=([0.4], [0.0]))
-    reversed_set = PointSet(pts, box=([0.4], [0.0]))
-    for call in (norming_constant, lebesgue_constant, cramer_bound):
         with pytest.raises(ValueError, match="box must be"):
-            call(P2, reversed_set)
-    # a flat axis stays legal
+            PointSet(pts, box=box)
+    # the point-set entries read the set's domain and take no box of their own
+    for call in (norming_constant, lebesgue_constant, cramer_bound):
+        assert "box" not in inspect.signature(call).parameters
+    # a flat axis stays legal, and a set's box is frozen
     flat = certified_supnorm(P2, [0.0, 1.0, 0.0], box=([0.5], [0.5]))
     assert flat.lower == flat.upper == 0.5 and flat.certified
+    assert not PointSet(pts, box=([0.0], [0.4])).box.flags.writeable
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         PointSet(np.array([[0.0], [0.0]]))
+
+
+def test_points_outside_their_box_are_rejected():
+    # N_V(Z) is a sup over a domain that holds Z; rounding (1e-12) is forgiven
+    with pytest.raises(ValueError, match="outside the box"):
+        PointSet([[0.0], [2.0]], box=([0.0], [1.0]))
+    with pytest.raises(ValueError, match="outside the box"):
+        PointSet([[0.0, 0.5], [1.0, -0.1]], box=([0.0, 0.0], [1.0, 1.0]))
+    z = PointSet([[-1e-13], [0.5], [1.0 + 1e-13]], box=([0.0], [1.0]))
+    assert len(z) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -94,11 +106,12 @@ def test_lebesgue_blocks_match_dense_formula(space, box, monkeypatch):
     # small blocks, so that the maximum is taken over many of them
     monkeypatch.setattr(norming, "_BLOCK_VALUES", 500)
     pts = random_points(np.random.default_rng(3), space.dimension(), space.n, min_sep=0.1)
-    box = space.default_box() if box is None else box
+    box = lo, hi = space.default_box() if box is None else box
+    pts = lo + (hi - lo) * (pts + 1.0) / 2.0  # in the box, where a set's points lie
     norming._cube_bracket.cache_clear()
     grid, _ = uniform_grid(box, budget=5000)
     dense = np.max(np.abs(space.evaluate_basis(grid) @ lagrange_basis(space, pts)).sum(axis=1))
-    assert lebesgue_constant(space, pts, budget=5000, box=box) == pytest.approx(dense, rel=1e-12)
+    assert lebesgue_constant(space, PointSet(pts, box), budget=5000) == pytest.approx(dense, rel=1e-12)
     # a group is never read back from the cube memo as one coefficient vector
     assert norming._cube_bracket.cache_info().currsize == 0
 
@@ -144,7 +157,7 @@ def test_subbox_norming_bracket_is_sound():
     # The Markov constant is relative to the sup over the whole cube, so the
     # bracket on the sub-box needs the additive form.
     box = (np.array([0.0]), np.array([0.1]))
-    rep = norming_constant(P2, [[0.0], [0.05], [0.1]], box=box, budget=3)
+    rep = norming_constant(P2, PointSet([[0.0], [0.05], [0.1]], box), budget=3)
     assert rep.certified
     assert rep.lower <= 1.25 <= rep.upper
 
@@ -294,8 +307,8 @@ CRAMER_CASES = {
 
 
 def _check_cramer(space, pts, box, budget):
-    exact = norming_constant(space, pts, box=box, budget=budget).value
-    bound = cramer_bound(space, pts, box=box)
+    exact = norming_constant(space, PointSet(pts, box), budget=budget).value
+    bound = cramer_bound(space, PointSet(pts, box))
     assert bound >= exact * (1 - 1e-9)
     # S = max_i sup |f_i| is taken at the corners of the box, exactly; the
     # grid bracket of each basis function can only be larger
@@ -353,6 +366,19 @@ def test_sandwich_on_random_sets(rng):
         assert rep.ok, (rep.n_full, rep.n_fekete, rep.max_abs_lagrange_on_z)
 
 
+def test_sandwich_reads_the_sets_box():
+    # on [0, 0.5] N({0, 0.2, 0.5}) is 1.45, where the cube gives 51
+    z = PointSet([[0.0], [0.2], [0.5]], box=([0.0], [0.5]))
+    rep = sandwich_check(P2, z)
+    assert rep.ok and rep.n_full == norming_constant(P2, z).value
+    assert rep.n_full == pytest.approx(1.45, rel=1e-9)
+    # a fewnomial span has no cube; its Fekete subset keeps the set's box
+    few = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
+    z = PointSet([[0.3], [0.8], [1.4], [1.9]], box=([0.2], [2.0]))
+    rep = sandwich_check(few, z, budget=20001)
+    assert rep.ok and rep.n_full == norming_constant(few, z, budget=20001).value
+
+
 def test_fewnomial_on_a_box_with_a_flat_axis():
     # On y = 0.7 the span {1, x^0.5 y, x^1.5 y^-0.5} is {1, x^0.5, x^1.5} with
     # rescaled coefficients, so the grid maxima match the 1-D ones.
@@ -389,14 +415,17 @@ def test_sets_in_one_space_share_one_plan(box, hits):
     # both calls of each set
     space = SpaceDescriptor.polynomial(1, 4)
     rng = np.random.default_rng(15)
-    sets = [random_points(rng, space.dimension() + extra, 1, min_sep=0.1) for extra in (0, 2)]
+    lo, hi = (-1.0, 1.0) if box is None else (box[0][0], box[1][0])
+    sets = [random_points(rng, space.dimension() + extra, 1, lo, hi, min_sep=0.1)
+            for extra in (0, 2)]
     norming._grid_plan.cache_clear()
-    shared = [norming_constant(space, pts, box=box, budget=20001).to_json() for pts in sets]
+    shared = [norming_constant(space, PointSet(pts, box), budget=20001).to_json()
+              for pts in sets]
     info = norming._grid_plan.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, hits, 1)
     for pts, rep in zip(sets, shared):
         norming._grid_plan.cache_clear()
-        assert norming_constant(space, pts, box=box, budget=20001).to_json() == rep
+        assert norming_constant(space, PointSet(pts, box), budget=20001).to_json() == rep
 
 
 def test_threads_sharing_one_plan_get_the_serial_reports():
@@ -551,7 +580,7 @@ def test_clustered_sets_match_their_image_on_the_cube(n, d, sizes, budget, draws
         w = rng.uniform(0.02, 0.04)
         lo = rng.uniform(-1, 1 - w, size=n)
         pts = lo + w * rng.uniform(size=(int(rng.choice(sizes)), n))
-        rep = norming_constant(space, pts, box=(lo, lo + w), budget=budget)
+        rep = norming_constant(space, PointSet(pts, (lo, lo + w)), budget=budget)
         cube = norming_constant(space, (pts - lo) / w * 2 - 1, budget=budget)
         assert rep.norming and rep.certified and cube.certified
         assert rep.lower <= cube.upper and cube.lower <= rep.upper

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from norming_lab import (SpaceDescriptor, hausdorff_distance, lipschitz_audit,
-                         norming_constant, perturbation_experiment, power_modulus,
-                         stability_ball)
+from conftest import random_points
+from norming_lab import (PointSet, SpaceDescriptor, hausdorff_distance, lipschitz_audit,
+                         markov_constant, norming_constant, perturbation_experiment,
+                         power_modulus, stability_ball)
 
 P1 = SpaceDescriptor.polynomial(1, 1)
+TENTH = ([0.0], [0.1])
 
 
 def test_hausdorff_known():
@@ -103,3 +107,132 @@ def test_perturbation_experiment_skips_clamped_duplicates():
     rows = perturbation_experiment(P1, [[-0.5], [0.5]], [50.0], trials=20, seed=0,
                                    budget=2001)
     assert 0 < rows[0].skipped < 20
+
+
+def test_lipschitz_audit_takes_the_markov_constant_of_the_sets_box():
+    # on [0, 0.1] the constant of P1 is 2 / 0.1 = 20, not the cube's 1
+    rep = lipschitz_audit(P1, PointSet([[0.0], [0.1]], TENTH),
+                          PointSet([[0.0], [0.05]], TENTH))
+    assert rep.status == "satisfied" and rep.markov == 20.0 and rep.markov_certified
+    assert rep.lhs == pytest.approx(2 / 3, rel=1e-9) and rep.rhs == pytest.approx(1.0)
+
+
+def test_stability_ball_lives_on_the_sets_box():
+    ball = stability_ball(P1, PointSet([[0.0], [0.1]], TENTH))
+    assert ball.markov == 20.0 and ball.radius <= 0.05 * (1 + 1e-9)
+    near = PointSet([[0.0], [0.01]], TENTH)  # N = 19 on the box
+    bound = ball.bound_for(near)
+    assert bound is None or bound >= norming_constant(P1, near).value
+    inside = PointSet([[0.0], [0.06]], TENTH)
+    assert ball.bound_for(inside) >= norming_constant(P1, inside).value
+    with pytest.raises(ValueError, match="one domain"):
+        ball.bound_for([[0.0], [0.06]])
+
+
+def test_sets_on_different_domains_are_refused():
+    a = PointSet([[0.0], [0.1]], TENTH)
+    for other in ([[0.0], [0.05]], PointSet([[0.0], [0.05]], ([0.0], [0.2]))):
+        with pytest.raises(ValueError, match="one domain"):
+            lipschitz_audit(P1, a, other)
+    # a set that declares the cube shares the domain of one that declares none
+    cube = PointSet([[-1.0], [1.0]], ([-1.0], [1.0]))
+    assert lipschitz_audit(P1, cube, [[-0.9], [0.9]], budget=20001).satisfied
+
+
+def test_fewnomial_audits_are_refused_for_their_sampled_constant():
+    space = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
+    z = PointSet([[0.3], [0.9], [1.7]], ([0.2], [2.0]))
+    for run in (lambda: lipschitz_audit(space, z, z), lambda: stability_ball(space, z),
+                lambda: perturbation_experiment(space, z, [0.05], trials=2, seed=0)):
+        with pytest.raises(ValueError, match="not certified"):
+            run()
+
+
+def test_trigonometric_audits_are_refused_on_a_box_that_does_not_cover_the_cube():
+    # Bernstein's pi * d * n bounds f by its sup over a whole period: on [0, 0.1]
+    # sin(pi x) moves by 0.309 with sup 0.309, far above pi * 0.309 * 0.1
+    T1 = SpaceDescriptor.trigonometric(1, 1)
+    z = PointSet([[0.0], [0.05], [0.1]], TENTH)
+    for run in (lambda: lipschitz_audit(T1, z, z), lambda: stability_ball(T1, z),
+                lambda: perturbation_experiment(T1, z, [0.01], trials=2, seed=0)):
+        with pytest.raises(ValueError, match="not certified"):
+            run()
+    # a box that covers the cube holds a whole period: the cube's constant stands
+    wide = PointSet([[-1.2], [0.0], [0.9]], ([-1.5], [1.0]))
+    assert stability_ball(T1, wide, budget=2001).markov == markov_constant(T1).value
+
+
+def test_perturbed_points_stay_in_the_declared_box(monkeypatch):
+    from norming_lab import stability
+
+    real = stability.norming_constant
+    seen = []
+
+    def spy(space, z, **kwargs):
+        seen.append(z)
+        return real(space, z, **kwargs)
+
+    monkeypatch.setattr(stability, "norming_constant", spy)
+    P2 = SpaceDescriptor.polynomial(1, 2)
+    box = ([-0.2], [0.3])
+    rows = perturbation_experiment(P2, PointSet([[-0.2], [0.05], [0.3]], box), [0.02, 0.5],
+                                   trials=10, seed=4, budget=2001)
+    assert len(seen) == 1 + sum(r.trials - r.skipped for r in rows) > 1
+    for z in seen:
+        assert np.array_equal(z.box, box)
+        assert np.all((-0.2 <= z.points) & (z.points <= 0.3))
+    for row in rows:  # the constant of the box, 2 * 2^2 / 0.5 = 16
+        assert row.within_markov and row.max_ratio <= 16.0 * (1 + 1e-9)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_affine_image_on_its_box_matches_the_cube_set(data):
+    # x -> c + w/2 * x maps the cube onto a box of side w: N does not move,
+    # the Markov constant scales by 2/w and the Hausdorff distance by w/2
+    n = data.draw(st.integers(1, 2))
+    space = SpaceDescriptor.polynomial(n, data.draw(st.integers(1, 3 if n == 1 else 2)))
+    w = data.draw(st.floats(0.1, 3.0))
+    c = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z1 = random_points(rng, space.dimension() + 1, n, min_sep=0.2)
+    z2 = np.clip(z1 + rng.uniform(-0.05, 0.05, size=z1.shape), -1.0, 1.0)
+
+    def image(z):
+        return PointSet(c + w / 2 * z, (c - w / 2, c + w / 2))
+
+    budget = 2001 if n == 1 else 1600
+    cube = norming_constant(space, z1, budget=budget)
+    rep = norming_constant(space, image(z1), budget=budget)
+    assert rep.lower <= cube.upper and cube.lower <= rep.upper
+    a = lipschitz_audit(space, z1, z2, budget=budget)
+    b = lipschitz_audit(space, image(z1), image(z2), budget=budget)
+    assert b.status == a.status and b.rhs == pytest.approx(a.rhs, rel=1e-9)
+    assert b.markov == pytest.approx(a.markov * 2 / w, rel=1e-12)
+    ball = stability_ball(space, image(z1), budget=budget)
+    assert ball.radius == pytest.approx(stability_ball(space, z1, budget=budget).radius * w / 2,
+                                        rel=1e-6)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_affine_image_of_a_trigonometric_set_on_a_covering_box(data):
+    # on a box that covers the cube a trigonometric f has its sup over a whole
+    # period, so the cube's constant pi * d * n stands and the audit holds
+    n = data.draw(st.integers(1, 2))
+    space = SpaceDescriptor.trigonometric(n, data.draw(st.integers(1, 2 if n == 1 else 1)))
+    c = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    w = 2.0 + 2.0 * float(np.max(np.abs(c))) + data.draw(st.floats(0.01, 1.0))  # covers
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z1 = random_points(rng, space.dimension() + 1, n, min_sep=0.2)
+    z2 = np.clip(z1 + rng.uniform(-0.05, 0.05, size=z1.shape), -1.0, 1.0)
+
+    def image(z):
+        return PointSet(c + w / 2 * z, (c - w / 2, c + w / 2))
+
+    budget = 2001 if n == 1 else 1600
+    rep = lipschitz_audit(space, image(z1), image(z2), budget=budget)
+    assert rep.markov == markov_constant(space).value and rep.status == "satisfied"
+    ball = stability_ball(space, image(z1), budget=budget)
+    bound = ball.bound_for(image(z2))
+    assert bound is None or bound >= norming_constant(space, image(z2), budget=budget).value
