@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import entropy
-from .norming import (NotNormingError, PointSet, as_point_set, cramer_bound,
+from .norming import (NotNormingError, PointSet, _image, as_point_set, cramer_bound,
                       fekete_select, norming_constant)
 from .spaces import SpaceDescriptor
 
@@ -106,14 +106,14 @@ def rd_span_bound(n: int, d: int, omega: float) -> BoundResult:
 
 def cor22_bound(points, d: int) -> BoundResult:
     """Min-gap bound T_d((2 - delta)/delta) for finite 1-D sets with m >= d+1."""
-    pts = as_point_set(points).points
-    if pts.shape[1] != 1:
+    zs = as_point_set(points)
+    if zs.points.shape[1] != 1:
         raise ValueError("this bound applies to 1-D point sets")
-    m = pts.shape[0]
+    m = len(zs)
     if m <= d:
         return BoundResult("cor22", math.inf, {"d": d, "m": m},
                            applicable=False, reason="fewer than d+1 points: not norming")
-    delta = entropy.min_gap(pts)
+    delta = entropy.min_gap(zs)
     return BoundResult("cor22", chebyshev(d, (2.0 - delta) / delta),
                        {"d": d, "m": m, "delta": delta})
 
@@ -193,6 +193,8 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
 
     A ratio bound/exact below 1 - 1e-6 is flagged as a VIOLATION finding
     (a reportable discrepancy, not a crash). Findings are ordered by name.
+    ``cor22`` and ``rd_span``, stated on the cube, read a polynomial set's
+    image in the frame of its box (``norming._image``).
     """
     points = as_point_set(points, space.n)
     rep = norming_constant(space, points, grid_spacing=grid_spacing, budget=budget)
@@ -221,13 +223,13 @@ def _evaluate_named(space, points, name, *, mu, lam, delta) -> BoundResult:
             raise ValueError("the bg bound needs the declared ratio lam")
         return bg_bound(n, d, lam)
     if name == "cor22":
-        return cor22_bound(points, d)
+        return cor22_bound(_image(space, points)[0], d)
     if name == "cramer":
         idx, _ = fekete_select(space, points, mode="exhaustive")
         value = cramer_bound(space, PointSet(points.points[list(idx)], points.box))
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})
     if name == "rd_span":
-        profile = entropy.metric_span(points, d)
+        profile = entropy.metric_span(_image(space, points)[0], d)
         if profile.span <= 0.0:
             return BoundResult("rd_span", math.inf, {"span": profile.span},
                                applicable=False, reason="span not positive")

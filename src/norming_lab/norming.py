@@ -20,21 +20,28 @@ matrix, one group of l, whose value is the LP value sum_i |L_i(x)|. Every
 rule below holds for a group as for one function, because
 sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
 
+Placement. For V = P_d, N_V(Z) does not change when a box and its set are
+mapped affinely onto the cube. A polynomial box is therefore taken in its
+frame x = c + r * u: ``_certified_max`` maps W through the monomial shift
+T(c, r) (``_shift``), brackets T W on the cube's plan by the cube's rule,
+maps the argmax back and widens both ends by T W's rounding bound. On a
+flat axis r = 0, and the cube is that of the polynomials in the live
+variables. ``norming_constant`` and ``lebesgue_constant`` map a set on a box
+with no flat axis to its image on the cube (``_image``) before the rank
+test and map the witness back. Every other box takes its own plan: the
+relative rule below, or, for a trigonometric box that does not cover the
+cube, where Bernstein's constant is not certified (``markov_constant``),
+the additive rule.
+
 The grid maximum is found coarse to fine (``_grid_max``). A coarse lattice
-of about 9 * sqrt(G) points is evaluated first: a sub-lattice of the G grid
-points, or, on a box strictly inside the cube, the part of the cube's own
-lattice that lies nearest the box's grid. A bound on how far each column's
-value can rise between a lattice point and the grid points near it then
-bounds every column and every coarse cell, and only the columns and cells
-that can still reach the largest grid value are evaluated on the full
-grid. A cell is the grid points nearest one lattice point, a range of grid
-indices per axis, and the kept cells are expanded into ascending flat
-indices in time linear in what they hold. The skipped ones provably cannot
-hold the grid maximum, so the result is that of a dense pass. The bound is
-one second-order rule. Every grid point x lies within r of the lattice
-point c whose cell holds it, on every axis, and Taylor's theorem on the
-segment from c to x, which stays in the box (in the cube for a borrowed
-lattice), gives for p in V
+of about 9 * sqrt(G) of the G grid points is evaluated first, and a bound on
+how far each column's value can rise between a lattice point and the grid
+points near it drops the columns and coarse cells that cannot reach the
+largest lattice value; the rest are evaluated on the full grid, so the
+result is that of a dense pass (``_coarse_prune``). A cell is the grid
+points nearest one lattice point. Every grid point x lies within r of the
+lattice point c whose cell holds it, on every axis, and Taylor's theorem on
+the segment from c to x gives for p in V
 
     |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
 
@@ -43,108 +50,39 @@ so that column k, of value V_k, is bounded near c by
     V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
 where H bounds sum_ij sup |d_i d_j p| / sup |p| and S_k bounds sup V_k.
-For a group, D_k(c) = sum_j sum_i |d_i p_j(c)| over its members p_j: with
-sum_j |p_j| = max_s |sum_j s_j p_j| over sign vectors s, each sum_j s_j p_j
-lies in V, its sup is at most sup V_k, and the triangle inequality bounds
-its gradient term by D_k(c). For polynomial and trigonometric spaces D is
-exact, not a bound: d_i maps the basis into itself
-(``SpaceDescriptor.basis_derivatives``), so the derivative members P_i W
-are evaluated on the same basis table as W, at no new basis row. On the
-additive boxes below, H is the cube's and S_k the cube's certified upper
-end; elsewhere H is relative to the box itself, and the sup over x of the
-bound gives sup V_k <= max_c (V_k + r * D_k) + q * sup V_k, so
-S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1. The constants H:
-
-* the cube: n^2 d^2 (d - 1)^2. Markov's inequality on an axis segment,
-  sup |d_j p| <= d^2 sup |p|, applied to p and again to d_i p, which has
-  degree at most d - 1 in every variable;
-* a polynomial box that leaves the cube: the same product with the box's
-  own constants, M_d * M_(d-1) with M_k = sum_j 2 k^2 / (hi_j - lo_j) over
-  the non-flat axes, which is (M * (d - 1) / d)^2 for the box's Markov
-  constant M (``markov_constant(space, box)``);
-* trigonometric spaces: (pi d n)^2, Bernstein's inequality applied twice.
-  It holds on all of R^n, where the sup is that over the cube, one period;
-* fewnomial spans: H = 0, and D_k = sum_j |W[:, k, j]| . G is constant,
-  with G the corner Lipschitz bound of the basis: every partial derivative
-  of x^alpha peaks in modulus at a corner of the box
-  (``SpaceDescriptor.basis_lipschitz``), and the mean value theorem needs
-  no second-order term.
-
-The floor a bound must reach is a lower bound on the grid maximum. With
-rho(c) the l-inf distance from c to the grid point x nearest it, the same
-Taylor step gives |p(x)| >= |p(c)| - rho * sum_i |d_i p(c)| - rho^2 / 2 *
-sum_ij sup |d_i d_j p|, and for a group through its sign-matched member
-sum_j s_j p_j, s_j the sign of p_j(c), which lies in V and has value V_k(c)
-at c. So the floor is the largest
-
-    V_k(c) - rho(c) * D_k(c) - H * rho(c)^2 / 2 * S
-
-over lattice points c and groups k. On a lattice of grid points rho = 0
-and the floor is the largest lattice value; a borrowed lattice, whose
-points need not be grid points, is additive, so S is finite there. The
-floor is less a relative 1e-9 and a rounding slack: one computed |phi @ w|
-is off by at most about l * eps * ||w||_1 * max |phi|, and a bound by that
-sum over the group's members and, r times, over its derivative members,
-over 1 - q, once for the bound and once for the floor (rho <= r).
-
-The column test runs once, in a loop over nested lattices from every
-4^j-th coarse index per axis plus the last down to the coarse lattice; each
-lattice holds the box's corners, so it drops only columns below the grid
-maximum everywhere. A level runs where q < 1; a borrowed lattice has no
-levels. The cell test runs on the coarse lattice. Grids too small to
-coarsen, q >= 1 there and non-finite bounds keep every cell. Both passes
-run in blocks of bounded size.
-
-``_certified_max`` places the box once against the cube, and that one
-decision picks both its plan and its rule (H, S), so every box gets one:
-
-* the cube (a single coefficient vector reads ``_cube_bracket``), a
-  polynomial box that leaves the cube, a trigonometric box that covers it
-  (it holds a whole period) and a fewnomial box: the box's own cached plan,
-  M and H relative to the sup over the box itself, and S = None;
-* every other box is additive: the cube's M and H, and S = sup_cube, the
-  upper end of the certified bracket of the same W over the cube, got first
-  on the cube's plan (``_on_cube``). A box strictly inside the cube borrows
-  the cube's lattice (``_inside_plan``), and a single vector there also its
-  values on it; a trigonometric box that does not cover the cube takes its
-  own cached plan, and Bernstein's inequality, which holds on all of R^n,
-  makes the rule sound for it.
+D_k(c) = sum_j sum_i |d_i p_j(c)| over a group's members p_j; for
+polynomial and trigonometric spaces d_i maps the basis into itself
+(``SpaceDescriptor.basis_derivatives``), so D is exact and costs no basis
+row. On the relative rule H is relative to the box itself and
+S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1; on the additive rule H is
+the cube's and S = sup_cube, the upper end of the cube bracket of the same
+W. The constants H: n^2 d^2 (d - 1)^2 on the cube (Markov's inequality
+applied to p and to d_i p); (pi d n)^2 for trigonometric spaces (Bernstein
+twice, relative to the sup over a period); and 0 for fewnomial spans, where
+D_k = sum_j |W[:, k, j]| . G is constant, G the corner Lipschitz bound of
+the basis (``SpaceDescriptor.basis_lipschitz``).
+The column test runs on nested lattices of every 4^j-th coarse index down to
+the coarse lattice where q < 1, the cell test on the coarse lattice; both
+keep a rounding slack, and both run in blocks of bounded size.
 
 Certification (``_certified_max``, shared by ``norming_constant``,
 ``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
 lower bound. A grid point lies within h/2 of every point of its cell, so
-the grid-to-continuum step needs only the plain l-inf Lipschitz bound
-M * sup|f|, with M the Markov constant of the identity modulus, whatever
-the space's own modulus (which serves the Lipschitz stability of 1/N_V(Z)
-only). The spacing h is halved while M * h/2 >= 1. The upper bound is
-lower / (1 - M * h/2) where S is None, and lower + M * h/2 * sup_cube on
-the additive boxes.
+the upper bound needs only the l-inf Lipschitz bound M * sup|f|, M the
+Markov constant of the identity modulus (the space's own modulus serves the
+Lipschitz stability of 1/N_V(Z) only): lower / (1 - M * h/2) on the
+relative rule and lower + M * h/2 * sup_cube on the additive one. The
+spacing h is halved while M * h/2 >= 1. On a box's frame a given spacing h
+becomes h * min(1, 1 / max r), and a budget stays the cube's.
 
 All that depends on (space, box, spacing, budget) alone is one read-only
-grid plan. ``_grid_plan`` is an ``lru_cache`` of 8 entries keyed by the
-space, the box's float64 bytes, the spacing and the budget (no budget is
-the default one, and a given spacing drops the budget from the key); it
-holds M, the halved spacing, the axes as (lo, hi, m, step) in place of
-O(G) points, and its own coarse lattice, whose basis table (about
-9 * sqrt(G) * l floats), H, P and levels are built on first use.
-``_inside_plan`` is made per call and never cached: the box's own grid on
-a window of the cube plan's lattice, which the additive rule reads anyway,
-so it evaluates no basis row before the fine pass. Both lattices take
-their cells from ``_cells``. Z and W never enter a plan, so every set in
-one space on one box shares it. ``_cube_bracket``, an ``lru_cache`` of 8
-entries, holds two things of one coefficient vector p: its cube bracket,
-and its values on the cube plan's coarse lattice, V(c) = |p(c)| and
-D(c) = sum_i |d_i p(c)|, two read-only arrays in table row order, which
-the cube pass forms once and prunes on. ``certified_supnorm`` on the cube
-and an additive box's cube call both read the entry, so a sub-interval
-sweep after a cube call makes no second cube pass, and a box strictly
-inside the cube prunes on the slices of V and D on its window: it forms
-no product of lattice rows with p, and takes no rows of the cube's table.
-The entries retain at most 8 * 2 lattice sizes of floats beside their
-brackets (about 9 * sqrt(G) floats a lattice). Every other W, such as the
-vertex matrix or the Lagrange group of ``norming_constant``, is never
-cached, and a box inside the cube multiplies its window's table rows with
-it. The cube itself and its M are made once per space (``_cube``).
+grid plan, ``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
+the box's float64 bytes, the spacing and the budget: M, the rule, the
+halved spacing, the axes as (lo, hi, m, step) in place of O(G) points, and
+its coarse lattice, whose basis table, H, P and levels are built on first
+use. Z and W never enter a plan, so every set in one space shares the
+cube's, and so does every polynomial box with no flat axis. The cube itself
+and its M are made once per space (``_cube``).
 
 ``cramer_bound`` needs no grid: every basis function is a product of
 per-axis factors whose modulus peaks at an end of the interval, so
@@ -155,14 +93,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .spaces import IDENTITY, MarkovConstant, SpaceDescriptor, _read_only, markov_constant
+from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _monomial_exponents, _read_only,
+                     markov_constant)
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -212,6 +150,15 @@ class PointSet:
             if np.any(pts < box[0] - 1e-12) or np.any(pts > box[1] + 1e-12):
                 raise ValueError("a point lies outside the box (by more than 1e-12)")
             object.__setattr__(self, "box", box)
+
+    @classmethod
+    def _unchecked(cls, points: np.ndarray) -> "PointSet":
+        """A set on the cube that an affine map makes of a checked set, built
+        without the checks: the map rescales the gaps they test."""
+        zs = object.__new__(cls)
+        object.__setattr__(zs, "points", points)
+        object.__setattr__(zs, "box", None)
+        return zs
 
     def __len__(self):
         return self.points.shape[0]
@@ -398,56 +345,6 @@ def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
     return _certified_max(space, W, _domain_box(space, box), grid_spacing, budget)[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _cube_bracket(space: SpaceDescriptor, coeff_bytes: bytes, spacing, budget):
-    """(bracket, values) of one coefficient vector p, given as its float64
-    bytes, on the cube's cached plan: its cube bracket, and its ``_Lattice``
-    values on the plan's coarse lattice, formed once here (None where the
-    plan has no lattice). The cube pass prunes on them, and so does every box
-    strictly inside the cube that borrows that lattice. Both are shared: a
-    caller that receives the bracket gets a copy of its ``argmax``."""
-    plan = _grid_plan(space, _cube(space)[0].tobytes(), spacing, budget)
-    W = np.frombuffer(coeff_bytes)[:, None, None]
-    values = None
-    if plan.edges is not None:
-        Wv, D0 = _with_slopes(W, plan)
-        blocks = zip(*_lattice_values(plan.table[0], Wv, 1, D0))
-        V, D = (_read_only(np.hstack(a)[0] if len(a) > 1 else a[0][0]) for a in blocks)
-        values = _Lattice(V, D, _slack_norms(Wv, 1))
-    return _bracket(W, plan, None, values)[0], values
-
-
-class _Lattice(NamedTuple):
-    """One coefficient vector p on the cube plan's coarse lattice: V[c] = |p(c)|
-    and D[c] = sum_i |d_i p(c)| at its points c in ``table`` row order, two
-    read-only arrays, and the (wnorm, dnorm) of p's rounding slack
-    (``_slack_norms``)."""
-
-    V: np.ndarray
-    D: np.ndarray
-    norms: tuple
-
-
-def _on_cube(space: SpaceDescriptor, W: np.ndarray, cube, spacing, budget):
-    """(bracket, column, values) of W over the cube, on the cube's cached plan.
-    A single coefficient vector reads ``_cube_bracket``, whose bracket is
-    shared, with its lattice values; any other W takes one pass and has none."""
-    spacing, budget = _grid_key(spacing, budget)
-    if W.shape[1:] == (1, 1):
-        bracket, values = _cube_bracket(space, W.tobytes(), spacing, budget)
-        return bracket, 0, values
-    return (*_bracket(W, _grid_plan(space, cube.tobytes(), spacing, budget), None, None), None)
-
-
-def _placement(box, cube):
-    """(inside, covers): whether the box, an array of rows (lo, hi), lies in the
-    cube, and whether it covers it; both hold for the cube alone. Compared as
-    lists: boxes are a few floats."""
-    (lo, hi), clo, chi = box.tolist(), cube[0].tolist(), cube[1].tolist()
-    inside = all(map(operator.le, clo, lo)) and all(map(operator.le, hi, chi))
-    return inside, all(map(operator.le, lo, clo)) and all(map(operator.le, chi, hi))
-
-
 def _grid_key(spacing, budget):
     """(spacing, budget) as grids are keyed: a given spacing makes the budget
     irrelevant, and no budget means the default one."""
@@ -459,30 +356,26 @@ def _grid_key(spacing, budget):
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """What a bracket on one (space, box, spacing, budget) needs that does
-    not depend on W; made by ``_grid_plan``, or per call by ``_inside_plan``
-    for a box strictly inside the cube. Its arrays are read-only."""
+    not depend on W; made by ``_grid_plan``. Its arrays are read-only."""
 
     space: SpaceDescriptor
     markov: MarkovConstant  # of the identity modulus, for the box
+    additive: bool  # S = sup_cube (a trigonometric box that does not cover the cube)
     spacing: Optional[float]  # after halving; None where the budget sets it
     h_eff: float
     axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
     shape: tuple
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
-    stride: int  # of its own coarse lattice, see ``sub``; 0 where it has none
+    stride: int  # of its coarse lattice, see ``sub``; 0 where it has none
     # per axis, cell c owns grid indices edges[c] .. edges[c + 1] - 1; None: no lattice
     edges: Optional[tuple]
     r: float  # half-gap of the coarse lattice
-    # l-inf distance from each lattice point to the nearest grid point, where
-    # the lattice is borrowed; None where it is part of the grid
-    rho: Optional[np.ndarray] = None
-    borrow: Optional[tuple] = None  # (cube plan, per-axis slices of its lattice)
 
     @property
     def sub(self) -> Optional[tuple]:
-        """Per axis, the grid indices of its own coarse lattice, every
-        ``stride``-th one and the last; None where it has none. Made on each
-        use and not kept: the table and the levels read it once."""
+        """Per axis, the grid indices of its coarse lattice, every ``stride``-th
+        one and the last; None where it has none. Made on each use and not
+        kept: the table and the levels read it once."""
         return tuple(_every(k, self.stride) for k in self.shape) if self.stride else None
 
     @functools.cached_property
@@ -502,27 +395,16 @@ class _GridPlan:
 
     @functools.cached_property
     def table(self):
-        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|);
-        a borrowed lattice takes its rows from the cube plan's table, and its vmax."""
-        if self.borrow is not None:
-            Phi, vmax = self.borrow[0].table
-            return _read_only(self.window(Phi)), vmax
+        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|)."""
         flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
         Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
         return Phi, max(1.0, float(np.abs(Phi).max()))
-
-    def window(self, a: np.ndarray) -> np.ndarray:
-        """The rows of ``a``, given in the cube plan's lattice row order, at the
-        points of a borrowed window, in this plan's row order."""
-        cube, take = self.borrow
-        lattice = [e.size - 1 for e in cube.edges]
-        return a.reshape(lattice + list(a.shape[1:]))[take].reshape(-1, *a.shape[1:])
 
     @functools.cached_property
     def levels(self) -> tuple:
         """((rows, r), ...) of the sub-lattices of every 4^j-th coarse index
         per axis plus the last, coarsest first: the rows of ``table`` there
-        and the sub-lattice's half-gap. A borrowed lattice has none."""
+        and the sub-lattice's half-gap."""
         sub = self.sub
         if sub is None:
             return ()
@@ -559,10 +441,15 @@ def _halved_grid(M: float, box, spacing, budget):
 @functools.lru_cache(maxsize=8)
 def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
     """The grid plan of a box, given as the float64 bytes of its rows (lo, hi),
-    with the box's own M (on the cube the cube's) and coarse lattice. Here the
-    spacing is halved while M * h/2 >= 1, and the grid and lattice are fixed."""
+    with the box's own M and coarse lattice; a trigonometric box on which
+    Bernstein's constant is not certified takes the cube's and the additive
+    rule. Here the spacing is halved while M * h/2 >= 1, and the grid and
+    lattice are fixed."""
     box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
     M = markov_constant(replace(space, modulus=IDENTITY), box=box)
+    additive = space.kind == "trigonometric" and not M.certified
+    if additive:  # the same value, relative to the sup over a period
+        M = _cube(space)[1]
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
     shape = tuple(ax[2] for ax in axes)
@@ -570,88 +457,128 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
     live = max(1, sum(k > 1 for k in shape))
     s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
     if s < 2:
-        return _GridPlan(space, M, spacing, h_eff, axes, shape, lipschitz, 0, None, 0.0)
+        return _GridPlan(space, M, additive, spacing, h_eff, axes, shape, lipschitz, 0, None, 0.0)
     sub = [_every(k, s) for k in shape]
-    edges = tuple(_cells(i, k)[0] for i, k in zip(sub, shape))
+    edges = tuple(_cells(i, k) for i, k in zip(sub, shape))
     r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, lipschitz, s, edges, r)
+    return _GridPlan(space, M, additive, spacing, h_eff, axes, shape, lipschitz, s, edges, r)
 
 
-def _cells(u: np.ndarray, m: int):
-    """(edges, near) of lattice points at ascending grid indices u (integers on
-    an own lattice, fractions on a borrowed one) of an axis of m grid points:
-    cell c owns the grid indices edges[c] .. edges[c + 1] - 1 nearest u[c]
-    (ties go to the lower point), and near[c] is u[c]'s distance to the grid."""
-    edges = np.empty(u.size + 1, dtype=np.intp)
-    edges[0], edges[-1] = 0, m
-    edges[1:-1] = np.minimum(np.maximum(np.floor((u[:-1] + u[1:]) / 2.0) + 1, 0), m)
-    return _read_only(edges), np.abs(u - np.minimum(np.maximum(np.rint(u), 0), m - 1))
+def _cells(i: np.ndarray, m: int) -> np.ndarray:
+    """Edges of the cells of lattice points at ascending grid indices i of an
+    axis of m grid points: cell c owns the grid indices edges[c] ..
+    edges[c + 1] - 1 nearest i[c] (ties go to the lower point)."""
+    return _read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [m])))
 
 
-def _inside_plan(space: SpaceDescriptor, box, cube, M: MarkovConstant, spacing,
-                 budget) -> _GridPlan:
-    """The plan of a box strictly inside the cube, made per call and never
-    cached. The grid is the box's own, M (given) and H are the cube's, and
-    the coarse lattice is borrowed from the cube's cached plan at the same
-    spacing: per axis, the range of its lattice points nearest to the box's
-    grid points, with the table rows, r and vmax of that plan, so no basis
-    row is evaluated here. Cells and ``rho``, each lattice point's l-inf
-    distance to the grid, come from ``_cells``, to rounding in grid
-    coordinates, which the slack covers."""
-    spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
-    base = _grid_plan(space, cube.tobytes(), *_grid_key(spacing, budget))
-    shape = tuple(ax[2] for ax in axes)
-    if base.edges is None:
-        return _GridPlan(space, M, spacing, h_eff, axes, shape, None, 0, None, base.r)
-    edges, take, rho = [], [], 0.0
-    for ax, cax, cells in zip(axes, base.axes, base.edges):
-        lo, _, m, step = ax
-        # the cube's lattice point j is its grid point j * s, or its last; the
-        # ones nearest the box's ends lie within one of those found by grid
-        # index, so the window takes two more either side
-        last, gap = cells.size - 2, cax[3] * base.stride
-        ja, jb = (min(math.ceil((x - cax[0]) / gap), last) for x in ax[:2])
-        w = np.arange(max(ja - 2, 0), min(jb + 2, last) + 1)
-        # the window's grid indices; a flat axis counts from its one point
-        unit = step or 1.0
-        u = (_axis_points(cax, np.minimum(w * base.stride, cax[2] - 1)) - lo) / unit
-        # lattice points a .. b own the grid indices 0 .. m - 1
-        a, b = np.searchsorted((u[:-1] + u[1:]) / 2.0, [0, m - 1])
-        edge, near = _cells(u[a:b + 1], m)
-        edges.append(edge)
-        take.append(slice(w[0] + a, w[0] + b + 1))
-        rho = np.maximum.outer(rho, near * unit)
-    return _GridPlan(space, M, spacing, h_eff, axes, shape, None, 0, tuple(edges),
-                     base.r, _read_only(rho.ravel()), (base, tuple(take)))
+def _frame(space: SpaceDescriptor, box: np.ndarray):
+    """(c, r) of the frame x = c + r * u that maps the cube onto a polynomial
+    box, r = 0 on a flat axis; None for the cube itself, a point and every
+    other box. Compared as lists: boxes are a few floats."""
+    lo, hi = box.tolist()
+    live = [b > a + 1e-15 for a, b in zip(lo, hi)]
+    if space.kind != "polynomial" or not any(live) or (
+            lo == [-1.0] * space.n and hi == [1.0] * space.n):
+        return None
+    return (box[0] + box[1]) / 2.0, np.where(live, (box[1] - box[0]) / 2.0, 0.0)
+
+
+def _frame_spacing(spacing, r: np.ndarray):
+    """A spacing h on the box as the frame's grid takes it, h * min(1, 1 / max r):
+    no coarser than h on any axis of the box, and the box's own grid where
+    it is wider than the cube."""
+    return None if spacing is None else spacing * min(1.0, 1.0 / float(r.max()))
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_terms(n: int, d: int):
+    """(binom, up, down) of ``_shift`` for the basis exponents: over the pairs
+    (beta, alpha), the product over axes of C(alpha_j, beta_j) (0 unless
+    beta <= alpha), and per axis the powers alpha_j - beta_j of c_j (clipped
+    at 0) and beta_j of r_j, as (n, l, l) arrays. All read-only."""
+    k = np.arange(d + 1)
+    comb = np.array([[math.comb(a, b) for a in k] for b in k], dtype=float)  # [b, a]
+    exps = _monomial_exponents(n, d)
+    alpha, beta = np.broadcast_arrays(exps[None, :, :], exps[:, None, :])  # (l, l, n)
+    binom = np.prod(comb[beta, alpha], axis=2)
+    up = np.maximum(alpha - beta, 0).transpose(2, 0, 1).copy()
+    return _read_only(binom), _read_only(up), _read_only(beta.transpose(2, 0, 1).copy())
+
+
+def _shift(space: SpaceDescriptor, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The l x l matrix T with phi(c + r * u) = phi(u) @ T for the monomial
+    basis phi: x^a = (c + r u)^a = sum_b C(a, b) c^(a - b) r^b u^b per axis,
+    and T[beta, alpha] the product of those terms over the axes. An entry
+    takes at most 4 n roundings."""
+    binom, up, down = _shift_terms(space.n, space.degree)
+    k = np.arange(space.degree + 1)
+    T = binom
+    for j in range(space.n):
+        T = T * (c[j] ** k)[up[j]] * (r[j] ** k)[down[j]]
+    return T
+
+
+def _image(space: SpaceDescriptor, zs: PointSet):
+    """(image, frame): a polynomial set's image u = (z - c) / r, a set on the
+    cube, and the frame (c, r) of its box (``_frame``); the set itself and
+    None for the cube, a flat axis or any other space."""
+    frame = _frame(space, zs.domain(space))
+    if frame is None or not frame[1].all():
+        return zs, None
+    return PointSet._unchecked((zs.points - frame[0]) / frame[1]), frame
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
     rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    The one place that places a box, once, picking its plan and rule (H, S)."""
+    The one place that places a box: a polynomial box in its frame on a
+    cube's plan, every other box on its own plan with the rule the plan picks."""
     spacing, budget = _grid_key(spacing, budget)
     box = np.asarray(box, dtype=float)
-    cube, M = _cube(space)
-    # a fewnomial span has no cube: its rule is relative to its own box
-    inside, covers = (False, True) if cube is None else _placement(box, cube)
-    if inside and covers:
-        bracket, column, _ = _on_cube(space, W, cube, spacing, budget)
-        return replace(bracket, argmax=bracket.argmax.copy()), column
-    plan = (_inside_plan(space, box, cube, M, spacing, budget) if inside
-            else _grid_plan(space, box.tobytes(), spacing, budget))
-    whole = values = None
-    if not covers and (inside or space.kind != "polynomial"):  # an additive box
-        whole, _, values = _on_cube(space, W, cube, plan.spacing, budget)
-    return _bracket(W, plan, whole, values if inside else None)
+    frame = _frame(space, box)
+    if frame is not None:
+        return _framed_max(space, W, *frame, spacing, budget)
+    plan = _grid_plan(space, box.tobytes(), spacing, budget)
+    whole = None
+    if plan.additive:
+        cube = _grid_plan(space, _cube(space)[0].tobytes(), *_grid_key(plan.spacing, budget))
+        whole = _bracket(W, cube, None)[0]
+    return _bracket(W, plan, whole)
 
 
-def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket], values):
+def _framed_max(space: SpaceDescriptor, W: np.ndarray, c, r, spacing, budget):
+    """``_certified_max`` on a polynomial box in its frame x = c + r * u: T W on
+    the cube's plan, by the cube's own rule, with the argmax mapped back. On
+    a box with a flat axis (r = 0 there) the functions are the polynomials of
+    degree d in its live variables, and T keeps the rows of their basis.
+    Both ends move out by T W's rounding, gamma * eps * |T| @ |W| summed over
+    a group's members and basis rows (|u^beta| <= 1 on the cube), where gamma
+    doubles the l roundings of a product row and the at most 4 n of an entry
+    of T. Every sum over rows of |T| = T(|c|, r) is (|c| + r)^alpha, so that
+    sum is |W|'s group value at the point |c| + r."""
+    l, K, g = W.shape
+    exps, live, frame = _monomial_exponents(space.n, space.degree), r > 0, space
+    T = _shift(space, c, r)
+    if not live.all():
+        frame = SpaceDescriptor.polynomial(int(live.sum()), space.degree)
+        T = T[np.all(exps[:, ~live] == 0, axis=1)]
+    TW = (T @ W.reshape(l, K * g)).reshape(-1, K, g)
+    plan = _grid_plan(frame, _cube(frame)[0].tobytes(), _frame_spacing(spacing, r), budget)
+    bracket, column = _bracket(TW, plan, None)
+    rows = np.prod((np.abs(c) + r) ** exps, axis=1)
+    size = float((rows @ np.abs(W).reshape(l, K * g)).reshape(K, g).sum(axis=1).max())
+    pad = 2 * (l + 4 * space.n) * float(np.finfo(float).eps) * size
+    point = c.copy()
+    point[live] = c[live] + r[live] * bracket.argmax
+    return SupBracket(max(bracket.lower - pad, 0.0), bracket.upper + pad, bracket.certified,
+                      bracket.grid_spacing * float(r.max()), point), column
+
+
+def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket]):
     """``_certified_max`` once the plan is picked: ``whole`` is the cube bracket
-    of the same W on an additive box, None elsewhere, and ``values`` the
-    ``_Lattice`` of a single vector W on the cube plan's lattice, which is the
-    plan's own or the one it borrows, where ``_cube_bracket`` holds it."""
+    of the same W on an additive plan, None elsewhere."""
     S = None if whole is None else whole.upper
-    lower, point, column = _grid_max(W, plan, (plan.H, S), values=values)
+    lower, point, column = _grid_max(W, plan, (plan.H, S))
     pad = plan.markov.value * (plan.h_eff / 2)
     certified = plan.markov.certified and pad < 1.0 and (whole is None or whole.certified)
     if pad >= 1.0:
@@ -736,7 +663,7 @@ def _half_signs(l: int) -> np.ndarray:
     return _read_only(np.hstack([np.ones((bits.shape[0], 1)), np.where(bits, 1.0, -1.0)]))
 
 
-def _grid_max(W: np.ndarray, plan: _GridPlan, rule, values=None):
+def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     """Maximum of sum_j |phi(x) @ W[:, k, j]| over the grid of ``plan`` and
     all groups k.
 
@@ -745,13 +672,12 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule, values=None):
     ``_group_values(Phi, W)`` would give. ``rule`` is the (H, S) of the
     second-order bound that ``_certified_max`` picks (module docstring);
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
-    reach the maximum, exactly, not approximately, on the lattice ``values``
-    of a single vector where the caller has them. Where it keeps every cell,
+    reach the maximum, exactly, not approximately. Where it keeps every cell,
     every grid point is evaluated for the columns it keeps. Either way the
     grid is evaluated in blocks of bounded size.
     """
     total = math.prod(plan.shape)
-    cols, keep = _coarse_prune(W, plan, rule, values)
+    cols, keep = _coarse_prune(W, plan, rule)
     Wk = W[:, cols]
     top, point, col = -math.inf, None, 0
     step = _block_rows(Wk)
@@ -771,7 +697,7 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule, values=None):
     return top, point, col
 
 
-def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule, values=None):
+def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
     A plan's own coarse lattice keeps every s-th grid index per axis plus the
@@ -781,10 +707,9 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule, values=None):
     plan's levels, sub-lattices of every 4^j-th coarse index per axis plus
     the last (a flat axis keeps its one index), and the loop runs from the
     coarsest down to the coarse lattice itself, each on rows of the plan's
-    coarse basis table, which every W on the plan shares. A borrowed lattice
-    (``_inside_plan``) has no levels. Every grid point lies within r (the
-    lattice's half-gap) of a lattice point c that owns it, where column k is
-    bounded by
+    coarse basis table, which every W on the plan shares. Every grid point
+    lies within r (the lattice's half-gap) of a lattice point c that owns
+    it, where column k is bounded by
 
         V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
@@ -792,24 +717,23 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule, values=None):
     ``_with_slopes``: S_k = max_c (V_k + r * D_k) / (1 - q) where S is None,
     S itself otherwise (see the module docstring).
 
-    The floor is a lower bound on the grid maximum: the largest
-    V_k(c) - rho(c) * D_k(c) - H * rho(c)^2 / 2 * S over lattice points c and
-    groups k, where the grid point nearest c lies rho(c) away (0 on an own
-    lattice, whose points are grid points), less a rounding slack. So a column
-    whose bound stays below the floor at every lattice point stays below the
-    grid maximum at every grid point, and each lattice drops such columns;
-    the dense pass's first maximiser, point and column, is never dropped.
-    Sub-lattices are skipped where q >= 1 or a bound is not finite, and once
-    one column is left. On the coarse lattice, a cell goes too where the
-    largest V_k(c) + r * D_k(c) over the columns the lattice tests, plus the
-    largest q * S_k of those it keeps, lies below the same floor: that sum
-    bounds every kept column near c.
+    The floor is a lower bound on the grid maximum: the largest lattice
+    value V_k(c), since lattice points are grid points, less a rounding
+    slack. So a column whose bound stays below the floor at every lattice
+    point stays below the grid maximum at every grid point, and each lattice
+    drops such columns; the dense pass's first maximiser, point and column,
+    is never dropped. Sub-lattices are skipped where q >= 1 or a bound is
+    not finite, and once one column is left. On the coarse lattice, a cell
+    goes too where the largest V_k(c) + r * D_k(c) over the columns the
+    lattice tests, plus the largest q * S_k of those it keeps, lies below
+    the same floor: that sum bounds every kept column near c.
 
-    ``values``, where given, is the ``_Lattice`` of a single vector W on the
-    cube plan's lattice (``_cube_bracket``), which is this plan's own or the
-    one it borrows: the coarse lattice then reads V_0 and D_0 there, on a
-    borrowed window their slices, in place of the product of its table rows
-    with W, and the slack reads its norms.
+    The slack: basis values peak in modulus at the box's corners
+    (trigonometric ones are at most 1), which every lattice holds, so one
+    computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax; a
+    value and its reach by the sum of that over the group's members and, r
+    times, over its derivative members, and a bound by 1 / (1 - q) times
+    that, once for the bound and once for the floor.
 
     Returns (columns, ascending flat indices), with None for the indices
     when every cell is kept: where the grid is too small to coarsen, or the
@@ -820,36 +744,23 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule, values=None):
     H, S = rule
     if plan.edges is None or not 0.5 * H * plan.r**2 < 1.0:
         return cols, None
-    # a borrowed window reads the cube plan's vmax, and takes its rows only
-    # where it forms the product
-    vmax = (plan if plan.borrow is None else plan.borrow[0]).table[1]
     g = W.shape[2]
-    if values is None:
-        Wv, D0 = _with_slopes(W, plan)
-        wnorm, dnorm = _slack_norms(Wv, g)
-    else:
-        wnorm, dnorm = values.norms
-    lattices = [(rows, r, None) for rows, r in (plan.levels if cols.size > 1 else ())]
-    for rows, r, rho in lattices + [(None, plan.r, plan.rho)]:  # None: the coarse lattice
+    Wv, D0 = _with_slopes(W, plan)
+    norms = np.abs(Wv).sum(axis=0)
+    wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
+    Phi, vmax = plan.table
+    for rows, r in (plan.levels if cols.size > 1 else ()) + ((None, plan.r),):
         q = 0.5 * H * r * r
         if rows is not None and (cols.size == 1 or not q < 1.0):
             continue
-        if values is not None:  # the coarse lattice: a single vector runs no level
-            V, D = values[:2] if plan.borrow is None else map(plan.window, values[:2])
-            blocks = [(V[None], D[None])]
-        else:
-            blocks = _lattice_values(plan.table[0] if rows is None else rows,
-                                     Wv[:, :, cols], g, D0[cols])
-        low, reach, rowreach = _colmax(blocks, r, rho)
+        blocks = _lattice_values(Phi if rows is None else rows, Wv[:, :, cols], g, D0[cols])
+        low, reach, rowreach = _colmax(blocks, r)
         # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
         bound = reach / (1.0 - q) if S is None else reach + q * S
         if not np.all(np.isfinite(bound)):
-            if rows is None:
+            if rows is None:  # the coarse lattice
                 return cols, None
             continue
-        if rho is not None:  # a borrowed lattice is additive: S is finite here
-            low = low - 0.5 * H * S * rho**2
-        # the rounding slack of ``_slack_norms``, for the bound and for the floor
         slack = 2 * W.shape[0] * np.finfo(float).eps * vmax * (wnorm + r * dnorm) / (1.0 - q)
         best = float(low.max())
         floor = best - (_PRUNE_RTOL * abs(best) + slack)
@@ -882,18 +793,6 @@ def _with_slopes(W: np.ndarray, plan: _GridPlan):
     return np.concatenate([Wv, dW.transpose(1, 0, 2).reshape(l, -1, K)], axis=1), np.zeros(K)
 
 
-def _slack_norms(Wv: np.ndarray, g: int):
-    """(wnorm, dnorm): the largest sum of |w| over the members of a group of
-    (Wv, g) and over its derivative members, for the rounding slack: basis
-    values peak in modulus at the box's corners (trigonometric ones are at
-    most 1), which every lattice holds, so one computed |phi @ w| is off by
-    at most about l * eps * ||w||_1 * vmax; a value and its reach by the sum
-    of that over the group's members and, r times, over its derivative
-    members, and a bound by 1 / (1 - q) times that."""
-    norms = np.abs(Wv).sum(axis=0)
-    return float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
-
-
 def _half_gap(axes) -> float:
     """Half the largest gap between neighbours on any axis; a flat axis gives 0."""
     return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
@@ -914,20 +813,18 @@ def _lattice_values(rows, Wv, g, D0):
         yield vals[:g].sum(axis=0), D
 
 
-def _colmax(blocks, r, rho):
+def _colmax(blocks, r):
     """The reduction: (low, reach, rowreach) of (V, D) blocks in row order, per
-    row the max over groups of V - rho * D (of V where ``rho`` is None), per
-    group the max over rows of V + r * D, and per row the max over groups of
-    V + r * D. The blocks are read, never written."""
-    low, rowreach, reach, start = [], [], 0.0, 0
+    row the max over groups of V, per group the max over rows of V + r * D,
+    and per row the max over groups of V + r * D. The blocks are read, never
+    written."""
+    low, rowreach, reach = [], [], 0.0
     for V, D in blocks:
-        stop = start + V.shape[1]
-        low.append((V if rho is None else V - rho[start:stop] * D).max(axis=0))
+        low.append(V.max(axis=0))
         U = r * D
         U += V
         reach = np.maximum(reach, U.max(axis=1))
         rowreach.append(U.max(axis=0))
-        start = stop
     return np.concatenate(low), reach, np.concatenate(rowreach)
 
 
@@ -984,8 +881,23 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     The witness is W[:, k] @ s for the maximising group k, with s_j the sign
     of member j at the witness point relative to member 0 (-1 where it
     vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
+
+    A polynomial set on a box is taken as its image on the cube (``_image``),
+    where N is the same, and its witness and grid spacing are mapped back.
     """
-    zs = as_point_set(points, space.n)
+    zs, frame = _image(space, as_point_set(points, space.n))
+    if frame is not None:
+        c, r = frame
+        back = _shift(space, -c / r, 1.0 / r)  # coefficients on u = (x - c) / r
+        try:
+            rep = norming_constant(space, zs, grid_spacing=_frame_spacing(grid_spacing, r),
+                                   budget=budget, rank_threshold=rank_threshold)
+        except IllConditionedError as exc:
+            raise IllConditionedError(str(exc), back @ exc.direction) from exc
+        point = None if rep.witness_point is None else c + r * rep.witness_point
+        return replace(rep, grid_spacing=rep.grid_spacing * float(np.max(r)),
+                       witness_coefficients=back @ rep.witness_coefficients,
+                       witness_point=point)
     B = space.evaluate_basis(zs.points)
     l = space.dimension()
     dom = zs.domain(space)
@@ -1038,8 +950,12 @@ def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     """Lebesgue constant sup sum_i |L_i| of a unisolvent set over its domain:
     the lower end of the certified, pruned bracket of ``_certified_max`` on
     the Lagrange matrix as one group, the grid maximum that
-    ``norming_constant`` reports for the same set, spacing and budget."""
-    zs = as_point_set(points, space.n)
+    ``norming_constant`` reports for the same set, spacing and budget; on a
+    polynomial box that of its image on the cube (``_image``)."""
+    zs, frame = _image(space, as_point_set(points, space.n))
+    if frame is not None:
+        spacing = _frame_spacing(grid_spacing, frame[1])
+        return lebesgue_constant(space, zs, grid_spacing=spacing, budget=budget)
     W = lagrange_basis(space, zs)[:, None, :]
     return float(_certified_max(space, W, zs.domain(space), grid_spacing, budget)[0].lower)
 

@@ -310,25 +310,30 @@ def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     """Least M with |f(x) - f(y)| <= M * sup|f| * omega(|x - y|_inf) on a box (the
     cube when none is given), omega the space's modulus. The identity constant M_1
     is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j) over the non-flat
-    axes by Markov, and trigonometric ones, pi * d * n by Bernstein; a fewnomial
-    span takes an uncertified sampled estimate. As |f(x) - f(y)| <= min(M_1 t, 2)
-    sup|f| at l-inf distance t <= D, the box's largest side, omega(t) = t^gamma
-    gives M_1 * min(D, 2 / M_1)^(1 - gamma), and gamma = 1 for the identity.
+    axes by Markov, and trigonometric ones, pi * d * n by Bernstein, which holds
+    relative to the sup over a whole period, so is certified only on a box that
+    covers the cube; a fewnomial span takes an uncertified sampled estimate. As
+    |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at l-inf distance t <= D, the box's
+    largest side, omega(t) = t^gamma gives M_1 * min(D, 2 / M_1)^(1 - gamma), and
+    gamma = 1 for the identity.
     """
     box = space.default_box() if box is None else box
     if box is None:
         raise ValueError("fewnomial Markov estimate needs an explicit box")
-    width = np.asarray(box[1], dtype=float) - np.asarray(box[0], dtype=float)
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    width = hi - lo
+    certified = space.kind == "polynomial"
     if space.kind == "polynomial":
         M = float(np.sum(2.0 * space.degree**2 / width[width > 0]))
     elif space.kind == "trigonometric":
         M = math.pi * space.degree * space.n
+        certified = bool(np.all(lo <= -1.0) and np.all(hi >= 1.0))
     else:
         pts, w = uniform_quadrature(box, samples_per_axis={1: 513, 2: 65}.get(space.n, 17))
         M = gram_schmidt_markov_bound(space, pts, w)
     if M > 0:
         M *= min(float(np.max(width)), 2.0 / M) ** (1.0 - space.modulus.gamma)
-    return MarkovConstant(M, space.kind != "fewnomial")
+    return MarkovConstant(M, certified)
 
 
 def uniform_quadrature(box, samples_per_axis: int = 65):

@@ -4,8 +4,7 @@ The modulus of continuity lives on the space descriptor, so the Markov
 constant and the omega-Hausdorff distance always share one modulus. N, M_V
 and the perturbations of an audit live on the domain its sets share
 (``PointSet.domain``). Sets on different domains raise, and so does a constant
-not certified there: a fewnomial span's is sampled, and Bernstein's holds relative
-to the sup over a period, so on a box covering the cube. 1/N is 0 if not norming.
+not certified there (``markov_constant``). 1/N is 0 if not norming.
 """
 from __future__ import annotations
 
@@ -14,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .norming import (NormingReport, PointSet, _cube, _placement, as_point_set, linf_distances,
-                      norming_constant)
+from .norming import NormingReport, PointSet, as_point_set, linf_distances, norming_constant
 from .spaces import SpaceDescriptor, markov_constant
 
 
@@ -27,10 +25,11 @@ def _domain(space: SpaceDescriptor, z: PointSet, y: PointSet) -> np.ndarray:
 
 
 def _markov(space: SpaceDescriptor, box: np.ndarray) -> float:
-    """M_V on the box, refused where not certified (see the module docstring)."""
-    M, kind = markov_constant(space, box), space.kind
-    if not M.certified or kind == "trigonometric" and not _placement(box, _cube(space)[0])[1]:
-        raise ValueError(f"the Markov constant of a {kind} span is not certified on this domain")
+    """M_V on the box, refused where not certified."""
+    M = markov_constant(space, box)
+    if not M.certified:
+        raise ValueError(f"the Markov constant of a {space.kind} span is not certified "
+                         "on this domain")
     return M.value
 
 

@@ -38,7 +38,7 @@ def uniform_grid(box, spacing=None, budget=None):
 
 
 def grid_plan(space, box, spacing=None, budget=None):
-    """The cached grid plan that ``_certified_max`` takes for these arguments
-    on a box that is not strictly inside the cube (a box strictly inside
-    borrows the lattice of the cube's plan)."""
+    """The cached grid plan of a box for these arguments: the one that
+    ``_certified_max`` takes for the cube, and for a box other than a
+    polynomial box with no flat axis (which takes the cube's, in its frame)."""
     return _grid_plan(space, np.asarray(box, dtype=float).tobytes(), *_grid_key(spacing, budget))

@@ -104,6 +104,21 @@ def test_audit_reports_expected_violation():
     assert "VIOLATION" in report.summary()
 
 
+@pytest.mark.parametrize("points, box", [([[-10.0], [0.0], [10.0]], ([-10.0], [10.0])),
+                                         ([[0.0], [0.05], [0.1]], ([0.0], [0.1]))],
+                         ids=["wide", "tenth"])
+def test_audit_reads_the_cube_image_bounds_on_a_box(points, box):
+    # both sets are affine images of {-1, 0, 1}: N, cor22 and rd_span are
+    # those of the cube set (cor22 read 0.28 and 3041 in absolute units)
+    names = ["cor22", "rd_span"]
+    boxed = audit(P2, PointSet(points, box), names, budget=20001)
+    cube = audit(P2, [[-1.0], [0.0], [1.0]], names, budget=20001)
+    assert boxed.exact == pytest.approx(cube.exact, rel=1e-12)
+    for f, g in zip(boxed.findings, cube.findings):
+        assert (f.name, f.bound.value, f.violation) == (g.name, g.bound.value, g.violation)
+    assert boxed.findings[0].bound.value == pytest.approx(1.0)
+
+
 def test_audit_cramer_not_violating():
     report = audit(P2, [[-1.0], [0.0], [1.0]], ["cramer"], budget=20001)
     assert report.violations == 0

@@ -1,6 +1,5 @@
 """The coarse-to-fine grid maximiser against a dense oracle, and the witness
 that ``norming_constant`` reports."""
-import functools
 import math
 from itertools import combinations
 from unittest import mock
@@ -14,12 +13,12 @@ from conftest import grid_plan, random_points, uniform_grid
 from norming_lab import (IDENTITY, PointSet, SpaceDescriptor, certified_supnorm,
                          lebesgue_constant, norming_constant)
 from norming_lab import norming
-from norming_lab.norming import (_cell_indices, _cells, _certified_max, _coarse_prune,
-                                 _cube_bracket, _every, _feasible_vertices, _grid_axes,
-                                 _grid_max, _grid_plan, _grid_points, _half_signs,
+from norming_lab.norming import (_cell_indices, _cells, _certified_max, _coarse_prune, _every,
+                                 _feasible_vertices, _frame, _frame_spacing, _grid_axes,
+                                 _grid_max, _grid_plan, _grid_points, _half_signs, _shift,
                                  _with_slopes)
 from norming_lab.simplex import norming_lp_value
-from norming_lab.spaces import markov_constant, power_modulus
+from norming_lab.spaces import _monomial_exponents, markov_constant, power_modulus
 
 FEW = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5], [2.5]])
 FEW_BOX = (np.array([0.2]), np.array([2.0]))
@@ -60,13 +59,45 @@ def _instance(rng, space, box, extra):
 
 
 def _handed(space, W, box, spacing, budget):
-    """The bracket of ``_certified_max`` on ``box``, and the (plan, rule) it
-    hands ``_grid_max`` for that box (its last call: a sub-box bracket
-    brackets the cube first)."""
+    """The bracket of ``_certified_max`` on ``box``, and the (W, plan, rule) it
+    hands ``_grid_max`` for that box (its last call: an additive box brackets
+    the cube first). A polynomial box other than the cube and a point hands
+    T W, its coefficients in the box's frame, on a cube's plan."""
     with mock.patch.object(norming, "_grid_max", wraps=norming._grid_max) as spy:
         bracket, column = _certified_max(space, W, box, spacing, budget)
-    _, plan, rule = spy.call_args.args
-    return bracket, column, plan, rule
+    return (bracket, column, *spy.call_args.args)
+
+
+def _in_frame(space, W, box):
+    """(T W, frame space, c, r) of a polynomial box in its frame (``_frame``):
+    on a flat axis r = 0, the frame space is that of the live variables and
+    T keeps the rows of its basis. (W, space, 0, 1) elsewhere."""
+    frame = _frame(space, np.asarray(box, dtype=float))
+    if frame is None:
+        return W, space, 0.0, 1.0
+    c, r = frame
+    live = r > 0
+    T = _shift(space, c, r)[np.all(_monomial_exponents(space.n, space.degree)[:, ~live] == 0,
+                                   axis=1)]
+    sub = space if live.all() else SpaceDescriptor.polynomial(int(live.sum()), space.degree)
+    l, K, g = W.shape
+    return (T @ W.reshape(l, K * g)).reshape(-1, K, g), sub, c, r
+
+
+def _frame_pad(bracket, W, Wh, plan):
+    """How far a framed bracket's upper end lies above that of the handed T W
+    on the cube's plan: T W's rounding pad, by which its lower end sits below
+    the grid value. 0 on a box taken on its own plan, which is handed W."""
+    return 0.0 if Wh is W else bracket.upper - norming._bracket(Wh, plan, None)[0].upper
+
+
+def _to_box(c, r, u):
+    """A frame point u mapped to the box: c + r * u, and c on a flat axis."""
+    if np.ndim(r) == 0:
+        return c + r * u
+    x, live = c.copy(), r > 0
+    x[live] = c[live] + r[live] * u
+    return x
 
 
 # (space, box or None for the cube, grid_spacing, budget, pruned?)
@@ -81,13 +112,11 @@ CASES = {
     # the grid step needs the identity modulus's Markov constant only
     "power-modulus": (SpaceDescriptor.polynomial(1, 3, power_modulus(0.5)), None, None,
                       20001, True),
+    # polynomial boxes, certified in their frame on the cube's plan
     "sub-box": (SpaceDescriptor.polynomial(2, 2),
                 (np.array([-0.5, -1.0]), np.array([0.75, 0.2])), None, 40000, True),
-    # the cube sup dwarfs the box sup: a first-order pad of M * sup_cube kept
-    # every column and cell here, the box's own slopes drop them
     "sub-box-1d": (SpaceDescriptor.polynomial(1, 5),
                    (np.array([-0.3]), np.array([0.45])), 1e-4, None, True),
-    # a polynomial box that leaves the cube takes its own Markov constant
     "beyond-cube": (SpaceDescriptor.polynomial(1, 5),
                     (np.array([-1.2]), np.array([0.3])), 1e-4, None, True),
     # Bernstein's inequality holds on all of R: a trigonometric box crossing
@@ -99,6 +128,7 @@ CASES = {
                     (np.array([-1.5]), np.array([1.5])), None, 20001, True),
     # 1-D grids below 182 points have a coarse stride of 1
     "s-is-one": (SpaceDescriptor.polynomial(1, 4), None, None, 150, False),
+    # a polynomial box with a flat axis: the frame of its live variables
     "flat-axis": (SpaceDescriptor.polynomial(2, 2),
                   (np.array([-1.0, 0.3]), np.array([1.0, 0.3])), 1e-3, None, True),
 }
@@ -115,28 +145,28 @@ def test_grid_max_matches_dense_oracle(name):
         # an instance needs its points inside the cube and off a flat axis
         inst_box = box if name.startswith(("sub-box", "fewnomial")) else space.default_box()
         W = _instance(rng, space, inst_box, extra)
-        axes, h = _grid_axes(box, spacing, budget)
-        _, _, plan, rule = _handed(space, W, box, spacing, budget)
+        bracket, _, Wh, plan, rule = _handed(space, W, box, spacing, budget)
+        TW, sub, _, r = _in_frame(space, W, box)
+        assert np.array_equal(Wh, TW)
+        framed = name in ("sub-box", "sub-box-1d", "beyond-cube", "flat-axis")
+        key, grid_box = (_frame_spacing(spacing, r), sub.default_box()) if framed else (spacing, box)
+        axes, h = _grid_axes(grid_box, key, budget)
+        assert plan is grid_plan(sub, grid_box, key, budget)
         assert plan.axes == axes
-        assert (plan.borrow is not None) == (name in ("sub-box", "sub-box-1d", "flat-axis"))
-        if plan.borrow is None:
-            assert plan is grid_plan(space, box, spacing, budget)
-        else:
-            # strictly inside the cube: the cube's cached plan lends its lattice
-            assert plan.borrow[0] is grid_plan(space, space.default_box(), plan.spacing, budget)
+        assert bracket.grid_spacing == h * (float(np.max(r)) if framed else 1.0)
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
         with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
-            cols, keep = _coarse_prune(W, plan, rule)
+            cols, keep = _coarse_prune(Wh, plan, rule)
         assert colmax.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
         if name == "sub-box-1d":
             assert cols.size < W.shape[1] and keep is not None and keep.size < np.prod(plan.shape)
-        value, point, col = _grid_max(W, plan, rule)
-        ref_value, ref_point, ref_col, ref_h = _dense(space, W, box, spacing, budget)
+        value, point, col = _grid_max(Wh, plan, rule)
+        ref_value, ref_point, ref_col, ref_h = _dense(plan.space, Wh, grid_box, key, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
-            attained = np.abs(space.evaluate_basis(point) @ W[:, col]).sum()
+            attained = np.abs(space.evaluate_basis(point) @ Wh[:, col]).sum()
             assert attained == pytest.approx(value, rel=1e-12)
         else:
             assert np.array_equal(point, ref_point)
@@ -170,7 +200,7 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     box = space.default_box() if box is None else box
     W = _instance(np.random.default_rng(seed), space, box, m - space.dimension())
     assert W.shape[1] > 20
-    _, _, plan, rule = _handed(space, W, box, None, budget)
+    _, _, _, plan, rule = _handed(space, W, box, None, budget)
     # one blocked column maximum per level that runs, and one on the whole
     # coarse lattice
     colmax = mock.Mock(wraps=norming._colmax)
@@ -274,49 +304,62 @@ def test_one_column_runs_no_level(monkeypatch):
     assert colmax.call_count == 1
 
 
-# (space, box, multiplicative?, M, H): the Markov or Bernstein constant M
-# and the second-derivative constant H of the rule, the box's own for a
-# polynomial box that leaves the cube and the cube's otherwise. On a segment
-# of width w Markov's inequality gives |p'| <= 2 d^2 / w * sup |p| and
-# |p''| <= 2 (d - 1)^2 / w * sup |p'|; Bernstein's gives pi * d per derivative.
+# (space, box, rule, M, H): the Markov or Bernstein constant M and the
+# second-derivative constant H of the rule. A polynomial box with no flat
+# axis takes the cube's in its frame, as T W on the cube's plan; a
+# trigonometric box its own plan, the relative rule where it covers the cube
+# and the additive one with the cube's constants elsewhere. On the cube,
+# Markov's inequality gives |p'| <= d^2 * sup |p| and |p''| <= (d - 1)^2 *
+# sup |p'|; Bernstein's gives pi * d per derivative.
 RULES = {
-    "cube": (SpaceDescriptor.polynomial(1, 5), (-1.0, 1.0), True, 25.0, 25.0 * 16.0),
-    "poly-beyond": (SpaceDescriptor.polynomial(1, 5), (-1.2, 0.3), True, 50.0 / 1.5,
-                    (50.0 / 1.5) * (32.0 / 1.5)),
-    "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), True, 50.0 / 3.0,
-                      (50.0 / 3.0) * (32.0 / 3.0)),
-    "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), False, 25.0, 25.0 * 16.0),
-    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), False, 2 * np.pi,
+    "cube": (SpaceDescriptor.polynomial(1, 5), (-1.0, 1.0), "frame", 25.0, 25.0 * 16.0),
+    "poly-beyond": (SpaceDescriptor.polynomial(1, 5), (-1.2, 0.3), "frame", 25.0, 25.0 * 16.0),
+    "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), "frame", 25.0,
+                      25.0 * 16.0),
+    "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), "frame", 25.0, 25.0 * 16.0),
+    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), "additive", 2 * np.pi,
                   (2 * np.pi) ** 2),
-    "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), True, 3 * np.pi,
+    "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), "relative", 3 * np.pi,
                       (3 * np.pi) ** 2),
-    "trig-inside": (SpaceDescriptor.trigonometric(1, 2), (-0.6, 0.4), False, 2 * np.pi,
+    "trig-inside": (SpaceDescriptor.trigonometric(1, 2), (-0.6, 0.4), "additive", 2 * np.pi,
                     (2 * np.pi) ** 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_every_box_gets_a_rule(name):
-    space, (lo, hi), multiplicative, M, H = RULES[name]
+    space, (lo, hi), kind, M, H = RULES[name]
     box = (np.array([lo]), np.array([hi]))
     W = np.random.default_rng(12).normal(size=(space.dimension(), 3))[:, :, None]
-    bracket, _, plan, (h, S) = _handed(space, W, box, None, 2001)
-    assert bracket.certified
-    # a box strictly inside the cube borrows the cube plan's lattice
-    assert (plan.borrow is not None) == (name in ("poly-inside", "trig-inside"))
+    bracket, _, _, plan, (h, S) = _handed(space, W, box, None, 2001)
+    assert bracket.certified and plan.markov.certified
     assert h == pytest.approx(H, rel=1e-15) and plan.markov.value == pytest.approx(M, rel=1e-15)
-    if multiplicative:
-        assert S is None
-        assert markov_constant(space, box=box).value == pytest.approx(M, rel=1e-15)
+    cube = grid_plan(space, space.default_box(), None, 2001)
+    assert (plan is cube) == (kind == "frame")
+    if kind == "additive":
+        assert plan.additive and S == _certified_max(space, W, space.default_box(), None,
+                                                     2001)[0].upper
     else:
-        cube = _certified_max(space, W, space.default_box(), None, 2001)[0]
-        assert S == cube.upper
+        assert not plan.additive and S is None
+
+
+def test_trigonometric_sub_box_is_certified_and_holds_a_dense_maximum():
+    # Bernstein's constant is not certified on [0, 0.1], but the additive
+    # rule reads it relative to the sup over the cube, a whole period
+    space = SpaceDescriptor.trigonometric(1, 1)
+    box = _B([0.0], [0.1])
+    assert not markov_constant(space, box=box).certified
+    for coeff in ([0.0, 0.0, 1.0], np.random.default_rng(23).normal(size=3)):
+        bracket = certified_supnorm(space, coeff, box, grid_spacing=1e-3)
+        fine, _ = uniform_grid(box, 1e-3 / 4)
+        dense = np.abs(space.evaluate_basis(fine) @ coeff).max()
+        assert bracket.certified and bracket.lower <= dense <= bracket.upper
 
 
 def test_off_cube_polynomial_bracket_holds_the_sup():
     # T_20(x) * (x + 1.3) peaks on [-1.3, -1], outside the cube, where
-    # the cube's Markov inequality does not apply: the bracket must use
-    # the box's own constant 2 * 21^2 / 1.3
+    # the cube's Markov inequality does not apply to it: the bracket must
+    # take it in the box's frame, where it does
     space = SpaceDescriptor.polynomial(1, 21)
     t20 = np.polynomial.chebyshev.cheb2poly([0.0] * 20 + [1.0])
     coeff = np.polynomial.polynomial.polymul(t20, [1.3, 1.0])
@@ -341,10 +384,10 @@ def test_flat_axis_takes_the_whole_budget():
 
 
 def test_subbox_is_not_pruned_without_cube_bound():
-    space, box, spacing, budget, _ = CASES["sub-box-1d"]
-    W = _instance(np.random.default_rng(0), space, box, 1)
-    _, _, plan, _ = _handed(space, W, box, spacing, budget)
-    assert plan.borrow is not None
+    space, box, spacing, budget, _ = CASES["trig-edge"]
+    W = _instance(np.random.default_rng(0), space, space.default_box(), 1)
+    _, _, _, plan, _ = _handed(space, W, box, spacing, budget)
+    assert plan.additive
     # S = sup_cube, where an uncertified cube bracket has sup_cube = inf
     assert _keeps_everything(space, W, plan, (plan.H, np.nan))
     assert _keeps_everything(space, W, plan, (plan.H, np.inf))
@@ -356,7 +399,7 @@ def test_identity_columns_keep_every_cell(n):
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())[:, :, None]
-    _, _, plan, rule = _handed(space, W, box, None, budget)
+    _, _, _, plan, rule = _handed(space, W, box, None, budget)
     cols, keep = _coarse_prune(W, plan, rule)
     assert keep is None
     value, point, col = _grid_max(W, plan, rule)
@@ -368,26 +411,15 @@ def test_identity_columns_keep_every_cell(n):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cells_give_each_grid_index_to_a_nearest_lattice_point(data):
+    # a plan's lattice: grid indices, every s-th one and the last
     m = data.draw(st.integers(1, 40), label="m")
-    if data.draw(st.booleans(), label="own"):
-        # a plan's own lattice: integer grid indices, every s-th one and the last
-        i = _every(m, data.draw(st.integers(1, 12), label="s"))
-        edges, near = _cells(i, m)
-        assert np.array_equal(edges, np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [m])))
-        assert not near.any()
-        return
-    # a borrowed window: fractional grid indices, some of them off the grid
-    u = np.sort(data.draw(st.lists(st.floats(-3.0, m + 2.0), min_size=1, max_size=12),
-                          label="u"))
-    edges, near = _cells(u, m)
-    assert edges[0] == 0 and edges[-1] == m and np.all(np.diff(edges) >= 0)
-    owner = np.repeat(np.arange(u.size), np.diff(edges))
-    dist = np.abs(u[:, None] - np.arange(m))
-    assert np.all(dist[owner, np.arange(m)] <= dist.min(axis=0) + 1e-12)
-    assert np.allclose(near, dist.min(axis=1), rtol=0, atol=1e-12)
-    # a flat axis: its one grid point is one cell, at the point's distance
-    edges, near = _cells(u[:1], 1)
-    assert np.array_equal(edges, [0, 1]) and near[0] == abs(u[0])
+    i = _every(m, data.draw(st.integers(1, 12), label="s"))
+    edges = _cells(i, m)
+    assert edges[0] == 0 and edges[-1] == m and np.all(np.diff(edges) > 0)
+    owner = np.repeat(np.arange(i.size), np.diff(edges))
+    dist = np.abs(i[:, None] - np.arange(m))
+    assert np.all(dist[owner, np.arange(m)] == dist.min(axis=0))
+    assert np.all(owner == np.argmin(dist, axis=0))  # ties go to the lower point
 
 
 def _owner_mask_indices(cell_ok, edges, shape):
@@ -404,7 +436,7 @@ def test_cell_indices_match_owner_mask(shape):
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
     for s in (1, 2, 3, 5, None):
         if s is None:
-            # a borrowed lattice: cells of any size, some of them empty
+            # any cells, of any size, some of them empty
             edges = [np.concatenate(([0], np.sort(rng.integers(0, k + 1, size=rng.integers(0, 6))),
                                      [k])) for k in shape]
         else:
@@ -494,7 +526,7 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
     coarse = T1.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
-    _, _, plan, rule = _handed(T1, W, box, None, 20001)
+    _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
     assert plan.axes == axes
     assert _coarse_prune(W, plan, rule) is not None
     value, point, col = _grid_max(W, plan, rule)
@@ -519,7 +551,7 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     column0 = np.abs(T1.evaluate_basis(x[:, None]) @ W[:, 0, 0])
     assert column0[625 * stride + stride // 2 + 1] < 1.0 < column0.max()
-    _, _, plan, rule = _handed(T1, W, box, None, 20001)
+    _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
     value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert col == ref_col == 0
@@ -527,24 +559,21 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert value == pytest.approx(ref_value, rel=1e-12) and value == column0.max()
 
 
-def test_borrowed_floor_counts_the_distance_to_the_grid():
-    # On [-0.3005, 0.2] at h = 1e-4 the cube lattice point nearest the box's
-    # lower end is -0.3008, 3e-4 outside the box. Column 0, 0.4 - 2x, is
-    # 1.0016 there but at most 1.001 on the box's grid; column 1,
-    # 1.0012 - x^2, peaks at the grid point 0 with a bound near 1.0012. A
-    # floor read off the lattice value alone would drop column 1, and with
-    # it the grid maximum; rho * D takes the 6e-4 back.
+def test_box_edge_maximiser_matches_a_dense_pass():
+    # On [-0.3005, 0.2] column 0, 0.4 - 2x, is 1.0016 at -0.3008, just
+    # outside the box, but at most 1.001 on it; column 1, 1.0012 - x^2,
+    # peaks at 0. The box's frame grid ends at the box's ends, and the
+    # maximum is column 1's, as a dense pass on that grid finds it.
     space = SpaceDescriptor.polynomial(1, 2)
     box = _B([-0.3005], [0.2])
     W = np.array([[0.4, -2.0, 0.0], [1.0012, 0.0, -1.0]]).T[:, :, None]
-    bracket, column, plan, _ = _handed(space, W, box, 1e-4, None)
-    cube, take = plan.borrow
-    c = _grid_points(cube.axes, cube.sub[0][take[0]])[:, 0]
-    assert c[0] == pytest.approx(-0.3008) and plan.rho[0] == pytest.approx(3e-4)
-    assert abs(space.evaluate_basis(c[:1]) @ W[:, 0, 0]) > 1.0015
-    value, point, col = _dense_on(space, W, plan.axes)
-    assert (bracket.lower, column) == (value, col) == (pytest.approx(1.0012), 1)
-    assert np.array_equal(bracket.argmax, point) and point[0] == pytest.approx(0.0, abs=1e-12)
+    bracket, column, Wh, plan, _ = _handed(space, W, box, 1e-4, None)
+    _, _, c, r = _in_frame(space, W, box)
+    value, point, col = _dense_on(space, Wh, plan.axes)
+    assert (column, col) == (1, 1) and value == pytest.approx(1.0012, rel=1e-9)
+    assert bracket.lower == pytest.approx(value, rel=1e-12) and bracket.upper >= 1.0012
+    assert np.array_equal(bracket.argmax, _to_box(c, r, point))
+    assert abs(bracket.argmax[0]) < 2e-5
 
 
 def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
@@ -563,7 +592,7 @@ def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(space, box=box)
     assert not M.certified
-    _, _, plan, rule = _handed(space, W, box, None, 20001)
+    _, _, _, plan, rule = _handed(space, W, box, None, 20001)
     assert plan.axes == axes
     cols, keep = _coarse_prune(W, plan, rule)
     assert list(cols) == [0, 1]
@@ -580,7 +609,7 @@ def test_fewnomial_group_rule_bounds_the_group_slope():
     rng = np.random.default_rng(14)
     l = FEW.dimension()
     W = np.stack([1e-3 * rng.normal(size=(l, 2)), rng.normal(size=(l, 2))], axis=2)
-    _, _, plan, rule = _handed(FEW, W, FEW_BOX, None, 20001)
+    _, _, _, plan, rule = _handed(FEW, W, FEW_BOX, None, 20001)
     assert rule == (0.0, None)
     slope = _with_slopes(W, plan)[1]  # the constant D_k of each group
     x = np.linspace(FEW_BOX[0][0], FEW_BOX[1][0], 200_001)
@@ -596,17 +625,12 @@ def _spy_grid_max(monkeypatch):
     """Record the (plan, rule) of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(W, plan, rule, **values):
+    def spy(W, plan, rule):
         calls.append((plan, rule))
-        return real(W, plan, rule, **values)
+        return real(W, plan, rule)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
-
-
-def _on_cube(space, plan):
-    lo, hi = space.default_box()
-    return all(ax[0] == a and ax[1] == b for ax, a, b in zip(plan.axes, lo, hi))
 
 
 SWEEP = [(np.array([a]), np.array([b])) for a, b in ((-1.0, -0.4), (-0.2, 0.3), (0.5, 1.0))]
@@ -616,155 +640,100 @@ def _as_tuple(br):
     return (br.lower, br.upper, br.certified, br.grid_spacing, tuple(br.argmax))
 
 
-def test_subinterval_sweep_makes_one_cube_pass(monkeypatch):
+def _holds_dense_max(space, coeff, box, bracket, spacing):
+    """True when the bracket holds the dense maximum of |f| on a grid of the
+    box 4 times finer than ``spacing``, to one evaluation's rounding."""
+    grid, _ = uniform_grid(box, spacing / 4)
+    dense = np.abs(space.evaluate_basis(grid) @ coeff).max()
+    tol = 4 * space.dimension() * np.finfo(float).eps * np.abs(coeff).sum() * max(
+        1.0, space.basis_sup(box))
+    return bracket.lower <= dense + tol and dense <= bracket.upper + tol
+
+
+def test_subinterval_sweep_shares_the_cube_plan(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 5)
     coeff = np.random.default_rng(5).normal(size=space.dimension())
-    _cube_bracket.cache_clear()
     _grid_plan.cache_clear()
     calls = _spy_grid_max(monkeypatch)
     certified_supnorm(space, coeff, grid_spacing=1e-4)
-    with mock.patch.object(norming, "_lattice_values", wraps=norming._lattice_values) as product:
-        got = [certified_supnorm(space, coeff, box, grid_spacing=1e-4) for box in SWEEP]
-    assert len(calls) == 1 + len(SWEEP)
-    assert sum(_on_cube(space, plan) for plan, _ in calls) == 1
-    # the sub-intervals borrow the lattice of the one cached plan, the cube's
-    assert all(plan.borrow[0] is calls[0][0] for plan, _ in calls[1:])
+    rows, real = [0], SpaceDescriptor.evaluate_basis
+
+    def counted(self, points):
+        out = real(self, points)
+        rows[0] += out.shape[0] if out.ndim == 2 else 1
+        return out
+
+    got = []
+    for box in SWEEP:
+        rows[0] = 0
+        with mock.patch.object(SpaceDescriptor, "evaluate_basis", counted):
+            got.append(certified_supnorm(space, coeff, box, grid_spacing=1e-4))
+        # its frame's grid is the cube's 20,001 points: the fine pass keeps a
+        # few of its cells, and the coarse lattice's table is the cube call's
+        assert rows[0] < 0.05 * 20001
+    # every sub-interval takes its frame on the one cached plan, the cube's
+    assert len(calls) == 1 + len(SWEEP) and all(plan is calls[0][0] for plan, _ in calls)
     assert _grid_plan.cache_info().currsize == 1
-    # and prune on the cube pass's values of the vector there: they form no
-    # product over lattice rows, and take no rows of the cube's table
-    assert not product.called
-    assert not any("table" in plan.__dict__ for plan, _ in calls[1:])
     for box, br in zip(SWEEP, got):
-        _cube_bracket.cache_clear()
+        assert br.certified and _holds_dense_max(space, coeff, box, br, 1e-4)
+        _grid_plan.cache_clear()
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, coeff, box,
                                                             grid_spacing=1e-4))
 
 
-def test_evicted_cube_entries_give_the_brackets_of_an_empty_cache():
-    # 3 x maxsize vectors: each cube call is followed by a sub-box of the same
-    # vector, whose entry is cached, and by a sub-box of the vector of maxsize
-    # cube calls earlier, whose entry has been evicted since
+def test_evicted_plans_give_the_brackets_of_an_empty_cache():
+    # more spacings than the plan cache holds: each cube plan is evicted and
+    # built again between the calls that read it, boxes beyond the cube too
     space = SpaceDescriptor.polynomial(1, 4)
-    size = _cube_bracket.cache_info().maxsize
-    coeffs = np.random.default_rng(21).normal(size=(3 * size, space.dimension()))
-    boxes = [_B([-0.9], [-0.2]), _B([-0.35], [0.4]), _B([0.1], [0.95])]
-    calls = []
-    for k, coeff in enumerate(coeffs):
-        calls.append((coeff, None))
-        calls.append((coeff, boxes[k % 3]))
-        if k >= size:
-            calls.append((coeffs[k - size], boxes[(k + 1) % 3]))
-    _cube_bracket.cache_clear()
-    got = [certified_supnorm(space, c, box, grid_spacing=1e-4) for c, box in calls]
-    info = _cube_bracket.cache_info()
-    # one miss per vector, and one more per entry that was evicted and came back
-    assert info.currsize == size and info.misses == 3 * size + 2 * size
-    for (c, box), br in zip(calls, got):
-        _cube_bracket.cache_clear()
-        assert _as_tuple(br) == _as_tuple(certified_supnorm(space, c, box, grid_spacing=1e-4))
-
-
-# (space, a box strictly inside its cube, spacing, budget)
-KEPT = {
-    "1d": (SpaceDescriptor.polynomial(1, 5), _B([-0.3], [0.45]), 1e-4, None),
-    "2d": (SpaceDescriptor.polynomial(2, 3), _B([-0.6, -0.2], [0.5, 0.9]), None, 40000),
-    "3d": (SpaceDescriptor.polynomial(3, 2), _B([-0.5, -0.9, 0.1], [0.4, 0.2, 0.8]), None,
-           64000),
-    "trig": (SpaceDescriptor.trigonometric(1, 3), _B([-0.7], [0.2]), None, 20001),
-}
-
-
-@pytest.mark.parametrize("name", sorted(KEPT))
-def test_cube_entry_keeps_the_values_of_the_window_product(name):
-    space, box, spacing, budget = KEPT[name]
-    coeff = np.random.default_rng(sorted(KEPT).index(name) + 22).normal(size=space.dimension())
-    W = coeff[:, None, None]
-    _cube_bracket.cache_clear()
-    _, _, plan, _ = _handed(space, W, box, spacing, budget)
-    cube = plan.borrow[0]
-    bracket, (V, D, norms) = _cube_bracket(space, W.tobytes(),
-                                           *norming._grid_key(plan.spacing, budget))
-    assert _as_tuple(bracket) == _as_tuple(certified_supnorm(space, coeff, box=None,
-                                                             grid_spacing=cube.spacing,
-                                                             budget=budget))
-    Phi = cube.table[0]
-    lattice = math.prod(e.size - 1 for e in cube.edges)
-    for a in (V, D):
-        assert not a.flags.writeable and a.shape == (lattice,) == Phi.shape[:1]
-    # V = |p| and D = sum_i |d_i p| at the lattice points
-    P = space.basis_derivatives()
-    assert np.allclose(V, np.abs(Phi @ coeff), rtol=1e-12, atol=1e-12)
-    assert np.allclose(D, sum(np.abs(Phi @ (Pi @ coeff)) for Pi in P), rtol=1e-12, atol=1e-12)
-    # on the box's window, exactly what the product of its table rows gives
-    rows = plan.table[0]
-    assert rows.shape[0] == plan.rho.size < lattice
-    Wv, D0 = _with_slopes(W, plan)
-    window = [np.hstack(a)[0] for a in zip(*norming._lattice_values(rows, Wv, 1, D0))]
-    assert np.array_equal(plan.window(V), window[0])
-    assert np.array_equal(plan.window(D), window[1])
-    assert norms == norming._slack_norms(Wv, 1)
+    size = _grid_plan.cache_info().maxsize
+    coeffs = np.random.default_rng(21).normal(size=(2 * size, space.dimension()))
+    boxes = [None, _B([-0.9], [-0.2]), _B([-0.35], [0.4]), _B([-1.5], [1.5]), _B([0.1], [2.5])]
+    calls = [(coeff, boxes[k % len(boxes)], 1e-3 * (1 + k % (size + 1)))
+             for k, coeff in enumerate(coeffs)]
+    _grid_plan.cache_clear()
+    got = [certified_supnorm(space, c, box, grid_spacing=h) for c, box, h in calls]
+    assert _grid_plan.cache_info().misses > size + 1
+    for (c, box, h), br in zip(calls, got):
+        _grid_plan.cache_clear()
+        assert _as_tuple(br) == _as_tuple(certified_supnorm(space, c, box, grid_spacing=h))
 
 
 def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
-    # the second-order pad needs a bound on the sup over the cube: the cube
-    # bracket's upper end, not its grid value
-    space = SpaceDescriptor.polynomial(1, 4)
-    H = 4.0**2 * 3.0**2  # the cube's n^2 d^2 (d - 1)^2
+    # the additive rule of a trigonometric sub-box needs a bound on the sup
+    # over the cube: the cube bracket's upper end, not its grid value
+    space = SpaceDescriptor.trigonometric(1, 2)
+    H = (2 * np.pi) ** 2  # Bernstein's inequality twice
     coeff = np.random.default_rng(6).normal(size=space.dimension())
     cube = certified_supnorm(space, coeff, budget=2001)
     assert cube.certified and cube.upper > cube.lower
-    for memo in (False, True):
-        if not memo:
-            _cube_bracket.cache_clear()
-        calls = _spy_grid_max(monkeypatch)
-        certified_supnorm(space, coeff, SWEEP[1], budget=2001)
-        monkeypatch.undo()
-        assert [rule for plan, rule in calls if not _on_cube(space, plan)] == [(H, cube.upper)]
-        assert calls[-1][0].borrow[0] is grid_plan(space, space.default_box(), None, 2001)
+    calls = _spy_grid_max(monkeypatch)
+    certified_supnorm(space, coeff, SWEEP[1], budget=2001)
+    assert [plan for plan, _ in calls] == [grid_plan(space, space.default_box(), None, 2001),
+                                           grid_plan(space, SWEEP[1], None, 2001)]
+    assert [rule for _, rule in calls] == [(H, None), (H, cube.upper)]
 
 
-def test_cube_memo_keeps_single_coefficient_vectors_only():
+def test_three_points_on_a_tenth_have_the_lebesgue_constant_of_their_image():
+    # {0, 0.05, 0.1} on [0, 0.1] is the image of {-1, 0, 1}, whose Lebesgue
+    # constant is 5/4
     space = SpaceDescriptor.polynomial(1, 2)
-    _cube_bracket.cache_clear()
     box = (np.array([0.0]), np.array([0.1]))
     rep = norming_constant(space, PointSet([[0.0], [0.02], [0.05], [0.1]], box), budget=2001)
     assert rep.norming and rep.lower <= rep.upper
-    # one Lebesgue group, W of shape (3, 1, 3), on the same sub-box
     three = PointSet([[0.0], [0.05], [0.1]], box)
     rep = norming_constant(space, three, budget=2001)
     assert rep.norming and rep.lower == pytest.approx(1.25, rel=1e-12)
     assert 1.25 <= rep.upper
     assert lebesgue_constant(space, three, budget=2001) == rep.lower
-    assert _cube_bracket.cache_info().currsize == 0
-    rng = np.random.default_rng(8)
-    size = _cube_bracket.cache_info().maxsize
-    for _ in range(3 * size):
-        certified_supnorm(space, rng.normal(size=3), budget=2001)
-    info = _cube_bracket.cache_info()
-    assert 0 < info.currsize <= size
-    # every entry ever stored came from one of the single-vector calls
-    assert info.misses == 3 * size
 
 
-def test_cube_memo_ignores_boxes_beyond_the_cube():
-    space = SpaceDescriptor.polynomial(1, 3)
-    coeff = np.array([0.5, -1.0, 0.25, 2.0])
-    _cube_bracket.cache_clear()
-    fresh = certified_supnorm(space, coeff, SWEEP[1], budget=2001)
-    _cube_bracket.cache_clear()
-    certified_supnorm(space, coeff, (np.array([-1.5]), np.array([1.5])), budget=2001)
-    assert _cube_bracket.cache_info().currsize == 0
-    assert _as_tuple(certified_supnorm(space, coeff, SWEEP[1], budget=2001)) == _as_tuple(fresh)
-
-
-def test_equal_cube_calls_share_one_pass_and_own_their_argmax(monkeypatch):
+def test_equal_cube_calls_own_their_argmax(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 4)
     coeff = np.random.default_rng(9).normal(size=space.dimension())
-    _cube_bracket.cache_clear()
     calls = _spy_grid_max(monkeypatch)
     first = certified_supnorm(space, coeff, budget=2001)
     second = certified_supnorm(space, coeff, budget=2001)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert _as_tuple(first) == _as_tuple(second)
     assert first.argmax is not second.argmax
     assert first.argmax.flags.writeable and second.argmax.flags.writeable
@@ -889,18 +858,21 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
                                                                      data):
     space, box, W = data.draw(_certified_max_case(family, power, where))
     budget = 2001 if space.n == 1 else 1600
-    bracket, column, plan, rule = _handed(space, W, box, None, budget)
-    value, point, col = _dense_on(space, W, plan.axes)
+    bracket, column, Wh, plan, rule = _handed(space, W, box, None, budget)
+    TW, _, c, r = _in_frame(space, W, box)
+    assert np.array_equal(Wh, TW)
+    value, point, col = _dense_on(plan.space, Wh, plan.axes)
     assert bracket.lower == pytest.approx(value, rel=1e-12)
-    assert np.array_equal(bracket.argmax, point)
+    assert np.array_equal(bracket.argmax, _to_box(c, r, point))
     # tied groups can round differently in the dense product, so the returned
     # group need not be the oracle's first; it attains the grid maximum to
-    # one group evaluation's rounding, l * eps * sum_j ||w_j||_1 * vmax
+    # one group evaluation's rounding, l * eps * sum_j ||w_j||_1 * vmax, and
+    # twice T W's rounding pad in a frame (``_frame_pad``)
     group = W[:, column]
     attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
     vmax = max(1.0, space.basis_sup(box))
     tol = W.shape[0] * np.finfo(float).eps * np.abs(group).sum() * vmax
-    assert abs(attained - bracket.lower) <= tol
+    assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(bracket, W, Wh, plan)
     if bracket.certified:
         # both sides are rounded: allow one group evaluation's rounding,
         # l * eps * sum_j ||w_j||_1 * max |phi| (a one-point box has upper == lower)
@@ -909,10 +881,90 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
         assert bracket.upper >= _dense_on(space, W, fine)[0] - eps * max(1.0, space.basis_sup(box))
 
 
-# Boxes strictly inside the cube, which borrow the lattice of the cube's plan:
-# (space, box, grid_spacing, budget, vertex matrices?). At h = 1e-4 the 1-D
-# cube lattice keeps every 16th grid point, a gap of 1.6e-3, and the narrow
-# boxes lie within one or two of its cells.
+@st.composite
+def _polynomial_box_case(draw, where):
+    """A polynomial space, a box placed as ``where`` says, and W: a single
+    coefficient vector, or the vertex matrix of a set of dim V + 0..2 points."""
+    n = 2 if where == "flat" else draw(st.integers(1, 2))
+    # far from the origin the monomial coefficients of a function of sup 1
+    # grow like (|c| / r)^d, and T W's rounding with them
+    top = (3, 2) if where == "narrow" else (6, 3)
+    space = SpaceDescriptor.polynomial(n, draw(st.integers(1, top[n - 1])))
+    floats = lambda a, b: np.array(draw(st.lists(st.floats(a, b), min_size=n, max_size=n)))
+    if where == "narrow":  # 0.02 wide, far from the origin
+        c = floats(-5.0, 5.0)
+        lo, hi = c - 0.01, c + 0.01
+    elif where == "straddling":
+        lo = floats(-1.6, 0.5)
+        lo[0] = draw(st.floats(-1.6, -1.05))
+        hi = lo + floats(0.3, 1.2)
+        hi[0] = draw(st.floats(-0.95, 1.5))
+    elif where == "beyond":
+        lo = floats(1.1, 3.0)
+        hi = lo + floats(0.1, 2.5)
+    else:
+        lo = floats(-1.0, 0.9)
+        hi = np.minimum(lo + floats(0.05, 1.5), 1.0)
+        if where == "flat":
+            j = draw(st.integers(0, n - 1))
+            hi[j] = lo[j]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l = space.dimension()
+    if draw(st.booleans()):
+        return space, (lo, hi), rng.normal(size=(l, 1, 1))
+    u = random_points(rng, l + draw(st.integers(0, 2)), n, min_sep=0.1)
+    V = _feasible_vertices(space.evaluate_basis(u)).T
+    # the vertices of a set u in the cube, mapped to the set c + r u on the
+    # box; on a flat axis no set on the box spans V, so they stay the cube's
+    if where != "flat":
+        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        V = _shift(space, -c / r, 1.0 / r) @ V
+    return space, (lo, hi), V[:, :, None]
+
+
+@pytest.mark.parametrize("where", ["inside", "straddling", "beyond", "flat", "narrow"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_polynomial_box_brackets_hold_a_finer_dense_max_and_match_the_frame(where, data):
+    space, box, W = data.draw(_polynomial_box_case(where))
+    spacing = data.draw(st.sampled_from([None, {1: 1e-3, 2: 2e-2}[space.n]]))
+    budget = None if spacing else {1: 2001, 2: 1600}[space.n]
+    bracket, column = _certified_max(space, W, box, spacing, budget)
+    assert bracket.certified
+    group = W[:, column]
+    # the rounding of f, and of T W: a few times l * eps * sum_j ||w_j||_1 * vmax
+    vmax = max(1.0, space.basis_sup(box))
+    mass = np.abs(W).sum(axis=(0, 2)).max()
+    tol = 3 * (W.shape[0] + 4 * space.n) * np.finfo(float).eps * mass * vmax
+    # the dense maximum on a grid 4 times finer lies below the upper end
+    fine, _ = uniform_grid(box, bracket.grid_spacing / 4)
+    dense = _group_values_max(space, W, fine)
+    assert dense <= bracket.upper + tol
+    # the argmax attains the lower end, to the rounding of f and of T W
+    attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
+    assert attained >= bracket.lower - tol
+    # the bracket of T W on the cube (of the live variables on a flat axis),
+    # widened by T W's rounding, mapped back
+    TW, sub, c, r = _in_frame(space, W, box)
+    assert sub.n == space.n - (where == "flat")
+    cube, k = _certified_max(sub, TW, sub.default_box(), _frame_spacing(spacing, r), budget)
+    assert k == column and np.array_equal(bracket.argmax, _to_box(c, r, cube.argmax))
+    pad = bracket.upper - cube.upper
+    assert 0.0 < pad <= tol
+    assert bracket.lower == pytest.approx(max(cube.lower - pad, 0.0), rel=1e-12, abs=tol * 1e-3)
+
+
+def _group_values_max(space, W, grid):
+    """The largest group value sum_j |phi(x) @ W[:, k, j]| over the rows of ``grid``."""
+    l, K, g = W.shape
+    vals = np.abs(space.evaluate_basis(grid) @ W.reshape(l, K * g))
+    return float(vals.reshape(-1, K, g).sum(axis=2).max())
+
+
+# Boxes inside the cube: (space, box, grid_spacing, budget, vertex matrices?).
+# Polynomial boxes are taken in their frame on the cube's plan (of the live
+# variables, on a flat axis), trigonometric ones on their own plan. At h = 1e-4 the 1-D cube lattice keeps
+# every 16th grid point, and the narrow boxes' frames take that grid.
 INSIDE = {
     "1d-vector": (SpaceDescriptor.polynomial(1, 5), _B([-0.3], [0.45]), 1e-4, None, False),
     "1d-vertices": (SpaceDescriptor.polynomial(1, 4), _B([-0.8], [0.1]), None, 20001, True),
@@ -921,6 +973,8 @@ INSIDE = {
                            None, True),
     "2d-vector": (SpaceDescriptor.polynomial(2, 2), _B([-0.6, -0.2], [0.5, 0.9]), None, 40000,
                   False),
+    "2d-P3-vector": (SpaceDescriptor.polynomial(2, 3), _B([-0.6, -0.2], [0.5, 0.9]), None,
+                     40000, False),
     "2d-vertices": (SpaceDescriptor.polynomial(2, 2), _B([-0.9, -0.4], [0.2, 1.0]), None, 40000,
                     True),
     "2d-narrow": (SpaceDescriptor.polynomial(2, 2), _B([0.1, -0.3], [0.11, 0.2]), 4e-3, None,
@@ -931,6 +985,8 @@ INSIDE = {
                     None, 64000, True),
     "flat-axis": (SpaceDescriptor.polynomial(2, 2), _B([-0.7, 0.3], [0.6, 0.3]), 1e-3, None, True),
     "trig-1d": (SpaceDescriptor.trigonometric(1, 2), _B([-0.7], [0.2]), None, 20001, True),
+    "trig-T3-vector": (SpaceDescriptor.trigonometric(1, 3), _B([-0.7], [0.2]), None, 20001,
+                       False),
     "trig-2d": (SpaceDescriptor.trigonometric(2, 1), _B([-0.5, -0.6], [0.3, 0.1]), None, 40000,
                 False),
 }
@@ -946,40 +1002,25 @@ def test_inside_boxes_match_a_dense_pass(name):
             W = _instance(rng, space, space.default_box(), extra)
         else:
             W = rng.normal(size=(l, 1, 1))
-        bracket, column, plan, rule = _handed(space, W, box, spacing, budget)
-        assert plan.borrow is not None
-        value, point, _ = _dense_on(space, W, plan.axes)
+        bracket, column, Wh, plan, _ = _handed(space, W, box, spacing, budget)
+        TW, sub, c, r = _in_frame(space, W, box)
+        framed = space.kind == "polynomial"
+        key = _frame_spacing(spacing, r) if framed else spacing
+        assert plan is grid_plan(sub, sub.default_box() if framed else box, key, budget)
+        assert np.array_equal(Wh, TW) and (Wh is W) != framed
+        value, point, _ = _dense_on(plan.space, Wh, plan.axes)
         assert bracket.lower == pytest.approx(value, rel=1e-12)
-        assert np.array_equal(bracket.argmax, point)
-        # the group returned attains the maximum to one group's rounding
+        assert np.array_equal(bracket.argmax, _to_box(c, r, point))
+        # the group returned attains the maximum to one group's rounding, and
+        # twice T W's rounding pad in a frame
         group = W[:, column]
         attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
         tol = l * np.finfo(float).eps * np.abs(group).sum() * max(1.0, space.basis_sup(box))
-        assert abs(attained - bracket.lower) <= tol
-
-
-@pytest.mark.parametrize("name", ["1d-vector", "1d-narrow", "2d-narrow", "3d-vector",
-                                  "flat-axis"])
-def test_borrowed_lattice_covers_the_box_grid(name):
-    # every grid point lies within r of the lattice point whose cell owns it,
-    # and rho is each lattice point's distance to the nearest grid point
-    space, box, spacing, budget, _ = INSIDE[name]
-    W = np.ones((space.dimension(), 1, 1))
-    _, _, plan, _ = _handed(space, W, box, spacing, budget)
-    cube, take = plan.borrow
-    near = []
-    for ax, cax, i, edge, cut in zip(plan.axes, cube.axes, cube.sub, plan.edges, take):
-        grid, c = (_grid_points((a,), j)[:, 0] for a, j in ((ax, np.arange(ax[2])), (cax, i[cut])))
-        assert edge[0] == 0 and edge[-1] == ax[2] and np.all(np.diff(edge) >= 0)
-        owner = np.repeat(np.arange(c.size), np.diff(edge))
-        assert np.abs(grid - c[owner]).max() <= plan.r * (1 + 1e-12)
-        near.append(np.abs(c[:, None] - grid[None, :]).min(axis=1))
-    rho = functools.reduce(np.maximum, np.ix_(*near))
-    assert np.allclose(plan.rho, np.ravel(rho), rtol=0, atol=1e-15)
-    assert plan.table[0].shape == (plan.rho.size, space.dimension())
+        assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(bracket, W, Wh, plan)
 
 
 def test_inside_plans_stay_out_of_the_plan_cache():
+    # sub-intervals share the cube's plan, in their frames
     space = SpaceDescriptor.polynomial(1, 5)
     coeff = np.random.default_rng(19).normal(size=space.dimension())
     _grid_plan.cache_clear()

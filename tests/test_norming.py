@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_plan, random_points, small_poly_space, uniform_grid
-from norming_lab import (NotNormingError, PointSet, SpaceDescriptor,
+from norming_lab import (NotNormingError, PointSet, SpaceDescriptor, audit,
                          certified_supnorm, cramer_bound, fekete_select,
                          interpolation_determinant, lagrange_basis,
                          lebesgue_constant, norming_constant, sandwich_check)
@@ -97,7 +97,8 @@ def test_lebesgue_closed_form():
 @pytest.mark.parametrize("space, box", [
     (SpaceDescriptor.polynomial(1, 4), None),
     (SpaceDescriptor.polynomial(2, 2), None),
-    # the additive rule, which prunes with the cube bracket of the whole group
+    # polynomial boxes, taken in their frame on the cube, and the additive
+    # rule, which prunes with the cube bracket of the whole group
     (SpaceDescriptor.polynomial(1, 4), (np.array([-0.3]), np.array([0.45]))),
     (SpaceDescriptor.polynomial(2, 2), (np.array([-0.5, -1.0]), np.array([0.75, 0.2]))),
     (SpaceDescriptor.trigonometric(1, 2), (np.array([-1.4]), np.array([0.3]))),
@@ -108,12 +109,9 @@ def test_lebesgue_blocks_match_dense_formula(space, box, monkeypatch):
     pts = random_points(np.random.default_rng(3), space.dimension(), space.n, min_sep=0.1)
     box = lo, hi = space.default_box() if box is None else box
     pts = lo + (hi - lo) * (pts + 1.0) / 2.0  # in the box, where a set's points lie
-    norming._cube_bracket.cache_clear()
     grid, _ = uniform_grid(box, budget=5000)
     dense = np.max(np.abs(space.evaluate_basis(grid) @ lagrange_basis(space, pts)).sum(axis=1))
     assert lebesgue_constant(space, PointSet(pts, box), budget=5000) == pytest.approx(dense, rel=1e-12)
-    # a group is never read back from the cube memo as one coefficient vector
-    assert norming._cube_bracket.cache_info().currsize == 0
 
 
 def test_norming_equals_lebesgue_for_unisolvent(rng):
@@ -204,6 +202,25 @@ def test_norming_constant_checks_the_set_for_duplicates_once(pts, monkeypatch):
     assert from_set.norming == (len(pts) > 2)
     with pytest.raises(ValueError, match="duplicate"):
         norming_constant(P2, np.array([[0.5], [-0.2], [0.5]]))
+
+
+def test_a_boxed_set_is_checked_for_duplicates_once_and_its_image_never(monkeypatch):
+    # a polynomial set on a box is taken as its image on the cube, which is
+    # not checked again: on a box wider than the cube the map shrinks the
+    # gaps, here 5e-12 on [-10, 10] to 5e-13, below the 1e-12 the set passed
+    checks = mock.Mock(wraps=has_duplicates)
+    monkeypatch.setattr(norming, "has_duplicates", checks)
+    near = PointSet([[-10.0], [0.0], [5e-12], [10.0]], ([-10.0], [10.0]))
+    inside = PointSet([[-0.9], [-0.1], [0.3], [0.8]], ([-1.0], [0.9]))
+    assert checks.call_count == 2
+    rep = norming_constant(P1, near, budget=2001)
+    assert rep.norming and rep.value == pytest.approx(1.0, rel=1e-12)
+    assert norming_constant(P2, inside, budget=2001).norming
+    lebesgue_constant(P2, PointSet(inside.points[:3], inside.box), budget=2001)
+    assert checks.call_count == 3  # by the constructor of the three-point set
+    report = audit(P1, near, ["cor22", "rd_span"], budget=2001)
+    assert report.violations == 0
+    assert checks.call_count == 3
 
 
 def test_large_set_reaches_the_vertex_budget_without_an_m_by_m_array():
@@ -407,12 +424,12 @@ def test_fewnomial_on_a_box_with_a_flat_axis():
 # grid plans
 
 
-@pytest.mark.parametrize("box, hits", [(None, 1), ((np.array([-0.4]), np.array([0.7])), 3)],
-                         ids=["cube", "inside"])
-def test_sets_in_one_space_share_one_plan(box, hits):
-    # strictly inside the cube the additive rule brackets the cube too, and
-    # the box borrows the lattice of the cube's plan: one cached plan serves
-    # both calls of each set
+@pytest.mark.parametrize("box", [None, (np.array([-0.4]), np.array([0.7])),
+                                 (np.array([-1.5]), np.array([0.5]))],
+                         ids=["cube", "inside", "beyond"])
+def test_sets_in_one_space_share_one_plan(box):
+    # a polynomial set on a box is taken as its image on the cube, so the
+    # cube's cached plan serves every set, on the cube or on a box
     space = SpaceDescriptor.polynomial(1, 4)
     rng = np.random.default_rng(15)
     lo, hi = (-1.0, 1.0) if box is None else (box[0][0], box[1][0])
@@ -422,7 +439,7 @@ def test_sets_in_one_space_share_one_plan(box, hits):
     shared = [norming_constant(space, PointSet(pts, box), budget=20001).to_json()
               for pts in sets]
     info = norming._grid_plan.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, hits, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     for pts, rep in zip(sets, shared):
         norming._grid_plan.cache_clear()
         assert norming_constant(space, PointSet(pts, box), budget=20001).to_json() == rep
@@ -462,10 +479,8 @@ def test_plans_ignore_a_budget_they_do_not_use(spacing, budgets):
     space = SpaceDescriptor.polynomial(1, 3)
     coeff = np.array([0.5, -1.0, 0.25, 2.0])
     norming._grid_plan.cache_clear()
-    norming._cube_bracket.cache_clear()
     runs = [certified_supnorm(space, coeff, grid_spacing=spacing, budget=b) for b in budgets]
     assert norming._grid_plan.cache_info().misses == 1
-    assert norming._cube_bracket.cache_info().misses == 1
     a, b = ((r.lower, r.upper, r.grid_spacing, tuple(r.argmax)) for r in runs)
     assert a == b
 
@@ -536,20 +551,15 @@ def test_one_column_never_builds_the_levels(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 3)
     box = (np.array([-0.3125]), np.array([0.6875]))
     norming._grid_plan.cache_clear()
-    norming._cube_bracket.cache_clear()
     grid_max = mock.Mock(wraps=norming._grid_max)
     monkeypatch.setattr(norming, "_grid_max", grid_max)
-    certified_supnorm(space, [0.5, -1.0, 2.0, 0.25], box, budget=20001)
-    # the cube's plan, cached, and the box's, which borrows its lattice
+    for b in (box, None):
+        certified_supnorm(space, [0.5, -1.0, 2.0, 0.25], b, budget=20001)
+    # the box in its frame and the cube: one pass each on the cube's cached plan
     plans = [call.args[1] for call in grid_max.call_args_list]
-    assert plans[0] is grid_plan(space, space.default_box(), None, 20001)
-    assert plans[1].borrow[0] is plans[0]
+    assert plans == [grid_plan(space, space.default_box(), None, 20001)] * 2
     assert norming._grid_plan.cache_info().misses == 1
-    for plan in plans:
-        assert "levels" not in plan.__dict__
-    # the box prunes on the cube pass's lattice values of the vector: it takes
-    # no rows of the cube's table, so it forms no product with them
-    assert "table" in plans[0].__dict__ and "table" not in plans[1].__dict__
+    assert "table" in plans[0].__dict__ and "levels" not in plans[0].__dict__
 
 
 def test_vertex_matrices_share_the_levels_of_one_plan():
@@ -584,8 +594,44 @@ def test_clustered_sets_match_their_image_on_the_cube(n, d, sizes, budget, draws
         cube = norming_constant(space, (pts - lo) / w * 2 - 1, budget=budget)
         assert rep.norming and rep.certified and cube.certified
         assert rep.lower <= cube.upper and cube.lower <= rep.upper
-        assert rep.lower == pytest.approx(cube.lower, rel=1e-6)
+        assert rep.lower == pytest.approx(cube.lower, rel=1e-9)
         # the witness is in the canonical basis: feasible on Z, the LP value at its point
         f = rep.witness_coefficients
         assert np.max(np.abs(space.evaluate_basis(pts) @ f)) <= 1.0 + 1e-6
         assert abs(space.evaluate_basis(rep.witness_point) @ f) == pytest.approx(rep.lower, rel=1e-6)
+
+
+@pytest.mark.parametrize("box", [((-0.4, -0.9), (0.7, 0.2)), ((-1.5, 0.2), (0.5, 0.6)),
+                                 ((4.99, -3.01), (5.01, -2.99))],
+                         ids=["inside", "beyond", "narrow"])
+def test_boxed_set_reads_the_bracket_of_its_image_on_the_cube(box):
+    # a polynomial set on a box is its image u = (z - c) / r on the cube: the
+    # same bracket under a budget, and the witness mapped back to the box
+    space = SpaceDescriptor.polynomial(2, 2)
+    lo, hi = (np.array(b) for b in box)
+    c, r = (lo + hi) / 2, (hi - lo) / 2
+    u = random_points(np.random.default_rng(24), space.dimension() + 2, 2, min_sep=0.1)
+    pts = c + r * u
+    rep = norming_constant(space, PointSet(pts, (lo, hi)), budget=1600)
+    image = norming_constant(space, (pts - c) / r, budget=1600)
+    assert (rep.lower, rep.upper, rep.certified) == (image.lower, image.upper, image.certified)
+    assert np.array_equal(rep.witness_point, c + r * image.witness_point)
+    f = rep.witness_coefficients
+    assert abs(space.evaluate_basis(rep.witness_point) @ f) == pytest.approx(rep.lower, rel=1e-6)
+    assert np.max(np.abs(space.evaluate_basis(pts) @ f)) <= 1.0 + 1e-6
+    assert lebesgue_constant(space, PointSet(pts[:6], (lo, hi)), budget=1600) == \
+        lebesgue_constant(space, (pts[:6] - c) / r, budget=1600)
+
+
+def test_higher_degree_set_inside_the_cube_gets_a_tight_bracket():
+    # P8 with 10 points in [-0.3, 0.3] at h = 1e-4: the cube's sup of the
+    # vertices dwarfs their sup on the box, and a pad that scales with it
+    # once kept every column and grid point, for a bracket 198 times wide
+    space = SpaceDescriptor.polynomial(1, 8)
+    pts = np.sort(np.random.default_rng(25).uniform(-0.3, 0.3, 10))[:, None]
+    rep = norming_constant(space, PointSet(pts, ([-0.3], [0.3])), grid_spacing=1e-4)
+    assert rep.norming and rep.certified
+    assert rep.lower <= rep.upper <= 1.02 * rep.lower
+    B = space.evaluate_basis(pts)
+    assert norming_lp_value(B, space.evaluate_basis(rep.witness_point)) == pytest.approx(
+        rep.lower, rel=1e-8)

@@ -253,10 +253,11 @@ def test_markov_power_modulus_closed_form():
     assert M.value == pytest.approx(2 * math.sqrt(2), rel=1e-15) and M.certified
     M = markov_constant(SpaceDescriptor.trigonometric(1, 2, power_modulus(0.5)))
     assert M.value == pytest.approx(math.sqrt(4 * math.pi), rel=1e-15) and M.certified
-    # a trigonometric box narrower than 2 / M_1 keeps the slope M_1 * D^(1 - gamma)
+    # a trigonometric box narrower than 2 / M_1 keeps the slope M_1 * D^(1 - gamma),
+    # relative to the sup over a period, so not certified on the box
     box = (np.array([0.0, 0.3]), np.array([0.1, 0.35]))
     M = markov_constant(SpaceDescriptor.trigonometric(2, 1, power_modulus(0.5)), box=box)
-    assert M.value == pytest.approx(2 * math.pi * math.sqrt(0.1), rel=1e-15) and M.certified
+    assert M.value == pytest.approx(2 * math.pi * math.sqrt(0.1), rel=1e-15) and not M.certified
     for space in (SpaceDescriptor.polynomial(2, 0, power_modulus(0.5)),
                   SpaceDescriptor.trigonometric(1, 0, power_modulus(0.3))):
         assert markov_constant(space) == spaces.MarkovConstant(0.0, True)
@@ -270,11 +271,26 @@ def test_markov_samples_only_fewnomial_spans():
             for space in (SpaceDescriptor.polynomial(2, 3, mod),
                           SpaceDescriptor.trigonometric(2, 1, mod)):
                 assert markov_constant(space).certified
-                assert markov_constant(space, box=box).certified
+                # Bernstein's constant is certified only where the box covers the cube
+                assert markov_constant(space, box=box).certified == (space.kind == "polynomial")
         assert spy.call_count == 0
         few = SpaceDescriptor.fewnomial_span([(1.0, 0.0), (2.5, 1.0)], power_modulus(0.5))
         assert not markov_constant(few, box=box).certified
         assert spy.call_count == 1
+
+
+def test_bernstein_constant_is_certified_only_on_boxes_covering_the_cube():
+    # sin(pi x) moves by its sup 0.309 across [0, 0.1], far above pi * 0.309 * 0.1
+    T1 = SpaceDescriptor.trigonometric(1, 1)
+    M = markov_constant(T1, box=(np.array([0.0]), np.array([0.1])))
+    assert M.value == math.pi and not M.certified
+    x = np.linspace(0.0, 0.1, 1001)
+    f = np.abs(np.sin(np.pi * x))
+    assert f.max() - f.min() > M.value * f.max() * 0.1
+    for lo, hi in ((-1.0, 1.0), (-1.5, 1.2), (-3.0, 3.0)):
+        assert markov_constant(T1, box=(np.array([lo]), np.array([hi]))).certified
+    box = (np.array([-1.0, -0.5]), np.array([1.0, 1.0]))
+    assert not markov_constant(SpaceDescriptor.trigonometric(2, 1), box=box).certified
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
