@@ -16,78 +16,31 @@ The maximiser takes one kind of column, a group: W has shape (l, K, g) and
 column k's value is sum_j |phi(x) @ W[:, k, j]|. Vertices and single
 coefficient vectors are groups of one. A unisolvent set (|Z| = dim V = l)
 takes one Lebesgue column in place of its 2^(l-1) vertices: its Lagrange
-matrix, one group of l, whose value is the LP value sum_i |L_i(x)|. Every
-rule below holds for a group as for one function, because
+matrix, one group of l, whose value is the LP value sum_i |L_i(x)|, so its
+norming constant is its Lebesgue constant (``lebesgue_constant``). Every
+rule of the maximiser holds for a group as for one function, because
 sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
 
-Placement. For V = P_d, N_V(Z) does not change when a box and its set are
-mapped affinely onto the cube. A polynomial box is therefore taken in its
-frame x = c + r * u: ``_certified_max`` maps W through the monomial shift
-T(c, r) (``_shift``), brackets T W on the cube's plan by the cube's rule,
-maps the argmax back and widens both ends by T W's rounding bound. On a
-flat axis r = 0, and the cube is that of the polynomials in the live
-variables. ``norming_constant`` and ``lebesgue_constant`` map a set on a box
+Placement (``_certified_max``). For V = P_d, N_V(Z) does not change when a
+box and its set are mapped affinely onto the cube. A polynomial box is
+therefore taken in its frame x = c + r * u (``_framed_max``), r = 0 on a
+flat axis, on the cube's plan; ``norming_constant`` maps a set on a box
 with no flat axis to its image on the cube (``_image``) before the rank
-test and map the witness back. Every other box takes its own plan: the
-relative rule below, or, for a trigonometric box that does not cover the
-cube, where Bernstein's constant is not certified (``markov_constant``),
-the additive rule.
+test and maps the witness back. Every other box takes its own plan
+(``_GridPlan``) by the relative rule below, or, for a trigonometric box
+that does not cover the cube, where Bernstein's constant is not certified
+(``markov_constant``), by the additive rule.
 
-The grid maximum is found coarse to fine (``_grid_max``). A coarse lattice
-of about 9 * sqrt(G) of the G grid points is evaluated first, and a bound on
-how far each column's value can rise between a lattice point and the grid
-points near it drops the columns and coarse cells that cannot reach the
-largest lattice value; the rest are evaluated on the full grid, so the
-result is that of a dense pass (``_coarse_prune``). A cell is the grid
-points nearest one lattice point. Every grid point x lies within r of the
-lattice point c whose cell holds it, on every axis, and Taylor's theorem on
-the segment from c to x gives for p in V
-
-    |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
-
-so that column k, of value V_k, is bounded near c by
-
-    V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
-
-where H bounds sum_ij sup |d_i d_j p| / sup |p| and S_k bounds sup V_k.
-D_k(c) = sum_j sum_i |d_i p_j(c)| over a group's members p_j; for
-polynomial and trigonometric spaces d_i maps the basis into itself
-(``SpaceDescriptor.basis_derivatives``), so D is exact and costs no basis
-row. On the relative rule H is relative to the box itself and
-S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1; on the additive rule H is
-the cube's and S = sup_cube, the upper end of the cube bracket of the same
-W. The constants H: n^2 d^2 (d - 1)^2 on the cube (Markov's inequality
-applied to p and to d_i p); (pi d n)^2 for trigonometric spaces (Bernstein
-twice, relative to the sup over a period); and 0 for fewnomial spans, where
-D_k = sum_j |W[:, k, j]| . G is constant, G the corner Lipschitz bound of
-the basis (``SpaceDescriptor.basis_lipschitz``).
-The column test runs on nested lattices of every 4^j-th coarse index down to
-the coarse lattice where q < 1, the cell test on the coarse lattice; both
-keep a rounding slack, and both run in blocks of bounded size.
-
-Certification (``_certified_max``, shared by ``norming_constant``,
-``lebesgue_constant`` and ``certified_supnorm``): the grid maximum is the
-lower bound. A grid point lies within h/2 of every point of its cell, so
-the upper bound needs only the l-inf Lipschitz bound M * sup|f|, M the
-Markov constant of the identity modulus (the space's own modulus serves the
+Certificate. The grid maximum is the lower bound; it is found coarse to
+fine, and only what cannot reach it is pruned (``_coarse_prune``). Every
+point of the box lies within h/2 of a grid point in l-inf, so the upper
+bound needs only the l-inf Lipschitz bound M * sup|f|, M the Markov
+constant of the identity modulus (the space's own modulus serves the
 Lipschitz stability of 1/N_V(Z) only): lower / (1 - M * h/2) on the
-relative rule and lower + M * h/2 * sup_cube on the additive one. The
-spacing h is halved while M * h/2 >= 1. On a box's frame a given spacing h
-becomes h * min(1, 1 / max r), and a budget stays the cube's.
-
-All that depends on (space, box, spacing, budget) alone is one read-only
-grid plan, ``_grid_plan``, an ``lru_cache`` of 8 entries keyed by the space,
-the box's float64 bytes, the spacing and the budget: M, the rule, the
-halved spacing, the axes as (lo, hi, m, step) in place of O(G) points, and
-its coarse lattice, whose basis table, H, P and levels are built on first
-use. Z and W never enter a plan, so every set in one space shares the
-cube's, and so does every polynomial box with no flat axis. The cube itself
-and its M are made once per space (``_cube``).
-
-``cramer_bound`` needs no grid: every basis function is a product of
-per-axis factors whose modulus peaks at an end of the interval, so
-max_i sup |f_i| over a box is attained at one of its corners
-(``SpaceDescriptor.basis_sup``) and is computed exactly from 2^n rows.
+relative rule, and lower + M * h/2 * sup_cube on the additive one, sup_cube
+the upper end of the cube bracket of the same W. The spacing h is halved
+while M * h/2 >= 1. In a box's frame a given spacing h becomes
+h * min(1, 1 / max r), and a budget stays the cube's.
 """
 from __future__ import annotations
 
@@ -213,21 +166,18 @@ def _checked_box(box, n: int) -> np.ndarray:
 
 def _domain_box(space: SpaceDescriptor, box=None) -> np.ndarray:
     """The given box, checked, else the space's cube."""
-    box = _cube(space)[0] if box is None else _checked_box(box, space.n)
+    box = _cube(space) if box is None else _checked_box(box, space.n)
     if box is None:
         raise ValueError("fewnomial spaces need an explicit bounding box")
     return box
 
 
 @functools.lru_cache(maxsize=8)
-def _cube(space: SpaceDescriptor):
-    """(box, M) made once per space for the callers in this module: the cube
-    as one read-only array of rows (lo, hi), None for a fewnomial span, and
-    the cube's Markov constant of the identity modulus (None there too)."""
+def _cube(space: SpaceDescriptor) -> Optional[np.ndarray]:
+    """The space's cube, made once, as one read-only array of rows (lo, hi);
+    None for a fewnomial span."""
     cube = space.default_box()
-    if cube is None:
-        return None, None
-    return _read_only(np.array(cube)), markov_constant(replace(space, modulus=IDENTITY))
+    return None if cube is None else _read_only(np.array(cube))
 
 
 def _grid_axes(box, spacing=None, budget=None):
@@ -356,7 +306,11 @@ def _grid_key(spacing, budget):
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """What a bracket on one (space, box, spacing, budget) needs that does
-    not depend on W; made by ``_grid_plan``. Its arrays are read-only."""
+    not depend on W: M, the rule, the halved spacing, the axes in place of
+    O(G) points, and the coarse lattice, whose basis table, H, P and levels
+    are built on first use. Made by ``_grid_plan``, an ``lru_cache`` of 8,
+    so every set in one space shares the cube's plan, and so does every
+    polynomial box in its frame. Its arrays are read-only."""
 
     space: SpaceDescriptor
     markov: MarkovConstant  # of the identity modulus, for the box
@@ -381,7 +335,10 @@ class _GridPlan:
     @functools.cached_property
     def H(self) -> float:
         """Bound on sum_ij sup |d_i d_j f| / sup |f| over the box that M is
-        relative to (see the module docstring); 0 for a fewnomial span."""
+        relative to: n^2 d^2 (d - 1)^2 on the cube (Markov's inequality
+        applied to f and to d_i f), (pi d n)^2 for a trigonometric space
+        (Bernstein's twice, relative to the sup over a period), and 0 for a
+        fewnomial span, whose pruning reads no second derivative."""
         d, M = self.space.degree, self.markov.value
         if self.space.kind == "polynomial":
             return (M * (d - 1) / d) ** 2 if d > 1 else 0.0
@@ -446,10 +403,11 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
     rule. Here the spacing is halved while M * h/2 >= 1, and the grid and
     lattice are fixed."""
     box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
-    M = markov_constant(replace(space, modulus=IDENTITY), box=box)
+    identity = replace(space, modulus=IDENTITY)
+    M = markov_constant(identity, box=box)
     additive = space.kind == "trigonometric" and not M.certified
     if additive:  # the same value, relative to the sup over a period
-        M = _cube(space)[1]
+        M = markov_constant(identity)
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
     shape = tuple(ax[2] for ax in axes)
@@ -541,7 +499,7 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     plan = _grid_plan(space, box.tobytes(), spacing, budget)
     whole = None
     if plan.additive:
-        cube = _grid_plan(space, _cube(space)[0].tobytes(), *_grid_key(plan.spacing, budget))
+        cube = _grid_plan(space, _cube(space).tobytes(), *_grid_key(plan.spacing, budget))
         whole = _bracket(W, cube, None)[0]
     return _bracket(W, plan, whole)
 
@@ -563,7 +521,7 @@ def _framed_max(space: SpaceDescriptor, W: np.ndarray, c, r, spacing, budget):
         frame = SpaceDescriptor.polynomial(int(live.sum()), space.degree)
         T = T[np.all(exps[:, ~live] == 0, axis=1)]
     TW = (T @ W.reshape(l, K * g)).reshape(-1, K, g)
-    plan = _grid_plan(frame, _cube(frame)[0].tobytes(), _frame_spacing(spacing, r), budget)
+    plan = _grid_plan(frame, _cube(frame).tobytes(), _frame_spacing(spacing, r), budget)
     bracket, column = _bracket(TW, plan, None)
     rows = np.prod((np.abs(c) + r) ** exps, axis=1)
     size = float((rows @ np.abs(W).reshape(l, K * g)).reshape(K, g).sum(axis=1).max())
@@ -670,7 +628,7 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     Returns (value, point, column). Point and column are
     the first maximiser in grid order and column order, as one dense
     ``_group_values(Phi, W)`` would give. ``rule`` is the (H, S) of the
-    second-order bound that ``_certified_max`` picks (module docstring);
+    second-order bound that ``_certified_max`` picks (``_coarse_prune``);
     with it, ``_coarse_prune`` skips the columns and grid cells that cannot
     reach the maximum, exactly, not approximately. Where it keeps every cell,
     every grid point is evaluated for the columns it keeps. Either way the
@@ -707,15 +665,22 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     plan's levels, sub-lattices of every 4^j-th coarse index per axis plus
     the last (a flat axis keeps its one index), and the loop runs from the
     coarsest down to the coarse lattice itself, each on rows of the plan's
-    coarse basis table, which every W on the plan shares. Every grid point
-    lies within r (the lattice's half-gap) of a lattice point c that owns
-    it, where column k is bounded by
+    coarse basis table, which every W on the plan shares. Every grid point x
+    lies within r (the lattice's half-gap) on every axis of the lattice
+    point c whose cell holds it, and Taylor's theorem on the segment from c
+    to x gives for p in V
+
+        |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
+
+    so that column k, of value V_k, is bounded near c by
 
         V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
-    with ``rule`` = (H, S) as ``_certified_max`` picks it and D_k from
-    ``_with_slopes``: S_k = max_c (V_k + r * D_k) / (1 - q) where S is None,
-    S itself otherwise (see the module docstring).
+    with ``rule`` = (H, S) as ``_certified_max`` picks it (``_GridPlan.H``),
+    D_k the slope of ``_with_slopes`` and S_k a bound on sup V_k: on the
+    relative rule (S None) the bound itself gives
+    S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1, and on the additive
+    one S_k = S, the upper end of the cube bracket of the same W.
 
     The floor is a lower bound on the grid maximum: the largest lattice
     value V_k(c), since lattice points are grid points, less a rounding
@@ -753,8 +718,8 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
         q = 0.5 * H * r * r
         if rows is not None and (cols.size == 1 or not q < 1.0):
             continue
-        blocks = _lattice_values(Phi if rows is None else rows, Wv[:, :, cols], g, D0[cols])
-        low, reach, rowreach = _colmax(blocks, r)
+        low, reach, rowreach = _lattice_pass(Phi if rows is None else rows, Wv[:, :, cols], g,
+                                             D0[cols], r)
         # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
         bound = reach / (1.0 - q) if S is None else reach + q * S
         if not np.all(np.isfinite(bound)):
@@ -775,16 +740,17 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
 
 
 def _with_slopes(W: np.ndarray, plan: _GridPlan):
-    """(Wv, D0), the members of W and of their slopes as ``_lattice_values`` takes them.
+    """(Wv, D0), the members of W and of their slopes as ``_lattice_pass`` takes them.
 
     The slope of group k at c is D_k(c) = sum_j sum_i |d_i (phi(c) @ W[:, k, j])|
-    (module docstring). For a polynomial or trigonometric space Wv, of shape
-    (l, (n + 1) * g, K), holds the g members of every group followed by their
-    n * g derivative members P_i @ W[:, :, j], so D_k(c) is the group value of
-    the latter at c, and D0 = 0. A fewnomial span has Wv = the members alone
-    and the constant D0_k = sum_j |W[:, k, j]| . G, with G the corner
-    Lipschitz bound of the basis, and a relative margin for the exp/log
-    rounding of the corner values."""
+    (``_coarse_prune``). For a polynomial or trigonometric space d_i maps
+    the basis into itself (``SpaceDescriptor.basis_derivatives``), and Wv, of
+    shape (l, (n + 1) * g, K), holds the g members of every group followed by
+    their n * g derivative members P_i @ W[:, :, j], so D_k(c) is the exact
+    group value of the latter at c, and D0 = 0. A fewnomial span has Wv =
+    the members alone and the constant D0_k = sum_j |W[:, k, j]| . G, with G
+    the corner Lipschitz bound of the basis, and a relative margin for the
+    exp/log rounding of the corner values."""
     l, K, g = W.shape
     Wv = W.transpose(0, 2, 1)  # (l, g, K)
     if plan.lipschitz is not None:
@@ -798,30 +764,24 @@ def _half_gap(axes) -> float:
     return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
 
 
-def _lattice_values(rows, Wv, g, D0):
-    """The product: (V, D) per block of ``rows``, in blocks of bounded size,
-    for the (Wv, D0) of ``_with_slopes``, each of shape (K, block rows): the
-    group values V and their slopes D. Groups lie along the first axis of a
-    block's values, so the sums over members run on contiguous memory."""
+def _lattice_pass(rows, Wv, g, D0, r):
+    """(low, reach, rowreach) on the lattice ``rows``, for the (Wv, D0) of
+    ``_with_slopes``: per row the max over groups of the group value V, per
+    group the max over rows of V + r * D, D its slope, and per row the max
+    over groups of V + r * D. Rows run in blocks of bounded size; groups lie
+    along the first axis of a block's values, so the sums over members run
+    on contiguous memory."""
     l, members, K = Wv.shape
+    low, rowreach, reach = [], [], 0.0
     step = _block_rows(Wv)
     for start in range(0, rows.shape[0], step):
         vals = Wv.reshape(l, members * K).T @ rows[start:start + step].T
         vals = np.abs(vals, out=vals).reshape(members, K, -1)
-        D = vals[g:].sum(axis=0)
-        D += D0[:, None]
-        yield vals[:g].sum(axis=0), D
-
-
-def _colmax(blocks, r):
-    """The reduction: (low, reach, rowreach) of (V, D) blocks in row order, per
-    row the max over groups of V, per group the max over rows of V + r * D,
-    and per row the max over groups of V + r * D. The blocks are read, never
-    written."""
-    low, rowreach, reach = [], [], 0.0
-    for V, D in blocks:
+        V = vals[:g].sum(axis=0)
         low.append(V.max(axis=0))
-        U = r * D
+        U = vals[g:].sum(axis=0)
+        U += D0[:, None]
+        U *= r
         U += V
         reach = np.maximum(reach, U.max(axis=1))
         rowreach.append(U.max(axis=0))
@@ -947,17 +907,16 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
 
 def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
                       budget=None) -> float:
-    """Lebesgue constant sup sum_i |L_i| of a unisolvent set over its domain:
-    the lower end of the certified, pruned bracket of ``_certified_max`` on
-    the Lagrange matrix as one group, the grid maximum that
-    ``norming_constant`` reports for the same set, spacing and budget; on a
-    polynomial box that of its image on the cube (``_image``)."""
-    zs, frame = _image(space, as_point_set(points, space.n))
-    if frame is not None:
-        spacing = _frame_spacing(grid_spacing, frame[1])
-        return lebesgue_constant(space, zs, grid_spacing=spacing, budget=budget)
-    W = lagrange_basis(space, zs)[:, None, :]
-    return float(_certified_max(space, W, zs.domain(space), grid_spacing, budget)[0].lower)
+    """Lebesgue constant sup sum_i |L_i| of a set of dim V points over its
+    domain. There the LP value is sum_i |L_i|, so this is the value of
+    ``norming_constant``, bit for bit; a set that is not norming raises."""
+    zs = as_point_set(points, space.n)
+    if len(zs) != space.dimension():
+        raise ValueError(f"need exactly {space.dimension()} points, got {len(zs)}")
+    rep = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
+    if not rep.norming:
+        raise NotNormingError("interpolation matrix is rank-deficient: the set is not unisolvent")
+    return rep.value
 
 
 # ---------------------------------------------------------------------------
@@ -1024,19 +983,19 @@ class SandwichReport:
 
 def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
                    budget=None, rel_tol=1e-6) -> SandwichReport:
-    """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1."""
+    """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1;
+    an inequality fails only where the certified brackets prove it."""
     zs = as_point_set(points, space.n)
     l = space.dimension()
     idx, _ = fekete_select(space, zs, mode="exhaustive")
     sub = PointSet(zs.points[list(idx)], zs.box)
-    rep_full = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
-    if not rep_full.norming:
+    full = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
+    if not full.norming:
         raise NotNormingError("Z is not norming")
-    rep_sub = norming_constant(space, sub, grid_spacing=grid_spacing, budget=budget)
-    n_full, n_sub = rep_full.value, rep_sub.value
-    lower_ok = n_sub >= n_full * (1.0 - rel_tol)
-    upper_ok = n_sub <= l * n_full * (1.0 + rel_tol)
+    fek = norming_constant(space, sub, grid_spacing=grid_spacing, budget=budget)
+    lower_ok = bool(fek.upper >= full.lower * (1.0 - rel_tol))
+    upper_ok = bool(fek.lower <= l * full.upper * (1.0 + rel_tol))
     C = lagrange_basis(space, sub)
     on_z = float(np.max(np.abs(space.evaluate_basis(zs.points) @ C)))
     lagrange_ok = on_z <= 1.0 + 1e-9
-    return SandwichReport(idx, n_full, n_sub, lower_ok, upper_ok, lagrange_ok, on_z)
+    return SandwichReport(idx, full.value, fek.value, lower_ok, upper_ok, lagrange_ok, on_z)

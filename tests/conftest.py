@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from norming_lab import SpaceDescriptor
+from norming_lab import NormingReport, SpaceDescriptor
 from norming_lab.norming import _grid_axes, _grid_key, _grid_plan, _grid_points
 
 
@@ -42,3 +42,10 @@ def grid_plan(space, box, spacing=None, budget=None):
     ``_certified_max`` takes for the cube, and for a box other than a
     polynomial box with no flat axis (which takes the cube's, in its frame)."""
     return _grid_plan(space, np.asarray(box, dtype=float).tobytes(), *_grid_key(spacing, budget))
+
+
+def bracketed(lower, upper):
+    """A norming report whose value is ``lower`` and whose certified bracket is
+    [lower, upper]; the upper end is a numpy scalar, as the grid step makes it."""
+    return NormingReport(True, lower, lower, np.float64(upper), 1e-3, np.zeros(1), np.zeros(1),
+                         "lp_grid")

@@ -156,9 +156,9 @@ def test_grid_max_matches_dense_oracle(name):
         assert bracket.grid_spacing == h * (float(np.max(r)) if framed else 1.0)
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
-        with mock.patch.object(norming, "_colmax", wraps=norming._colmax) as colmax:
+        with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as lattice_pass:
             cols, keep = _coarse_prune(Wh, plan, rule)
-        assert colmax.called == pruned
+        assert lattice_pass.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
         if name == "sub-box-1d":
             assert cols.size < W.shape[1] and keep is not None and keep.size < np.prod(plan.shape)
@@ -201,12 +201,12 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     W = _instance(np.random.default_rng(seed), space, box, m - space.dimension())
     assert W.shape[1] > 20
     _, _, _, plan, rule = _handed(space, W, box, None, budget)
-    # one blocked column maximum per level that runs, and one on the whole
+    # one blocked lattice pass per level that runs, and one on the whole
     # coarse lattice
-    colmax = mock.Mock(wraps=norming._colmax)
-    monkeypatch.setattr(norming, "_colmax", colmax)
+    lattice_pass = mock.Mock(wraps=norming._lattice_pass)
+    monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
     cols, _ = _coarse_prune(W, plan, rule)
-    assert colmax.call_count - 1 >= levels
+    assert lattice_pass.call_count - 1 >= levels
     assert cols.size < W.shape[1]
     value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col = _dense_on(space, W, plan.axes)
@@ -298,10 +298,10 @@ def test_one_column_runs_no_level(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 6)
     plan = grid_plan(space, space.default_box(), None, 20001)
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
-    colmax = mock.Mock(wraps=norming._colmax)
-    monkeypatch.setattr(norming, "_colmax", colmax)
+    lattice_pass = mock.Mock(wraps=norming._lattice_pass)
+    monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
     assert _coarse_prune(W, plan, (plan.H, None)) is not None
-    assert colmax.call_count == 1
+    assert lattice_pass.call_count == 1
 
 
 # (space, box, rule, M, H): the Markov or Bernstein constant M and the
@@ -378,7 +378,7 @@ def test_flat_axis_takes_the_whole_budget():
     assert plan.shape == tuple(ax[2] for ax in _grid_axes(box)[0]) == (200_001, 1)
     # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
-    with mock.patch.object(norming, "_lattice_values", wraps=norming._lattice_values) as product:
+    with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as product:
         _coarse_prune(W, plan, (plan.H, None))
     assert product.call_args.args[0].shape[0] == 4001
 
@@ -1019,7 +1019,7 @@ def test_inside_boxes_match_a_dense_pass(name):
         assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(bracket, W, Wh, plan)
 
 
-def test_inside_plans_stay_out_of_the_plan_cache():
+def test_sub_intervals_share_the_cube_plan_in_their_frames():
     # sub-intervals share the cube's plan, in their frames
     space = SpaceDescriptor.polynomial(1, 5)
     coeff = np.random.default_rng(19).normal(size=space.dimension())

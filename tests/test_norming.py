@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import grid_plan, random_points, small_poly_space, uniform_grid
+from conftest import bracketed, grid_plan, random_points, small_poly_space, uniform_grid
 from norming_lab import (NotNormingError, PointSet, SpaceDescriptor, audit,
                          certified_supnorm, cramer_bound, fekete_select,
                          interpolation_determinant, lagrange_basis,
@@ -114,6 +114,31 @@ def test_lebesgue_blocks_match_dense_formula(space, box, monkeypatch):
     assert lebesgue_constant(space, PointSet(pts, box), budget=5000) == pytest.approx(dense, rel=1e-12)
 
 
+@pytest.mark.parametrize("space, zs, spacing", [
+    (P2, PointSet([[-1.0], [-0.2], [0.7]]), 1e-4),
+    (SpaceDescriptor.polynomial(2, 1), PointSet([[0.1, 0.2], [0.9, 0.3], [0.4, 0.95]],
+                                               ([0.0, 0.0], [1.0, 1.0])), None),
+    (SpaceDescriptor.trigonometric(1, 2), PointSet([[-0.9], [-0.4], [0.0], [0.3], [0.8]]), None),
+    (SpaceDescriptor.trigonometric(1, 12),
+     PointSet(np.linspace(-1.0, 1.0, 25, endpoint=False)[:, None]), None),
+], ids=["cube", "box", "trigonometric", "T12-25"])
+def test_lebesgue_constant_is_the_norming_value_bit_for_bit(space, zs, spacing):
+    rep = norming_constant(space, zs, grid_spacing=spacing, budget=20001)
+    assert rep.norming
+    assert lebesgue_constant(space, zs, grid_spacing=spacing, budget=20001) == rep.value
+
+
+def test_lebesgue_constant_needs_a_unisolvent_set():
+    with pytest.raises(ValueError, match="exactly 3 points"):
+        lebesgue_constant(P2, [[-1.0], [0.0], [0.5], [1.0]])
+    with pytest.raises(ValueError, match="exactly 3 points"):
+        lebesgue_constant(P2, [[-1.0], [1.0]])
+    # three collinear points in the plane: P1 vanishes on their line
+    with pytest.raises(NotNormingError):
+        lebesgue_constant(SpaceDescriptor.polynomial(2, 1),
+                          [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]], budget=1600)
+
+
 def test_norming_equals_lebesgue_for_unisolvent(rng):
     for _ in range(10):
         space = small_poly_space(rng, max_n=1, max_d=3, max_dim=4)
@@ -121,7 +146,7 @@ def test_norming_equals_lebesgue_for_unisolvent(rng):
         rep = norming_constant(space, pts, budget=20001)
         leb = lebesgue_constant(space, pts, budget=20001)
         assert rep.norming
-        assert rep.value == pytest.approx(leb, rel=1e-9)
+        assert rep.value == leb
 
 
 def test_lp_grid_matches_simplex_oracle(rng):
@@ -152,8 +177,8 @@ def test_not_norming_rank_deficient():
 
 def test_subbox_norming_bracket_is_sound():
     # {0, 0.05, 0.1} is the affine image of {-1, 0, 1}, so N = 1.25 on [0, 0.1].
-    # The Markov constant is relative to the sup over the whole cube, so the
-    # bracket on the sub-box needs the additive form.
+    # The set is taken as its image on the cube, whose relative rule halves
+    # the 3-point grid's spacing until M * h/2 < 1, so the bracket is certified.
     box = (np.array([0.0]), np.array([0.1]))
     rep = norming_constant(P2, PointSet([[0.0], [0.05], [0.1]], box), budget=3)
     assert rep.certified
@@ -394,6 +419,23 @@ def test_sandwich_reads_the_sets_box():
     z = PointSet([[0.3], [0.8], [1.4], [1.9]], box=([0.2], [2.0]))
     rep = sandwich_check(few, z, budget=20001)
     assert rep.ok and rep.n_full == norming_constant(few, z, budget=20001).value
+
+
+@pytest.mark.parametrize("full, sub, ok", [
+    # the Fekete value lies below N(Z), but the brackets overlap
+    ((1.0, 1.3), (0.95, 1.05), (True, True)),
+    ((1.0, 1.3), (0.9, 0.95), (False, True)),
+    # l = 3: the Fekete value lies above 3 N(Z), but the brackets overlap
+    ((1.0, 1.1), (3.2, 3.4), (True, True)),
+    ((1.0, 1.05), (3.2, 3.4), (True, False)),
+], ids=["lower-overlap", "lower-proven", "upper-overlap", "upper-proven"])
+def test_sandwich_fails_only_where_the_brackets_prove_it(full, sub, ok, monkeypatch):
+    z = [[-1.0], [-0.1], [0.5], [1.0]]
+    reports = {4: bracketed(*full), 3: bracketed(*sub)}
+    monkeypatch.setattr(norming, "norming_constant", lambda space, pts, **_: reports[len(pts)])
+    rep = sandwich_check(P2, z)
+    assert (rep.n_full, rep.n_fekete) == (full[0], sub[0])
+    assert rep.lower_ok is ok[0] and rep.upper_ok is ok[1]
 
 
 def test_fewnomial_on_a_box_with_a_flat_axis():

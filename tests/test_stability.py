@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points
+from conftest import bracketed, random_points
 from norming_lab import (PointSet, SpaceDescriptor, hausdorff_distance, lipschitz_audit,
                          markov_constant, norming_constant, perturbation_experiment,
-                         power_modulus, stability_ball)
+                         power_modulus, stability, stability_ball)
 
 P1 = SpaceDescriptor.polynomial(1, 1)
 TENTH = ([0.0], [0.1])
@@ -37,6 +37,32 @@ def test_lipschitz_with_non_norming_side():
                           budget=20001)
     assert rep.inv_n2 == 0.0
     assert rep.lhs == pytest.approx(0.8, abs=1e-6)
+
+
+@pytest.mark.parametrize("upper2, satisfied", [(1.6, True), (1.1, False)])
+def test_lipschitz_violation_needs_separated_brackets(upper2, satisfied, monkeypatch):
+    # 1/N is 0.5 and 1, so lhs = 0.5 > rhs = M * d_H = 0.2; the intervals
+    # [1/upper, 1/lower] are [0.4, 0.5] and [1/upper2, 1]: 0.125 apart at
+    # upper2 = 1.6, within the bound, and 0.41 apart at 1.1
+    reports = iter([bracketed(2.0, 2.5), bracketed(1.0, upper2)])
+    monkeypatch.setattr(stability, "norming_constant", lambda *a, **k: next(reports))
+    rep = lipschitz_audit(P1, [[-1.0], [1.0]], [[-0.8], [1.0]])
+    assert rep.lhs == pytest.approx(0.5) and rep.rhs == pytest.approx(0.2)
+    assert rep.satisfied is satisfied
+
+
+@pytest.mark.parametrize("trial, within", [((2.0, 2.5), True), ((3.0, 3.5), False)])
+def test_perturbations_exceed_markov_only_by_separated_brackets(trial, within, monkeypatch):
+    # the base bracket [1, 2] gives 1/N in [0.5, 1]; every trial's point value
+    # gives a ratio lhs / d_H >= 0.5 / 0.05 = 10 against M = 1, but only the
+    # trial bracket [3, 3.5], whose interval ends 1/6 below 0.5, proves it
+    base = bracketed(1.0, 2.0)
+    monkeypatch.setattr(stability, "norming_constant",
+                        lambda space, pts, **_: base if pts is z else bracketed(*trial))
+    z = PointSet([[-1.0], [1.0]])
+    rows = perturbation_experiment(P1, z, [0.05], trials=4, seed=0)
+    assert rows[0].max_ratio >= 10.0
+    assert rows[0].within_markov is within
 
 
 def test_stability_ball_radius_and_bound():
