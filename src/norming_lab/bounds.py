@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import entropy
-from .norming import (NotNormingError, PointSet, _image, as_point_set, cramer_bound,
+from .norming import (NotNormingError, PointSet, _Frame, as_point_set, cramer_bound,
                       fekete_select, norming_constant)
 from .spaces import SpaceDescriptor
 
@@ -193,17 +193,19 @@ def audit(space: SpaceDescriptor, points, bounds, *, mu=None, lam=None,
 
     A ratio bound/exact below 1 - 1e-6 is flagged as a VIOLATION finding
     (a reportable discrepancy, not a crash). Findings are ordered by name.
-    ``cor22`` and ``rd_span``, stated on the cube, read a polynomial set's
-    image in the frame of its box (``norming._image``).
+    Every bound reads the set's image in V' on V''s box, with n and d those
+    of V' (``norming._Frame``): V on the set's domain.
     """
     points = as_point_set(points, space.n)
     rep = norming_constant(space, points, grid_spacing=grid_spacing, budget=budget)
     if not rep.norming:
         raise NotNormingError("exact constant unavailable: Z is not norming")
-    exact = rep.value
+    exact, frame = rep.value, _Frame(space, points.domain(space))
+    if frame.space.n == 0:  # V on a point is the constants, for which no bound is stated
+        raise ValueError("the bounds need a box with a live axis, not a point")
     findings = []
     for name in sorted(set(bounds)):
-        br = _evaluate_named(space, points, name, mu=mu, lam=lam, delta=delta)
+        br = _evaluate_named(frame.space, frame.image(points), name, mu=mu, lam=lam, delta=delta)
         ratio = br.value / exact if br.applicable and math.isfinite(br.value) else None
         violation = br.applicable and ratio is not None and ratio < 1.0 - VIOLATION_TOL
         repro = (f"norming-lab audit --bounds {name} on the echoed space/points "
@@ -223,13 +225,13 @@ def _evaluate_named(space, points, name, *, mu, lam, delta) -> BoundResult:
             raise ValueError("the bg bound needs the declared ratio lam")
         return bg_bound(n, d, lam)
     if name == "cor22":
-        return cor22_bound(_image(space, points)[0], d)
+        return cor22_bound(points, d)
     if name == "cramer":
         idx, _ = fekete_select(space, points, mode="exhaustive")
-        value = cramer_bound(space, PointSet(points.points[list(idx)], points.box))
+        value = cramer_bound(space, PointSet._unchecked(points.points[list(idx)], points.box))
         return BoundResult("cramer", value, {"fekete_indices": list(idx)})
     if name == "rd_span":
-        profile = entropy.metric_span(_image(space, points)[0], d)
+        profile = entropy.metric_span(points, d)
         if profile.span <= 0.0:
             return BoundResult("rd_span", math.inf, {"span": profile.span},
                                applicable=False, reason="span not positive")

@@ -21,15 +21,19 @@ norming constant is its Lebesgue constant (``lebesgue_constant``). Every
 rule of the maximiser holds for a group as for one function, because
 sum_j |p_j| = max_s |sum_j s_j p_j| and each sum_j s_j p_j lies in V.
 
-Placement (``_certified_max``). For V = P_d, N_V(Z) does not change when a
-box and its set are mapped affinely onto the cube. A polynomial box is
-therefore taken in its frame x = c + r * u (``_framed_max``), r = 0 on a
-flat axis, on the cube's plan; ``norming_constant`` maps a set on a box
-with no flat axis to its image on the cube (``_image``) before the rank
-test and maps the witness back. Every other box takes its own plan
-(``_GridPlan``) by the relative rule below, or, for a trigonometric box
-that does not cover the cube, where Bernstein's constant is not certified
-(``markov_constant``), by the additive rule.
+Placement (``_Frame``). N_V(Z) is a sup over the compact set that holds Z,
+so on a box with a flat axis (lo = hi) V is V' = V restricted to the live
+axes: the one frame rule is that every box, and every set on it, is taken
+as V' on a box with no flat axis, through x = c + r * u (r = 0 on a flat
+axis), and only the frame reads which axes are flat. For V = P_d, N_V(Z)
+does not change when a box and its set are mapped affinely onto the cube,
+so a polynomial box is taken on the cube's plan in its live variables.
+Every other box takes its own plan (``_GridPlan``) by the relative rule
+below, or, for a trigonometric box that does not cover the cube, where
+Bernstein's constant is not certified (``markov_constant``), by the
+additive rule; a point needs no grid. A vector W is handed over as T W,
+with both ends moved out by its rounding; a set is handed over as its image
+in V', and its witness is lifted back into V.
 
 Certificate. The grid maximum is the lower bound; it is found coarse to
 fine, and only what cannot reach it is pruned (``_coarse_prune``). Every
@@ -105,12 +109,12 @@ class PointSet:
             object.__setattr__(self, "box", box)
 
     @classmethod
-    def _unchecked(cls, points: np.ndarray) -> "PointSet":
-        """A set on the cube that an affine map makes of a checked set, built
-        without the checks: the map rescales the gaps they test."""
+    def _unchecked(cls, points: np.ndarray, box: Optional[np.ndarray] = None) -> "PointSet":
+        """The image of a checked set in a frame (``_Frame.image``), or a subset of
+        it, built without the checks: the map rescales the gaps they test."""
         zs = object.__new__(cls)
         object.__setattr__(zs, "points", points)
-        object.__setattr__(zs, "box", None)
+        object.__setattr__(zs, "box", box)
         return zs
 
     def __len__(self):
@@ -181,27 +185,21 @@ def _cube(space: SpaceDescriptor) -> Optional[np.ndarray]:
 
 
 def _grid_axes(box, spacing=None, budget=None):
-    """Axes (lo, hi, m, step) of the uniform grid on a box; returns
-    (axes, effective_spacing). A flat axis is (lo, lo, 1, 0.0)."""
+    """Axes (lo, hi, m, step) of the uniform grid on a box with no flat axis;
+    returns (axes, effective_spacing)."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if spacing is None:
         budget = DEFAULT_GRID_BUDGET if budget is None else budget
-        live = max(1, int(np.sum(hi > lo + 1e-15)))  # a flat axis takes one point
-        per_axis = int(budget ** (1.0 / live))  # the float root may fall short by one
-        while (per_axis + 1) ** live <= budget:
+        per_axis = int(budget ** (1.0 / lo.size))  # the float root may fall short by one
+        while (per_axis + 1) ** lo.size <= budget:
             per_axis += 1
     axes = []
-    h_eff = 0.0
     for a, b in zip(lo, hi):
-        if b <= a + 1e-15:
-            axes.append((a, a, 1, 0.0))
-            continue
         m = max(2, per_axis) if spacing is None else int(math.ceil((b - a) / spacing)) + 1
         axes.append((a, b, m, (b - a) / (m - 1)))
-        h_eff = max(h_eff, axes[-1][3])
     if math.prod(ax[2] for ax in axes) > 50_000_000:
         raise ValueError("grid exceeds the hard point budget; coarsen spacing")
-    return tuple(axes), h_eff
+    return tuple(axes), max(ax[3] for ax in axes)
 
 
 def _axis_points(axis, i: np.ndarray) -> np.ndarray:
@@ -411,9 +409,8 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
     shape = tuple(ax[2] for ax in axes)
-    # coarse stride s: about 9 * sqrt(G) coarse points over the non-flat axes
-    live = max(1, sum(k > 1 for k in shape))
-    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / live)))
+    # coarse stride s: about 9 * sqrt(G) coarse points
+    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
     if s < 2:
         return _GridPlan(space, M, additive, spacing, h_eff, axes, shape, lipschitz, 0, None, 0.0)
     sub = [_every(k, s) for k in shape]
@@ -427,25 +424,6 @@ def _cells(i: np.ndarray, m: int) -> np.ndarray:
     axis of m grid points: cell c owns the grid indices edges[c] ..
     edges[c + 1] - 1 nearest i[c] (ties go to the lower point)."""
     return _read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [m])))
-
-
-def _frame(space: SpaceDescriptor, box: np.ndarray):
-    """(c, r) of the frame x = c + r * u that maps the cube onto a polynomial
-    box, r = 0 on a flat axis; None for the cube itself, a point and every
-    other box. Compared as lists: boxes are a few floats."""
-    lo, hi = box.tolist()
-    live = [b > a + 1e-15 for a, b in zip(lo, hi)]
-    if space.kind != "polynomial" or not any(live) or (
-            lo == [-1.0] * space.n and hi == [1.0] * space.n):
-        return None
-    return (box[0] + box[1]) / 2.0, np.where(live, (box[1] - box[0]) / 2.0, 0.0)
-
-
-def _frame_spacing(spacing, r: np.ndarray):
-    """A spacing h on the box as the frame's grid takes it, h * min(1, 1 / max r):
-    no coarser than h on any axis of the box, and the box's own grid where
-    it is wider than the cube."""
-    return None if spacing is None else spacing * min(1.0, 1.0 / float(r.max()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -476,60 +454,104 @@ def _shift(space: SpaceDescriptor, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     return T
 
 
-def _image(space: SpaceDescriptor, zs: PointSet):
-    """(image, frame): a polynomial set's image u = (z - c) / r, a set on the
-    cube, and the frame (c, r) of its box (``_frame``); the set itself and
-    None for the cube, a flat axis or any other space."""
-    frame = _frame(space, zs.domain(space))
-    if frame is None or not frame[1].all():
-        return zs, None
-    return PointSet._unchecked((zs.points - frame[0]) / frame[1]), frame
+class _Frame:
+    """V on a box as V' on a box with no flat axis: the one frame of a box.
+
+    V' is V restricted to the box's live axes, by R with lift L
+    (``SpaceDescriptor.restrict``). On those axes x = c + r * u maps V''s box
+    onto the box, and x is the box's centre on the flat ones, so that
+    phi(x) @ w = phi'(u) @ (T @ w), and T @ lift = I. A polynomial box whose
+    live axes are not the cube's is affine: V''s box is the cube, T is
+    ``_shift`` @ R and the lift L @ its inverse shift. Elsewhere u = x[live]
+    (c = 0, r = 1) on the box's live rows, and T = R: None, with the lift,
+    where no axis is flat. The lift is made on first use.
+    """
+
+    def __init__(self, space: SpaceDescriptor, box: np.ndarray):
+        self.space, self.live, self.T, self.L = space.restrict(box)
+        lo, hi = self.box = box[:, self.live]
+        self.centre = (box[0] + box[1]) / 2.0
+        cube = _cube(self.space) if space.kind == "polynomial" else None
+        self.affine = cube is not None and self.box.tobytes() != cube.tobytes()
+        if self.affine:  # V''s box is the cube, and T the shift onto it after R
+            self.box, self.c, self.r = cube, self.centre[self.live], (hi - lo) / 2.0
+            S = _shift(self.space, self.c, self.r)
+            self.T = S if self.T is None else S @ self.T
+        else:
+            self.c, self.r = np.zeros(lo.size), np.ones(lo.size)
+
+    @functools.cached_property
+    def lift(self) -> Optional[np.ndarray]:
+        if not self.affine:
+            return self.L
+        S = _shift(self.space, -self.c / self.r, 1.0 / self.r)  # on u = (x - c) / r
+        return S if self.L is None else self.L @ S
+
+    def image(self, zs: PointSet) -> PointSet:
+        """A set on the box as a set in V' on V''s box."""
+        return PointSet._unchecked((zs.points[:, self.live] - self.c) / self.r, self.box)
+
+    def lifted(self, w: np.ndarray) -> np.ndarray:
+        return w if self.lift is None else self.lift @ w
+
+    def to_box(self, bracket: SupBracket, pad: float = 0.0) -> SupBracket:
+        """A bracket in V''s frame as one on the box, both ends moved out by pad."""
+        x = self.centre.copy()
+        x[self.live] = self.c + self.r * bracket.argmax
+        return SupBracket(max(bracket.lower - pad, 0.0), bracket.upper + pad, bracket.certified,
+                          bracket.grid_spacing * max(self.r.tolist(), default=0.0), x)
+
+    def pad(self, W: np.ndarray) -> float:
+        """T W's rounding: gamma * eps * |T| @ |W| summed over a group's members
+        and basis rows, times the sup of V''s basis on its box, where gamma
+        doubles the l roundings of a product row and the at most 4 n of an
+        entry of T. For a polynomial space that sup is 1 on the cube, and the
+        sum over rows of column alpha of |T| is x^alpha at the point x with
+        |c| + r on the live axes and the centre's modulus on the flat ones."""
+        l, K, g = W.shape
+        if self.space.kind == "polynomial":
+            x = np.abs(self.centre)
+            x[self.live] = np.abs(self.c) + self.r
+            rows = np.prod(x ** _monomial_exponents(x.size, self.space.degree), axis=1)
+        else:
+            rows = np.abs(self.T).sum(axis=0) * self.space.basis_sup(self.box)
+        size = float((rows @ np.abs(W).reshape(l, K * g)).reshape(K, g).sum(axis=1).max())
+        return 2 * (l + 4 * self.centre.size) * float(np.finfo(float).eps) * size
+
+    def sup(self, W: np.ndarray, spacing, budget):
+        """``_certified_max`` of W, coefficients in V', on V''s box and in its
+        coordinates. A point needs no grid: V' holds the constants, and
+        sup |f| = |f(p)|. Every other box takes its own plan (``_GridPlan``)
+        by the relative rule, or, for a trigonometric box that does not cover
+        the cube, where Bernstein's constant is not certified
+        (``markov_constant``), by the additive rule with the cube's plan. A
+        given spacing h becomes h * min(1, 1 / max r)."""
+        if self.space.n == 0:
+            vals = np.abs(W[0]).sum(axis=1)
+            k = int(np.argmax(vals))
+            return SupBracket(float(vals[k]), float(vals[k]), True, 0.0, np.empty(0)), k
+        spacing, budget = _grid_key(spacing, budget)
+        spacing = None if spacing is None else spacing * min(1.0, 1.0 / max(self.r.tolist()))
+        plan = _grid_plan(self.space, self.box.tobytes(), spacing, budget)
+        whole = None
+        if plan.additive:
+            cube = _grid_plan(self.space, _cube(self.space).tobytes(),
+                              *_grid_key(plan.spacing, budget))
+            whole = _bracket(W, cube, None)[0]
+        return _bracket(W, plan, whole)
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     """Bracket on sup over ``box`` of max_k sum_j |phi(x) @ W[:, k, j]|, by the
-    rule in the module docstring. Returns (SupBracket, group of W at the argmax).
-    The one place that places a box: a polynomial box in its frame on a
-    cube's plan, every other box on its own plan with the rule the plan picks."""
-    spacing, budget = _grid_key(spacing, budget)
-    box = np.asarray(box, dtype=float)
-    frame = _frame(space, box)
-    if frame is not None:
-        return _framed_max(space, W, *frame, spacing, budget)
-    plan = _grid_plan(space, box.tobytes(), spacing, budget)
-    whole = None
-    if plan.additive:
-        cube = _grid_plan(space, _cube(space).tobytes(), *_grid_key(plan.spacing, budget))
-        whole = _bracket(W, cube, None)[0]
-    return _bracket(W, plan, whole)
-
-
-def _framed_max(space: SpaceDescriptor, W: np.ndarray, c, r, spacing, budget):
-    """``_certified_max`` on a polynomial box in its frame x = c + r * u: T W on
-    the cube's plan, by the cube's own rule, with the argmax mapped back. On
-    a box with a flat axis (r = 0 there) the functions are the polynomials of
-    degree d in its live variables, and T keeps the rows of their basis.
-    Both ends move out by T W's rounding, gamma * eps * |T| @ |W| summed over
-    a group's members and basis rows (|u^beta| <= 1 on the cube), where gamma
-    doubles the l roundings of a product row and the at most 4 n of an entry
-    of T. Every sum over rows of |T| = T(|c|, r) is (|c| + r)^alpha, so that
-    sum is |W|'s group value at the point |c| + r."""
+    rule in the module docstring. Returns (SupBracket, group of W at the
+    argmax). The box's frame takes T W, and both ends move out by its
+    rounding (``_Frame.pad``)."""
+    frame = _Frame(space, np.asarray(box, dtype=float))
+    if frame.T is None:
+        return frame.sup(W, spacing, budget)
     l, K, g = W.shape
-    exps, live, frame = _monomial_exponents(space.n, space.degree), r > 0, space
-    T = _shift(space, c, r)
-    if not live.all():
-        frame = SpaceDescriptor.polynomial(int(live.sum()), space.degree)
-        T = T[np.all(exps[:, ~live] == 0, axis=1)]
-    TW = (T @ W.reshape(l, K * g)).reshape(-1, K, g)
-    plan = _grid_plan(frame, _cube(frame).tobytes(), _frame_spacing(spacing, r), budget)
-    bracket, column = _bracket(TW, plan, None)
-    rows = np.prod((np.abs(c) + r) ** exps, axis=1)
-    size = float((rows @ np.abs(W).reshape(l, K * g)).reshape(K, g).sum(axis=1).max())
-    pad = 2 * (l + 4 * space.n) * float(np.finfo(float).eps) * size
-    point = c.copy()
-    point[live] = c[live] + r[live] * bracket.argmax
-    return SupBracket(max(bracket.lower - pad, 0.0), bracket.upper + pad, bracket.certified,
-                      bracket.grid_spacing * float(r.max()), point), column
+    bracket, column = frame.sup((frame.T @ W.reshape(l, K * g)).reshape(-1, K, g), spacing, budget)
+    return frame.to_box(bracket, frame.pad(W)), column
 
 
 def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket]):
@@ -659,13 +681,12 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
     A plan's own coarse lattice keeps every s-th grid index per axis plus the
-    last one. The stride s makes it about 9 * sqrt(G) of the G grid points,
-    taken over the non-flat axes: G / s^n coarse points then cost about as
-    much as some 80 kept cells of s^n fine points each. Nested in it are the
-    plan's levels, sub-lattices of every 4^j-th coarse index per axis plus
-    the last (a flat axis keeps its one index), and the loop runs from the
-    coarsest down to the coarse lattice itself, each on rows of the plan's
-    coarse basis table, which every W on the plan shares. Every grid point x
+    last one. The stride s makes it about 9 * sqrt(G) of the G grid points:
+    G / s^n coarse points then cost about as much as some 80 kept cells of
+    s^n fine points each. Nested in it are the plan's levels, sub-lattices
+    of every 4^j-th coarse index per axis plus the last, and the loop runs
+    from the coarsest down to the coarse lattice itself, each on rows of the
+    plan's coarse basis table, which every W on the plan shares. Every grid point x
     lies within r (the lattice's half-gap) on every axis of the lattice
     point c whose cell holds it, and Taylor's theorem on the segment from c
     to x gives for p in V
@@ -760,8 +781,8 @@ def _with_slopes(W: np.ndarray, plan: _GridPlan):
 
 
 def _half_gap(axes) -> float:
-    """Half the largest gap between neighbours on any axis; a flat axis gives 0."""
-    return max(float(np.max(ax[1:] - ax[:-1], initial=0.0)) / 2.0 for ax in axes)
+    """Half the largest gap between neighbours on any axis."""
+    return max(float(np.max(ax[1:] - ax[:-1])) / 2.0 for ax in axes)
 
 
 def _lattice_pass(rows, Wv, g, D0, r):
@@ -842,25 +863,14 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     of member j at the witness point relative to member 0 (-1 where it
     vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
 
-    A polynomial set on a box is taken as its image on the cube (``_image``),
-    where N is the same, and its witness and grid spacing are mapped back.
+    A set is taken in the frame of its domain (``_Frame``), as its image in
+    V' on V''s box, where N is the same; its witness is lifted back into V,
+    and its witness point and grid spacing are mapped back to the domain.
     """
-    zs, frame = _image(space, as_point_set(points, space.n))
-    if frame is not None:
-        c, r = frame
-        back = _shift(space, -c / r, 1.0 / r)  # coefficients on u = (x - c) / r
-        try:
-            rep = norming_constant(space, zs, grid_spacing=_frame_spacing(grid_spacing, r),
-                                   budget=budget, rank_threshold=rank_threshold)
-        except IllConditionedError as exc:
-            raise IllConditionedError(str(exc), back @ exc.direction) from exc
-        point = None if rep.witness_point is None else c + r * rep.witness_point
-        return replace(rep, grid_spacing=rep.grid_spacing * float(np.max(r)),
-                       witness_coefficients=back @ rep.witness_coefficients,
-                       witness_point=point)
-    B = space.evaluate_basis(zs.points)
-    l = space.dimension()
-    dom = zs.domain(space)
+    zs = as_point_set(points, space.n)
+    frame = _Frame(space, zs.domain(space))
+    B = frame.space.evaluate_basis(frame.image(zs).points)
+    l = frame.space.dimension()
 
     colmax = np.maximum(np.max(np.abs(B), axis=0), 1e-300)
     Bs = B / colmax
@@ -869,14 +879,14 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     smin = s[-1] if B.shape[0] >= l else 0.0
     if B.shape[0] < l or smin < rank_threshold:
         null = Vh[-1] / colmax
-        bracket = certified_supnorm(space, null, dom,
-                                    grid_spacing=grid_spacing, budget=budget)
+        bracket = frame.sup(null[:, None, None], grid_spacing, budget)[0]
         if bracket.lower > 0:
             null = null / bracket.lower
         return NormingReport(
             norming=False, value=None, lower=math.inf, upper=math.inf,
-            grid_spacing=bracket.grid_spacing, witness_coefficients=null,
-            witness_point=None, method="rank_deficient", certified=True)
+            grid_spacing=frame.to_box(bracket).grid_spacing,
+            witness_coefficients=frame.lifted(null), witness_point=None,
+            method="rank_deficient", certified=True)
 
     if B.shape[0] == l:
         W = np.linalg.solve(B, np.eye(l))[:, None, :]
@@ -887,18 +897,19 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
         verts = _feasible_vertices(U)
         if verts.shape[0] == 0:
             raise IllConditionedError("no feasible LP vertex despite full rank",
-                                      direction=Vh[-1] / colmax)
+                                      direction=frame.lifted(Vh[-1] / colmax))
         W = (Vh.T / s / colmax[:, None] @ verts.T)[:, :, None]
-    bracket, k = _certified_max(space, W, dom, grid_spacing, budget)
+    bracket, k = frame.sup(W, grid_spacing, budget)
     s = np.ones(W.shape[2])
     if s.size > 1:
-        v = space.evaluate_basis(bracket.argmax) @ W[:, k]
+        v = frame.space.evaluate_basis(bracket.argmax) @ W[:, k]
         s = np.where(v * (-1.0 if v[0] < 0 else 1.0) > 0, 1.0, -1.0)
         s[0] = 1.0
-    witness = W[:, k] @ s
+    witness = frame.lifted(W[:, k] @ s)
     if not math.isfinite(bracket.lower):
         raise IllConditionedError("LP value not finite despite full rank",
                                   direction=witness)
+    bracket = frame.to_box(bracket)
     return NormingReport(
         norming=True, value=bracket.lower, lower=bracket.lower, upper=bracket.upper,
         grid_spacing=bracket.grid_spacing, witness_coefficients=witness,
@@ -911,8 +922,9 @@ def lebesgue_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
     domain. There the LP value is sum_i |L_i|, so this is the value of
     ``norming_constant``, bit for bit; a set that is not norming raises."""
     zs = as_point_set(points, space.n)
-    if len(zs) != space.dimension():
-        raise ValueError(f"need exactly {space.dimension()} points, got {len(zs)}")
+    l = _Frame(space, zs.domain(space)).space.dimension()  # of V on the domain
+    if len(zs) != l:
+        raise ValueError(f"need exactly {l} points, got {len(zs)}")
     rep = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
     if not rep.norming:
         raise NotNormingError("interpolation matrix is rank-deficient: the set is not unisolvent")
@@ -983,19 +995,22 @@ class SandwichReport:
 
 def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
                    budget=None, rel_tol=1e-6) -> SandwichReport:
-    """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1;
-    an inequality fails only where the certified brackets prove it."""
+    """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1,
+    with l, the Fekete subset and its Lagrange functions those of the set's
+    image in V' (``_Frame``); an inequality fails only where the certified
+    brackets prove it."""
     zs = as_point_set(points, space.n)
-    l = space.dimension()
-    idx, _ = fekete_select(space, zs, mode="exhaustive")
-    sub = PointSet(zs.points[list(idx)], zs.box)
+    frame = _Frame(space, zs.domain(space))
+    image, l = frame.image(zs), frame.space.dimension()
+    idx, _ = fekete_select(frame.space, image, mode="exhaustive")
     full = norming_constant(space, zs, grid_spacing=grid_spacing, budget=budget)
     if not full.norming:
         raise NotNormingError("Z is not norming")
-    fek = norming_constant(space, sub, grid_spacing=grid_spacing, budget=budget)
+    fek = norming_constant(space, PointSet(zs.points[list(idx)], zs.box),
+                           grid_spacing=grid_spacing, budget=budget)
     lower_ok = bool(fek.upper >= full.lower * (1.0 - rel_tol))
     upper_ok = bool(fek.lower <= l * full.upper * (1.0 + rel_tol))
-    C = lagrange_basis(space, sub)
-    on_z = float(np.max(np.abs(space.evaluate_basis(zs.points) @ C)))
+    C = lagrange_basis(frame.space, PointSet._unchecked(image.points[list(idx)], image.box))
+    on_z = float(np.max(np.abs(frame.space.evaluate_basis(image.points) @ C)))
     lagrange_ok = on_z <= 1.0 + 1e-9
     return SandwichReport(idx, full.value, fek.value, lower_ok, upper_ok, lagrange_ok, on_z)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -77,7 +77,7 @@ def _monomial_exponents(n: int, d: int) -> np.ndarray:
     exps = [a for a in product(range(d + 1), repeat=n) if sum(a) <= d]
     # graded lexicographic: by total degree, then x1 before x2 before ...
     exps.sort(key=lambda a: (sum(a), tuple(-ai for ai in a)))
-    return _read_only(np.array(exps).reshape(-1, n))
+    return _read_only(np.array(exps, dtype=int).reshape(len(exps), n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +87,7 @@ def _trig_tuples(n: int, d: int) -> np.ndarray:
     tuples = list(product(range(2 * d + 1), repeat=n))
     freq = lambda t: sum((k + 1) // 2 for k in t)
     tuples.sort(key=lambda t: (freq(t), t))
-    return _read_only(np.array(tuples).reshape(-1, n))
+    return _read_only(np.array(tuples, dtype=int).reshape(len(tuples), n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,6 +223,45 @@ class SpaceDescriptor:
             return None
         return (-np.ones(self.n), np.ones(self.n))
 
+    def restrict(self, box):
+        """V on a box as (V', live, R, L); the one test of which axes are flat.
+
+        An axis is live where hi > lo + 1e-15, and flat otherwise, with x
+        fixed at the box's centre; ``live`` indexes the live axes, as a mask,
+        or as the full slice where none is flat. V' is the span of the basis
+        with the flat coordinates fixed, a space in the live ones: polynomials
+        or trigonometric polynomials of the same degree, the distinct live
+        exponents of a fewnomial span, and the constants (n = 0) on a point.
+        Its basis phi' gives phi(x) @ w = phi'(x[live]) @ (R @ w), and L
+        lifts coefficients back into V, R @ L = I, through the first basis
+        function of each live part. R and L are None where no axis is flat.
+        """
+        lo, hi = np.asarray(box, dtype=float)
+        live = [b > a + 1e-15 for a, b in zip(lo.tolist(), hi.tolist())]  # lists: a few floats
+        if all(live):
+            return self, slice(None), None, None
+        live = np.array(live)
+        x = np.where(live, 1.0, (lo + hi) / 2.0)  # the box's centre on the flat axes
+        table = np.asarray(self.exponents) if self.kind == "fewnomial" else (
+            _monomial_exponents if self.kind == "polynomial" else _trig_tuples)(self.n, self.degree)
+        parts = list(map(tuple, table[:, live].tolist()))
+        # V''s basis, in V's order: a polynomial or trigonometric space's own,
+        # as each part first appears with 0 on the flat axes, and a fewnomial
+        # span's exponents
+        keys = list(dict.fromkeys(parts))
+        sub = replace(self, n=int(live.sum()), exponents=self.exponents and tuple(keys))
+        if self.kind == "trigonometric":  # the product of each function's flat factors
+            axis = SpaceDescriptor.trigonometric(1, self.degree)
+            factor = np.prod([axis.evaluate_basis(x[j:j + 1])[table[:, j]]
+                              for j in np.flatnonzero(~live)], axis=0)
+        else:  # x^alpha with the live coordinates at 1
+            factor = self.evaluate_basis(x)
+        rows = np.array([keys.index(part) for part in parts])
+        first = np.unique(rows, return_index=True)[1]
+        R = np.eye(len(keys))[:, rows] * factor
+        L = np.eye(len(table))[:, first] / factor[first]
+        return sub, live, R, L
+
     def basis_sup(self, box) -> float:
         """max_i sup |f_i| over a box, exactly: the largest |f_i| at its corners.
 
@@ -308,47 +347,38 @@ class MarkovConstant:
 
 def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     """Least M with |f(x) - f(y)| <= M * sup|f| * omega(|x - y|_inf) on a box (the
-    cube when none is given), omega the space's modulus. The identity constant M_1
-    is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j) over the non-flat
-    axes by Markov, and trigonometric ones, pi * d * n by Bernstein, which holds
-    relative to the sup over a whole period, so is certified only on a box that
-    covers the cube; a fewnomial span takes an uncertified sampled estimate. As
-    |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at l-inf distance t <= D, the box's
-    largest side, omega(t) = t^gamma gives M_1 * min(D, 2 / M_1)^(1 - gamma), and
-    gamma = 1 for the identity.
+    cube when none is given), omega the space's modulus: that of V' on the
+    box's k live axes (``SpaceDescriptor.restrict``). The identity constant
+    M_1 is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j) over those
+    axes by Markov, for the constants, 0, and for trigonometric ones, pi * d * k
+    by Bernstein, which holds relative to the sup over a whole period, so is
+    certified only where those axes cover the cube; a fewnomial span takes an
+    uncertified sampled estimate. As |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at
+    l-inf distance t <= D, the box's largest side, omega(t) = t^gamma gives
+    M_1 * min(D, 2 / M_1)^(1 - gamma), and gamma = 1 for the identity.
     """
     box = space.default_box() if box is None else box
     if box is None:
         raise ValueError("fewnomial Markov estimate needs an explicit box")
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    width = hi - lo
-    certified = space.kind == "polynomial"
-    if space.kind == "polynomial":
-        M = float(np.sum(2.0 * space.degree**2 / width[width > 0]))
-    elif space.kind == "trigonometric":
-        M = math.pi * space.degree * space.n
-        certified = bool(np.all(lo <= -1.0) and np.all(hi >= 1.0))
+    sub, live = space.restrict(box)[:2]
+    lo, hi = (np.asarray(b, dtype=float)[live] for b in box)
+    if space.kind == "trigonometric":
+        M, certified = math.pi * sub.degree * sub.n, bool(np.all(lo <= -1.0) and np.all(hi >= 1.0))
+    elif space.kind == "polynomial" or sub.n == 0:  # on a point, V' holds the constants
+        M, certified = float(np.sum(2.0 * sub.degree**2 / (hi - lo))), True
     else:
-        pts, w = uniform_quadrature(box, samples_per_axis={1: 513, 2: 65}.get(space.n, 17))
-        M = gram_schmidt_markov_bound(space, pts, w)
+        pts, w = uniform_quadrature((lo, hi), samples_per_axis={1: 513, 2: 65}.get(sub.n, 17))
+        M, certified = gram_schmidt_markov_bound(sub, pts, w), False
     if M > 0:
-        M *= min(float(np.max(width)), 2.0 / M) ** (1.0 - space.modulus.gamma)
+        M *= min(float(np.max(hi - lo)), 2.0 / M) ** (1.0 - space.modulus.gamma)
     return MarkovConstant(M, certified)
 
 
 def uniform_quadrature(box, samples_per_axis: int = 65):
-    """Tensor trapezoid rule on a box; returns (points, weights).
-
-    A flat axis (lo == hi) gets one node of weight 1, so the rule keeps
-    positive mass on a box of lower dimension.
-    """
+    """Tensor trapezoid rule on a box; returns (points, weights)."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     axes, wts = [], []
     for a, b in zip(lo, hi):
-        if a == b:
-            axes.append(np.array([a]))
-            wts.append(np.ones(1))
-            continue
         x = np.linspace(a, b, samples_per_axis)
         w = np.full(samples_per_axis, (b - a) / (samples_per_axis - 1))
         w[0] *= 0.5

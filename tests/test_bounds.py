@@ -108,15 +108,33 @@ def test_audit_reports_expected_violation():
                                          ([[0.0], [0.05], [0.1]], ([0.0], [0.1]))],
                          ids=["wide", "tenth"])
 def test_audit_reads_the_cube_image_bounds_on_a_box(points, box):
-    # both sets are affine images of {-1, 0, 1}: N, cor22 and rd_span are
-    # those of the cube set (cor22 read 0.28 and 3041 in absolute units)
-    names = ["cor22", "rd_span"]
+    # both sets are affine images of {-1, 0, 1}: N, cor22, cramer and rd_span
+    # are those of the cube set (cor22 read 0.28 and 3041 in absolute units,
+    # and cramer 9000 on [-10, 10])
+    names = ["cor22", "cramer", "rd_span"]
     boxed = audit(P2, PointSet(points, box), names, budget=20001)
     cube = audit(P2, [[-1.0], [0.0], [1.0]], names, budget=20001)
     assert boxed.exact == pytest.approx(cube.exact, rel=1e-12)
     for f, g in zip(boxed.findings, cube.findings):
         assert (f.name, f.bound.value, f.violation) == (g.name, g.bound.value, g.violation)
     assert boxed.findings[0].bound.value == pytest.approx(1.0)
+    assert boxed.findings[1].bound.value == pytest.approx(9.0, rel=1e-12)
+
+
+def test_audit_on_a_flat_box_reads_the_set_of_its_live_variables():
+    # on y = 0.3, P2 in 2-D is P2 in x: every bound, with n = 1, is that of
+    # the 1-D set (the whole set was refused as not norming)
+    flat = PointSet([[-1.0, 0.3], [-0.2, 0.3], [0.5, 0.3], [1.0, 0.3]], ([-1.0, 0.3], [1.0, 0.3]))
+    names = ["bg", "cor22", "cramer", "rd_span"]
+    boxed = audit(SpaceDescriptor.polynomial(2, 2), flat, names, lam=0.5)
+    line = audit(P2, [[-1.0], [-0.2], [0.5], [1.0]], names, lam=0.5)
+    assert boxed.to_json() == line.to_json()
+    assert boxed.exact == 1.2041666666666666
+    assert [f.bound.value for f in boxed.findings[1:]] == pytest.approx([17.0, 9.375, 1.0])
+    assert [f.violation for f in boxed.findings] == [False, False, False, True]
+    # on a point V is the constants, for which no bound is stated
+    with pytest.raises(ValueError, match="live axis"):
+        audit(P2, PointSet([[0.2]], ([0.2], [0.2])), ["rd_span"])
 
 
 def test_audit_cramer_not_violating():

@@ -119,6 +119,57 @@ def test_lipschitz_reads_the_files_box(capsys, tmp_path):
     assert "one domain" in capsys.readouterr().err
 
 
+# Sets on boxes with a flat axis, and the sets of their live variables on
+# the live axes: (space, points file, live space, live points file). V on the
+# box is V', so each report is that of the live set, and each exited 2
+# (rank-deficient) or 1 (the sampled Markov estimate of the whole span).
+FLAT_SETS = {
+    "P1-line": ({"kind": "polynomial", "vars": 2, "degree": 1},
+                {"points": [[0, 0.5], [1, 0.5]], "box": [[0, 0.5], [1, 0.5]]},
+                {"kind": "polynomial", "vars": 1, "degree": 1},
+                {"points": [[0], [1]], "box": [[0], [1]]}),
+    "P1-point": ({"kind": "polynomial", "vars": 1, "degree": 1},
+                 {"points": [[0.2]], "box": [[0.2], [0.2]]}, None, None),
+    "T1-line": ({"kind": "trigonometric", "vars": 2, "degree": 1},
+                {"points": [[-0.9, 0.5], [-0.2, 0.5], [0.4, 0.5], [0.8, 0.5]],
+                 "box": [[-1, 0.5], [1, 0.5]]},
+                {"kind": "trigonometric", "vars": 1, "degree": 1},
+                {"points": [[-0.9], [-0.2], [0.4], [0.8]]}),
+    "fewnomial-line": ({"kind": "fewnomial", "exponents": [[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]]},
+                       {"points": [[0.3, 0.7], [0.9, 0.7], [1.8, 0.7]],
+                        "box": [[0.3, 0.7], [1.8, 0.7]]},
+                       {"kind": "fewnomial", "exponents": [[0.0], [0.5]]},
+                       {"points": [[0.3], [0.9], [1.8]], "box": [[0.3], [1.8]]}),
+}
+
+
+def _norming_file(capsys, tmp_path, name, space, points):
+    sp, pts = tmp_path / f"{name}-space.json", tmp_path / f"{name}-points.json"
+    sp.write_text(json.dumps(space))
+    pts.write_text(json.dumps(points))
+    return run(capsys, ["norming", "--space", str(sp), "--points", str(pts)])
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_SETS))
+def test_sets_on_flat_boxes_are_measured_in_their_live_variables(capsys, tmp_path, name):
+    space, points, live_space, live_points = FLAT_SETS[name]
+    code, out = _norming_file(capsys, tmp_path, name, space, points)
+    res = json.loads(out)["result"]
+    assert code == 0 and res["norming"] is True and res["certified"] == (name != "fewnomial-line")
+    if live_space is None:  # a point: V' holds the constants
+        assert (res["value"], res["lower"], res["upper"], res["grid_spacing"]) == (1, 1, 1, 0)
+        assert res["witness_coefficients"] == [1.0, 0.0] and res["witness_point"] == [0.2]
+        return
+    code, out = _norming_file(capsys, tmp_path, name + "-live", live_space, live_points)
+    ref = json.loads(out)["result"]
+    assert code == 0
+    for key in ("value", "lower", "upper", "grid_spacing", "certified", "method"):
+        assert res[key] == ref[key]
+    assert res["witness_point"][1:] == points["points"][0][1:]  # the flat coordinate
+    assert res["witness_point"][0] == pytest.approx(ref["witness_point"][0], abs=1e-15)
+    assert {"P1-line": 1.0, "T1-line": 1.7574634308064028}.get(name, res["value"]) == res["value"]
+
+
 @pytest.fixture
 def fewnomial_files(tmp_path):
     """span{1, x^0.5, x^1.5} and the points 0.3, 0.9, 1.7 with the box [0.2, 2]."""

@@ -13,10 +13,9 @@ from conftest import grid_plan, random_points, uniform_grid
 from norming_lab import (IDENTITY, PointSet, SpaceDescriptor, certified_supnorm,
                          lebesgue_constant, norming_constant)
 from norming_lab import norming
-from norming_lab.norming import (_cell_indices, _cells, _certified_max, _coarse_prune, _every,
-                                 _feasible_vertices, _frame, _frame_spacing, _grid_axes,
-                                 _grid_max, _grid_plan, _grid_points, _half_signs, _shift,
-                                 _with_slopes)
+from norming_lab.norming import (_Frame, _cell_indices, _cells, _certified_max, _coarse_prune,
+                                 _every, _feasible_vertices, _grid_axes, _grid_max, _grid_plan,
+                                 _grid_points, _half_signs, _shift, _with_slopes)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import _monomial_exponents, markov_constant, power_modulus
 
@@ -69,35 +68,40 @@ def _handed(space, W, box, spacing, budget):
 
 
 def _in_frame(space, W, box):
-    """(T W, frame space, c, r) of a polynomial box in its frame (``_frame``):
-    on a flat axis r = 0, the frame space is that of the live variables and
-    T keeps the rows of its basis. (W, space, 0, 1) elsewhere."""
-    frame = _frame(space, np.asarray(box, dtype=float))
-    if frame is None:
-        return W, space, 0.0, 1.0
-    c, r = frame
-    live = r > 0
-    T = _shift(space, c, r)[np.all(_monomial_exponents(space.n, space.degree)[:, ~live] == 0,
-                                   axis=1)]
-    sub = space if live.all() else SpaceDescriptor.polynomial(int(live.sum()), space.degree)
+    """(T W, frame) of a box in its frame (``_Frame``): T W, coefficients in
+    V', where the frame has a T, and W itself on the identity frame."""
+    frame = _Frame(space, np.asarray(box, dtype=float))
+    if frame.T is None:
+        return W, frame
     l, K, g = W.shape
-    return (T @ W.reshape(l, K * g)).reshape(-1, K, g), sub, c, r
+    return (frame.T @ W.reshape(l, K * g)).reshape(-1, K, g), frame
 
 
-def _frame_pad(bracket, W, Wh, plan):
-    """How far a framed bracket's upper end lies above that of the handed T W
-    on the cube's plan: T W's rounding pad, by which its lower end sits below
-    the grid value. 0 on a box taken on its own plan, which is handed W."""
-    return 0.0 if Wh is W else bracket.upper - norming._bracket(Wh, plan, None)[0].upper
+def _frame_key(frame, spacing):
+    """A spacing h on the box as the frame's grid takes it, h * min(1, 1 / max r)."""
+    return None if spacing is None else spacing * min(1.0, 1.0 / float(frame.r.max()))
 
 
-def _to_box(c, r, u):
-    """A frame point u mapped to the box: c + r * u, and c on a flat axis."""
-    if np.ndim(r) == 0:
-        return c + r * u
-    x, live = c.copy(), r > 0
-    x[live] = c[live] + r[live] * u
+def _frame_pad(frame, W):
+    """T W's rounding pad, by which both ends of a framed bracket move out;
+    0 on the identity frame, which is handed W."""
+    return 0.0 if frame.T is None else frame.pad(W)
+
+
+def _to_box(frame, u):
+    """A point u of V''s box on the box: c + r * u on the live axes, and the
+    box's centre on the flat ones."""
+    x = frame.centre.copy()
+    x[frame.live] = frame.c + frame.r * u
     return x
+
+
+def _box_grid(box, spacing):
+    """The points of a grid of about the given spacing on a box, built here
+    from np.linspace, with the one point lo on a flat axis."""
+    axes = [np.linspace(a, b, int(math.ceil((b - a) / spacing)) + 1) if b > a else np.array([a])
+            for a, b in zip(*box)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 # (space, box or None for the cube, grid_spacing, budget, pruned?)
@@ -128,7 +132,8 @@ CASES = {
                     (np.array([-1.5]), np.array([1.5])), None, 20001, True),
     # 1-D grids below 182 points have a coarse stride of 1
     "s-is-one": (SpaceDescriptor.polynomial(1, 4), None, None, 150, False),
-    # a polynomial box with a flat axis: the frame of its live variables
+    # a polynomial box with a flat axis, whose live axis spans the cube's: V'
+    # on its own cube, handed R W
     "flat-axis": (SpaceDescriptor.polynomial(2, 2),
                   (np.array([-1.0, 0.3]), np.array([1.0, 0.3])), 1e-3, None, True),
 }
@@ -146,14 +151,13 @@ def test_grid_max_matches_dense_oracle(name):
         inst_box = box if name.startswith(("sub-box", "fewnomial")) else space.default_box()
         W = _instance(rng, space, inst_box, extra)
         bracket, _, Wh, plan, rule = _handed(space, W, box, spacing, budget)
-        TW, sub, _, r = _in_frame(space, W, box)
+        TW, frame = _in_frame(space, W, box)
         assert np.array_equal(Wh, TW)
-        framed = name in ("sub-box", "sub-box-1d", "beyond-cube", "flat-axis")
-        key, grid_box = (_frame_spacing(spacing, r), sub.default_box()) if framed else (spacing, box)
-        axes, h = _grid_axes(grid_box, key, budget)
-        assert plan is grid_plan(sub, grid_box, key, budget)
+        key = _frame_key(frame, spacing)
+        axes, h = _grid_axes(frame.box, key, budget)
+        assert plan is grid_plan(frame.space, frame.box, key, budget)
         assert plan.axes == axes
-        assert bracket.grid_spacing == h * (float(np.max(r)) if framed else 1.0)
+        assert bracket.grid_spacing == h * float(frame.r.max())
         # pruned: the coarse lattice is evaluated; otherwise every column and
         # every cell is kept
         with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as lattice_pass:
@@ -163,7 +167,7 @@ def test_grid_max_matches_dense_oracle(name):
         if name == "sub-box-1d":
             assert cols.size < W.shape[1] and keep is not None and keep.size < np.prod(plan.shape)
         value, point, col = _grid_max(Wh, plan, rule)
-        ref_value, ref_point, ref_col, ref_h = _dense(plan.space, Wh, grid_box, key, budget)
+        ref_value, ref_point, ref_col, ref_h = _dense(plan.space, Wh, frame.box, key, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
             attained = np.abs(space.evaluate_basis(point) @ Wh[:, col]).sum()
@@ -371,15 +375,21 @@ def test_off_cube_polynomial_bracket_holds_the_sup():
         assert bracket.certified and bracket.upper >= sup
 
 
-def test_flat_axis_takes_the_whole_budget():
+@pytest.mark.parametrize("space", [SpaceDescriptor.polynomial(2, 2),
+                                   SpaceDescriptor.trigonometric(2, 1),
+                                   SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0],
+                                                                   [1.5, -0.5]])],
+                         ids=["P2", "T1", "fewnomial"])
+def test_flat_axis_takes_the_whole_budget(space):
+    # the frame hands the grid layer V' in the one live variable, whose grid
+    # takes the whole budget, and whose coarse lattice the 4,001 points of a
+    # 1-D one: the grid layer never sees the flat axis
     box = (np.array([0.3, 0.7]), np.array([1.8, 0.7]))
-    space = SpaceDescriptor.polynomial(2, 2)
-    plan = grid_plan(space, box, None, None)
-    assert plan.shape == tuple(ax[2] for ax in _grid_axes(box)[0]) == (200_001, 1)
-    # the coarse stride counts the non-flat axes only: 4,001 coarse points
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
+    _, _, Wh, plan, rule = _handed(space, W, box, None, None)
+    assert plan.space.n == 1 and plan.shape == (200_001,)
     with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as product:
-        _coarse_prune(W, plan, (plan.H, None))
+        _coarse_prune(Wh, plan, rule)
     assert product.call_args.args[0].shape[0] == 4001
 
 
@@ -568,11 +578,10 @@ def test_box_edge_maximiser_matches_a_dense_pass():
     box = _B([-0.3005], [0.2])
     W = np.array([[0.4, -2.0, 0.0], [1.0012, 0.0, -1.0]]).T[:, :, None]
     bracket, column, Wh, plan, _ = _handed(space, W, box, 1e-4, None)
-    _, _, c, r = _in_frame(space, W, box)
     value, point, col = _dense_on(space, Wh, plan.axes)
     assert (column, col) == (1, 1) and value == pytest.approx(1.0012, rel=1e-9)
     assert bracket.lower == pytest.approx(value, rel=1e-12) and bracket.upper >= 1.0012
-    assert np.array_equal(bracket.argmax, _to_box(c, r, point))
+    assert np.array_equal(bracket.argmax, _to_box(_in_frame(space, W, box)[1], point))
     assert abs(bracket.argmax[0]) < 2e-5
 
 
@@ -790,15 +799,14 @@ def _certified_max_case(draw, family, power, where):
     if family == "fewnomial":
         # half-integer exponents: nearly equal ones make the sampled Markov
         # estimate's Gram matrix singular (RankDeficiencyError); on a flat
-        # axis j they must differ off axis j for the same reason
-        j = draw(st.integers(0, n - 1))
+        # axis, exponents equal off it are one function of V'
         alpha = st.tuples(*[st.integers(-4, 6).map(lambda k: k / 2.0) for _ in range(n)])
-        off_flat = (lambda a: a[:j] + a[j + 1:]) if where == "flat" else (lambda a: a)
-        space = SpaceDescriptor.fewnomial_span(
-            draw(st.lists(alpha, min_size=1, max_size=4, unique_by=off_flat)))
+        space = SpaceDescriptor.fewnomial_span(draw(st.lists(alpha, min_size=1, max_size=4,
+                                                             unique=True)))
         lo = draw(floats(0.1, 1.5))
         hi = lo + draw(floats(0.05, 1.5))
-        if where == "flat":
+        if where == "flat":  # a point where n = 1
+            j = draw(st.integers(0, n - 1))
             hi[j] = lo[j]
         box = (lo, hi)
     else:
@@ -814,7 +822,7 @@ def _certified_max_case(draw, family, power, where):
         else:
             lo = draw(floats(-1.0, 0.9))
             hi = np.minimum(lo + draw(floats(0.05, 2.0)), 1.0)
-            if where == "flat":
+            if where == "flat":  # a point where n = 1
                 j = draw(st.integers(0, n - 1))
                 hi[j] = lo[j]
             box = (lo, hi)
@@ -858,12 +866,16 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
                                                                      data):
     space, box, W = data.draw(_certified_max_case(family, power, where))
     budget = 2001 if space.n == 1 else 1600
-    bracket, column, Wh, plan, rule = _handed(space, W, box, None, budget)
-    TW, _, c, r = _in_frame(space, W, box)
-    assert np.array_equal(Wh, TW)
-    value, point, col = _dense_on(plan.space, Wh, plan.axes)
-    assert bracket.lower == pytest.approx(value, rel=1e-12)
-    assert np.array_equal(bracket.argmax, _to_box(c, r, point))
+    TW, frame = _in_frame(space, W, box)
+    if frame.space.n == 0:  # a point: no grid, and sup |f| = |f(p)|
+        bracket, column = _certified_max(space, W, box, None, budget)
+        assert np.array_equal(bracket.argmax, box[0]) and bracket.grid_spacing == 0.0
+    else:
+        bracket, column, Wh, plan, rule = _handed(space, W, box, None, budget)
+        assert np.array_equal(Wh, TW)
+        value, point, col = _dense_on(plan.space, Wh, plan.axes)
+        assert bracket.lower == pytest.approx(value, rel=1e-12)
+        assert np.array_equal(bracket.argmax, _to_box(frame, point))
     # tied groups can round differently in the dense product, so the returned
     # group need not be the oracle's first; it attains the grid maximum to
     # one group evaluation's rounding, l * eps * sum_j ||w_j||_1 * vmax, and
@@ -872,13 +884,13 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
     attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
     vmax = max(1.0, space.basis_sup(box))
     tol = W.shape[0] * np.finfo(float).eps * np.abs(group).sum() * vmax
-    assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(bracket, W, Wh, plan)
+    assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(frame, W)
     if bracket.certified:
         # both sides are rounded: allow one group evaluation's rounding,
-        # l * eps * sum_j ||w_j||_1 * max |phi| (a one-point box has upper == lower)
+        # l * eps * sum_j ||w_j||_1 * max |phi|
         eps = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=(0, 2)).max()
-        fine, _ = _grid_axes(box, bracket.grid_spacing / 4)
-        assert bracket.upper >= _dense_on(space, W, fine)[0] - eps * max(1.0, space.basis_sup(box))
+        fine = _box_grid(box, bracket.grid_spacing / 4)
+        assert bracket.upper >= _group_values_max(space, W, fine) - eps * vmax
 
 
 @st.composite
@@ -937,20 +949,20 @@ def test_polynomial_box_brackets_hold_a_finer_dense_max_and_match_the_frame(wher
     mass = np.abs(W).sum(axis=(0, 2)).max()
     tol = 3 * (W.shape[0] + 4 * space.n) * np.finfo(float).eps * mass * vmax
     # the dense maximum on a grid 4 times finer lies below the upper end
-    fine, _ = uniform_grid(box, bracket.grid_spacing / 4)
-    dense = _group_values_max(space, W, fine)
+    dense = _group_values_max(space, W, _box_grid(box, bracket.grid_spacing / 4))
     assert dense <= bracket.upper + tol
     # the argmax attains the lower end, to the rounding of f and of T W
     attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
     assert attained >= bracket.lower - tol
     # the bracket of T W on the cube (of the live variables on a flat axis),
     # widened by T W's rounding, mapped back
-    TW, sub, c, r = _in_frame(space, W, box)
-    assert sub.n == space.n - (where == "flat")
-    cube, k = _certified_max(sub, TW, sub.default_box(), _frame_spacing(spacing, r), budget)
-    assert k == column and np.array_equal(bracket.argmax, _to_box(c, r, cube.argmax))
-    pad = bracket.upper - cube.upper
-    assert 0.0 < pad <= tol
+    TW, frame = _in_frame(space, W, box)
+    assert frame.space == SpaceDescriptor.polynomial(space.n - (where == "flat"), space.degree)
+    assert np.array_equal(frame.box, frame.space.default_box())
+    cube, k = _certified_max(frame.space, TW, frame.box, _frame_key(frame, spacing), budget)
+    assert k == column and np.array_equal(bracket.argmax, _to_box(frame, cube.argmax))
+    pad = bracket.upper - cube.upper  # T W's rounding pad, to the rounding of upper + pad
+    assert abs(pad - frame.pad(W)) <= np.spacing(bracket.upper) and 0.0 < pad <= tol
     assert bracket.lower == pytest.approx(max(cube.lower - pad, 0.0), rel=1e-12, abs=tol * 1e-3)
 
 
@@ -961,10 +973,86 @@ def _group_values_max(space, W, grid):
     return float(vals.reshape(-1, K, g).sum(axis=2).max())
 
 
+@st.composite
+def _flat_box_case(draw, family):
+    """A space of ``family``, a box with at least one flat axis (a point when
+    all are), W of 1 to 3 random columns, and a set of dim V' + 0..2 points
+    on the box (one on a point), with V' built here: the space of the live
+    variables, or the span of a fewnomial's distinct live exponents, whose
+    exponents may coincide on them."""
+    n = draw(st.integers(1, 2 if family == "fewnomial" else 3))
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+    floats = lambda a, b: np.array(draw(st.lists(st.floats(a, b), min_size=n, max_size=n)))
+    k = int(np.sum(~flat))
+    if family == "fewnomial":
+        alpha = st.tuples(*[st.integers(-4, 6).map(lambda j: j / 2.0) for _ in range(n)])
+        exps = draw(st.lists(alpha, min_size=1, max_size=4, unique=True))
+        space = SpaceDescriptor.fewnomial_span(exps)
+        live = list(dict.fromkeys(tuple(a[j] for j in np.flatnonzero(~flat)) for a in exps))
+        sub = SpaceDescriptor.fewnomial_span(live) if k else None
+        lo = floats(0.1, 1.5)
+    else:
+        d = draw(st.integers(1, {"polynomial": (4, 2, 1), "trigonometric": (2, 1, 1)}[family][n - 1]))
+        space = getattr(SpaceDescriptor, family)(n, d)
+        sub = getattr(SpaceDescriptor, family)(k, d) if k else None
+        lo = floats(-1.5, 1.0)
+    hi = np.where(flat, lo, lo + floats(0.05, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.normal(size=(space.dimension(), draw(st.integers(1, 3)), 1))
+    m = sub.dimension() + draw(st.integers(0, 2)) if k else 1
+    pts = np.tile(lo, (m, 1))
+    pts[:, ~flat] = lo[~flat] + (hi - lo)[~flat] * (random_points(rng, m, k, min_sep=0.1) + 1) / 2
+    return space, (lo, hi), W, PointSet(pts, (lo, hi)), sub
+
+
+@pytest.mark.parametrize("family", ["polynomial", "trigonometric", "fewnomial"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_flat_and_point_boxes_are_measured_in_their_live_variables(family, data):
+    space, box, W, zs, sub = data.draw(_flat_box_case(family))
+    budget = 2001 if sub is None or sub.n == 1 else 1600
+    bracket, column = _certified_max(space, W, box, None, budget)
+    assert bracket.certified == (family != "fewnomial" or sub is None)
+    # the upper end holds a dense maximum on a grid 4 times finer, and the
+    # argmax attains the lower end: to one evaluation's rounding and twice T W's pad
+    vmax = max(1.0, space.basis_sup(box))
+    tol = 4 * space.dimension() * np.finfo(float).eps * np.abs(W).sum(axis=0).max() * vmax
+    if bracket.certified:
+        fine = _box_grid(box, bracket.grid_spacing / 4)
+        assert _group_values_max(space, W, fine) <= bracket.upper + tol
+    attained = np.abs(space.evaluate_basis(bracket.argmax) @ W[:, column]).sum()
+    frame = _Frame(space, np.asarray(box))
+    assert abs(attained - bracket.lower) <= tol + 2 * frame.pad(W)
+    # a set on the box reads the report of its live-variable set bit for bit:
+    # for a polynomial space, of its image on the cube
+    rep = norming_constant(space, zs, budget=budget)
+    if sub is None:  # a point: one point norms the constants
+        assert (rep.value, rep.lower, rep.upper, rep.grid_spacing) == (1.0, 1.0, 1.0, 0.0)
+        return
+    lo, hi = (np.asarray(b)[frame.live] for b in box)
+    u = zs.points[:, frame.live]
+    if family == "polynomial" and not (np.all(lo == -1.0) and np.all(hi == 1.0)):
+        u, r = (u - (lo + hi) / 2.0) / ((hi - lo) / 2.0), float(np.max((hi - lo) / 2.0))
+        ref = norming_constant(sub, PointSet(u), budget=budget)
+    else:
+        r = 1.0
+        ref = norming_constant(sub, PointSet(u, (lo, hi)), budget=budget)
+    for key in ("norming", "value", "lower", "upper", "certified", "method"):
+        assert getattr(rep, key) == getattr(ref, key)
+    assert rep.grid_spacing == ref.grid_spacing * r
+    # the lifted witness is the same function on the set, to the rounding of
+    # its coefficients (large on a small box)
+    got = space.evaluate_basis(zs.points) @ rep.witness_coefficients
+    want = sub.evaluate_basis(u) @ ref.witness_coefficients
+    mass = np.abs(ref.witness_coefficients).sum() * max(1.0, sub.basis_sup(frame.box))
+    assert np.abs(got - want).max() <= 1e-12 * mass
+
+
 # Boxes inside the cube: (space, box, grid_spacing, budget, vertex matrices?).
 # Polynomial boxes are taken in their frame on the cube's plan (of the live
-# variables, on a flat axis), trigonometric ones on their own plan. At h = 1e-4 the 1-D cube lattice keeps
-# every 16th grid point, and the narrow boxes' frames take that grid.
+# variables, on a flat axis), trigonometric ones on their own plan. At
+# h = 1e-4 the 1-D cube lattice keeps every 16th grid point, and the narrow
+# boxes' frames take that grid.
 INSIDE = {
     "1d-vector": (SpaceDescriptor.polynomial(1, 5), _B([-0.3], [0.45]), 1e-4, None, False),
     "1d-vertices": (SpaceDescriptor.polynomial(1, 4), _B([-0.8], [0.1]), None, 20001, True),
@@ -1003,20 +1091,18 @@ def test_inside_boxes_match_a_dense_pass(name):
         else:
             W = rng.normal(size=(l, 1, 1))
         bracket, column, Wh, plan, _ = _handed(space, W, box, spacing, budget)
-        TW, sub, c, r = _in_frame(space, W, box)
-        framed = space.kind == "polynomial"
-        key = _frame_spacing(spacing, r) if framed else spacing
-        assert plan is grid_plan(sub, sub.default_box() if framed else box, key, budget)
-        assert np.array_equal(Wh, TW) and (Wh is W) != framed
+        TW, frame = _in_frame(space, W, box)
+        assert plan is grid_plan(frame.space, frame.box, _frame_key(frame, spacing), budget)
+        assert np.array_equal(Wh, TW) and (Wh is W) == (space.kind == "trigonometric")
         value, point, _ = _dense_on(plan.space, Wh, plan.axes)
         assert bracket.lower == pytest.approx(value, rel=1e-12)
-        assert np.array_equal(bracket.argmax, _to_box(c, r, point))
+        assert np.array_equal(bracket.argmax, _to_box(frame, point))
         # the group returned attains the maximum to one group's rounding, and
         # twice T W's rounding pad in a frame
         group = W[:, column]
         attained = np.abs(space.evaluate_basis(bracket.argmax) @ group).sum()
         tol = l * np.finfo(float).eps * np.abs(group).sum() * max(1.0, space.basis_sup(box))
-        assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(bracket, W, Wh, plan)
+        assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(frame, W)
 
 
 def test_sub_intervals_share_the_cube_plan_in_their_frames():

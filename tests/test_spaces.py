@@ -317,6 +317,58 @@ def test_markov_constant_bounds_every_modulus_quotient(case, gamma, seed):
     assert np.all(lhs <= M.value * sup.upper * t[ok] ** gamma * (1 + 1e-9))
 
 
+def test_bernstein_constant_counts_the_live_axes():
+    # on y = 0.5 V is T1 in x: pi, certified where x covers the cube
+    T1 = SpaceDescriptor.trigonometric(2, 1)
+    M = markov_constant(T1, box=(np.array([-1.0, 0.5]), np.array([1.0, 0.5])))
+    assert M == spaces.MarkovConstant(math.pi, True)
+    M = markov_constant(T1, box=(np.array([-0.5, 0.5]), np.array([1.0, 0.5])))
+    assert M == spaces.MarkovConstant(math.pi, False)
+    # a point: V' holds the constants, of every kind
+    point = (np.array([0.2, 0.5]), np.array([0.2, 0.5]))
+    for space in (T1, SpaceDescriptor.polynomial(2, 3),
+                  SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0]])):
+        assert markov_constant(space, box=point) == spaces.MarkovConstant(0.0, True)
+
+
+RESTRICTED = [
+    (SpaceDescriptor.polynomial(3, 3), [0.2, 0.5, -0.4], [0.9, 0.5, 0.3],
+     SpaceDescriptor.polynomial(2, 3)),
+    (SpaceDescriptor.polynomial(2, 2), [-0.3, 0.5], [-0.3, 0.5], None),
+    (SpaceDescriptor.trigonometric(3, 1), [0.7, -1.0, 0.3], [0.7, 0.4, 0.3],
+     SpaceDescriptor.trigonometric(1, 1)),
+    (SpaceDescriptor.trigonometric(2, 2), [0.3, -0.6], [0.3, -0.6], None),
+    (SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5], [1.5, 2.0]]),
+     [0.3, 0.7], [1.8, 0.7], SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])),
+    (SpaceDescriptor.fewnomial_span([[1.0, 0.0], [0.5, 1.0]]), [0.3, 0.7], [0.3, 0.7], None),
+]
+
+
+@pytest.mark.parametrize("space, lo, hi, sub", RESTRICTED,
+                         ids=["P3-3d", "P2-point", "T1-3d", "T2-point", "fewnomial",
+                              "fewnomial-point"])
+def test_restriction_fixes_the_flat_coordinates_at_the_centre(space, lo, hi, sub):
+    lo, hi = np.array(lo), np.array(hi)
+    got, live, R, L = space.restrict((lo, hi))
+    assert np.array_equal(live, hi > lo)
+    if sub is None:  # a point: V' holds the constants
+        assert (got.n, got.dimension(), got.kind) == (0, 1, space.kind)
+    else:
+        assert got == sub
+    assert np.array_equal(R @ L, np.eye(got.dimension()))
+    rng = np.random.default_rng(17)
+    x = lo + (hi - lo) * rng.uniform(size=(50, space.n))
+    w = rng.normal(size=(space.dimension(), 4))
+    V = space.evaluate_basis(x) @ w
+    assert np.allclose(got.evaluate_basis(x[:, live]) @ (R @ w), V, rtol=1e-12, atol=1e-12)
+    assert np.allclose(space.evaluate_basis(x) @ (L @ w[:got.dimension()]),
+                       got.evaluate_basis(x[:, live]) @ w[:got.dimension()], rtol=1e-12,
+                       atol=1e-12)
+    # a box with no flat axis is V itself
+    same, live, R, L = space.restrict((lo, lo + 0.5))
+    assert same is space and live == slice(None) and R is None and L is None
+
+
 def test_markov_sampled_estimate_flagged():
     space = SpaceDescriptor.fewnomial_span([(1.0,), (2.5,)])
     M = markov_constant(space, box=(np.array([0.5]), np.array([2.0])))
@@ -333,12 +385,18 @@ def test_gram_schmidt_bound_covers_affine_lipschitz():
     assert est >= 1.0
 
 
-def test_quadrature_gives_a_flat_axis_one_node_of_weight_one():
-    pts, w = uniform_quadrature((np.array([0.3, 0.7]), np.array([1.8, 0.7])), 5)
-    assert np.all(pts[:, 1] == 0.7) and pts.shape == (5, 2)
-    assert w.sum() == pytest.approx(1.5)
-    pts, w = uniform_quadrature((np.array([1.0]), np.array([1.0])), 5)
-    assert pts.tolist() == [[1.0]] and w.tolist() == [1.0]
+def test_sampled_markov_estimate_on_a_flat_box_is_that_of_the_live_span():
+    # the estimate samples V' on the live axes, so the quadrature needs no
+    # node for a flat axis: on y = 0.7, span{1, x^0.5 y, x^1.5 y^-0.5} is
+    # span{1, x^0.5, x^1.5}, and span{1, x^0.5 y, x^0.5 y^-0.5} is span{1, x^0.5}
+    box, line = (np.array([0.3, 0.7]), np.array([1.8, 0.7])), (np.array([0.3]), np.array([1.8]))
+    for exps, live in [([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5]], [[0.0], [0.5], [1.5]]),
+                       ([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]], [[0.0], [0.5]])]:
+        few = SpaceDescriptor.fewnomial_span(exps)
+        assert markov_constant(few, box) == markov_constant(
+            SpaceDescriptor.fewnomial_span(live), line)
+    pts, w = uniform_quadrature(box, 5)
+    assert pts.shape == (25, 2) and np.all(pts[:, 1] == 0.7) and w.sum() == 0.0
 
 
 def test_json_roundtrip():

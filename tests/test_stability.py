@@ -188,6 +188,28 @@ def test_trigonometric_audits_are_refused_on_a_box_that_does_not_cover_the_cube(
     assert stability_ball(T1, wide, budget=2001).markov == markov_constant(T1).value
 
 
+def test_audits_on_a_flat_box_read_the_constant_of_the_live_variables():
+    # on y = 0.5, T1 in 2-D is T1 in x, whose Bernstein constant pi is
+    # certified on x in [-1, 1] (the 2-D constant 2 pi was read, not certified)
+    T1 = SpaceDescriptor.trigonometric(2, 1)
+    box = ([-1.0, 0.5], [1.0, 0.5])
+    z = PointSet([[-0.9, 0.5], [-0.2, 0.5], [0.4, 0.5], [0.8, 0.5]], box)
+    y = PointSet([[-0.9, 0.5], [-0.25, 0.5], [0.4, 0.5], [0.8, 0.5]], box)
+    ball = stability_ball(T1, z, budget=2001)
+    assert ball.markov == np.pi and ball.radius == 1.0 / (np.pi * ball.center_report.value)
+    rep = lipschitz_audit(T1, z, y, budget=2001)
+    assert rep.markov == np.pi and rep.satisfied
+    # a fewnomial span whose exponents coincide on the live axis is V' =
+    # span{1, x^0.5}: refused for its sampled constant, where the Gram matrix
+    # of the whole span was singular on the sample (RankDeficiencyError)
+    few = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]])
+    box = ([0.3, 0.7], [1.8, 0.7])
+    z1 = PointSet([[0.3, 0.7], [0.9, 0.7], [1.8, 0.7]], box)
+    z2 = PointSet([[0.3, 0.7], [1.0, 0.7], [1.8, 0.7]], box)
+    with pytest.raises(ValueError, match="not certified"):
+        lipschitz_audit(few, z1, z2)
+
+
 def test_perturbed_points_stay_in_the_declared_box(monkeypatch):
     from norming_lab import stability
 
