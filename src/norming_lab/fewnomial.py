@@ -406,13 +406,23 @@ def minimal_c_for_instance(p: ExpPoly, interval, z_intervals) -> float:
         return 0.0
     a, b = interval
     len_I = b - a
-    meas_Z = sum(bb - aa for aa, bb in z_intervals)
+    meas_Z = _union_length(z_intervals)
     sup_I = sup_abs_on_interval(p, a, b)
     sup_Z = sup_abs_on_union(p, z_intervals)
     if sup_Z <= 0.0:
         return math.inf
     ratio = sup_I / (math.exp(len_I * p.max_abs_re_rate) * sup_Z)
     return max(ratio, 0.0) ** (1.0 / m) * meas_Z / len_I
+
+
+def _union_length(intervals) -> float:
+    """The measure of a union of intervals (a, b): overlaps count once."""
+    total, reach = 0.0, -math.inf
+    for a, b in sorted(intervals):
+        if b > reach:
+            total += b - max(a, reach)
+            reach = b
+    return total
 
 
 def estimate_c(trials: int, m_max: int = 3, rate_box: float = 2.0,

@@ -35,15 +35,17 @@ additive rule; a point needs no grid. A vector W is handed over as T W,
 with both ends moved out by its rounding; a set is handed over as its image
 in V', and its witness is lifted back into V.
 
-Certificate. The grid maximum is the lower bound; it is found coarse to
-fine, and only what cannot reach it is pruned (``_coarse_prune``). Every
-point of the box lies within h/2 of a grid point in l-inf, so the upper
-bound needs only the l-inf Lipschitz bound M * sup|f|, M the Markov
-constant of the identity modulus (the space's own modulus serves the
-Lipschitz stability of 1/N_V(Z) only): lower / (1 - M * h/2) on the
-relative rule, and lower + M * h/2 * sup_cube on the additive one, sup_cube
-the upper end of the cube bracket of the same W. The spacing h is halved
-while M * h/2 >= 1. In a box's frame a given spacing h becomes
+Certificate. The grid maximum is the lower bound: a dense pass's value,
+point and column, found on a tree of blocks of grid points by one rule that
+drops, level by level, each column and block whose Taylor bound stays below
+the level's best value (``_coarse_prune``). Every point of the box lies
+within h/2 of a grid point in l-inf, so the upper bound needs only the
+l-inf Lipschitz bound M * sup|f|, M the Markov constant of the identity
+modulus (the space's own modulus serves the Lipschitz stability of
+1/N_V(Z) only): lower / (1 - M * h/2) on the relative rule, and
+lower + M * h/2 * sup_cube on the additive one, sup_cube the upper end of
+the cube bracket of the same W. The spacing h is halved while
+M * h/2 >= 1. In a box's frame a given spacing h becomes
 h * min(1, 1 / max r), and a budget stays the cube's.
 """
 from __future__ import annotations
@@ -63,7 +65,7 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
 VERTEX_BUDGET = 4_000_000
 FEKETE_CAP = 500_000
-# grid maximiser: values per evaluated block, and the relative slack that
+# grid maximiser: values per evaluated chunk, and the relative slack that
 # keeps rounding from pruning a maximiser
 _BLOCK_VALUES = 1 << 20
 _PRUNE_RTOL = 1e-9
@@ -303,12 +305,11 @@ def _grid_key(spacing, budget):
 
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
-    """What a bracket on one (space, box, spacing, budget) needs that does
-    not depend on W: M, the rule, the halved spacing, the axes in place of
-    O(G) points, and the coarse lattice, whose basis table, H, P and levels
-    are built on first use. Made by ``_grid_plan``, an ``lru_cache`` of 8,
-    so every set in one space shares the cube's plan, and so does every
-    polynomial box in its frame. Its arrays are read-only."""
+    """What a bracket on one (space, box, spacing, budget) needs that does not
+    depend on W: M, the rule, the halved spacing, the axes in place of O(G)
+    points, and the tree, H and P, built on first use. Made by ``_grid_plan``,
+    an ``lru_cache`` of 8, so every set in one space shares the cube's plan,
+    as does every polynomial box in its frame. Its arrays are read-only."""
 
     space: SpaceDescriptor
     markov: MarkovConstant  # of the identity modulus, for the box
@@ -318,17 +319,7 @@ class _GridPlan:
     axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
     shape: tuple
     lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
-    stride: int  # of its coarse lattice, see ``sub``; 0 where it has none
-    # per axis, cell c owns grid indices edges[c] .. edges[c + 1] - 1; None: no lattice
-    edges: Optional[tuple]
-    r: float  # half-gap of the coarse lattice
-
-    @property
-    def sub(self) -> Optional[tuple]:
-        """Per axis, the grid indices of its coarse lattice, every ``stride``-th
-        one and the last; None where it has none. Made on each use and not
-        kept: the table and the levels read it once."""
-        return tuple(_every(k, self.stride) for k in self.shape) if self.stride else None
+    vmax: float  # max(1, sup of the basis on the box), for ``_coarse_prune``'s slack
 
     @functools.cached_property
     def H(self) -> float:
@@ -349,34 +340,32 @@ class _GridPlan:
         return _read_only(P.reshape(-1, P.shape[2]))
 
     @functools.cached_property
-    def table(self):
-        """(Phi, vmax): the basis table on the coarse lattice and max(1, max |Phi|)."""
-        flat = np.ravel_multi_index(np.ix_(*self.sub), self.shape).ravel()
-        Phi = _read_only(self.space.evaluate_basis(_grid_points(self.axes, flat)))
-        return Phi, max(1.0, float(np.abs(Phi).max()))
+    def tree(self) -> tuple:
+        """((size, rows, r), ...) per level of blocks, coarsest first, () where S < 2.
 
-    @functools.cached_property
-    def levels(self) -> tuple:
-        """((rows, r), ...) of the sub-lattices of every 4^j-th coarse index
-        per axis plus the last, coarsest first: the rows of ``table`` there
-        and the sub-lattice's half-gap."""
-        sub = self.sub
-        if sub is None:
+        Level j tiles the grid from index 0 with blocks of size = S * 4^j
+        indices per axis (the last on an axis may be shorter), up while a
+        block is shorter than the longest axis; S makes the root (j = 0) about
+        9 * sqrt(G) blocks, as costly as some 80 kept blocks. A block reaches
+        from its first grid point to its neighbour's (to hi for the last);
+        rows holds the basis at the block centres, in C order, and r the
+        largest centre-to-end distance."""
+        s = int(round((math.sqrt(math.prod(self.shape)) / 9.0) ** (1.0 / len(self.shape))))
+        if s < 2:
             return ()
-        Phi = self.table[0]
-        table = Phi.reshape([i.size for i in sub] + [Phi.shape[1]])
-        levels, q = [], 4
-        while q < max(i.size for i in sub) - 1:
-            idx = [_every(i.size, q) for i in sub]
-            r = _half_gap([_axis_points(ax, i[j]) for ax, i, j in zip(self.axes, sub, idx)])
-            levels.append((_read_only(table[np.ix_(*idx)].reshape(-1, Phi.shape[1])), r))
-            q *= 4
+        levels, size = [], s
+        while not levels or size < max(self.shape):
+            centres, r = [], 0.0
+            for ax in self.axes:
+                first = np.arange(0, ax[2], size)
+                end = np.minimum(first + size, ax[2] - 1)
+                x0, xc, x1 = _axis_points(ax, np.stack((first, (first + end) // 2, end)))
+                r = max(r, float(np.max(xc - x0)), float(np.max(x1 - xc)))
+                centres.append(xc)
+            grid = np.stack(np.meshgrid(*centres, indexing="ij"), axis=-1).reshape(-1, len(centres))
+            levels.append((size, _read_only(self.space.evaluate_basis(grid)), r))
+            size *= 4
         return tuple(reversed(levels))
-
-
-def _every(k: int, s: int) -> np.ndarray:
-    """The indices 0, s, 2s, ... below k - 1, and k - 1."""
-    return np.append(np.arange(0, k - 1, s), k - 1)
 
 
 def _halved_grid(M: float, box, spacing, budget):
@@ -396,10 +385,9 @@ def _halved_grid(M: float, box, spacing, budget):
 @functools.lru_cache(maxsize=8)
 def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
     """The grid plan of a box, given as the float64 bytes of its rows (lo, hi),
-    with the box's own M and coarse lattice; a trigonometric box on which
-    Bernstein's constant is not certified takes the cube's and the additive
-    rule. Here the spacing is halved while M * h/2 >= 1, and the grid and
-    lattice are fixed."""
+    with the box's own M; a trigonometric box on which Bernstein's constant
+    is not certified takes the cube's and the additive rule. Here the
+    spacing is halved while M * h/2 >= 1, and the grid is fixed."""
     box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
     identity = replace(space, modulus=IDENTITY)
     M = markov_constant(identity, box=box)
@@ -408,22 +396,8 @@ def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _Gr
         M = markov_constant(identity)
     spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
     lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
-    shape = tuple(ax[2] for ax in axes)
-    # coarse stride s: about 9 * sqrt(G) coarse points
-    s = int(round((math.sqrt(math.prod(shape)) / 9.0) ** (1.0 / len(shape))))
-    if s < 2:
-        return _GridPlan(space, M, additive, spacing, h_eff, axes, shape, lipschitz, 0, None, 0.0)
-    sub = [_every(k, s) for k in shape]
-    edges = tuple(_cells(i, k) for i, k in zip(sub, shape))
-    r = _half_gap([_axis_points(ax, i) for ax, i in zip(axes, sub)])
-    return _GridPlan(space, M, additive, spacing, h_eff, axes, shape, lipschitz, s, edges, r)
-
-
-def _cells(i: np.ndarray, m: int) -> np.ndarray:
-    """Edges of the cells of lattice points at ascending grid indices i of an
-    axis of m grid points: cell c owns the grid indices edges[c] ..
-    edges[c + 1] - 1 nearest i[c] (ties go to the lower point)."""
-    return _read_only(np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [m])))
+    return _GridPlan(space, M, additive, spacing, h_eff, axes, tuple(ax[2] for ax in axes),
+                     lipschitz, max(1.0, space.basis_sup(box)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -464,21 +438,26 @@ class _Frame:
     live axes are not the cube's is affine: V''s box is the cube, T is
     ``_shift`` @ R and the lift L @ its inverse shift. Elsewhere u = x[live]
     (c = 0, r = 1) on the box's live rows, and T = R: None, with the lift,
-    where no axis is flat. The lift is made on first use.
+    where no axis is flat. T and the lift are made on first use.
     """
 
     def __init__(self, space: SpaceDescriptor, box: np.ndarray):
-        self.space, self.live, self.T, self.L = space.restrict(box)
+        self.space, self.live, self.R, self.L = space.restrict(box)
         lo, hi = self.box = box[:, self.live]
         self.centre = (box[0] + box[1]) / 2.0
         cube = _cube(self.space) if space.kind == "polynomial" else None
         self.affine = cube is not None and self.box.tobytes() != cube.tobytes()
-        if self.affine:  # V''s box is the cube, and T the shift onto it after R
+        if self.affine:  # V''s box is the cube
             self.box, self.c, self.r = cube, self.centre[self.live], (hi - lo) / 2.0
-            S = _shift(self.space, self.c, self.r)
-            self.T = S if self.T is None else S @ self.T
         else:
             self.c, self.r = np.zeros(lo.size), np.ones(lo.size)
+
+    @functools.cached_property
+    def T(self) -> Optional[np.ndarray]:
+        if not self.affine:
+            return self.R
+        S = _shift(self.space, self.c, self.r)  # the shift onto the cube, after R
+        return S if self.R is None else S @ self.R
 
     @functools.cached_property
     def lift(self) -> Optional[np.ndarray]:
@@ -520,12 +499,8 @@ class _Frame:
 
     def sup(self, W: np.ndarray, spacing, budget):
         """``_certified_max`` of W, coefficients in V', on V''s box and in its
-        coordinates. A point needs no grid: V' holds the constants, and
-        sup |f| = |f(p)|. Every other box takes its own plan (``_GridPlan``)
-        by the relative rule, or, for a trigonometric box that does not cover
-        the cube, where Bernstein's constant is not certified
-        (``markov_constant``), by the additive rule with the cube's plan. A
-        given spacing h becomes h * min(1, 1 / max r)."""
+        coordinates, placed as the module docstring says (a point reads
+        |f(p)|: V' holds the constants); a spacing h becomes h * min(1, 1 / max r)."""
         if self.space.n == 0:
             vals = np.abs(W[0]).sum(axis=1)
             k = int(np.argmax(vals))
@@ -644,28 +619,19 @@ def _half_signs(l: int) -> np.ndarray:
 
 
 def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
-    """Maximum of sum_j |phi(x) @ W[:, k, j]| over the grid of ``plan`` and
-    all groups k.
-
-    Returns (value, point, column). Point and column are
-    the first maximiser in grid order and column order, as one dense
-    ``_group_values(Phi, W)`` would give. ``rule`` is the (H, S) of the
-    second-order bound that ``_certified_max`` picks (``_coarse_prune``);
-    with it, ``_coarse_prune`` skips the columns and grid cells that cannot
-    reach the maximum, exactly, not approximately. Where it keeps every cell,
-    every grid point is evaluated for the columns it keeps. Either way the
-    grid is evaluated in blocks of bounded size.
-    """
-    total = math.prod(plan.shape)
+    """(value, point, column): the maximum of sum_j |phi(x) @ W[:, k, j]| over
+    the grid of ``plan`` and all groups k, and its first maximiser in grid
+    order and column order, as one dense ``_group_values(Phi, W)`` gives.
+    ``_coarse_prune`` skips, by the (H, S) of ``rule`` that ``_certified_max``
+    picks, the columns and blocks that cannot reach it, exactly; the grid
+    points it keeps are evaluated in chunks of bounded size."""
     cols, keep = _coarse_prune(W, plan, rule)
-    Wk = W[:, cols]
+    Wk, total = W[:, cols], math.prod(plan.shape)
     top, point, col = -math.inf, None, 0
     step = _block_rows(Wk)
     for start in range(0, total if keep is None else keep.size, step):
-        if keep is None:
-            flat = np.arange(start, min(total, start + step))
-        else:
-            flat = keep[start:start + step]
+        flat = (np.arange(start, min(total, start + step)) if keep is None
+                else keep[start:start + step])
         pts = _grid_points(plan.axes, flat)
         vals = _group_values(plan.space.evaluate_basis(pts), Wk)
         rowmax = vals.max(axis=1)
@@ -680,84 +646,79 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
 def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
-    A plan's own coarse lattice keeps every s-th grid index per axis plus the
-    last one. The stride s makes it about 9 * sqrt(G) of the G grid points:
-    G / s^n coarse points then cost about as much as some 80 kept cells of
-    s^n fine points each. Nested in it are the plan's levels, sub-lattices
-    of every 4^j-th coarse index per axis plus the last, and the loop runs
-    from the coarsest down to the coarse lattice itself, each on rows of the
-    plan's coarse basis table, which every W on the plan shares. Every grid point x
-    lies within r (the lattice's half-gap) on every axis of the lattice
-    point c whose cell holds it, and Taylor's theorem on the segment from c
-    to x gives for p in V
-
-        |p(x)| <= |p(c)| + r * sum_i |d_i p(c)| + r^2 / 2 * sum_ij sup |d_i d_j p|,
-
-    so that column k, of value V_k, is bounded near c by
+    One loop over the plan's tree (``_GridPlan.tree``), coarsest level first:
+    each level runs ``_lattice_pass`` on its kept blocks' rows of the plan's
+    tables, drops columns and blocks by one rule, and hands the kept blocks'
+    children on; the kept root blocks give the grid indices. Levels above
+    the root run while two or more columns are left, to drop columns. Every point of a block lies within r (the
+    level's) of its centre c on every axis, so Taylor's theorem on the
+    segment between them bounds column k, of value V_k, on the block by
 
         V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
-    with ``rule`` = (H, S) as ``_certified_max`` picks it (``_GridPlan.H``),
-    D_k the slope of ``_with_slopes`` and S_k a bound on sup V_k: on the
-    relative rule (S None) the bound itself gives
-    S_k = max_c (V_k + r * D_k) / (1 - q) where q < 1, and on the additive
-    one S_k = S, the upper end of the cube bracket of the same W.
+    with ``rule`` = (H, S) as ``_certified_max`` picks it (``_GridPlan.H``
+    bounds the second derivatives relative to the sup), D_k the slope of
+    ``_with_slopes`` and S_k a bound on sup V_k: on the relative rule
+    (S None) S_k = max_c (V_k + r * D_k) / (1 - q) over the kept blocks
+    where q < 1, and on the additive one S_k = S, the cube bracket's upper end.
 
-    The floor is a lower bound on the grid maximum: the largest lattice
-    value V_k(c), since lattice points are grid points, less a rounding
-    slack. So a column whose bound stays below the floor at every lattice
-    point stays below the grid maximum at every grid point, and each lattice
-    drops such columns; the dense pass's first maximiser, point and column,
-    is never dropped. Sub-lattices are skipped where q >= 1 or a bound is
-    not finite, and once one column is left. On the coarse lattice, a cell
-    goes too where the largest V_k(c) + r * D_k(c) over the columns the
-    lattice tests, plus the largest q * S_k of those it keeps, lies below
-    the same floor: that sum bounds every kept column near c.
+    The floor is the level's largest V_k(c), a grid value, less a rounding
+    slack. A column goes where its bound stays below the floor on every kept
+    block, and a block where the largest V_k(c) + r * D_k(c) over the columns
+    tested, plus the largest kept q * S_k, does. Neither holds the dense
+    pass's first maximiser, point x* and column k*: level by level, V_k*
+    stays below the floor on the blocks dropped so far and reaches every
+    floor at x*, so its sup lies in the kept blocks, S_k* bounds it, and x*'s
+    block and k* pass. A level with q >= 1 or a bound that is not finite (a
+    value included) prunes nothing and descends.
 
-    The slack: basis values peak in modulus at the box's corners
-    (trigonometric ones are at most 1), which every lattice holds, so one
-    computed |phi @ w| is off by at most about l * eps * ||w||_1 * vmax; a
-    value and its reach by the sum of that over the group's members and, r
-    times, over its derivative members, and a bound by 1 / (1 - q) times
-    that, once for the bound and once for the floor.
+    The slack: one computed |phi @ w| is off by at most l * eps * ||w||_1 *
+    vmax (``_GridPlan.vmax``), a value and its reach by the sum of that over
+    the group's members and, r times, its derivative members, and a bound
+    by 1 / (1 - q) times that, once for the bound and once for the floor.
 
-    Returns (columns, ascending flat indices), with None for the indices
-    when every cell is kept: where the grid is too small to coarsen, or the
-    coarse lattice has q >= 1 or a bound that is not finite (a non-finite
-    lattice value included).
+    Returns (columns, ascending flat indices; None where every block is kept).
     """
     cols = np.arange(W.shape[1])
     H, S = rule
-    if plan.edges is None or not 0.5 * H * plan.r**2 < 1.0:
-        return cols, None
     g = W.shape[2]
     Wv, D0 = _with_slopes(W, plan)
     norms = np.abs(Wv).sum(axis=0)
     wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
-    Phi, vmax = plan.table
-    for rows, r in (plan.levels if cols.size > 1 else ()) + ((None, plan.r),):
+    unit = 2 * W.shape[0] * float(np.finfo(float).eps) * plan.vmax
+    kept, at = None, 0  # the kept blocks, of size at; None while every one is
+    for size, rows, r in plan.tree:
         q = 0.5 * H * r * r
-        if rows is not None and (cols.size == 1 or not q < 1.0):
+        if not q < 1.0 or (cols.size == 1 and size > plan.tree[-1][0]):
             continue
-        low, reach, rowreach = _lattice_pass(Phi if rows is None else rows, Wv[:, :, cols], g,
-                                             D0[cols], r)
+        if kept is not None and at > size:
+            kept, at = _sub_blocks(kept, at, size, plan.shape), size
+        low, reach, rowreach = _lattice_pass(rows if kept is None else rows[kept],
+                                             Wv[:, :, cols], g, D0[cols], r)
         # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
         bound = reach / (1.0 - q) if S is None else reach + q * S
-        if not np.all(np.isfinite(bound)):
-            if rows is None:  # the coarse lattice
-                return cols, None
+        if not np.isfinite(bound).all():
             continue
-        slack = 2 * W.shape[0] * np.finfo(float).eps * vmax * (wnorm + r * dnorm) / (1.0 - q)
-        best = float(low.max())
-        floor = best - (_PRUNE_RTOL * abs(best) + slack)
+        floor = float(low.max()) * (1.0 - _PRUNE_RTOL) - unit * (wnorm + r * dnorm) / (1.0 - q)
         keep = bound >= floor
         cols = cols[keep]
-
-    pad = float((bound - reach)[keep].max())  # the largest q S_k of a kept column
-    cell_ok = (rowreach + pad >= floor).reshape([e.size - 1 for e in plan.edges])
-    if cell_ok.all():
+        ok = rowreach + float((bound - reach)[keep].max()) >= floor  # the largest kept q S_k
+        if not ok.all():
+            kept, at = np.flatnonzero(ok) if kept is None else kept[ok], size
+    if kept is None:
         return cols, None
-    return cols, _cell_indices(cell_ok, plan.edges, plan.shape)
+    flat = _sub_blocks(kept, at, 1, plan.shape)
+    return cols, flat if len(plan.shape) == 1 else np.sort(flat)
+
+
+def _sub_blocks(kept: np.ndarray, size: int, sub: int, shape) -> np.ndarray:
+    """Flat indices of the blocks of ``sub`` indices per axis (1: grid points)
+    that tile the blocks ``kept`` of ``size``, a multiple of ``sub``, on a grid
+    of ``shape``: ascending per block, and overall in 1-D where ``kept`` is."""
+    n, f, counts = len(shape), size // sub, [-(-m // sub) for m in shape]
+    parents = np.array(np.unravel_index(kept, [-(-m // size) for m in shape]))
+    multi = (parents[:, :, None] * f + np.indices((f,) * n).reshape(n, 1, -1)).reshape(n, -1)
+    return np.ravel_multi_index(multi[:, np.all(multi < np.array(counts)[:, None], axis=0)], counts)
 
 
 def _with_slopes(W: np.ndarray, plan: _GridPlan):
@@ -780,18 +741,12 @@ def _with_slopes(W: np.ndarray, plan: _GridPlan):
     return np.concatenate([Wv, dW.transpose(1, 0, 2).reshape(l, -1, K)], axis=1), np.zeros(K)
 
 
-def _half_gap(axes) -> float:
-    """Half the largest gap between neighbours on any axis."""
-    return max(float(np.max(ax[1:] - ax[:-1])) / 2.0 for ax in axes)
-
-
 def _lattice_pass(rows, Wv, g, D0, r):
-    """(low, reach, rowreach) on the lattice ``rows``, for the (Wv, D0) of
-    ``_with_slopes``: per row the max over groups of the group value V, per
-    group the max over rows of V + r * D, D its slope, and per row the max
-    over groups of V + r * D. Rows run in blocks of bounded size; groups lie
-    along the first axis of a block's values, so the sums over members run
-    on contiguous memory."""
+    """(low, reach, rowreach) on the basis ``rows`` at block centres, for the
+    (Wv, D0) of ``_with_slopes``: per row the max over groups of the group
+    value V, per group the max over rows of V + r * D, D its slope, and per
+    row the max over groups of V + r * D. Rows run in chunks of bounded
+    size, groups along the first axis, so member sums read contiguous memory."""
     l, members, K = Wv.shape
     low, rowreach, reach = [], [], 0.0
     step = _block_rows(Wv)
@@ -817,34 +772,6 @@ def _group_values(Phi, W) -> np.ndarray:
     return np.abs(Phi @ W.reshape(l, K * g)).reshape(-1, K, g).sum(axis=2)
 
 
-def _cell_indices(cell_ok: np.ndarray, edges, shape) -> np.ndarray:
-    """Ascending flat grid indices owned by the kept cells.
-
-    Cell c of an axis owns the grid indices edges[c] .. edges[c + 1] - 1, and
-    may own none. Axis by axis, each grid index prefix that leads to a kept
-    cell, in ascending order, is extended by the index ranges of the cells on
-    the next axis that lead to one. The work is the kept indices plus one row
-    of an axis's cells per kept prefix; no array of the whole grid is built.
-    """
-    flat = owner = np.zeros(1, dtype=np.intp)  # index prefixes and their cells
-    last = cell_ok.ndim - 1
-    for d, (edge, m) in enumerate(zip(edges, shape)):
-        ok = cell_ok if d == last else cell_ok.any(axis=tuple(range(d + 1, cell_ok.ndim)))
-        e, c = np.nonzero(ok.reshape(-1, edge.size - 1)[owner])  # prefix-major, cells ascending
-        start = edge[c]
-        size = edge[c + 1] - start
-        flat = np.repeat(flat[e] * m, size) + _ranges(start, size)
-        if d < last:
-            owner = np.repeat(owner[e] * (edge.size - 1) + c, size)
-    return flat
-
-
-def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The ranges start[k] .. start[k] + length[k] - 1, concatenated in order."""
-    end = np.cumsum(length)
-    return np.repeat(start - (end - length), length) + np.arange(end[-1] if end.size else 0)
-
-
 def _block_rows(W: np.ndarray) -> int:
     """Rows per block of Phi (l values a row) and of Phi @ W (K * g values a row)."""
     return max(1, _BLOCK_VALUES // max(W.shape[0], W.shape[1] * W.shape[2], 1))
@@ -861,7 +788,9 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
 
     The witness is W[:, k] @ s for the maximising group k, with s_j the sign
     of member j at the witness point relative to member 0 (-1 where it
-    vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent set.
+    vanishes): the vertex itself, or the vertex sum_j s_j L_j of a unisolvent
+    set, divided by max(1, max_Z |f|) (a vertex meets |f| <= 1 on Z to 1e-9);
+    value and lower are |f(x*)| of the scaled witness, a feasible LP value.
 
     A set is taken in the frame of its domain (``_Frame``), as its image in
     V' on V''s box, where N is the same; its witness is lifted back into V,
@@ -905,14 +834,16 @@ def norming_constant(space: SpaceDescriptor, points, *, grid_spacing=None,
         v = frame.space.evaluate_basis(bracket.argmax) @ W[:, k]
         s = np.where(v * (-1.0 if v[0] < 0 else 1.0) > 0, 1.0, -1.0)
         s[0] = 1.0
-    witness = frame.lifted(W[:, k] @ s)
+    w = W[:, k] @ s
     if not math.isfinite(bracket.lower):
         raise IllConditionedError("LP value not finite despite full rank",
-                                  direction=witness)
+                                  direction=frame.lifted(w))
+    scale = max(1.0, float(np.abs(B @ w).max()))  # to max_Z |f| <= 1, from 1 + 1e-9
     bracket = frame.to_box(bracket)
+    lower = bracket.lower / scale
     return NormingReport(
-        norming=True, value=bracket.lower, lower=bracket.lower, upper=bracket.upper,
-        grid_spacing=bracket.grid_spacing, witness_coefficients=witness,
+        norming=True, value=lower, lower=lower, upper=bracket.upper,
+        grid_spacing=bracket.grid_spacing, witness_coefficients=frame.lifted(w / scale),
         witness_point=bracket.argmax, method="lp_grid", certified=bracket.certified)
 
 

@@ -129,7 +129,7 @@ def test_audit_on_a_flat_box_reads_the_set_of_its_live_variables():
     boxed = audit(SpaceDescriptor.polynomial(2, 2), flat, names, lam=0.5)
     line = audit(P2, [[-1.0], [-0.2], [0.5], [1.0]], names, lam=0.5)
     assert boxed.to_json() == line.to_json()
-    assert boxed.exact == 1.2041666666666666
+    assert boxed.exact == 1.2041666666666662
     assert [f.bound.value for f in boxed.findings[1:]] == pytest.approx([17.0, 9.375, 1.0])
     assert [f.violation for f in boxed.findings] == [False, False, False, True]
     # on a point V is the constants, for which no bound is stated

@@ -137,3 +137,12 @@ def test_minimal_c_certifies_its_own_instance(rng):
         rhs = tn_bound_1d(m, p.max_abs_re_rate, b - a, meas,
                           c=max(c, 1e-12)) * sup_abs_on_union(p, zs)
         assert lhs <= rhs * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("zs", [[(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)], [(0.0, 0.6), (0.4, 1.0)]],
+                         ids=["I", "twice", "overlapping"])
+def test_minimal_c_takes_the_measure_of_the_union_of_z(zs):
+    # p = 1 + e^{ix} on I = [0, 1]: each Z covers I once or twice over, so
+    # each has measure 1 and needs the c of Z = I
+    p = ExpPoly.univariate([1.0, 1.0], [0.0, 1j])
+    assert minimal_c_for_instance(p, (0.0, 1.0), zs) == pytest.approx(1.0, rel=1e-12)

@@ -6,16 +6,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_plan, random_points, uniform_grid
 from norming_lab import (IDENTITY, PointSet, SpaceDescriptor, certified_supnorm,
                          lebesgue_constant, norming_constant)
 from norming_lab import norming
-from norming_lab.norming import (_Frame, _cell_indices, _cells, _certified_max, _coarse_prune,
-                                 _every, _feasible_vertices, _grid_axes, _grid_max, _grid_plan,
-                                 _grid_points, _half_signs, _shift, _with_slopes)
+from norming_lab.norming import (_Frame, _certified_max, _coarse_prune, _feasible_vertices,
+                                 _grid_axes, _grid_max, _grid_plan, _grid_points, _half_signs,
+                                 _shift, _sub_blocks, _with_slopes)
 from norming_lab.simplex import norming_lp_value
 from norming_lab.spaces import _monomial_exponents, markov_constant, power_modulus
 
@@ -130,7 +130,7 @@ CASES = {
                   (np.array([-1.4]), np.array([0.3])), None, 20001, True),
     "trig-period": (SpaceDescriptor.trigonometric(1, 3),
                     (np.array([-1.5]), np.array([1.5])), None, 20001, True),
-    # 1-D grids below 182 points have a coarse stride of 1
+    # 1-D grids below 182 points have S = 1, so no tree of blocks
     "s-is-one": (SpaceDescriptor.polynomial(1, 4), None, None, 150, False),
     # a polynomial box with a flat axis, whose live axis spans the cube's: V'
     # on its own cube, handed R W
@@ -158,8 +158,8 @@ def test_grid_max_matches_dense_oracle(name):
         assert plan is grid_plan(frame.space, frame.box, key, budget)
         assert plan.axes == axes
         assert bracket.grid_spacing == h * float(frame.r.max())
-        # pruned: the coarse lattice is evaluated; otherwise every column and
-        # every cell is kept
+        # pruned: a level of the tree is evaluated; otherwise every column
+        # and every block is kept
         with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as lattice_pass:
             cols, keep = _coarse_prune(Wh, plan, rule)
         assert lattice_pass.called == pruned
@@ -179,16 +179,60 @@ def test_grid_max_matches_dense_oracle(name):
 
 
 def _keeps_everything(space, W, plan, rule):
-    """True when ``_coarse_prune`` keeps every column and every grid cell."""
+    """True when ``_coarse_prune`` keeps every column and every block."""
     cols, keep = _coarse_prune(W, plan, rule)
     return cols.size == W.shape[1] and keep is None
 
 
+@st.composite
+def _ragged_case(draw, family):
+    """A space of ``family``, a box and a budget of m^n points whose grid is
+    ragged: no axis's point count a multiple of the root block size S, so of
+    no level's S * 4^j, and the last block on every axis shorter. W is the
+    vertex matrix of a set of dim V + 0..2 points in the cube (the box of a
+    fewnomial span), or a vector."""
+    n = draw(st.integers(1, 3 if family == "polynomial" else 2))
+    if family == "fewnomial":
+        space, box = (FEW, FEW_BOX) if n == 1 else (FEW2, FEW2_BOX)
+    else:
+        top = {"polynomial": (5, 2, 1), "trigonometric": (3, 1)}[family][n - 1]
+        space = getattr(SpaceDescriptor, family)(n, draw(st.integers(1, top)))
+        box = space.default_box()
+        if family == "trigonometric" or draw(st.booleans()):
+            # inside the cube: a trigonometric box then takes the additive
+            # rule, and no maxima tie one period apart
+            lo = np.array(draw(st.lists(st.floats(-1.0, 0.4), min_size=n, max_size=n)))
+            box = (lo, lo + np.array(draw(st.lists(st.floats(0.3, 0.6), min_size=n,
+                                                    max_size=n))))
+    m = draw(st.integers(*{1: (200, 3000), 2: (40, 120), 3: (15, 30)}[n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return space, box, m, rng.normal(size=(space.dimension(), 1, 1))
+    inst_box = box if family == "fewnomial" else space.default_box()
+    return space, box, m, _instance(rng, space, inst_box, draw(st.integers(0, 2)))
+
+
+@pytest.mark.parametrize("family", ["polynomial", "trigonometric", "fewnomial"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_tree_matches_a_dense_pass_on_ragged_grids(family, data):
+    space, box, m, W = data.draw(_ragged_case(family))
+    frame = _Frame(space, np.asarray(box, dtype=float))
+    plan = grid_plan(frame.space, frame.box, None, m**space.n)
+    assume(plan.tree and any(k % plan.tree[-1][0] for k in plan.shape))
+    _, _, Wh, handed, rule = _handed(space, W, box, None, m**space.n)
+    assert handed is plan
+    value, point, col = _grid_max(Wh, plan, rule)
+    ref_value, ref_point, ref_col = _dense_on(plan.space, Wh, plan.axes)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.array_equal(point, ref_point) and col == ref_col
+
+
 # Real vertex matrices with hundreds of columns: (space, box or None for the
-# cube, m, budget, column levels that must run, seed). A level runs where
-# H * r^2 / 2 < 1: in 2-D P2 (H = 16) at 40,000 points the coarsest level has
-# r = 0.40 and only the finer one runs; at the default 200,001 points both
-# run, with r = 0.25 and 0.063.
+# cube, m, budget, levels above the root that must run, seed). A level runs
+# where H * r^2 / 2 < 1: in 2-D P2 (H = 16) at 40,000 points the level above
+# the root has r = 0.10 and the one above it r = 0.40, so only the first
+# runs; at the default 200,001 points two run, with r = 0.063 and 0.25.
 WIDE = {
     "P6-1d-m10": (SpaceDescriptor.polynomial(1, 6), None, 10, 20001, 2, 1),
     "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1, 0),
@@ -205,8 +249,7 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     W = _instance(np.random.default_rng(seed), space, box, m - space.dimension())
     assert W.shape[1] > 20
     _, _, _, plan, rule = _handed(space, W, box, None, budget)
-    # one blocked lattice pass per level that runs, and one on the whole
-    # coarse lattice
+    # one lattice pass per level that runs, the root included
     lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
     cols, _ = _coarse_prune(W, plan, rule)
@@ -298,14 +341,31 @@ def test_second_derivatives_are_bounded_by_H(name):
         assert tight == pytest.approx(H, rel=1e-9)
 
 
-def test_one_column_runs_no_level(monkeypatch):
+def test_one_column_reads_the_root_table_alone(monkeypatch):
+    # a one-column call starts at the root level and reads its whole table
+    # as the plan holds it, with no gather
     space = SpaceDescriptor.polynomial(1, 6)
     plan = grid_plan(space, space.default_box(), None, 20001)
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
-    assert _coarse_prune(W, plan, (plan.H, None)) is not None
-    assert lattice_pass.call_count == 1
+    cols, keep = _coarse_prune(W, plan, (plan.H, None))
+    assert len(plan.tree) > 1 and lattice_pass.call_count == 1
+    assert lattice_pass.call_args.args[0] is plan.tree[-1][1]
+    assert list(cols) == [0] and keep is not None and keep.size < np.prod(plan.shape)
+
+
+def test_many_columns_drop_blocks_above_the_root(monkeypatch):
+    # the levels above the root drop blocks as well as columns, so the root
+    # level reads fewer rows than its table holds
+    space, _, m, budget, _, seed = WIDE["P2-2d-m10-default"]
+    W = _instance(np.random.default_rng(seed), space, space.default_box(), m - space.dimension())
+    _, _, _, plan, rule = _handed(space, W, space.default_box(), None, budget)
+    lattice_pass = mock.Mock(wraps=norming._lattice_pass)
+    monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
+    _coarse_prune(W, plan, rule)
+    rows = [call.args[0].shape[0] for call in lattice_pass.call_args_list]
+    assert rows[-1] < plan.tree[-1][1].shape[0]
 
 
 # (space, box, rule, M, H): the Markov or Bernstein constant M and the
@@ -382,7 +442,7 @@ def test_off_cube_polynomial_bracket_holds_the_sup():
                          ids=["P2", "T1", "fewnomial"])
 def test_flat_axis_takes_the_whole_budget(space):
     # the frame hands the grid layer V' in the one live variable, whose grid
-    # takes the whole budget, and whose coarse lattice the 4,001 points of a
+    # takes the whole budget, and whose root level the 4,001 blocks of a
     # 1-D one: the grid layer never sees the flat axis
     box = (np.array([0.3, 0.7]), np.array([1.8, 0.7]))
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
@@ -404,8 +464,9 @@ def test_subbox_is_not_pruned_without_cube_bound():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_identity_columns_keep_every_cell(n):
-    # W = I: the constant column ties with the maximum everywhere, so no cell is pruned and no index array is built
+def test_identity_columns_keep_every_block(n):
+    # W = I: the constant column ties with the maximum everywhere, so no
+    # block is dropped and no index array is built
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())[:, :, None]
@@ -420,49 +481,62 @@ def test_identity_columns_keep_every_cell(n):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_cells_give_each_grid_index_to_a_nearest_lattice_point(data):
-    # a plan's lattice: grid indices, every s-th one and the last
-    m = data.draw(st.integers(1, 40), label="m")
-    i = _every(m, data.draw(st.integers(1, 12), label="s"))
-    edges = _cells(i, m)
-    assert edges[0] == 0 and edges[-1] == m and np.all(np.diff(edges) > 0)
-    owner = np.repeat(np.arange(i.size), np.diff(edges))
-    dist = np.abs(i[:, None] - np.arange(m))
-    assert np.all(dist[owner, np.arange(m)] == dist.min(axis=0))
-    assert np.all(owner == np.argmin(dist, axis=0))  # ties go to the lower point
+def test_tree_blocks_nest_and_their_centres_reach_every_point(data):
+    # a plan's tree on a ragged grid: P1's basis is (1, x_1, ..., x_n), so
+    # column 1 + j of a level's rows is coordinate j of its block centres
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.lists(st.integers(2, {1: 3000, 2: 120, 3: 40}[n]), min_size=n, max_size=n),
+                  label="m")
+    lo = np.array(data.draw(st.lists(st.floats(-2.0, 1.0), min_size=n, max_size=n)))
+    box = (lo, lo + np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))))
+    plan = grid_plan(SpaceDescriptor.polynomial(n, 1), box, None, math.prod(m))
+    s = round((math.sqrt(math.prod(plan.shape)) / 9.0) ** (1.0 / n))
+    assert len(plan.tree) == 0 if s < 2 else plan.tree[-1][0] == s
+    for j, (size, rows, r) in enumerate(reversed(plan.tree)):
+        assert size == s * 4**j and (j == 0 or size < max(plan.shape))
+        counts = [-(-k // size) for k in plan.shape]
+        centres = rows[:, 1:].reshape(*counts, n)
+        for axis, (ax, k) in enumerate(zip(plan.axes, counts)):
+            x = np.linspace(ax[0], ax[1], ax[2])
+            c = np.moveaxis(centres[..., axis], axis, -1).reshape(-1, k)
+            assert np.all(c == c[0])  # a tensor grid of centres
+            # block b holds grid indices size * b .. size * (b + 1) - 1 and
+            # reaches the next block's first point: all within r of its centre
+            for b in range(k):
+                first, end = size * b, min(size * (b + 1), ax[2] - 1)
+                assert c[0, b] in x[first:first + size]
+                assert max(c[0, b] - x[first], x[end] - c[0, b]) <= r
+        # the children of every block of the level above tile it
+        if j + 1 < len(plan.tree):
+            above = [-(-k // (4 * size)) for k in plan.shape]
+            kids = [_sub_blocks(np.array([b]), 4 * size, size, plan.shape)
+                    for b in range(math.prod(above))]
+            assert np.array_equal(np.sort(np.concatenate(kids)), np.arange(math.prod(counts)))
 
 
-def _owner_mask_indices(cell_ok, edges, shape):
-    """Reference kept set: the cell of every grid index per axis, then the
-    whole-grid mask of grid points whose cell is kept."""
-    owner = [np.repeat(np.arange(e.size - 1), np.diff(e)) for e in edges]
-    assert all(o.size == k for o, k in zip(owner, shape))
-    return np.flatnonzero(cell_ok[np.ix_(*owner)])
+def _owner_mask_blocks(kept, size, sub, shape):
+    """Reference sub-blocks: the owner at ``size`` of every block at ``sub``,
+    then the mask of those whose owner is kept."""
+    counts = [-(-m // sub) for m in shape]
+    owner = np.ix_(*[np.arange(k) * sub // size for k in counts])
+    mask = np.isin(np.ravel_multi_index(owner, [-(-m // size) for m in shape]), kept)
+    return np.flatnonzero(mask)
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (101,), (37, 1), (1, 23), (40, 29),
                                    (9, 1, 14), (12, 11, 13)])
-def test_cell_indices_match_owner_mask(shape):
+def test_sub_blocks_match_owner_mask(shape):
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
-    for s in (1, 2, 3, 5, None):
-        if s is None:
-            # any cells, of any size, some of them empty
-            edges = [np.concatenate(([0], np.sort(rng.integers(0, k + 1, size=rng.integers(0, 6))),
-                                     [k])) for k in shape]
-        else:
-            # an own lattice: coarse index c owns the grid indices nearest to it
-            sub = [np.unique(np.append(np.arange(0, k, s), k - 1)) for k in shape]
-            edges = [np.concatenate(([0], (i[:-1] + i[1:]) // 2 + 1, [k]))
-                     for i, k in zip(sub, shape)]
-            for e, i, k in zip(edges, sub, shape):
-                nearest = np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(k))
-                assert np.array_equal(np.repeat(np.arange(i.size), np.diff(e)), nearest)
+    for sub, size in ((1, 1), (1, 3), (1, 5), (2, 8), (3, 12), (1, 64)):
+        count = math.prod(-(-m // size) for m in shape)
         for density in (0.0, 0.1, 0.5, 1.0):
-            cell_ok = rng.random([e.size - 1 for e in edges]) < density
-            cell_ok.flat[rng.integers(cell_ok.size)] = True  # the best cell is always kept
-            got = _cell_indices(cell_ok, edges, shape)
-            ref = _owner_mask_indices(cell_ok, edges, shape)
-            assert np.array_equal(got, ref)
+            kept = rng.random(count) < density
+            kept[rng.integers(count)] = True  # the best block is always kept
+            kept = np.flatnonzero(kept)
+            got = _sub_blocks(kept, size, sub, shape)
+            assert np.array_equal(np.sort(got), _owner_mask_blocks(kept, size, sub, shape))
+            if len(shape) == 1:
+                assert np.all(np.diff(got) > 0)
 
 
 @pytest.mark.parametrize("space", [SpaceDescriptor.polynomial(1, 4),
@@ -477,10 +551,21 @@ def test_norming_witness_is_feasible_and_attains_value(space):
         assert rep.norming
         B = space.evaluate_basis(pts)
         a = rep.witness_coefficients
-        assert np.max(np.abs(B @ a)) <= 1.0 + 1e-9
+        assert np.max(np.abs(B @ a)) <= 1.0 + 1e-12
         phi = space.evaluate_basis(rep.witness_point)
         assert abs(phi @ a) == pytest.approx(rep.value, rel=1e-12)
         assert norming_lp_value(B, phi) == pytest.approx(rep.value, rel=1e-8)
+
+
+def test_a_vertex_infeasible_within_the_tolerance_is_scaled_onto_z():
+    # for P1 on {-1, 1 - 5e-10, 1} the vertex through the first two points
+    # reaches 1 + 5e-10 at 1, within the enumeration's 1e-9: divided by
+    # that, its value there is N = 1, since Z holds both ends of the cube
+    space = SpaceDescriptor.polynomial(1, 1)
+    pts = [[-1.0], [1.0 - 5e-10], [1.0]]
+    rep = norming_constant(space, pts, budget=2001)
+    assert rep.value == rep.lower == pytest.approx(1.0, rel=1e-15) and rep.upper >= 1.0
+    assert np.max(np.abs(space.evaluate_basis(np.array(pts)) @ rep.witness_coefficients)) <= 1 + 1e-15
 
 
 # unisolvent sets: (space, {box name: box}); each set is drawn in its box
@@ -514,7 +599,9 @@ def test_lebesgue_group_matches_vertex_enumeration(name):
                 rep = norming_constant(space, PointSet(pts, box), budget=budget)
             verts, _ = _certified_max(space, W, box, None, budget)
             assert rep.norming and rep.certified == verts.certified
-            assert rep.lower == pytest.approx(verts.lower, rel=1e-12)
+            # the witness is divided by max_Z |f|, 1 to B^-1's rounding, and
+            # lower with it: by at most the 1e-9 that vertices may exceed 1 by
+            assert verts.lower * (1 - 1e-9) <= rep.lower <= verts.lower * (1 + 1e-12)
             assert rep.upper == pytest.approx(verts.upper, rel=1e-12)
             w = rep.witness_coefficients
             assert np.max(np.abs(B @ w)) <= 1.0 + 1e-9
@@ -522,19 +609,20 @@ def test_lebesgue_group_matches_vertex_enumeration(name):
             assert attained == pytest.approx(rep.lower, rel=1e-12)
 
 
-def test_grid_max_finds_a_peak_between_coarse_points():
-    # Column 0 peaks midway between two coarse points, 1e-8 above column 1's
-    # peak, which sits on a coarse point; at every coarse point column 0
-    # stays below that peak. Only the Markov pad keeps column 0 and its cell.
+def test_grid_max_finds_a_peak_between_block_centres():
+    # Column 0 peaks midway between two root block centres, on the edge of
+    # their blocks, 1e-8 above column 1's peak, which sits on a centre; at
+    # every centre column 0 stays below that peak. Only the Markov pad keeps
+    # column 0 and its block.
     T1 = SpaceDescriptor.trigonometric(1, 1)
     box = T1.default_box()
     axes, _ = _grid_axes(box, None, 20001)
     x = uniform_grid(box, None, 20001)[0][:, 0]
-    stride = 16  # round(sqrt(20001) / 9)
-    x0, y0 = x[625 * stride + stride // 2], x[938 * stride]
+    S = 16  # round(sqrt(20001) / 9): root blocks of 16 points, centred on 16 b + 8
+    x0, y0 = x[625 * S], x[938 * S + S // 2]
     bump = lambda c: np.array([1.0, np.cos(np.pi * c), np.sin(np.pi * c)])
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
-    coarse = T1.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
+    coarse = T1.evaluate_basis(x[S // 2::S, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
     assert plan.axes == axes
@@ -544,23 +632,24 @@ def test_grid_max_finds_a_peak_between_coarse_points():
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
 
-    # Column 0 = A cos(pi (x - x1)) peaks 0.2 h past the edge of the cell of
-    # the coarse point c = x[625 * stride], which owns the fine points up to
-    # c + 8 h. Its grid maximum, A (1 - 0.02 pi^2 h^2) at c + 8 h, lies just
-    # above column 1's peak of 1 on a coarse point, and its value at c + 9 h,
-    # in the next cell, lies below. At c, 8.2 h from the peak, |f(c)| + q * S
-    # falls short of that grid maximum by about 1.6 pi^2 h^2 (q = pi^2 r^2 / 2
-    # with r = 8 h, and S the column's own bound): the slope term r * D(c)
-    # keeps the cell. |cos| has period 1, so a copy of each peak lies one
-    # period away in the same place relative to its cell.
+    # Column 0 = A cos(pi (x - x1)) peaks 0.2 h before the first point of the
+    # root block centred on c = x[625 * S + 8], which holds the grid points
+    # from c - 8 h to c + 7 h. Its grid maximum, A (1 - 0.02 pi^2 h^2) at
+    # c - 8 h, lies just above column 1's peak of 1 on a centre, and its
+    # value at c - 9 h, in the block before, lies below. At c, 8.2 h from
+    # the peak, |f(c)| + q * S_0 falls short of that grid maximum by about
+    # 1.6 pi^2 h^2 (q = pi^2 r^2 / 2 with r = 8 h, and S_0 the column's own
+    # bound): the slope term r * D(c) keeps the block. |cos| has period 1,
+    # so a copy of each peak lies one period away in the same place
+    # relative to its block.
     h = x[1] - x[0]
-    x1 = x[625 * stride + stride // 2] + 0.2 * h
+    x1 = x[625 * S] - 0.2 * h
     wave = lambda c: np.array([0.0, np.cos(np.pi * c), np.sin(np.pi * c)])  # cos(pi (x - c))
     W = np.stack([(1 + 0.1 * (np.pi * h) ** 2) * wave(x1), wave(y0)], axis=1)[:, :, None]
-    coarse = T1.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
+    coarse = T1.evaluate_basis(x[S // 2::S, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     column0 = np.abs(T1.evaluate_basis(x[:, None]) @ W[:, 0, 0])
-    assert column0[625 * stride + stride // 2 + 1] < 1.0 < column0.max()
+    assert column0[625 * S - 1] < 1.0 < column0.max()
     _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
     value, point, col = _grid_max(W, plan, rule)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
@@ -585,19 +674,19 @@ def test_box_edge_maximiser_matches_a_dense_pass():
     assert abs(bracket.argmax[0]) < 2e-5
 
 
-def test_fewnomial_grid_max_finds_a_peak_between_coarse_points():
+def test_fewnomial_grid_max_finds_a_peak_between_block_centres():
     # As above on span{1, x, x^2}, where no Markov constant is certified:
-    # column 0 peaks midway between two coarse points, column 1 on one.
-    # Only the corner Lipschitz pad L_k * r keeps column 0 and its cell.
+    # column 0 peaks midway between two block centres, column 1 on one.
+    # Only the corner Lipschitz pad L_k * r keeps column 0 and its block.
     space = SpaceDescriptor.fewnomial_span([[0.0], [1.0], [2.0]])
     box = (np.array([0.5]), np.array([1.5]))
     axes, _ = _grid_axes(box, None, 20001)
     x = uniform_grid(box, None, 20001)[0][:, 0]
-    stride = 16  # round(sqrt(20001) / 9)
-    x0, y0 = x[312 * stride + stride // 2], x[1000 * stride]
+    S = 16  # round(sqrt(20001) / 9)
+    x0, y0 = x[312 * S], x[1000 * S + S // 2]
     bump = lambda c: np.array([1.0 - c * c, 2.0 * c, -1.0])  # 1 - (x - c)^2
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
-    coarse = space.evaluate_basis(x[::stride, None]) @ W[:, :, 0]
+    coarse = space.evaluate_basis(x[S // 2::S, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     M = markov_constant(space, box=box)
     assert not M.certified
@@ -678,7 +767,7 @@ def test_subinterval_sweep_shares_the_cube_plan(monkeypatch):
         with mock.patch.object(SpaceDescriptor, "evaluate_basis", counted):
             got.append(certified_supnorm(space, coeff, box, grid_spacing=1e-4))
         # its frame's grid is the cube's 20,001 points: the fine pass keeps a
-        # few of its cells, and the coarse lattice's table is the cube call's
+        # few of its blocks, and the root table is the cube call's
         assert rows[0] < 0.05 * 20001
     # every sub-interval takes its frame on the one cached plan, the cube's
     assert len(calls) == 1 + len(SWEEP) and all(plan is calls[0][0] for plan, _ in calls)

@@ -572,8 +572,8 @@ def test_plan_arrays_are_read_only():
     space = SpaceDescriptor.polynomial(2, 2)
     plan = grid_plan(space, space.default_box(), None, 40000)
     few = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
-    assert len(plan.levels) == 2
-    arrays = [plan.table[0], *(rows for rows, _ in plan.levels), *plan.edges,
+    assert [size for size, _, _ in plan.tree] == [80, 20, 5]  # 200 points per axis
+    arrays = [*(rows for _, rows, _ in plan.tree),
               grid_plan(few, (np.array([0.2]), np.array([2.0])), None, 2001).lipschitz,
               _half_signs(4), _monomial_exponents(2, 3), _trig_tuples(2, 1)]
     for a in arrays:
@@ -596,51 +596,70 @@ def test_plan_points_are_linspace_bit_for_bit(box, spacing, budget):
         along = np.arange(m) * math.prod(plan.shape[j + 1:])  # every other index 0
         got = _grid_points(plan.axes, along)
         assert got[:, j].tobytes() == ref.tobytes() and got[-1, j] == box[1][j]
-        refs.append(ref[plan.sub[j]])
-        # each cell holds the grid indices nearest its coarse index
-        i = plan.sub[j]
-        nearest = np.searchsorted((i[:-1] + i[1:]) / 2.0, np.arange(m))
-        assert np.array_equal(np.repeat(np.arange(i.size), np.diff(plan.edges[j])), nearest)
-    # P1's basis is (1, x_1, ..., x_n), so column 1 + j of a lattice's rows
-    # is coordinate j; the levels keep every q-th coarse index plus the last
-    q = 4 ** len(plan.levels)
-    for rows, r in plan.levels + ((plan.table[0], plan.r),):
-        idx = [np.append(np.arange(0, c.size - 1, q), c.size - 1) for c in refs]
-        lattice = rows.reshape([i.size for i in idx] + [-1])
-        for j, (c, i) in enumerate(zip(refs, idx)):
+        refs.append(ref)
+    # P1's basis is (1, x_1, ..., x_n), so column 1 + j of a level's rows is
+    # coordinate j of its block centres: the grid point halfway from a
+    # block's first index to its neighbour's (to the last index for the last
+    # block), and r the largest distance from a centre to those two points
+    assert len(plan.tree) > 1
+    for size, rows, r in plan.tree:
+        first = [np.arange(0, ref.size, size) for ref in refs]
+        end = [np.minimum(f + size, ref.size - 1) for f, ref in zip(first, refs)]
+        centre = [(f + e) // 2 for f, e in zip(first, end)]
+        lattice = rows.reshape([c.size for c in centre] + [-1])
+        for j, (ref, c) in enumerate(zip(refs, centre)):
             coord = np.moveaxis(lattice[..., 1 + j], j, -1)
-            assert coord.tobytes() == np.broadcast_to(c[i], coord.shape).tobytes()
-        assert r == max(float(np.max(np.diff(c[i]), initial=0.0)) / 2 for c, i in zip(refs, idx))
-        q //= 4
+            assert coord.tobytes() == np.broadcast_to(ref[c], coord.shape).tobytes()
+        assert r == max(max(float(np.max(ref[c] - ref[f])), float(np.max(ref[e] - ref[c])))
+                        for ref, f, c, e in zip(refs, first, centre, end))
 
 
-def test_one_column_never_builds_the_levels(monkeypatch):
+def test_one_column_reads_the_root_table_with_no_gather(monkeypatch):
     space = SpaceDescriptor.polynomial(1, 3)
     box = (np.array([-0.3125]), np.array([0.6875]))
     norming._grid_plan.cache_clear()
     grid_max = mock.Mock(wraps=norming._grid_max)
+    lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_grid_max", grid_max)
+    monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
     for b in (box, None):
         certified_supnorm(space, [0.5, -1.0, 2.0, 0.25], b, budget=20001)
-    # the box in its frame and the cube: one pass each on the cube's cached plan
+    # the box in its frame and the cube: one pass each on the cube's cached
+    # plan, on its root table itself
     plans = [call.args[1] for call in grid_max.call_args_list]
     assert plans == [grid_plan(space, space.default_box(), None, 20001)] * 2
     assert norming._grid_plan.cache_info().misses == 1
-    assert "table" in plans[0].__dict__ and "levels" not in plans[0].__dict__
+    assert lattice_pass.call_count == 2
+    assert all(call.args[0] is plans[0].tree[-1][1] for call in lattice_pass.call_args_list)
 
 
-def test_vertex_matrices_share_the_levels_of_one_plan():
+def test_vertex_matrices_share_the_tree_of_one_plan():
     space = SpaceDescriptor.polynomial(1, 4)
     rng = np.random.default_rng(17)
     sets = [random_points(rng, space.dimension() + 2, 1, min_sep=0.1) for _ in range(2)]
     norming._grid_plan.cache_clear()
     norming_constant(space, sets[0], budget=20001)
     plan = grid_plan(space, space.default_box(), None, 20001)
-    levels = plan.__dict__["levels"]
-    assert len(levels) > 0
+    tree = plan.__dict__["tree"]
+    assert len(tree) > 1
     norming_constant(space, sets[1], budget=20001)
     assert grid_plan(space, space.default_box(), None, 20001) is plan
-    assert plan.levels is levels
+    assert plan.tree is tree
+
+
+def test_norming_constant_on_a_box_builds_no_shift_onto_the_cube(monkeypatch):
+    # a set on a polynomial box is handed over as its image on the cube, so
+    # its frame never builds T, the shift onto the cube; the one shift is the
+    # lift of the witness back onto the box, u = (x - c) / r
+    space = SpaceDescriptor.polynomial(1, 3)
+    zs = PointSet([[0.2], [0.6], [1.1], [1.5], [1.7]], (np.array([0.2]), np.array([1.7])))
+    shift = mock.Mock(wraps=norming._shift)
+    monkeypatch.setattr(norming, "_shift", shift)
+    rep = norming_constant(space, zs, budget=2001)
+    c, r = np.array([0.95]), np.array([0.75])
+    assert rep.norming and shift.call_count == 1
+    _, at, scale = shift.call_args.args
+    assert np.array_equal(at, -c / r) and np.array_equal(scale, 1.0 / r)
 
 
 @pytest.mark.parametrize("n, d, sizes, budget, draws", [(1, 3, (5, 6), 2001, 12),
