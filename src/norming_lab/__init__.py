@@ -7,7 +7,6 @@ from .spaces import (  # noqa: F401
     MarkovConstant,
     ModulusOfContinuity,
     SpaceDescriptor,
-    gram_schmidt_markov_bound,
     markov_constant,
     power_modulus,
     space_from_json,

@@ -165,6 +165,13 @@ def cmd_span(args) -> int:
     return EXIT_OK
 
 
+def _require(args, what: str, *dests: str) -> None:
+    """A usage error naming the first of the flags ``what`` reads that is missing."""
+    for dest in dests:
+        if getattr(args, dest) in (None, ""):
+            raise ValueError(f"{what} needs --{dest.replace('_', '-')}")
+
+
 def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
     name = args.name
@@ -174,19 +181,22 @@ def cmd_bound(args) -> int:
     if name == "e":
         _emit({"name": name, "value": bounds.e_function(args.x)}, cfg)
         return EXIT_OK
+    # per bound, the flags it reads that have no default, and its evaluation
     table = {
-        "remez": lambda: bounds.remez_bound(args.d, args.mu),
-        "bg": lambda: bounds.bg_bound(args.n, args.d, args.lam),
-        "bg-envelope": lambda: bounds.bg_upper_envelope(args.n, args.d, args.lam),
-        "analytic": lambda: bounds.analytic_bound(args.n, args.lam, args.cc),
-        "rd-span": lambda: bounds.rd_span_bound(args.n, args.d, args.omega),
-        "nested": lambda: bounds.nested_bound(args.d, args.delta),
-        "curve": lambda: bounds.curve_bound(args.n, args.d,
-                                            [int(v) for v in args.exponents.split(",")]),
+        "remez": (("mu",), lambda: bounds.remez_bound(args.d, args.mu)),
+        "bg": (("lam",), lambda: bounds.bg_bound(args.n, args.d, args.lam)),
+        "bg-envelope": (("lam",), lambda: bounds.bg_upper_envelope(args.n, args.d, args.lam)),
+        "analytic": (("lam", "cc"), lambda: bounds.analytic_bound(args.n, args.lam, args.cc)),
+        "rd-span": (("omega",), lambda: bounds.rd_span_bound(args.n, args.d, args.omega)),
+        "nested": (("delta",), lambda: bounds.nested_bound(args.d, args.delta)),
+        "curve": (("exponents",), lambda: bounds.curve_bound(
+            args.n, args.d, [int(v) for v in args.exponents.split(",")])),
     }
     if name not in table:
         raise ValueError(f"unknown bound {name!r}")
-    _emit(table[name]().to_json(), cfg)
+    flags, evaluate = table[name]
+    _require(args, f"bound {name}", *flags)
+    _emit(evaluate().to_json(), cfg)
     return EXIT_OK
 
 
@@ -213,16 +223,21 @@ def cmd_tn(args) -> int:
 def cmd_fewnomial(args) -> int:
     cfg = _config_from_args(args)
     exps = [[float(v) for v in grp.split(",")] for grp in args.exponents.split(";")]
-    if args.form == "rectangle":
-        value = fewnomial.rectangle_fewnomial_bound(
-            _vec(args.a), _vec(args.b), exps, args.meas_z, cfg.c)
-    elif args.form == "discrete":
+    if args.form == "discrete":
+        _require(args, "fewnomial --form discrete", "a_scalar", "b_scalar", "span")
+        if any(len(e) != 1 or not e[0].is_integer() for e in exps):
+            raise ValueError("fewnomial --form discrete needs one integer per --exponents group")
         value = fewnomial.discrete_fewnomial_bound(
             args.a_scalar, args.b_scalar, [int(e[0]) for e in exps],
             args.span, cfg.c)
     else:
-        body = fewnomial.LogBody.box(_vec(args.a), _vec(args.b))
-        value = fewnomial.fewnomial_bound(exps, body, args.meas_z, cfg.c)
+        _require(args, f"fewnomial --form {args.form}", "a", "b", "meas_z")
+        if args.form == "rectangle":
+            value = fewnomial.rectangle_fewnomial_bound(
+                _vec(args.a), _vec(args.b), exps, args.meas_z, cfg.c)
+        else:
+            body = fewnomial.LogBody.box(_vec(args.a), _vec(args.b))
+            value = fewnomial.fewnomial_bound(exps, body, args.meas_z, cfg.c)
     _emit({"name": f"fewnomial_{args.form}", "value": value}, cfg)
     return EXIT_OK
 

@@ -58,8 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _monomial_exponents, _read_only,
-                     markov_constant)
+from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _greedy_pivots,
+                     _monomial_exponents, _read_only, markov_constant)
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -890,18 +890,9 @@ def fekete_select(space: SpaceDescriptor, points, mode: str = "exhaustive"):
         return tuple(int(i) for i in combos[k]), float(dets[k])
     if mode != "greedy":
         raise ValueError("mode must be 'exhaustive' or 'greedy'")
-    # volume-maximizing row pivoting via modified Gram-Schmidt
-    R = Phi.copy()
-    chosen: list[int] = []
-    for _ in range(l):
-        norms = np.linalg.norm(R, axis=1)
-        norms[chosen] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-13:
-            raise NotNormingError("greedy pivoting found no nonsingular subset")
-        chosen.append(j)
-        q = R[j] / norms[j]
-        R -= np.outer(R @ q, q)
+    chosen = _greedy_pivots(Phi)
+    if len(chosen) < l:
+        raise NotNormingError("greedy pivoting found no nonsingular subset")
     idx = tuple(sorted(chosen))
     det = abs(float(np.linalg.det(Phi[list(idx)])))
     if det == 0.0:

@@ -10,6 +10,9 @@ Supported families:
   the Bernstein constant pi*d*n exact coordinate-wise.
 * ``fewnomial_span(exponents)`` -- the linear span of monomials x^alpha
   with real exponent vectors, defined on the open positive orthant.
+
+Markov constants (``markov_constant``): Markov's and Bernstein's in closed
+form, and for a fewnomial span an uncertified Lagrange bound.
 """
 from __future__ import annotations
 
@@ -347,19 +350,25 @@ class MarkovConstant:
 
 def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     """Least M with |f(x) - f(y)| <= M * sup|f| * omega(|x - y|_inf) on a box (the
-    cube when none is given), omega the space's modulus: that of V' on the
-    box's k live axes (``SpaceDescriptor.restrict``). The identity constant
-    M_1 is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j) over those
-    axes by Markov, for the constants, 0, and for trigonometric ones, pi * d * k
-    by Bernstein, which holds relative to the sup over a whole period, so is
-    certified only where those axes cover the cube; a fewnomial span takes an
-    uncertified sampled estimate. As |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at
-    l-inf distance t <= D, the box's largest side, omega(t) = t^gamma gives
+    cube when none is given), omega the space's modulus, or a bound on it: that
+    of V' on the box's k live axes (``SpaceDescriptor.restrict``). The identity
+    constant M_1 is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j)
+    over those axes by Markov, for the constants, 0, and for trigonometric
+    ones, pi * d * k by Bernstein, which holds relative to the sup over a
+    whole period, so is certified only where those axes cover the cube. A
+    fewnomial span takes G @ |C| @ 1, C = B_S^-1 on the l points S that
+    ``_greedy_pivots`` picks from a tensor sample of the box (513 points in
+    1-D, 65^2 in 2-D, 17^k above; columns scaled to max 1, as the rank test
+    of ``norming_constant`` scales them) and G = ``basis_lipschitz``: f =
+    sum_i f(s_i) L_i with L_i = sum_a C[a, i] x^a, so Lip(f) <= sup|f| *
+    sum_ia |C[a, i]| G_a. It is not certified: nothing bounds the rounding of
+    the computed inverse. As |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at l-inf
+    distance t <= D, the box's largest side, omega(t) = t^gamma gives
     M_1 * min(D, 2 / M_1)^(1 - gamma), and gamma = 1 for the identity.
     """
     box = space.default_box() if box is None else box
     if box is None:
-        raise ValueError("fewnomial Markov estimate needs an explicit box")
+        raise ValueError("fewnomial Markov constants need an explicit box")
     sub, live = space.restrict(box)[:2]
     lo, hi = (np.asarray(b, dtype=float)[live] for b in box)
     if space.kind == "trigonometric":
@@ -367,68 +376,34 @@ def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     elif space.kind == "polynomial" or sub.n == 0:  # on a point, V' holds the constants
         M, certified = float(np.sum(2.0 * sub.degree**2 / (hi - lo))), True
     else:
-        pts, w = uniform_quadrature((lo, hi), samples_per_axis={1: 513, 2: 65}.get(sub.n, 17))
-        M, certified = gram_schmidt_markov_bound(sub, pts, w), False
+        k = {1: 513, 2: 65}.get(sub.n, 17)
+        axes = np.meshgrid(*(np.linspace(a, b, k) for a, b in zip(lo, hi)), indexing="ij")
+        Phi = sub.evaluate_basis(np.stack(axes, axis=-1).reshape(-1, sub.n))
+        S = _greedy_pivots(Phi / np.max(np.abs(Phi), axis=0))
+        if len(S) < Phi.shape[1]:
+            raise RankDeficiencyError("the basis is rank-deficient on the sample")
+        C = np.linalg.inv(Phi[S])
+        M, certified = float(sub.basis_lipschitz((lo, hi)) @ np.abs(C).sum(axis=1)), False
     if M > 0:
         M *= min(float(np.max(hi - lo)), 2.0 / M) ** (1.0 - space.modulus.gamma)
     return MarkovConstant(M, certified)
 
 
-def uniform_quadrature(box, samples_per_axis: int = 65):
-    """Tensor trapezoid rule on a box; returns (points, weights)."""
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    axes, wts = [], []
-    for a, b in zip(lo, hi):
-        x = np.linspace(a, b, samples_per_axis)
-        w = np.full(samples_per_axis, (b - a) / (samples_per_axis - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        axes.append(x)
-        wts.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    weight = wts[0]
-    for w in wts[1:]:
-        weight = np.multiply.outer(weight, w)
-    return pts, weight.ravel()
-
-
-def gram_schmidt_markov_bound(space: SpaceDescriptor, sample_points, weights) -> float:
-    """Sampled estimate of the Markov constant of the identity modulus, which
-    ``markov_constant`` takes for fewnomial spans only.
-
-    Orthonormalizes the basis in L2 of the supplied quadrature, estimates
-    the l-inf Lipschitz constants of the orthonormal functions by difference
-    quotients on sampled pairs, and returns max_i L_i * sqrt(l) * sqrt(mass).
-    The difference quotients only lower-bound the true Lipschitz constants,
-    so the result is not a certificate.
-    """
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive mass")
-    Phi = space.evaluate_basis(pts)
-    G = Phi.T @ (w[:, None] * Phi)
-    try:
-        R = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("basis is rank-deficient on the sample") from exc
-    # columns of Psi are the orthonormalized basis sampled on the grid
-    Psi = np.linalg.solve(R, Phi.T).T
-    l = Phi.shape[1]
-    pairs = _quotient_pairs(len(pts))
-    dx = np.max(np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]), axis=1)
-    keep = dx > 1e-14
-    if not np.any(keep):
-        return 0.0
-    dpsi = np.abs(Psi[pairs[keep, 0]] - Psi[pairs[keep, 1]])
-    lip = float(np.max(dpsi / dx[keep, None])) if l else 0.0
-    return lip * math.sqrt(l) * math.sqrt(float(w.sum()))
-
-
-def _quotient_pairs(m: int, extra: int = 4000) -> np.ndarray:
-    idx = np.arange(m - 1)
-    pairs = np.stack([idx, idx + 1], axis=1)
-    rng = np.random.default_rng(0)
-    rand = rng.integers(0, m, size=(extra, 2))
-    return np.vstack([pairs, rand])
+def _greedy_pivots(Phi: np.ndarray) -> list[int]:
+    """Rows of Phi picked by volume-maximizing pivoting (modified Gram-Schmidt),
+    in pick order: each the row of largest residual norm, then projected out
+    of every row. Fewer than Phi.shape[1] where that norm falls to 1e-13. The
+    rows approximate a Fekete subset (Bos, De Marchi, Sommariva and Vianello,
+    SIAM J. Numer. Anal. 2010)."""
+    R = Phi.copy()
+    chosen: list[int] = []
+    for _ in range(Phi.shape[1]):
+        norms = np.linalg.norm(R, axis=1)
+        norms[chosen] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= 1e-13:
+            break
+        chosen.append(j)
+        q = R[j] / norms[j]
+        R -= np.outer(R @ q, q)
+    return chosen

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from norming_lab import PointSet, SpaceDescriptor, norming_constant
+from norming_lab import PointSet, SpaceDescriptor, chebyshev, norming_constant
 from norming_lab.cli import build_parser, main
 
 
@@ -194,7 +194,7 @@ def test_fewnomial_points_file_carries_its_box(capsys, fewnomial_files):
                              "--bounds", "cramer", "--budget", "20001"])
     assert code == 0
     assert json.loads(out)["result"]["exact"] == rep.value
-    # the Lipschitz audit refuses the span's sampled Markov constant
+    # the Lipschitz audit refuses the span's Markov constant, not certified
     assert main(["lipschitz", "--space", space_path, "--z1", points_path,
                  "--z2", points_path]) == 1
     assert "not certified" in capsys.readouterr().err
@@ -345,3 +345,132 @@ def test_subcommand_declares_only_the_options_it_reads(command):
     p = _subparsers()[command]
     declared = {s for a in p._actions for s in a.option_strings}
     assert declared == set(OPTIONS[command].split()) | {"-h", "--help"}
+
+
+EXPS = ["--exponents", "1,0;0,3.5"]
+BOX = ["--a", "1,1", "--b", "2,2"]
+DISCRETE = ["--form", "discrete", "--exponents", "0;3;7"]
+
+
+# Each bound name and each fewnomial form checks the flags it reads: a missing
+# one, or a discrete exponent that is not one integer, is a usage error (exit 1)
+# named on one "error:" line, not a traceback
+MISSING = [
+    (["bound", "--name", "remez", "--d", "3"], "--mu"),
+    (["bound", "--name", "bg"], "--lam"),
+    (["bound", "--name", "bg-envelope"], "--lam"),
+    (["bound", "--name", "analytic", "--cc", "2"], "--lam"),
+    (["bound", "--name", "analytic", "--lam", "0.5"], "--cc"),
+    (["bound", "--name", "rd-span"], "--omega"),
+    (["bound", "--name", "nested"], "--delta"),
+    (["bound", "--name", "curve"], "--exponents"),
+    (["fewnomial", *EXPS, "--meas-z", "0.5", "--c", "1"], "--a"),
+    (["fewnomial", *EXPS, "--a", "1,1", "--meas-z", "0.5", "--c", "1"], "--b"),
+    (["fewnomial", "--form", "rectangle", *EXPS, "--meas-z", "0.5", "--c", "1"], "--a"),
+    (["fewnomial", *EXPS, *BOX, "--c", "1"], "--meas-z"),
+    (["fewnomial", "--form", "rectangle", *EXPS, *BOX, "--c", "1"], "--meas-z"),
+    (["fewnomial", *DISCRETE, "--span", "0.5", "--c", "1"], "--a-scalar"),
+    (["fewnomial", *DISCRETE, "--a-scalar", "0.5", "--span", "0.5", "--c", "1"], "--b-scalar"),
+    (["fewnomial", *DISCRETE, "--a-scalar", "0.5", "--b-scalar", "2", "--c", "1"], "--span"),
+]
+
+
+DISCRETE_FLAGS = ["--a-scalar", "0.5", "--b-scalar", "2", "--span", "0.5", "--c", "1"]
+BAD_EXPONENTS = [  # each ran as the exponents 0, 3, 7
+    (["fewnomial", "--form", "discrete", "--exponents", "0;3.5;7", *DISCRETE_FLAGS],
+     "needs one integer per --exponents group"),
+    (["fewnomial", "--form", "discrete", "--exponents", "0,1;3,2;7,5", *DISCRETE_FLAGS],
+     "needs one integer per --exponents group"),
+]
+
+
+def _missing_id(argv, flag):
+    form = argv[argv.index("--form") + 1] if "--form" in argv else "theorem"
+    return f"{argv[2] if argv[0] == 'bound' else form}-without-{flag[2:]}"
+
+
+@pytest.mark.parametrize(
+    "argv, message", [(argv, f"needs {flag}") for argv, flag in MISSING] + BAD_EXPONENTS,
+    ids=[_missing_id(*case) for case in MISSING] + ["discrete-fractional-exponent",
+                                                    "discrete-two-coordinate-exponent"])
+def test_a_missing_flag_of_a_bound_or_form_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and err[0].endswith(message)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["tn", "--m", "2", "--max-re-rate", "1", "--len-i", "2", "--meas-z", "0.5", "--c", "1"],
+     118.2248975828904),  # e^2 * (2 / 0.5)^2
+    (["fewnomial", *EXPS, *BOX, "--meas-z", "0.5", "--c", "1"],
+     181.01933598375615),  # 2^3.5 * (2 * K_2 = 4 * 1 / 0.5)
+    (["fewnomial", "--form", "rectangle", *EXPS, *BOX, "--meas-z", "0.5", "--c", "1"],
+     86.97128555086718),  # 2^3.5 * 2 * (2 ln 2)^2 / 0.5
+    (["fewnomial", *DISCRETE, "--a-scalar", "0.5", "--b-scalar", "2", "--span", "0.5",
+      "--c", "1"], 503791.49952229194),  # 4^7 * (2 ln 4 / 0.5)^2
+    (["bound", "--name", "chebyshev", "--d", "3", "--x", "2"], 26.0),  # T_3(2)
+    (["bound", "--name", "e", "--x", "2"], 2.0 + 3.0**0.5),
+], ids=["tn", "theorem", "rectangle", "discrete", "chebyshev", "e"])
+def test_closed_form_subcommands_report_their_values(capsys, argv, value):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, flag, value", [("remez", "--mu", "1.0"), ("bg", "--lam", "0.5"),
+                                              ("nested", "--delta", "0.5")])
+def test_audit_refuses_a_bound_without_its_parameter(capsys, space_file, points_csv, name,
+                                                     flag, value):
+    argv = ["audit", "--space", space_file, "--points", points_csv, "--bounds", name,
+            "--budget", "2001"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: the {name} bound needs ")
+    assert err[0].endswith(flag[2:])
+    code, out = run(capsys, argv + [flag, value])
+    assert code == 0 and json.loads(out)["result"]["findings"][0]["name"] == name
+
+
+@pytest.mark.parametrize("space, points, d", [
+    ({"kind": "polynomial", "vars": 1, "degree": 5}, "-1\n-0.6\n-0.2\n0.2\n0.6\n1\n", 5),
+    # on y = 0.5, 2-D P3 is V' = 1-D P3: the bound reads V''s n = 1 and d = 3
+    ({"kind": "polynomial", "vars": 2, "degree": 3},
+     {"points": [[x, 0.5] for x in (-1.0, -0.3, 0.4, 1.0)], "box": [[-1, 0.5], [1, 0.5]]}, 3),
+], ids=["P5", "P3-line"])
+def test_audit_nested_reads_half_the_degree_of_v_prime(capsys, tmp_path, space, points, d):
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(space))
+    pts = tmp_path / ("p.csv" if isinstance(points, str) else "p.json")
+    pts.write_text(points if isinstance(points, str) else json.dumps(points))
+    code, out = run(capsys, ["audit", "--space", str(sp), "--points", str(pts),
+                             "--bounds", "nested", "--delta", "0.5", "--budget", "2001"])
+    assert code == 0
+    bound = json.loads(out)["result"]["findings"][0]["bound"]
+    assert bound["inputs"] == {"d": d // 2, "delta": 0.5}
+    assert bound["value"] == pytest.approx(chebyshev(2 * (d // 2), 3.0), rel=1e-15)
+
+
+def test_lipschitz_experiment_runs_through_main(capsys, tmp_path):
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps({"kind": "polynomial", "vars": 1, "degree": 1}))
+    z = tmp_path / "z.csv"
+    z.write_text("-1\n1\n")
+    argv = ["lipschitz", "--space", str(sp), "--z1", str(z), "--experiment",
+            "--magnitudes", "0.05,0.2", "--trials", "3", "--seed", "4", "--budget", "2001"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    rows = json.loads(out)["result"]["experiment"]
+    assert [(r["magnitude"], r["trials"]) for r in rows] == [(0.05, 3), (0.2, 3)]
+    assert all(r["within_markov"] and r["non_norming"] == 0 for r in rows)
+    assert run(capsys, argv) == (code, out)  # seeded
+
+
+def test_not_norming_error_exits_2(capsys, space_file, tmp_path):
+    # P2 on {-1, 0, 1e-11}: the rank test fails, so the set has no Lebesgue constant
+    pts = tmp_path / "near.csv"
+    pts.write_text("-1\n0\n1e-11\n")
+    assert main(["lebesgue", "--space", space_file, "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("not norming: ")

@@ -146,3 +146,80 @@ def test_minimal_c_takes_the_measure_of_the_union_of_z(zs):
     # each has measure 1 and needs the c of Z = I
     p = ExpPoly.univariate([1.0, 1.0], [0.0, 1j])
     assert minimal_c_for_instance(p, (0.0, 1.0), zs) == pytest.approx(1.0, rel=1e-12)
+
+
+# The multi-term (m > 0) bounds, pinned to 1e-12 at values computed before
+# the Markov bound of fewnomial spans changed (this module did not), each
+# next to its closed form where that is short.
+EXPS = [[1.0, 0.0], [0.0, 3.5], [0.5, -1.0]]
+
+
+def test_fewnomial_bound_with_several_terms_on_a_box_and_a_log_polytope():
+    box = LogBody.box([0.5, 1.0], [2.0, 1.5])
+    assert fewnomial_bound(EXPS, box, 0.25, c=1.3) == pytest.approx(9053.38757401891, rel=1e-12)
+    # a log-polytope's vertices are exp of its log-vertices
+    poly = LogBody.log_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]], dim=2, measure=0.8)
+    assert np.array_equal(poly.vertices(), np.exp(poly.log_vertices))
+    assert np.allclose(poly.vertices(), [[1.0, 1.0], [math.e, 1.0], [1.0, math.exp(0.5)]],
+                       rtol=1e-15, atol=0.0)
+    value = fewnomial_bound(EXPS, poly, 0.25, c=1.3)
+    # max_k exp(log width) is e^1.75 for (0, 3.5); K_2 is e^1 / 1 at the vertices
+    assert value == pytest.approx(math.exp(1.75) * (1.3 * 2 * math.e * 0.8 / 0.25) ** 2, rel=1e-12)
+    assert value == pytest.approx(2943.411346641146, rel=1e-12)
+
+
+def test_rectangle_discrete_and_nested_bounds_with_several_terms():
+    value = rectangle_fewnomial_bound([0.5, 1.0], [2.0, 1.5], EXPS, 0.25, c=1.3)
+    second = 1.3 * 2 * (2.0 * math.log(4.0)) * (1.5 * math.log(1.5)) / 0.25
+    assert value == pytest.approx(1.5**3.5 * second**2, rel=1e-12)
+    assert value == pytest.approx(1271.2954215155917, rel=1e-12)
+    value = discrete_fewnomial_bound(0.5, 2.0, [0, 3, 7], 0.4, c=1.3)
+    assert value == pytest.approx(4.0**7 * (1.3 * 2.0 * math.log(4.0) / 0.4) ** 2, rel=1e-12)
+    assert value == pytest.approx(1330324.428426052, rel=1e-12)
+    value = nested_fewnomial_bound(2.0, 0.5, 3.0, 2, 0.3, c=1.3)
+    assert value == pytest.approx(4.0**3 * (1.3 * 2.0 * math.log(4.0) / 0.3) ** 2, rel=1e-12)
+    assert value == pytest.approx(9238.36408629203, rel=1e-12)
+    for bound in (lambda: discrete_fewnomial_bound(0.5, 2.0, [0, 3], 0.4),
+                  lambda: nested_fewnomial_bound(2.0, 0.5, 3.0, 1, 0.3),
+                  lambda: rectangle_fewnomial_bound([0.5], [2.0], [[0.0], [1.0]], 0.25)):
+        with pytest.raises(ValueError, match="constant c"):
+            bound()
+
+
+@pytest.mark.parametrize("t", [0.01, 0.37, 5.0, 1e3])
+def test_fewnomial_bounds_are_invariant_under_scaling(t):
+    # x -> t x maps a box of measure H onto one of t^d H, and both bounds read
+    # meas_Z against it, so meas_Z -> t^d meas_Z leaves them unchanged
+    a, b = np.array([0.5, 1.0]), np.array([2.0, 1.5])
+    want = fewnomial_bound(EXPS, LogBody.box(a, b), 0.25, c=1.3)
+    got = fewnomial_bound(EXPS, LogBody.box(t * a, t * b), 0.25 * t**2, c=1.3)
+    assert got == pytest.approx(want, rel=1e-12)
+    want = rectangle_fewnomial_bound(a, b, EXPS, 0.25, c=1.3)
+    got = rectangle_fewnomial_bound(t * a, t * b, EXPS, 0.25 * t**2, c=1.3)
+    assert got == pytest.approx(want, rel=1e-12)
+    # a body of dimension 1 in the plane: the measure is the segment's length
+    a1, b1 = np.array([0.5, 1.0]), np.array([2.0, 1.0])
+    want = fewnomial_bound(EXPS, LogBody.box(a1, b1), 0.25, c=1.3)
+    got = fewnomial_bound(EXPS, LogBody.box(t * a1, t * b1), 0.25 * t, c=1.3)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_tn_bound_multi_reads_a_box_as_the_polytope_of_its_corners():
+    p = ExpPoly([1.0, 2.0 - 1.0j, 0.5], ((1.0, -0.5), (0.3 + 2j, 1.2), (-2.0, 0.25j)))
+    box = ConvexBody.box([0.0, -0.5], [1.0, 1.5])
+    corners = ConvexBody.polytope(box.vertices(), dim=2, measure=box.measure)
+    for rate in p.rates:
+        assert corners.re_width(rate) == pytest.approx(box.re_width(rate), rel=1e-12)
+    value = tn_bound_multi(p, box, 0.5, c=1.3)
+    assert tn_bound_multi(p, corners, 0.5, c=1.3) == pytest.approx(value, rel=1e-12)
+    # widths |Re rate| . (b - a): 1 + 1 = 2, 0.3 + 2.4 = 2.7, 2; measure 2
+    assert value == pytest.approx(math.exp(2.7) * (1.3 * 2 * 2.0 / 0.5) ** 2, rel=1e-12)
+    assert value == pytest.approx(1609.3917833622454, rel=1e-12)
+    # a triangle that is no box: widths are max - min of the vertex values
+    tri = ConvexBody.polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], dim=2, measure=1.0)
+    assert [tri.re_width(rate) for rate in p.rates] == pytest.approx([2.0, 2.4, 2.0], rel=1e-15)
+    value = tn_bound_multi(p, tri, 0.5, c=1.3)
+    assert value == pytest.approx(math.exp(2.4) * (1.3 * 2 * 1.0 / 0.5) ** 2, rel=1e-12)
+    assert value == pytest.approx(298.06668933254895, rel=1e-12)
+    with pytest.raises(ValueError, match="measure"):
+        tn_bound_multi(p, ConvexBody.polytope(tri.verts, dim=2), 0.5, c=1.3)

@@ -886,9 +886,9 @@ def _certified_max_case(draw, family, power, where):
     n = draw(st.integers(1, 2))
     floats = lambda a, b: st.lists(st.floats(a, b), min_size=n, max_size=n).map(np.array)
     if family == "fewnomial":
-        # half-integer exponents: nearly equal ones make the sampled Markov
-        # estimate's Gram matrix singular (RankDeficiencyError); on a flat
-        # axis, exponents equal off it are one function of V'
+        # half-integer exponents: nearly equal ones leave the Markov
+        # constant's pivoting no nonsingular subset (RankDeficiencyError);
+        # on a flat axis, exponents equal off it are one function of V'
         alpha = st.tuples(*[st.integers(-4, 6).map(lambda k: k / 2.0) for _ in range(n)])
         space = SpaceDescriptor.fewnomial_span(draw(st.lists(alpha, min_size=1, max_size=4,
                                                              unique=True)))

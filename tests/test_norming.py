@@ -400,6 +400,24 @@ def test_fekete_greedy_reasonable(rng):
         assert det_gr > 0.0
 
 
+def test_fekete_greedy_is_the_pivoting_of_the_markov_bound():
+    # one pivot loop (spaces._greedy_pivots) serves the greedy Fekete subset and
+    # the fewnomial Markov bound; the indices and |det| are pinned bit for bit
+    rng = np.random.default_rng(31)
+    pinned = [
+        (SpaceDescriptor.polynomial(1, 4), 9, (2, 3, 5, 7, 8), 4.485237119998367e-05),
+        (SpaceDescriptor.polynomial(2, 2), 10, (3, 4, 5, 6, 8, 9), 0.001694891983612037),
+        (SpaceDescriptor.trigonometric(1, 2), 8, (0, 1, 3, 4, 5), 0.0975504512820253),
+        (SpaceDescriptor.fewnomial_span([[0, 0], [0.5, 1], [1.5, -0.5], [-1, 2]]), 9,
+         (3, 6, 7, 8), 1.908494128109125),
+    ]
+    for space, m, idx, det in pinned:
+        pts = rng.uniform(0.1, 1.0, (m, space.n))
+        with mock.patch.object(norming, "_greedy_pivots", wraps=norming._greedy_pivots) as spy:
+            assert fekete_select(space, pts, mode="greedy") == (idx, det)
+        assert spy.call_count == 1
+
+
 def test_fekete_needs_enough_points():
     with pytest.raises(ValueError):
         fekete_select(P2, [[0.0], [1.0]])

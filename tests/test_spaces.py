@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_grid
-from norming_lab import (IDENTITY, ModulusOfContinuity, SpaceDescriptor,
+from norming_lab import (IDENTITY, ModulusOfContinuity, PointSet, SpaceDescriptor,
                          certified_supnorm, markov_constant, norming_constant,
                          power_modulus, space_from_json)
 from norming_lab import spaces
-from norming_lab.spaces import (DomainError, _monomial_exponents, _trig_tuples,
-                                gram_schmidt_markov_bound, uniform_quadrature)
+from norming_lab.spaces import DomainError, _monomial_exponents, _trig_tuples
 
 
 def test_polynomial_dimension():
@@ -263,10 +262,9 @@ def test_markov_power_modulus_closed_form():
         assert markov_constant(space) == spaces.MarkovConstant(0.0, True)
 
 
-def test_markov_samples_only_fewnomial_spans():
+def test_markov_pivots_only_for_fewnomial_spans():
     box = (np.array([0.5, 0.2]), np.array([2.0, 0.2]))
-    with mock.patch.object(spaces, "uniform_quadrature",
-                           wraps=spaces.uniform_quadrature) as spy:
+    with mock.patch.object(spaces, "_greedy_pivots", wraps=spaces._greedy_pivots) as spy:
         for mod in (IDENTITY, power_modulus(0.3), power_modulus(0.7)):
             for space in (SpaceDescriptor.polynomial(2, 3, mod),
                           SpaceDescriptor.trigonometric(2, 1, mod)):
@@ -376,27 +374,90 @@ def test_markov_sampled_estimate_flagged():
     assert M.value > 0.0 and math.isfinite(M.value)
 
 
-def test_gram_schmidt_bound_covers_affine_lipschitz():
-    # for P_1 on [-1, 1] the exact Markov constant is 1; the sampled
-    # estimate must be an over-estimate of the Lipschitz behaviour it saw
-    space = SpaceDescriptor.polynomial(1, 1)
-    pts, w = uniform_quadrature(space.default_box(), samples_per_axis=401)
-    est = gram_schmidt_markov_bound(space, pts, w)
-    assert est >= 1.0
+@pytest.mark.parametrize("alpha, a, b", [(1.0, 0.3, 0.5), (-2.0, 0.01, 1.0), (0.5, 0.2, 2.0),
+                                         (-0.3, 1.5, 4.0), (2.5, 0.1, 0.9)])
+def test_lagrange_markov_bound_is_exact_on_two_term_spans(alpha, a, b):
+    # span{1, x^alpha} on [a, b]: f = c0 + c1 x^alpha has Lip = |c1| max |alpha x^(alpha - 1)|
+    # and sup|f| >= |c1| |b^alpha - a^alpha| / 2, with equality for the centred f,
+    # which the Lagrange functions of the pivots {a, b} give; {1, x} is P_1 on the
+    # box, whose Markov constant is 2 / (b - a)
+    box = (np.array([a]), np.array([b]))
+    M = markov_constant(SpaceDescriptor.fewnomial_span([[0.0], [alpha]]), box=box)
+    slope = max(abs(alpha) * a ** (alpha - 1), abs(alpha) * b ** (alpha - 1))
+    assert not M.certified
+    assert M.value == pytest.approx(2.0 * slope / abs(b**alpha - a**alpha), rel=1e-12)
+    if alpha == 1.0:
+        P1 = markov_constant(SpaceDescriptor.polynomial(1, 1), box=box)
+        assert M.value == pytest.approx(P1.value, rel=1e-12)
 
 
-def test_sampled_markov_estimate_on_a_flat_box_is_that_of_the_live_span():
-    # the estimate samples V' on the live axes, so the quadrature needs no
-    # node for a flat axis: on y = 0.7, span{1, x^0.5 y, x^1.5 y^-0.5} is
+@pytest.mark.parametrize("seed", range(24))
+def test_lagrange_markov_bound_holds_every_dense_difference_quotient(seed):
+    # random 1-D and 2-D spans with negative and fractional exponents, on random
+    # boxes, a third of the 2-D ones with a flat axis: every difference quotient
+    # of a random member on a dense grid is at most M * sup|f|, sup|f| bounded by
+    # the grid maximum plus its corner Lipschitz bound times half the spacing
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    grid = np.arange(-8, 13) / 4.0  # exponents -2, -1.75, ..., 3
+    l = int(rng.integers(2, 5))
+    space = SpaceDescriptor.fewnomial_span(
+        dict.fromkeys(tuple(e) for e in rng.choice(grid, size=(l, n))))
+    lo = rng.uniform(0.1, 1.5, n)
+    hi = lo + rng.uniform(0.1, 2.0, n)
+    if n == 2 and seed % 3 == 1:
+        hi[seed // 2 % 2] = lo[seed // 2 % 2]
+    M = markov_constant(space, box=(lo, hi))
+    assert not M.certified and np.isfinite(M.value)
+    k = 20001 if n == 1 else 201
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    w = rng.normal(size=space.dimension())
+    f = (space.evaluate_basis(x.reshape(-1, n)) @ w).reshape(x.shape[:-1])
+    h = float(max(b - a for a, b in zip(lo, hi))) / (k - 1)
+    sup = np.abs(f).max() + np.abs(w) @ space.basis_lipschitz((lo, hi)) * h / 2
+    quotients = [0.0]
+    for j in range(n):
+        if hi[j] > lo[j]:
+            step = (hi[j] - lo[j]) / (k - 1)
+            quotients.append(np.abs(np.diff(f, axis=j)).max() / step)
+    flat = x.reshape(-1, n)
+    pairs = rng.integers(0, flat.shape[0], size=(4000, 2))
+    t = np.abs(flat[pairs[:, 0]] - flat[pairs[:, 1]]).max(axis=1)
+    ok = t > 0
+    df = np.abs(f.ravel()[pairs[ok, 0]] - f.ravel()[pairs[ok, 1]])
+    quotients.append(float((df / t[ok]).max()))
+    assert max(quotients) > 0
+    assert max(quotients) <= M.value * sup * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("exps", [[[8.0], [9.0]], [[-8.0], [-9.0]]], ids=["tiny", "huge"])
+def test_lagrange_markov_bound_pivots_on_columns_scaled_to_max_one(exps):
+    # x -> x / 100 maps the span on [1, 2] onto itself on [0.01, 0.02], where its
+    # basis is about 1e-16 (or 1e16): the pivots, taken on columns scaled as the
+    # rank test scales them, are the same, so M is 100 times that on [1, 2]
+    # and the two points that pass the rank test are a norming set
+    space = SpaceDescriptor.fewnomial_span(exps)
+    small, unit = (np.array([0.01]), np.array([0.02])), (np.array([1.0]), np.array([2.0]))
+    M = markov_constant(space, box=small)
+    assert not M.certified
+    assert M.value == pytest.approx(100.0 * markov_constant(space, box=unit).value, rel=1e-9)
+    assert norming_constant(space, PointSet([[0.01], [0.02]], small), budget=2001).norming
+
+
+def test_lagrange_markov_bound_on_a_flat_box_is_that_of_the_live_span():
+    # the bound pivots on a sample of V' on the live axes, so a flat axis
+    # takes no node: on y = 0.7, span{1, x^0.5 y, x^1.5 y^-0.5} is
     # span{1, x^0.5, x^1.5}, and span{1, x^0.5 y, x^0.5 y^-0.5} is span{1, x^0.5}
     box, line = (np.array([0.3, 0.7]), np.array([1.8, 0.7])), (np.array([0.3]), np.array([1.8]))
     for exps, live in [([[0.0, 0.0], [0.5, 1.0], [1.5, -0.5]], [[0.0], [0.5], [1.5]]),
                        ([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]], [[0.0], [0.5]])]:
         few = SpaceDescriptor.fewnomial_span(exps)
-        assert markov_constant(few, box) == markov_constant(
-            SpaceDescriptor.fewnomial_span(live), line)
-    pts, w = uniform_quadrature(box, 5)
-    assert pts.shape == (25, 2) and np.all(pts[:, 1] == 0.7) and w.sum() == 0.0
+        with mock.patch.object(spaces, "_greedy_pivots", wraps=spaces._greedy_pivots) as spy:
+            assert markov_constant(few, box) == markov_constant(
+                SpaceDescriptor.fewnomial_span(live), line)
+        # one 1-D sample of 513 points each, with one column per function of V'
+        assert [call.args[0].shape for call in spy.call_args_list] == [(513, len(live))] * 2
 
 
 def test_json_roundtrip():

@@ -200,8 +200,7 @@ def test_audits_on_a_flat_box_read_the_constant_of_the_live_variables():
     rep = lipschitz_audit(T1, z, y, budget=2001)
     assert rep.markov == np.pi and rep.satisfied
     # a fewnomial span whose exponents coincide on the live axis is V' =
-    # span{1, x^0.5}: refused for its sampled constant, where the Gram matrix
-    # of the whole span was singular on the sample (RankDeficiencyError)
+    # span{1, x^0.5}: refused, as its Markov constant is not certified
     few = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]])
     box = ([0.3, 0.7], [1.8, 0.7])
     z1 = PointSet([[0.3, 0.7], [0.9, 0.7], [1.8, 0.7]], box)
