@@ -1,17 +1,26 @@
 """Turan-Nazarov bounds for exponential sums, log-geometry of the positive
 orthant, K_d distortion constants, and the fewnomial Remez-type bounds.
 
+One convex body carries every width: ``ConvexBody.re_width(rate)`` is max -
+min of Re<rate, .> over its vertices. A ``LogBody`` B in the orthant holds
+its image log B as a ``ConvexBody``, plus the measure of B itself; a
+fewnomial x^alpha on B is exp<alpha, u> on log B, so each first factor
+sup over x, y in B of (x/y)^alpha is exp of the log-image's width in alpha,
+which reads |alpha|. Every bound is ``first * (c * ratio)^m`` with m + 1
+competing terms (``_tn_form``).
+
 The absolute constant c appearing in every Turan-Nazarov-style bound is not
 specified by the theory; it is therefore a required explicit argument
 everywhere (except in the single-term case m = 0, where it cancels), and
-``estimate_c`` quantifies it empirically from seeded random instances.
+``estimate_c`` quantifies it empirically from seeded random instances: the
+largest c its instances need, a lower estimate of the constant.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,12 +30,6 @@ from .spaces import _box_corners
 SUP_START = 257
 SUP_REL_TOL = 1e-6
 SUP_CAP = 1 << 14
-
-
-def _require_c(c, m):
-    if m > 0 and c is None:
-        raise ValueError("the absolute constant c must be supplied "
-                         "(see estimate_c for an empirical value)")
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +67,7 @@ class ExpPoly:
 
     @property
     def max_abs_re_rate(self) -> float:
-        return max(max(abs(r.real) for r in rate) if self.nvars > 1 else abs(rate[0].real)
-                   for rate in self.rates)
+        return max(abs(r.real) for rate in self.rates for r in rate)
 
     def __call__(self, x):
         pts = np.asarray(x, dtype=float)
@@ -122,23 +124,58 @@ def geodesic_point(x, y, t: float):
 
 
 @dataclass(frozen=True, eq=False)
-class LogBody:
-    """A compact logarithmically convex region in the positive orthant.
+class ConvexBody:
+    """A convex body in R^n: the hull of ``verts``, of dimension ``dim`` and
+    Hausdorff measure ``measure`` (None where it is not known)."""
 
-    ``box(a, b)`` has a computed Hausdorff measure (product of the positive
-    side lengths). General log-polytopes require a user-supplied measure,
-    echoed in reports as user-asserted; the one computed exception is a
-    two-vertex log-segment along a single coordinate axis, whose image is a
-    straight segment of known length.
+    verts: np.ndarray
+    dim: int = 0
+    measure: Optional[float] = None
+
+    @staticmethod
+    def box(a, b) -> "ConvexBody":
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if np.any(b < a):
+            raise ValueError("need a <= b componentwise")
+        sides = b - a
+        dim = int(np.sum(sides > 0))
+        measure = float(np.prod(sides[sides > 0])) if dim else None
+        return ConvexBody(_box_corners(a, b), dim, measure)
+
+    @staticmethod
+    def polytope(vertices, dim: int, measure: Optional[float] = None) -> "ConvexBody":
+        return ConvexBody(np.atleast_2d(np.asarray(vertices, dtype=float)), dim, measure)
+
+    def vertices(self) -> np.ndarray:
+        return self.verts
+
+    def re_width(self, rate) -> float:
+        """sup over x, y in the body of Re f(x - y), f linear with the given rate;
+        exact at the vertices."""
+        vals = self.verts @ np.real(np.asarray(rate, dtype=complex))
+        return float(np.max(vals) - np.min(vals))
+
+
+@dataclass(frozen=True, eq=False)
+class LogBody:
+    """A compact logarithmically convex region B in the positive orthant: its
+    image log B, a convex body, with the Hausdorff measure of B itself.
+
+    ``box(a, b)`` has a computed measure (the product of its positive side
+    lengths). General log-polytopes require a user-supplied measure, echoed
+    in reports as user-asserted; the one computed exception is a two-vertex
+    log-segment along a single coordinate axis, whose image is a straight
+    segment of known length.
     """
 
-    kind: str  # "box" | "log_polytope"
-    a: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
-    log_vertices: Optional[np.ndarray] = None
-    dim: int = 0
-    measure: float = 0.0
+    log_image: ConvexBody
+    measure: float
     measure_source: str = "computed"
+
+    @property
+    def dim(self) -> int:
+        return self.log_image.dim
 
     @staticmethod
     def box(a, b) -> "LogBody":
@@ -146,12 +183,13 @@ class LogBody:
         b = np.asarray(b, dtype=float)
         if np.any(a <= 0) or np.any(b < a):
             raise ValueError("need 0 < a <= b componentwise")
+        # dim and measure from the orthant sides: a log side can round to 0
         sides = b - a
         dim = int(np.sum(sides > 0))
         measure = float(np.prod(sides[sides > 0])) if dim else 0.0
         if measure <= 0:
             raise ValueError("box must have positive measure")
-        return LogBody("box", a=a, b=b, dim=dim, measure=measure)
+        return LogBody(ConvexBody.polytope(_box_corners(np.log(a), np.log(b)), dim), measure)
 
     @staticmethod
     def log_polytope(log_vertices, dim: int, measure: Optional[float] = None) -> "LogBody":
@@ -167,94 +205,63 @@ class LogBody:
                 raise ValueError("measure must be supplied for general log-polytopes")
         if measure <= 0:
             raise ValueError("measure must be positive")
-        return LogBody("log_polytope", log_vertices=V, dim=dim,
-                       measure=float(measure), measure_source=source)
+        return LogBody(ConvexBody.polytope(V, dim), float(measure), source)
 
     def vertices(self) -> np.ndarray:
         """Vertices in orthant coordinates."""
-        if self.kind == "box":
-            return _box_corners(self.a, self.b)
-        return en_map(self.log_vertices)
-
-    def log_width(self, alpha) -> float:
-        """sup over x, y in the body of <alpha, log x - log y>; exact at vertices."""
-        alpha = np.asarray(alpha, dtype=float)
-        L = np.log(self.vertices())
-        vals = L @ alpha
-        return float(np.max(vals) - np.min(vals))
+        return en_map(self.log_image.verts)
 
 
 def kd_constant(body, d: int) -> float:
     """K_d: ratio of max to min d-fold coordinate products over the set.
 
     Accepts a LogBody or a finite array of positive points. Coordinate
-    products are log-linear, so extrema sit at vertices / sample points.
+    products are log-linear, so K_d is exp of max - min of the d-fold sums
+    of log-coordinates over the log-vertices / sample points.
     """
     if isinstance(body, LogBody):
-        pts = body.vertices()
+        L = body.log_image.verts
     else:
         pts = np.atleast_2d(np.asarray(body, dtype=float))
         if np.any(pts <= 0):
             raise ValueError("points must have positive coordinates")
-    n = pts.shape[1]
+        L = np.log(pts)
+    n = L.shape[1]
     if not (1 <= d <= n):
         raise ValueError("need 1 <= d <= n")
-    hi = -math.inf
-    lo = math.inf
-    for idx in combinations(range(n), d):
-        prods = np.prod(pts[:, idx], axis=1)
-        hi = max(hi, float(np.max(prods)))
-        lo = min(lo, float(np.min(prods)))
-    return hi / lo
+    sums = np.stack([L[:, idx].sum(axis=1) for idx in combinations(range(n), d)])
+    return math.exp(float(np.max(sums) - np.min(sums)))
 
 
 # ---------------------------------------------------------------------------
-# convex bodies in R^n (for the multivariate Turan-Nazarov bound)
+# the bounds: each is first * (c * ratio)^m
 
 
-@dataclass(frozen=True, eq=False)
-class ConvexBody:
-    """A convex body in R^n given by a box or by polytope vertices."""
-
-    kind: str
-    a: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
-    verts: Optional[np.ndarray] = None
-    dim: int = 0
-    measure: Optional[float] = None
-
-    @staticmethod
-    def box(a, b) -> "ConvexBody":
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if np.any(b < a):
-            raise ValueError("need a <= b componentwise")
-        sides = b - a
-        dim = int(np.sum(sides > 0))
-        measure = float(np.prod(sides[sides > 0])) if dim else None
-        return ConvexBody("box", a=a, b=b, dim=dim, measure=measure)
-
-    @staticmethod
-    def polytope(vertices, dim: int, measure: Optional[float] = None) -> "ConvexBody":
-        V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        return ConvexBody("polytope", verts=V, dim=dim, measure=measure)
-
-    def vertices(self) -> np.ndarray:
-        if self.kind == "box":
-            return _box_corners(self.a, self.b)
-        return self.verts
-
-    def re_width(self, rate) -> float:
-        """sup over x, y in the body of Re f(x - y), f linear with the given rate."""
-        re = np.asarray([complex(r).real for r in rate])
-        if self.kind == "box":
-            return float(np.abs(re) @ (self.b - self.a))
-        vals = self.vertices() @ re
-        return float(np.max(vals) - np.min(vals))
+def _tn_form(first: float, m: int, c: Optional[float], ratio: float) -> float:
+    """first * (c * ratio)^m, where m + 1 terms compete; c cancels at m = 0."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    if m == 0:
+        return first
+    if c is None:
+        raise ValueError("the absolute constant c must be supplied "
+                         "(see estimate_c for an empirical value)")
+    return first * (c * ratio) ** m
 
 
-# ---------------------------------------------------------------------------
-# the bounds
+def _exponents(exponents) -> np.ndarray:
+    """The exponent vectors alpha_k, one per row, pairwise distinct."""
+    A = np.asarray(exponents, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError("need a nonempty list of exponent vectors of one length")
+    if len(np.unique(A, axis=0)) != len(A):
+        raise ValueError("exponents must be pairwise distinct")
+    return A
+
+
+def _sup_ratio(exponents, body: LogBody) -> float:
+    """max_k sup over x, y in the body of (x/y)^alpha_k."""
+    return math.exp(max(body.log_image.re_width(alpha) for alpha in exponents))
 
 
 def tn_bound_1d(m: int, max_re_rate: float, len_I: float, meas_Z: float,
@@ -262,16 +269,14 @@ def tn_bound_1d(m: int, max_re_rate: float, len_I: float, meas_Z: float,
     """exp(len_I * max|Re rate|) * (c * len_I / meas_Z)^m."""
     if not (0.0 < meas_Z <= len_I):
         raise ValueError("need 0 < meas_Z <= len_I")
-    _require_c(c, m)
-    factor = 1.0 if m == 0 else (c * len_I / meas_Z) ** m
-    return math.exp(len_I * max_re_rate) * factor
+    if max_re_rate < 0:
+        raise ValueError("max|Re rate| must be nonnegative")
+    return _tn_form(math.exp(len_I * max_re_rate), m, c, len_I / meas_Z)
 
 
 def tn_bound_multi(p: ExpPoly, body: ConvexBody, meas_Z: float,
                    c: Optional[float] = None, meas_B: Optional[float] = None) -> float:
     """Multivariate bound exp(max_k width_k(B)) * (c * d * meas_B / meas_Z)^m."""
-    m = p.term_count - 1
-    _require_c(c, m)
     if meas_B is None:
         meas_B = body.measure
     if meas_B is None:
@@ -279,57 +284,45 @@ def tn_bound_multi(p: ExpPoly, body: ConvexBody, meas_Z: float,
     if not (0.0 < meas_Z <= meas_B):
         raise ValueError("need 0 < meas_Z <= meas_B")
     width = max(body.re_width(rate) for rate in p.rates)
-    factor = 1.0 if m == 0 else (c * body.dim * meas_B / meas_Z) ** m
-    return math.exp(width) * factor
+    return _tn_form(math.exp(width), p.term_count - 1, c, body.dim * meas_B / meas_Z)
 
 
 def fewnomial_bound(exponents, body: LogBody, meas_Z: float,
                     c: Optional[float] = None) -> float:
     """max_k sup(x/y)^alpha_k * (c * d * K_d(B) * H_d(B) / meas_Z)^m."""
-    alphas = [np.asarray(a, dtype=float) for a in exponents]
-    m = len(alphas) - 1
-    _require_c(c, m)
-    if meas_Z <= 0:
-        raise ValueError("meas_Z must be positive")
-    first = max(math.exp(body.log_width(a)) for a in alphas)
-    if m == 0:
-        return first
+    alphas = _exponents(exponents)
+    if not (0.0 < meas_Z <= body.measure):
+        raise ValueError("need 0 < meas_Z <= the body's measure")
     d = body.dim
-    return first * (c * d * kd_constant(body, d) * body.measure / meas_Z) ** m
+    return _tn_form(_sup_ratio(alphas, body), len(alphas) - 1, c,
+                    d * kd_constant(body, d) * body.measure / meas_Z)
 
 
 def rectangle_fewnomial_bound(a, b, exponents, meas_Z: float,
                               c: Optional[float] = None) -> float:
-    """Refined bound for full-dimensional rectangles [a, b] in the orthant."""
+    """Refined bound for full-dimensional rectangles [a, b] in the orthant:
+    max_k sup(x/y)^alpha_k * (c * n * prod_j b_j ln(b_j/a_j) / meas_Z)^m."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0) or np.any(b <= a):
         raise ValueError("need 0 < a < b componentwise")
-    alphas = [np.asarray(al, dtype=float) for al in exponents]
-    m = len(alphas) - 1
-    _require_c(c, m)
+    alphas = _exponents(exponents)
     if not (0.0 < meas_Z <= float(np.prod(b - a))):
         raise ValueError("need 0 < meas_Z <= vol(box)")
-    first = max(float(np.prod((b / a) ** al)) for al in alphas)
-    if m == 0:
-        return first
-    n = a.size
-    second = c * n * float(np.prod(b * np.log(b / a))) / meas_Z
-    return first * second**m
+    return _tn_form(_sup_ratio(alphas, LogBody.box(a, b)), len(alphas) - 1, c,
+                    a.size * float(np.prod(b * np.log(b / a))) / meas_Z)
 
 
 def cor31_bound(exponents, body: LogBody, meas_Z: float,
                 c: Optional[float] = None) -> float:
-    """K_1(B)^(m + max_k |alpha_k|) * (c * d * H_d(B) / meas_Z)^m."""
-    alphas = [np.asarray(a, dtype=float) for a in exponents]
-    m = len(alphas) - 1
-    _require_c(c, m)
-    if meas_Z <= 0:
-        raise ValueError("meas_Z must be positive")
-    deg = max(float(np.sum(a)) for a in alphas)
+    """K_1(B)^(m + max_k |alpha_k|) * (c * d * H_d(B) / meas_Z)^m, with
+    |alpha| = sum_j |alpha_j|; K_1^|alpha| bounds sup(x/y)^alpha."""
+    alphas = _exponents(exponents)
+    if not (0.0 < meas_Z <= body.measure):
+        raise ValueError("need 0 < meas_Z <= the body's measure")
     k1 = kd_constant(body, 1)
-    second = 1.0 if m == 0 else (c * body.dim * body.measure / meas_Z) ** m
-    return k1 ** (m + deg) * second
+    deg = float(np.max(np.sum(np.abs(alphas), axis=1)))
+    return _tn_form(k1**deg, len(alphas) - 1, c, k1 * body.dim * body.measure / meas_Z)
 
 
 def discrete_fewnomial_bound(a: float, b: float, exponents, span: float,
@@ -340,13 +333,9 @@ def discrete_fewnomial_bound(a: float, b: float, exponents, span: float,
     exps = sorted(int(e) for e in exponents)
     if len(set(exps)) != len(exps) or exps[0] < 0:
         raise ValueError("exponents must be distinct nonnegative integers")
-    m = len(exps) - 1
-    _require_c(c, m)
-    if m == 0:
-        return (b / a) ** exps[-1]
     if span <= 0:
         raise ValueError("span must be positive")
-    return (b / a) ** exps[-1] * (c * b * math.log(b / a) / span) ** m
+    return _tn_form((b / a) ** exps[-1], len(exps) - 1, c, b * math.log(b / a) / span)
 
 
 def nested_fewnomial_bound(R: float, rho: float, N: float, m: int, delta: float,
@@ -354,12 +343,11 @@ def nested_fewnomial_bound(R: float, rho: float, N: float, m: int, delta: float,
     """(R/rho)^N * (c * R * ln(R/rho) / delta)^m for nested hypersurface families."""
     if not (0.0 < rho < R):
         raise ValueError("need 0 < rho < R")
+    if N < 0:
+        raise ValueError("the degree N must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _require_c(c, m)
-    if m == 0:
-        return (R / rho) ** N
-    return (R / rho) ** N * (c * R * math.log(R / rho) / delta) ** m
+    return _tn_form((R / rho) ** N, m, c, R * math.log(R / rho) / delta)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,8 @@ FEKETE_CAP = 500_000
 # keeps rounding from pruning a maximiser
 _BLOCK_VALUES = 1 << 20
 _PRUNE_RTOL = 1e-9
+# relative slack of the Fekete sandwich inequalities
+SANDWICH_REL_TOL = 1e-6
 
 
 class NotNormingError(RuntimeError):
@@ -916,7 +918,7 @@ class SandwichReport:
 
 
 def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
-                   budget=None, rel_tol=1e-6) -> SandwichReport:
+                   budget=None) -> SandwichReport:
     """Verify (1/l) N(Z_fekete) <= N(Z) <= N(Z_fekete) plus max_Z |L_i| <= 1,
     with l, the Fekete subset and its Lagrange functions those of the set's
     image in V' (``_Frame``); an inequality fails only where the certified
@@ -930,8 +932,8 @@ def sandwich_check(space: SpaceDescriptor, points, *, grid_spacing=None,
         raise NotNormingError("Z is not norming")
     fek = norming_constant(space, PointSet(zs.points[list(idx)], zs.box),
                            grid_spacing=grid_spacing, budget=budget)
-    lower_ok = bool(fek.upper >= full.lower * (1.0 - rel_tol))
-    upper_ok = bool(fek.lower <= l * full.upper * (1.0 + rel_tol))
+    lower_ok = bool(fek.upper >= full.lower * (1.0 - SANDWICH_REL_TOL))
+    upper_ok = bool(fek.lower <= l * full.upper * (1.0 + SANDWICH_REL_TOL))
     C = lagrange_basis(frame.space, PointSet._unchecked(image.points[list(idx)], image.box))
     on_z = float(np.max(np.abs(frame.space.evaluate_basis(image.points) @ C)))
     lagrange_ok = on_z <= 1.0 + 1e-9

@@ -8,13 +8,15 @@ from __future__ import annotations
 import numpy as np
 
 _TOL = 1e-9
+# pivots before simplex_maximize gives up
+MAX_ITER = 20000
 
 
 class SimplexError(RuntimeError):
     pass
 
 
-def simplex_maximize(c, A, b, max_iter: int = 20000):
+def simplex_maximize(c, A, b):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
     Returns (value, x). The origin is feasible by assumption, so no
@@ -35,7 +37,7 @@ def simplex_maximize(c, A, b, max_iter: int = 20000):
     T[m, :n] = -c
     basis = list(range(n, n + m))
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # Bland: entering = smallest index with negative reduced cost
         reduced = T[m, :n + m]
         candidates = np.nonzero(reduced < -_TOL)[0]

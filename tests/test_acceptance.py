@@ -105,7 +105,7 @@ def test_sandwich():
         m = int(rng.integers(l, 9))
         pts = _separated(rng, m, n, 0.15)
         budget = 20001 if n == 1 else 10000
-        rep = nl.sandwich_check(space, pts, budget=budget, rel_tol=1e-6)
+        rep = nl.sandwich_check(space, pts, budget=budget)
         assert rep.lower_ok and rep.upper_ok, (trial, rep.n_full, rep.n_fekete)
         assert rep.lagrange_ok and rep.max_abs_lagrange_on_z <= 1 + 1e-9
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from norming_lab import (ConvexBody, ExpPoly, LogBody, cor31_bound,
                          discrete_fewnomial_bound, estimate_c, fewnomial_bound,
                          geodesic_point, kd_constant, nested_fewnomial_bound,
                          rectangle_fewnomial_bound, tn_bound_1d, tn_bound_multi)
+from norming_lab.cli import main
 from norming_lab.fewnomial import (minimal_c_for_instance, sample_tn_instance,
                                    sup_abs_on_interval)
 
@@ -104,11 +106,14 @@ def test_rectangle_and_general_single_term_agree():
     g = fewnomial_bound(exps, LogBody.box(a, b), meas_Z=0.5, c=None)
     assert r == pytest.approx(g)
     assert r == pytest.approx(2.0 * (3.0 / 2.0) ** 2)
+    # 1/x on [1, 2]: sup(x/y)^-1 is 2, and Z = [1.9, 2] needs 1.9
+    assert rectangle_fewnomial_bound([1.0], [2.0], [[-1.0]], 0.1) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_cor31_single_term():
     body = LogBody.box([1.0], [2.0])
     assert cor31_bound([[3.0]], body, meas_Z=0.5) == pytest.approx(8.0)
+    assert cor31_bound([[-1.0]], body, meas_Z=0.1) == pytest.approx(2.0, rel=1e-15)  # K_1^|-1|
 
 
 def test_nested_fewnomial_bound_single_term():
@@ -159,7 +164,7 @@ def test_fewnomial_bound_with_several_terms_on_a_box_and_a_log_polytope():
     assert fewnomial_bound(EXPS, box, 0.25, c=1.3) == pytest.approx(9053.38757401891, rel=1e-12)
     # a log-polytope's vertices are exp of its log-vertices
     poly = LogBody.log_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]], dim=2, measure=0.8)
-    assert np.array_equal(poly.vertices(), np.exp(poly.log_vertices))
+    assert np.array_equal(poly.vertices(), np.exp(poly.log_image.verts))
     assert np.allclose(poly.vertices(), [[1.0, 1.0], [math.e, 1.0], [1.0, math.exp(0.5)]],
                        rtol=1e-15, atol=0.0)
     value = fewnomial_bound(EXPS, poly, 0.25, c=1.3)
@@ -223,3 +228,64 @@ def test_tn_bound_multi_reads_a_box_as_the_polytope_of_its_corners():
     assert value == pytest.approx(298.06668933254895, rel=1e-12)
     with pytest.raises(ValueError, match="measure"):
         tn_bound_multi(p, ConvexBody.polytope(tri.verts, dim=2), 0.5, c=1.3)
+
+
+def test_single_term_bounds_hold_for_every_exponent_sign(rng):
+    # x^alpha on a box peaks at a corner, so sup_B |x^alpha| / sup_Z |x^alpha|
+    # is exact there; a negative alpha_j peaks where x_j is smallest, and each
+    # first factor must read |alpha|
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        a = rng.uniform(0.1, 2.0, n)
+        b = a + rng.uniform(0.05, 3.0, n)
+        za = a + rng.uniform(0.0, 0.8, n) * (b - a)
+        zb = za + rng.uniform(0.1, 1.0, n) * (b - za)
+        alpha = rng.integers(-3, 4, n).astype(float)
+
+        def sup(lo, hi):
+            corners = np.array(list(itertools.product(*zip(lo, hi))))
+            return float(np.max(np.prod(corners**alpha, axis=1)))
+
+        ratio = sup(a, b) / sup(za, zb) * (1 - 1e-12)
+        body, meas_Z = LogBody.box(a, b), float(np.prod(zb - za))
+        assert fewnomial_bound([alpha], body, meas_Z) >= ratio
+        assert rectangle_fewnomial_bound(a, b, [alpha], meas_Z) >= ratio
+        assert cor31_bound([alpha], body, meas_Z) >= ratio
+        log_meas_B = float(np.prod(np.log(b / a)))
+        log_meas_Z = float(np.prod(np.log(zb / za)))
+        p = ExpPoly([1.0], (tuple(alpha),))
+        assert tn_bound_multi(p, body.log_image, log_meas_Z, meas_B=log_meas_B) >= ratio
+
+
+UNIT = LogBody.box([1.0], [2.0])
+TN = ["tn", "--len-i", "1", "--meas-z", "0.5"]
+THEOREM = ["fewnomial", "--a", "1", "--b", "2", "--c", "1"]
+
+
+# Out-of-range input to a bound is refused: a ValueError from the library and,
+# from the console script, exit 1 with one "error:" line (None: no CLI form)
+@pytest.mark.parametrize("call, argv, message", [
+    (lambda: tn_bound_1d(-1, 1.0, 1.0, 0.5),
+     [*TN, "--m", "-1", "--max-re-rate", "1"], "m >= 0"),
+    (lambda: tn_bound_1d(0, -1.0, 1.0, 0.5),
+     [*TN, "--m", "0", "--max-re-rate", "-1"], "nonnegative"),
+    (lambda: nested_fewnomial_bound(2.0, 1.0, -3.0, 0, 0.5), None, "nonnegative"),
+    (lambda: fewnomial_bound([[1.0], [2.0]], UNIT, 5.0, c=1.0),
+     [*THEOREM, "--exponents", "1;2", "--meas-z", "5"], "measure"),
+    (lambda: cor31_bound([[1.0], [2.0]], UNIT, 5.0, c=1.0), None, "measure"),
+    (lambda: fewnomial_bound([[1.0], [1.0]], UNIT, 0.5, c=0.1),
+     [*THEOREM, "--exponents", "1;1", "--meas-z", "0.5"], "distinct"),
+    (lambda: rectangle_fewnomial_bound([1.0], [2.0], [[1.0], [1.0]], 0.5, c=0.1),
+     [*THEOREM, "--form", "rectangle", "--exponents", "1;1", "--meas-z", "0.5"], "distinct"),
+    (lambda: cor31_bound([[1.0], [1.0]], UNIT, 0.5, c=0.1), None, "distinct"),
+], ids=["tn-negative-m", "tn-negative-rate", "nested-negative-degree", "theorem-meas-z",
+        "cor31-meas-z", "theorem-duplicates", "rectangle-duplicates", "cor31-duplicates"])
+def test_out_of_range_input_to_a_bound_is_refused(capsys, call, argv, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+    if argv is not None:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and "Traceback" not in captured.err
+        assert err[0].startswith("error: ") and message in err[0]
