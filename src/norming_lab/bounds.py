@@ -9,15 +9,13 @@ than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import entropy
 from .norming import (NotNormingError, PointSet, _Frame, as_point_set, cramer_bound,
                       fekete_select, norming_constant)
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, report_json
 
 
 def chebyshev(d: int, x: float) -> float:
@@ -47,12 +45,7 @@ class BoundResult:
     applicable: bool = True
     reason: Optional[str] = None
 
-    def __float__(self):
-        return self.value
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value, "inputs": self.inputs,
-                "applicable": self.applicable, "reason": self.reason}
+    to_json = report_json
 
 
 def bg_bound(n: int, d: int, lam: float) -> BoundResult:
@@ -157,10 +150,7 @@ class Finding:
     violation: bool
     repro: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "bound": self.bound.to_json(),
-                "exact": self.exact, "ratio": self.ratio,
-                "violation": self.violation, "repro": self.repro}
+    to_json = report_json
 
 
 @dataclass(frozen=True)
@@ -169,9 +159,7 @@ class AuditReport:
     findings: tuple
     violations: int
 
-    def to_json(self) -> dict:
-        return {"exact": self.exact, "violations": self.violations,
-                "findings": [f.to_json() for f in self.findings]}
+    to_json = report_json
 
     def summary(self) -> str:
         lines = [f"exact norming constant: {self.exact:.9g}"]

@@ -13,13 +13,13 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__, bounds, entropy, fewnomial, stability
 from .norming import (DEFAULT_GRID_BUDGET, DEFAULT_RANK_THRESHOLD, NotNormingError,
                       PointSet, fekete_select, lebesgue_constant, norming_constant)
-from .spaces import space_from_json
+from .spaces import report_json, space_from_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,8 +38,7 @@ class RunConfig:
     as_json: bool = True
     heuristic_cover: bool = False
 
-    def echo(self) -> dict:
-        return asdict(self)
+    echo = report_json
 
 
 def _config_from_args(args) -> RunConfig:

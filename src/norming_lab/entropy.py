@@ -7,13 +7,13 @@ an explicitly non-certified greedy fallback).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .norming import as_point_set, linf_distances
+from .spaces import report_json
 
 DEFAULT_COVER_CAP = 25
 _EPS_TOL = 1e-12
@@ -165,16 +165,7 @@ class SpanProfile:
     degree: int
     dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "cover_counts": list(self.cover_counts),
-            "span": self.span,
-            "argmax_eps": self.argmax_eps,
-            "attained": self.attained,
-            "degree": self.degree,
-            "dim": self.dim,
-        }
+    to_json = report_json
 
 
 def metric_span(points, d: int, *, coefficients=None,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import _box_corners
+from .spaces import _box_corners, report_json
 
 # sample sizes and stop rule of sup_abs_on_interval
 SUP_START = 257
@@ -194,6 +194,8 @@ class LogBody:
     @staticmethod
     def log_polytope(log_vertices, dim: int, measure: Optional[float] = None) -> "LogBody":
         V = np.atleast_2d(np.asarray(log_vertices, dtype=float))
+        if not (1 <= dim <= V.shape[1]):
+            raise ValueError(f"need 1 <= dim <= n = {V.shape[1]}, got dim = {dim}")
         source = "user"
         if measure is None:
             if V.shape[0] == 2 and np.sum(np.abs(V[1] - V[0]) > 1e-15) == 1:
@@ -330,8 +332,8 @@ def discrete_fewnomial_bound(a: float, b: float, exponents, span: float,
     """(b/a)^n_m * (c * b * ln(b/a) / span)^m for sparse integer-exponent polynomials."""
     if not (0.0 < a < b):
         raise ValueError("need 0 < a < b")
-    exps = sorted(int(e) for e in exponents)
-    if len(set(exps)) != len(exps) or exps[0] < 0:
+    exps = sorted(float(e) for e in exponents)
+    if not all(e.is_integer() for e in exps) or len(set(exps)) != len(exps) or exps[0] < 0:
         raise ValueError("exponents must be distinct nonnegative integers")
     if span <= 0:
         raise ValueError("span must be positive")
@@ -363,10 +365,7 @@ class CEstimate:
     seed: int
     argmax_trial: int
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "trials": self.trials, "m_max": self.m_max,
-                "rate_box": self.rate_box, "seed": self.seed,
-                "argmax_trial": self.argmax_trial}
+    to_json = report_json
 
 
 def sample_tn_instance(rng: np.random.Generator, m_max: int, rate_box: float):

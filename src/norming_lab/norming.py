@@ -6,11 +6,11 @@ over a uniform grid on its domain, of the per-point linear program
     maximize  sum_i a_i f_i(x)   s.t.  |sum_i a_i f_i(z_j)| <= 1  for all j.
 
 The LP optimum is attained at a vertex of the feasible polytope, and the
-polytope does not depend on x, so we enumerate its vertices once (in U of the
-rank test's SVD B / colmax = U diag(s) Vh, mapped back) and take
-the grid-wise maximum of |f_v(x)| over vertices v. This is exactly the
-per-grid-point LP value. ``simplex.norming_lp_value`` solves individual
-LPs directly and is used as a cross-check.
+polytope does not depend on x, so we enumerate its vertices, each once and
+in chunks of bounded memory (``_feasible_vertices``, in U of the rank test's
+SVD B / colmax = U diag(s) Vh, mapped back), and take the grid-wise maximum
+of |f_v(x)| over vertices v. This is exactly the per-grid-point LP value.
+``simplex.norming_lp_value`` solves individual LPs directly as a cross-check.
 
 The maximiser takes one kind of column, a group: W has shape (l, K, g) and
 column k's value is sum_j |phi(x) @ W[:, k, j]|. Vertices and single
@@ -53,13 +53,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
 
 from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _greedy_pivots,
-                     _monomial_exponents, _read_only, markov_constant)
+                     _monomial_exponents, _read_only, markov_constant, report_json)
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -562,54 +562,66 @@ class NormingReport:
     witness_point: Optional[np.ndarray]
     method: str
     certified: bool = True
+    json_extra = ("reciprocal",)
 
     @property
     def reciprocal(self) -> float:
         return 0.0 if not self.norming else 1.0 / self.value
 
-    def to_json(self) -> dict:
-        return {
-            "norming": self.norming,
-            "value": self.value,
-            "reciprocal": self.reciprocal,
-            "lower": self.lower,
-            "upper": self.upper,
-            "grid_spacing": self.grid_spacing,
-            "witness_coefficients": np.asarray(self.witness_coefficients).tolist(),
-            "witness_point": None if self.witness_point is None
-            else np.asarray(self.witness_point).tolist(),
-            "method": self.method,
-            "certified": self.certified,
-        }
+    to_json = report_json
 
 
 def _feasible_vertices(B: np.ndarray) -> np.ndarray:
-    """Vertices of {a : |Ba| <= 1}, one representative per +/- pair, subset by
+    """Vertices of {a : |Ba| <= 1}, one per +/- pair and each once, subset by
     subset in combination order and, within a subset, in the row order of
     ``_half_signs``.
 
     A nonsingular l-subset of the rows of B, with inverse A, gives the
-    candidates A s for the sign vectors s. They meet the subset's own rows
-    with |B a| = 1 by construction, so only the m - l rows off the subset are
-    tested, for every subset and sign vector in one (C, m - l, S) product.
-    """
+    candidates A s for the S = 2^(l-1) sign vectors s; only the m - l rows off
+    the subset are tested, in chunks of at most ``_BLOCK_VALUES // (m S)``
+    subsets. A vertex tight on more than l rows (the constant, where V holds
+    it, on all of Z) comes from each subset of them: ``_first_copies``."""
     m, l = B.shape
     if math.comb(m, l) * 2 ** (l - 1) > VERTEX_BUDGET:
         raise ValueError("vertex enumeration budget exceeded; reduce |Z| or dim V")
-    combos = np.asarray(list(combinations(range(m), l)))
-    sub = B[combos]  # (C, l, l)
-    dets = np.linalg.det(sub)
-    scale = np.max(np.abs(sub), axis=(1, 2))
-    ok = np.abs(dets) > 1e-12 * np.maximum(scale, 1.0) ** l
-    if not np.any(ok):
-        return np.empty((0, l))
-    verts = np.linalg.inv(sub[ok]) @ _half_signs(l).T  # (C_ok, l, S)
-    # complements reverse the lexicographic order: at the least index where
-    # two l-subsets differ, the earlier subset holds it and its complement not
-    rest = np.array(list(combinations(range(m), m - l)), dtype=np.intp)
-    rest = B[rest.reshape(len(combos), m - l)[::-1][ok]]  # (C_ok, m - l, l)
-    feas = np.max(np.abs(rest @ verts), axis=1, initial=0.0) <= 1.0 + 1e-9  # (C_ok, S)
-    return np.swapaxes(verts, 1, 2)[feas]
+    signs = _half_signs(l).T  # (l, S)
+    subsets = combinations(range(m), l)
+    step = max(1, _BLOCK_VALUES // (m * signs.shape[1]))
+    out, seen = [np.empty((0, l))], []
+    while chunk := list(islice(subsets, step)):
+        combos = np.array(chunk, dtype=np.intp)
+        sub = B[combos]  # (c, l, l)
+        scale = np.max(np.abs(sub), axis=(1, 2))
+        ok = np.abs(np.linalg.det(sub)) > 1e-12 * np.maximum(scale, 1.0) ** l
+        combos, verts = combos[ok], np.linalg.inv(sub[ok]) @ signs  # (c, l, S)
+        off = np.ones((len(combos), m), dtype=bool)
+        off[np.arange(len(combos))[:, None], combos] = False
+        rest = B[np.nonzero(off)[1].reshape(len(combos), m - l)]  # (c, m - l, l)
+        top = np.max(np.abs(rest @ verts), axis=1, initial=0.0)  # (c, S)
+        feas = top <= 1.0 + 1e-9
+        i, j = np.nonzero(feas & (top >= 1.0 - 1e-9))
+        feas[i, j] = _first_copies(verts[i, :, j] @ B.T, seen)
+        out.append(np.swapaxes(verts, 1, 2)[feas])
+    return np.concatenate(out)
+
+
+def _first_copies(vals: np.ndarray, seen: list) -> np.ndarray:
+    """Which rows of ``vals`` (values on Z of candidates tight on more than l
+    rows) are first copies: signed so its first tight row reads +1, a row within
+    1e-9 of an earlier vertex's (``seen``) is that vertex, as Z norms V."""
+    tight = np.abs(vals) >= 1.0 - 1e-9
+    vals = vals * np.sign(vals[np.arange(len(vals)), np.argmax(tight, axis=1)])[:, None]
+    keep = np.ones(len(vals), dtype=bool)
+    for first in seen:
+        keep &= np.max(np.abs(vals - first), axis=1) > 1e-9
+    rows = np.flatnonzero(keep)
+    while rows.size:
+        seen.append(vals[rows[0]])
+        rows = rows[1:]
+        same = np.max(np.abs(vals[rows] - seen[-1]), axis=1) <= 1e-9
+        keep[rows[same]] = False
+        rows = rows[~same]
+    return keep
 
 
 @functools.lru_cache(maxsize=8)

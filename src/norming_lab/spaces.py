@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -117,6 +117,20 @@ def _basis_derivatives(kind: str, n: int, d: int) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def report_json(obj):
+    """A report as JSON: a dataclass is the dict of its fields plus the names
+    in its class-level ``json_extra``; arrays and tuples become lists, and
+    nested reports dicts, recursively. Every report's ``to_json`` is this."""
+    if is_dataclass(obj):
+        names = [f.name for f in fields(obj)] + list(getattr(obj, "json_extra", ()))
+        return {name: report_json(getattr(obj, name)) for name in names}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [report_json(v) for v in obj]
+    return obj
 
 
 def _box_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,13 +13,13 @@ than the bound (``_gap``). The point values 1/N still give ``lhs`` and
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .norming import NormingReport, PointSet, as_point_set, linf_distances, norming_constant
-from .spaces import SpaceDescriptor, markov_constant
+from .spaces import SpaceDescriptor, markov_constant, report_json
 
 
 def _domain(space: SpaceDescriptor, z: PointSet, y: PointSet) -> np.ndarray:
@@ -66,17 +66,13 @@ class LipschitzReport:
     satisfied: bool
     markov: float
     markov_certified: bool
+    json_extra = ("status",)
 
     @property
     def status(self) -> str:
         return "satisfied" if self.satisfied else "violated"
 
-    def to_json(self) -> dict:
-        return {"d_h": self.d_h, "d_omega_h": self.d_omega_h,
-                "inv_n1": self.inv_n1, "inv_n2": self.inv_n2,
-                "lhs": self.lhs, "rhs": self.rhs, "satisfied": self.satisfied,
-                "status": self.status, "markov": self.markov,
-                "markov_certified": self.markov_certified}
+    to_json = report_json
 
 
 def lipschitz_audit(space: SpaceDescriptor, z1, z2, *, grid_spacing=None,
@@ -136,8 +132,7 @@ class PerturbationRow:
     within_markov: bool
     non_norming: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = report_json
 
 
 def perturbation_experiment(space: SpaceDescriptor, z, magnitudes: Sequence[float],

@@ -88,6 +88,29 @@ def test_curve_bound_lacunarity():
     assert not bad.applicable
 
 
+@pytest.mark.parametrize("bound, message", [
+    (lambda: remez_bound(2, 0.0), r"mu must lie in \(0, 2\]"),
+    (lambda: remez_bound(2, 2.5), r"mu must lie in \(0, 2\]"),
+    (lambda: bg_bound(1, 2, -0.5), r"lambda must lie in \(0, 1\]"),
+    (lambda: bg_upper_envelope(1, 2, 0.0), r"lambda must lie in \(0, 1\]"),
+    (lambda: bg_upper_envelope(1, 2, 1.5), r"lambda must lie in \(0, 1\]"),
+    (lambda: analytic_bound(1, 1.5, 2.0), r"lambda must lie in \(0, 1\]"),
+    (lambda: analytic_bound(1, 0.5, 0.0), "C must be positive"),
+    (lambda: analytic_bound(1, 0.5, -2.0), "C must be positive"),
+    (lambda: rd_span_bound(1, 2, 0.0), "span must be positive"),
+    (lambda: rd_span_bound(1, 2, -0.5), "span must be positive"),
+    (lambda: cor22_bound([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1), "1-D point sets"),
+    (lambda: curve_bound(2, 2, [1]), "one exponent per coordinate"),
+    (lambda: curve_bound(2, 2, [1, 3, 7]), "one exponent per coordinate"),
+    (lambda: audit(P2, [[-1.0], [0.0], [1.0]], ["bogus"], budget=2001), "unknown bound 'bogus'"),
+], ids=["remez-0", "remez-2.5", "bg", "envelope-0", "envelope-1.5", "analytic-lam",
+        "analytic-C-0", "analytic-C-neg", "rd-span-0", "rd-span-neg", "cor22-2d",
+        "curve-short", "curve-long", "audit-unknown"])
+def test_inputs_outside_a_bounds_hypotheses_are_refused(bound, message):
+    with pytest.raises(ValueError, match=message):
+        bound()
+
+
 def test_nested_bound_doubles_degree():
     assert nested_bound(1, 1.0).value == pytest.approx(chebyshev(2, 1.0))
     with pytest.raises(ValueError):

@@ -474,3 +474,82 @@ def test_not_norming_error_exits_2(capsys, space_file, tmp_path):
     assert main(["lebesgue", "--space", space_file, "--points", str(pts)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("not norming: ")
+
+
+CONFIG_KEYS = {"grid_spacing", "rank_threshold", "lp_budget", "cover_cap", "c", "seed", "out",
+               "as_json", "heuristic_cover"}
+BOUND_KEYS = {"name", "value", "inputs", "applicable", "reason"}
+REPORT_KEYS = {
+    "norming": {"norming", "value", "reciprocal", "lower", "upper", "grid_spacing",
+                "witness_coefficients", "witness_point", "method", "certified"},
+    "bound": BOUND_KEYS,
+    "audit": {"exact", "findings", "violations"},
+    "lipschitz": {"d_h", "d_omega_h", "inv_n1", "inv_n2", "lhs", "rhs", "satisfied", "status",
+                  "markov", "markov_certified"},
+    "span": {"breakpoints", "cover_counts", "span", "argmax_eps", "attained", "degree", "dim",
+             "certified"},
+    "estimate-c": {"value", "trials", "m_max", "rate_box", "seed", "argmax_trial"},
+}
+
+
+def test_every_report_writes_exactly_its_schema_keys(capsys, space_file, points_csv, tmp_path):
+    # a report is its dataclass fields: a new field reaches the schema only here
+    z2 = tmp_path / "z2.csv"
+    z2.write_text("-0.9\n0\n1\n")
+    argv = {
+        "norming": ["norming", "--space", space_file, "--points", points_csv, "--budget", "2001"],
+        "bound": ["bound", "--name", "remez", "--d", "3", "--mu", "1.0"],
+        "audit": ["audit", "--space", space_file, "--points", points_csv, "--bounds", "cor22",
+                  "--budget", "2001"],
+        "lipschitz": ["lipschitz", "--space", space_file, "--z1", points_csv, "--z2", str(z2),
+                      "--budget", "2001"],
+        "span": ["span", "--points", points_csv, "--degree", "2"],
+        "estimate-c": ["estimate-c", "--trials", "3"],
+    }
+    for name, args in argv.items():
+        code, out = run(capsys, args)
+        report = json.loads(out)
+        assert code == 0 and set(report) == {"version", "config", "result"}
+        assert set(report["config"]) == CONFIG_KEYS
+        assert set(report["result"]) == REPORT_KEYS[name], name
+    finding = json.loads(run(capsys, argv["audit"])[1])["result"]["findings"][0]
+    assert set(finding) == {"name", "bound", "exact", "ratio", "violation", "repro"}
+    assert set(finding["bound"]) == BOUND_KEYS
+    code, out = run(capsys, ["lipschitz", "--space", space_file, "--z1", points_csv,
+                             "--experiment", "--trials", "2", "--budget", "2001"])
+    assert code == 0
+    (row,) = json.loads(out)["result"]["experiment"]
+    assert set(row) == {"magnitude", "trials", "skipped", "max_ratio", "within_markov",
+                        "non_norming"}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("budget-0", "config value lp_budget must be positive"),
+    ("grid-0", "config value grid_spacing must be positive"),
+    ("space-json", "malformed JSON"), ("points-json", "malformed JSON"),
+    ("space-key", "missing key 'degree'"), ("csv-field", ":2: non-numeric field"),
+    ("lipschitz-z2", "--z2 is required"), ("bound-name", "unknown bound 'bogus'")])
+def test_bad_input_exits_1_with_one_error_line(capsys, space_file, points_csv, tmp_path,
+                                               case, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": ')
+    no_degree = tmp_path / "no-degree.json"
+    no_degree.write_text('{"kind": "polynomial", "vars": 1}')
+    word = tmp_path / "word.csv"
+    word.write_text("-1\nzero\n1\n")
+    norming = ["norming", "--space", space_file, "--points", points_csv]
+    argv = {
+        "budget-0": norming + ["--budget", "0"],
+        "grid-0": norming + ["--grid", "0"],
+        "space-json": ["norming", "--space", str(bad), "--points", points_csv],
+        "points-json": ["norming", "--space", space_file, "--points", str(bad)],
+        "space-key": ["norming", "--space", str(no_degree), "--points", points_csv],
+        "csv-field": ["norming", "--space", space_file, "--points", str(word)],
+        "lipschitz-z2": ["lipschitz", "--space", space_file, "--z1", points_csv],
+        "bound-name": ["bound", "--name", "bogus"],
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]

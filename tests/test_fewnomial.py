@@ -59,6 +59,13 @@ def test_log_segment_measure():
         LogBody.log_polytope([[0.0, 0.0], [1.0, 1.0]], dim=1)  # needs a measure
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+def test_log_polytope_refuses_a_dimension_outside_one_to_n(dim):
+    # dim = 3 in the plane built, and fewnomial_bound then failed on K_3
+    with pytest.raises(ValueError, match="dim"):
+        LogBody.log_polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dim=dim, measure=1.0)
+
+
 def test_kd_constant_known():
     body = LogBody.box([1.0, 1.0], [2.0, 3.0])
     assert kd_constant(body, 1) == pytest.approx(3.0)
@@ -97,6 +104,14 @@ def test_discrete_single_term_exact():
     assert discrete_fewnomial_bound(0.5, 2.0, [3], span=1.0) == pytest.approx(64.0)
     with pytest.raises(ValueError):
         discrete_fewnomial_bound(2.0, 0.5, [3], span=1.0)
+
+
+def test_discrete_bound_refuses_a_non_integer_exponent():
+    # 3.5 read as 3 gave the value of [0, 3, 7]; an integer-valued float is an integer
+    with pytest.raises(ValueError, match="distinct nonnegative integers"):
+        discrete_fewnomial_bound(0.5, 2.0, [0, 3.5, 7], 0.5, c=1)
+    assert (discrete_fewnomial_bound(0.5, 2.0, [0.0, 3.0, 7.0], 0.5, c=1)
+            == discrete_fewnomial_bound(0.5, 2.0, [0, 3, 7], 0.5, c=1))
 
 
 def test_rectangle_and_general_single_term_agree():

@@ -238,7 +238,7 @@ WIDE = {
     "P2-2d-m10": (SpaceDescriptor.polynomial(2, 2), None, 10, 40000, 1, 0),
     "P2-2d-m10-default": (SpaceDescriptor.polynomial(2, 2), None, 10, None, 2, 4),
     "T2-1d-m9": (SpaceDescriptor.trigonometric(1, 2), None, 9, 20001, 2, 2),
-    "fewnomial-m6": (FEW, FEW_BOX, 6, 20001, 2, 3),
+    "fewnomial-m8": (FEW, FEW_BOX, 8, 20001, 2, 3),
 }
 
 
@@ -287,16 +287,68 @@ def test_feasible_vertices_match_the_all_rows_enumeration(l):
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max()
 
 
-def test_feasible_vertices_keep_a_vertex_that_every_subset_gives():
+def _distinct(B, verts):
+    """The rows of ``verts`` whose values on the rows of B differ, up to
+    sign, from every earlier row's by more than 1e-9, in order."""
+    vals = verts @ B.T
+    keep = [i for i in range(len(verts))
+            if i == 0 or min(np.abs(vals[:i] - vals[i]).max(axis=1).min(),
+                             np.abs(vals[:i] + vals[i]).max(axis=1).min()) > 1e-9]
+    return verts[keep]
+
+
+def test_feasible_vertices_list_a_vertex_that_every_subset_gives_once():
     # |B e_0| = 1 on every row of a Vandermonde matrix: the constant function
-    # is tight everywhere, so each of the C(m, l) subsets yields e_0
+    # is tight everywhere, so each of the C(m, l) subsets yields e_0, and it
+    # is listed once, where the first subset gives it
     m, l = 7, 4
     B = np.vander(np.linspace(-1.0, 1.0, m), l, increasing=True)
     got, ref = _feasible_vertices(B), _all_rows_vertices(B)
+    copies = np.flatnonzero(np.all(np.abs(ref - np.eye(l)[0]) <= 1e-12, axis=1))
+    assert len(copies) == math.comb(m, l)
+    once = np.flatnonzero(np.all(np.abs(got - np.eye(l)[0]) <= 1e-12, axis=1))
+    assert len(once) == 1 and once[0] == copies[0]
+    ref = _distinct(B, ref)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    copies = np.all(np.abs(got - np.eye(l)[0]) <= 1e-12, axis=1)
-    assert copies.sum() == math.comb(m, l)
+
+
+def test_vertex_budget_counts_every_candidate_and_refuses_first(monkeypatch):
+    # C(6, 3) * 4 = 80 candidates are within a budget of 80, C(7, 3) * 4 = 140 not
+    monkeypatch.setattr(norming, "VERTEX_BUDGET", 80)
+    rng = np.random.default_rng(8)
+    assert _feasible_vertices(rng.normal(size=(6, 3))).shape[0] > 0
+    with pytest.raises(ValueError, match="budget exceeded"):
+        _feasible_vertices(rng.normal(size=(7, 3)))
+    # refused before the 2^59 sign vectors are built
+    with pytest.raises(ValueError, match="budget exceeded"):
+        _feasible_vertices(np.ones((61, 60)))
+
+
+def _vertex_set(kind, m, rng):
+    """B of a set of m points: random rows, an equispaced Vandermonde matrix,
+    1-D P3 on three clusters, or 1-D T1."""
+    if kind == "random":
+        return rng.normal(size=(m, 4))
+    if kind == "vandermonde":
+        return np.vander(np.linspace(-1.0, 1.0, m), 4, increasing=True)
+    if kind == "clustered":
+        pts = rng.choice([-0.9, 0.1, 0.8], m) + rng.uniform(-0.05, 0.05, m)
+        return SpaceDescriptor.polynomial(1, 3).evaluate_basis(pts[:, None])
+    return SpaceDescriptor.trigonometric(1, 1).evaluate_basis(rng.uniform(-1.0, 1.0, (m, 1)))
+
+
+@pytest.mark.parametrize("block", [1, 100, 1 << 20])
+@pytest.mark.parametrize("kind", ["random", "vandermonde", "clustered", "trigonometric"])
+def test_feasible_vertices_are_the_distinct_all_rows_vertices(kind, block, monkeypatch):
+    # one subset per chunk, a few per chunk, and every subset in one chunk
+    monkeypatch.setattr(norming, "_BLOCK_VALUES", block)
+    rng = np.random.default_rng(40)
+    for extra in range(7):
+        B = _vertex_set(kind, (3 if kind == "trigonometric" else 4) + extra, rng)
+        got, ref = _feasible_vertices(B), _distinct(B, _all_rows_vertices(B))
+        assert got.shape == ref.shape and got.shape[0] > 0
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # (space, box or None for the cube): H bounds sum_ij sup |d_i d_j p| / sup |p|

@@ -423,6 +423,15 @@ def test_fekete_needs_enough_points():
         fekete_select(P2, [[0.0], [1.0]])
 
 
+def test_fekete_refuses_a_scan_above_the_cap_and_an_unknown_mode():
+    pts = np.linspace(-1.0, 1.0, 1001)[:, None]
+    assert math.comb(1001, 2) > norming.FEKETE_CAP  # P1 pairs of 1,001 points
+    with pytest.raises(ValueError, match="above the configured cap"):
+        fekete_select(P1, pts)
+    with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'greedy'"):
+        fekete_select(P1, pts[::500], mode="bogus")
+
+
 def test_all_singular_subsets_not_norming():
     space = SpaceDescriptor.polynomial(2, 1)
     pts = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # collinear
