@@ -48,8 +48,15 @@ class BoundResult:
     to_json = report_json
 
 
+def _dimension_and_degree(n: int, d: int = 0) -> None:
+    """Refuse n < 1 variables or a degree d < 0, which no bound is stated for."""
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got n = {n}, d = {d}")
+
+
 def bg_bound(n: int, d: int, lam: float) -> BoundResult:
     """Measure-ratio bound T_d((1 + (1-lam)^(1/n)) / (1 - (1-lam)^(1/n)))."""
+    _dimension_and_degree(n, d)
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     s = (1.0 - lam) ** (1.0 / n)
@@ -67,6 +74,7 @@ def remez_bound(d: int, mu: float) -> BoundResult:
 
 def bg_upper_envelope(n: int, d: int, lam: float) -> BoundResult:
     """The strictly dominating envelope (4n/lam)^d."""
+    _dimension_and_degree(n, d)
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     return BoundResult("bg_envelope", (4.0 * n / lam) ** d,
@@ -75,6 +83,7 @@ def bg_upper_envelope(n: int, d: int, lam: float) -> BoundResult:
 
 def analytic_bound(n: int, lam: float, C: float) -> BoundResult:
     """E(...)^C bound for finite-dimensional analytic spaces; C is user-supplied."""
+    _dimension_and_degree(n)
     if C is None:
         raise ValueError("the analytic-space constant C must be supplied")
     if not (0.0 < lam <= 1.0):
@@ -88,6 +97,7 @@ def analytic_bound(n: int, lam: float, C: float) -> BoundResult:
 
 def rd_span_bound(n: int, d: int, omega: float) -> BoundResult:
     """R_d(omega): the metric-span bound; spans above 1 are outside its domain."""
+    _dimension_and_degree(n, d)
     if omega <= 0.0:
         raise ValueError("span must be positive")
     if omega > 1.0:
@@ -118,6 +128,7 @@ def curve_bound(n: int, d: int, exponents) -> BoundResult:
     since each coefficient is bounded by 2^(d*d_n) and the proof sums over
     all monomials; the reading is flagged in the inputs echo.
     """
+    _dimension_and_degree(n, d)
     ds = [int(e) for e in exponents]
     if len(ds) != n:
         raise ValueError("need one exponent per coordinate")

@@ -370,6 +370,10 @@ class CEstimate:
 
 def sample_tn_instance(rng: np.random.Generator, m_max: int, rate_box: float):
     """One random 1-D Turan-Nazarov instance: (p, I=(0, L), Z intervals)."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    if not rate_box > 0:
+        raise ValueError(f"rate_box must be positive, got {rate_box}")
     m = int(rng.integers(1, m_max + 1)) if m_max >= 1 else 0
     coefs = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
     lambdas = (rng.uniform(-rate_box, rate_box, m + 1)
@@ -417,12 +421,11 @@ def estimate_c(trials: int, m_max: int = 3, rate_box: float = 2.0,
     """Empirical minimal c over seeded random instances (a running maximum).
 
     With only single-term instances possible (m_max = 0) the exponent is
-    zero and c is irrelevant; the 0-marker is returned.
+    zero and c is irrelevant: each instance reads 0, and the 0-marker
+    (value 0, argmax_trial -1) is returned.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if m_max == 0:
-        return CEstimate(0.0, trials, m_max, rate_box, seed, -1)
     rng = np.random.default_rng(seed)
     best = 0.0
     arg = -1

@@ -28,25 +28,24 @@ as V' on a box with no flat axis, through x = c + r * u (r = 0 on a flat
 axis), and only the frame reads which axes are flat. For V = P_d, N_V(Z)
 does not change when a box and its set are mapped affinely onto the cube,
 so a polynomial box is taken on the cube's plan in its live variables.
-Every other box takes its own plan (``_GridPlan``) by the relative rule
-below, or, for a trigonometric box that does not cover the cube, where
-Bernstein's constant is not certified (``markov_constant``), by the
-additive rule; a point needs no grid. A vector W is handed over as T W,
-with both ends moved out by its rounding; a set is handed over as its image
-in V', and its witness is lifted back into V.
+Every other box takes its own plan (``_GridPlan``); a point needs no grid.
+A vector W is handed over as T W, with both ends moved out by its
+rounding; a set is handed over as its image in V', and its witness is
+lifted back into V.
 
 Certificate. The grid maximum is the lower bound: a dense pass's value,
 point and column, found on a tree of blocks of grid points by one rule that
 drops, level by level, each column and block whose Taylor bound stays below
 the level's best value (``_coarse_prune``). Every point of the box lies
-within h/2 of a grid point in l-inf, so the upper bound needs only the
-l-inf Lipschitz bound M * sup|f|, M the Markov constant of the identity
-modulus (the space's own modulus serves the Lipschitz stability of
-1/N_V(Z) only): lower / (1 - M * h/2) on the relative rule, and
-lower + M * h/2 * sup_cube on the additive one, sup_cube the upper end of
-the cube bracket of the same W. The spacing h is halved while
-M * h/2 >= 1. In a box's frame a given spacing h becomes
-h * min(1, 1 / max r), and a budget stays the cube's.
+within h/2 of a grid point in l-inf, so the upper bound needs only an
+l-inf Lipschitz bound: M * sup|f| where the box has a certified Markov
+constant M of the identity modulus (``markov_constant``), giving
+lower / (1 - M * h/2), with h halved while M * h/2 >= 1; elsewhere (a
+fewnomial span, a trigonometric box whose live axes do not cover the
+cube) column k's own D_k = sum_j |W[:, k, j]| . G, G the basis's
+(``SpaceDescriptor.basis_lipschitz``), giving lower + h/2 * max_k D_k. In
+a box's frame a given spacing h becomes h * min(1, 1 / max r), and a
+budget stays the cube's.
 """
 from __future__ import annotations
 
@@ -58,8 +57,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _greedy_pivots,
-                     _monomial_exponents, _read_only, markov_constant, report_json)
+from .spaces import (IDENTITY, MarkovConstant, SpaceDescriptor, _monomial_exponents,
+                     _read_only, markov_constant, report_json)
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 DEFAULT_GRID_BUDGET = 200_001
@@ -292,9 +291,14 @@ class SupBracket:
 
 def certified_supnorm(space: SpaceDescriptor, coefficients, box=None, *,
                       grid_spacing=None, budget=None) -> SupBracket:
-    """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``)."""
-    W = np.asarray(coefficients, dtype=float)[:, None, None]
-    return _certified_max(space, W, _domain_box(space, box), grid_spacing, budget)[0]
+    """Bracket [lower, upper] containing sup |f| over a box (see ``_certified_max``),
+    f given by dim V finite coefficients."""
+    w = np.asarray(coefficients, dtype=float)
+    if w.shape != (space.dimension(),) or not np.all(np.isfinite(w)):
+        raise ValueError(f"coefficients must be a vector of dim V = {space.dimension()} "
+                         f"finite numbers, got shape {w.shape}")
+    return _certified_max(space, w[:, None, None], _domain_box(space, box), grid_spacing,
+                          budget)[0]
 
 
 def _grid_key(spacing, budget):
@@ -308,19 +312,19 @@ def _grid_key(spacing, budget):
 @dataclass(frozen=True, eq=False)
 class _GridPlan:
     """What a bracket on one (space, box, spacing, budget) needs that does not
-    depend on W: M, the rule, the halved spacing, the axes in place of O(G)
-    points, and the tree, H and P, built on first use. Made by ``_grid_plan``,
-    an ``lru_cache`` of 8, so every set in one space shares the cube's plan,
-    as does every polynomial box in its frame. Its arrays are read-only."""
+    depend on W: M or the basis's Lipschitz bound, the halved spacing, the
+    axes in place of O(G) points, and the tree, H and P, built on first use.
+    Made by ``_grid_plan``, an ``lru_cache`` of 8, so every set in one space
+    shares the cube's plan, as does every polynomial box in its frame. Its
+    arrays are read-only."""
 
     space: SpaceDescriptor
-    markov: MarkovConstant  # of the identity modulus, for the box
-    additive: bool  # S = sup_cube (a trigonometric box that does not cover the cube)
+    markov: Optional[MarkovConstant]  # certified, of the identity modulus; None if none is
     spacing: Optional[float]  # after halving; None where the budget sets it
     h_eff: float
     axes: tuple  # (lo, hi, m, step) per axis, see ``_axis_points``
     shape: tuple
-    lipschitz: Optional[np.ndarray]  # a fewnomial span's corner Lipschitz bound
+    lipschitz: Optional[np.ndarray]  # ``basis_lipschitz`` on the box, where markov is None
     vmax: float  # max(1, sup of the basis on the box), for ``_coarse_prune``'s slack
 
     @functools.cached_property
@@ -328,12 +332,14 @@ class _GridPlan:
         """Bound on sum_ij sup |d_i d_j f| / sup |f| over the box that M is
         relative to: n^2 d^2 (d - 1)^2 on the cube (Markov's inequality
         applied to f and to d_i f), (pi d n)^2 for a trigonometric space
-        (Bernstein's twice, relative to the sup over a period), and 0 for a
-        fewnomial span, whose pruning reads no second derivative."""
+        (Bernstein's twice, relative to the sup over a period), and 0 where
+        the box has no M: that pruning reads no second derivative."""
+        if self.markov is None:
+            return 0.0
         d, M = self.space.degree, self.markov.value
         if self.space.kind == "polynomial":
             return (M * (d - 1) / d) ** 2 if d > 1 else 0.0
-        return M * M if self.space.kind == "trigonometric" else 0.0
+        return M * M
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -387,19 +393,19 @@ def _halved_grid(M: float, box, spacing, budget):
 @functools.lru_cache(maxsize=8)
 def _grid_plan(space: SpaceDescriptor, box_bytes: bytes, spacing, budget) -> _GridPlan:
     """The grid plan of a box, given as the float64 bytes of its rows (lo, hi),
-    with the box's own M; a trigonometric box on which Bernstein's constant
-    is not certified takes the cube's and the additive rule. Here the
-    spacing is halved while M * h/2 >= 1, and the grid is fixed."""
+    and the grid fixed: with the box's own M, where it is certified, and the
+    spacing halved while M * h/2 >= 1; elsewhere (a fewnomial span, or a
+    trigonometric box that does not cover the cube) with the basis's
+    Lipschitz bound and the spacing as given, as that rule has no pole."""
     box = tuple(np.frombuffer(box_bytes).reshape(2, -1))
-    identity = replace(space, modulus=IDENTITY)
-    M = markov_constant(identity, box=box)
-    additive = space.kind == "trigonometric" and not M.certified
-    if additive:  # the same value, relative to the sup over a period
-        M = markov_constant(identity)
-    spacing, axes, h_eff = _halved_grid(M.value, box, spacing, budget)
-    lipschitz = _read_only(space.basis_lipschitz(box)) if space.kind == "fewnomial" else None
-    return _GridPlan(space, M, additive, spacing, h_eff, axes, tuple(ax[2] for ax in axes),
-                     lipschitz, max(1.0, space.basis_sup(box)))
+    M = lipschitz = None
+    if space.kind != "fewnomial":
+        M = markov_constant(replace(space, modulus=IDENTITY), box=box)
+    if M is None or not M.certified:
+        M, lipschitz = None, _read_only(space.basis_lipschitz(box))
+    spacing, axes, h_eff = _halved_grid(0.0 if M is None else M.value, box, spacing, budget)
+    return _GridPlan(space, M, spacing, h_eff, axes, tuple(ax[2] for ax in axes), lipschitz,
+                     max(1.0, space.basis_sup(box)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -509,13 +515,7 @@ class _Frame:
             return SupBracket(float(vals[k]), float(vals[k]), True, 0.0, np.empty(0)), k
         spacing, budget = _grid_key(spacing, budget)
         spacing = None if spacing is None else spacing * min(1.0, 1.0 / max(self.r.tolist()))
-        plan = _grid_plan(self.space, self.box.tobytes(), spacing, budget)
-        whole = None
-        if plan.additive:
-            cube = _grid_plan(self.space, _cube(self.space).tobytes(),
-                              *_grid_key(plan.spacing, budget))
-            whole = _bracket(W, cube, None)[0]
-        return _bracket(W, plan, whole)
+        return _bracket(W, _grid_plan(self.space, self.box.tobytes(), spacing, budget))
 
 
 def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
@@ -531,20 +531,19 @@ def _certified_max(space: SpaceDescriptor, W: np.ndarray, box, spacing, budget):
     return frame.to_box(bracket, frame.pad(W)), column
 
 
-def _bracket(W: np.ndarray, plan: _GridPlan, whole: Optional[SupBracket]):
-    """``_certified_max`` once the plan is picked: ``whole`` is the cube bracket
-    of the same W on an additive plan, None elsewhere."""
-    S = None if whole is None else whole.upper
-    lower, point, column = _grid_max(W, plan, (plan.H, S))
-    pad = plan.markov.value * (plan.h_eff / 2)
-    certified = plan.markov.certified and pad < 1.0 and (whole is None or whole.certified)
-    if pad >= 1.0:
-        upper = math.inf
-    elif S is None:
-        upper = lower / (1.0 - pad)
+def _bracket(W: np.ndarray, plan: _GridPlan):
+    """``_certified_max`` once the plan is picked, by the plan's rule (the
+    module docstring); a bracket whose upper end is not finite is not certified."""
+    lower, point, column = _grid_max(W, plan)
+    if plan.markov is None:
+        upper = lower + plan.h_eff / 2 * float(_with_slopes(W, plan)[1].max())
+        # a trigonometric G is pi times integers; a fewnomial span's corner values
+        # carry only a relative margin for their exp/log rounding, not a proven bound
+        certified = plan.space.kind == "trigonometric"
     else:
-        upper = lower + pad * S
-    return SupBracket(lower, upper, certified, plan.h_eff, point), column
+        pad = plan.markov.value * (plan.h_eff / 2)
+        upper, certified = (lower / (1.0 - pad), True) if pad < 1.0 else (math.inf, False)
+    return SupBracket(lower, upper, certified and math.isfinite(upper), plan.h_eff, point), column
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +631,13 @@ def _half_signs(l: int) -> np.ndarray:
     return _read_only(np.hstack([np.ones((bits.shape[0], 1)), np.where(bits, 1.0, -1.0)]))
 
 
-def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
+def _grid_max(W: np.ndarray, plan: _GridPlan):
     """(value, point, column): the maximum of sum_j |phi(x) @ W[:, k, j]| over
     the grid of ``plan`` and all groups k, and its first maximiser in grid
     order and column order, as one dense ``_group_values(Phi, W)`` gives.
-    ``_coarse_prune`` skips, by the (H, S) of ``rule`` that ``_certified_max``
-    picks, the columns and blocks that cannot reach it, exactly; the grid
-    points it keeps are evaluated in chunks of bounded size."""
-    cols, keep = _coarse_prune(W, plan, rule)
+    ``_coarse_prune`` skips the columns and blocks that cannot reach it,
+    exactly; the grid points it keeps are evaluated in chunks of bounded size."""
+    cols, keep = _coarse_prune(W, plan)
     Wk, total = W[:, cols], math.prod(plan.shape)
     top, point, col = -math.inf, None, 0
     step = _block_rows(Wk)
@@ -657,24 +655,22 @@ def _grid_max(W: np.ndarray, plan: _GridPlan, rule):
     return top, point, col
 
 
-def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
+def _coarse_prune(W: np.ndarray, plan: _GridPlan):
     """Groups of W and flat grid indices that can still attain the grid maximum.
 
     One loop over the plan's tree (``_GridPlan.tree``), coarsest level first:
     each level runs ``_lattice_pass`` on its kept blocks' rows of the plan's
     tables, drops columns and blocks by one rule, and hands the kept blocks'
     children on; the kept root blocks give the grid indices. Levels above
-    the root run while two or more columns are left, to drop columns. Every point of a block lies within r (the
-    level's) of its centre c on every axis, so Taylor's theorem on the
-    segment between them bounds column k, of value V_k, on the block by
+    the root run while two or more columns are left, to drop columns. Every
+    point of a block lies within r (the level's) of its centre c on every
+    axis, so Taylor's theorem bounds column k, of value V_k, on the block by
 
         V_k(c) + r * D_k(c) + q * S_k,   q = H * r^2 / 2,
 
-    with ``rule`` = (H, S) as ``_certified_max`` picks it (``_GridPlan.H``
-    bounds the second derivatives relative to the sup), D_k the slope of
-    ``_with_slopes`` and S_k a bound on sup V_k: on the relative rule
-    (S None) S_k = max_c (V_k + r * D_k) / (1 - q) over the kept blocks
-    where q < 1, and on the additive one S_k = S, the cube bracket's upper end.
+    with H = ``_GridPlan.H`` (0 where the box has no M), D_k the slope of
+    ``_with_slopes`` and S_k = max_c (V_k + r * D_k) / (1 - q) over the kept
+    blocks where q < 1, a bound on sup V_k.
 
     The floor is the level's largest V_k(c), a grid value, less a rounding
     slack. A column goes where its bound stays below the floor on every kept
@@ -694,8 +690,7 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
     Returns (columns, ascending flat indices; None where every block is kept).
     """
     cols = np.arange(W.shape[1])
-    H, S = rule
-    g = W.shape[2]
+    H, g = plan.H, W.shape[2]
     Wv, D0 = _with_slopes(W, plan)
     norms = np.abs(Wv).sum(axis=0)
     wnorm, dnorm = float(norms[:g].sum(axis=0).max()), float(norms[g:].sum(axis=0).max())
@@ -709,8 +704,7 @@ def _coarse_prune(W: np.ndarray, plan: _GridPlan, rule):
             kept, at = _sub_blocks(kept, at, size, plan.shape), size
         low, reach, rowreach = _lattice_pass(rows if kept is None else rows[kept],
                                              Wv[:, :, cols], g, D0[cols], r)
-        # max_c (V_k + r D_k) + q S_k, which is S_k itself where S is None
-        bound = reach / (1.0 - q) if S is None else reach + q * S
+        bound = reach / (1.0 - q)  # max_c (V_k + r D_k) + q S_k, which is S_k itself
         if not np.isfinite(bound).all():
             continue
         floor = float(low.max()) * (1.0 - _PRUNE_RTOL) - unit * (wnorm + r * dnorm) / (1.0 - q)
@@ -743,10 +737,10 @@ def _with_slopes(W: np.ndarray, plan: _GridPlan):
     the basis into itself (``SpaceDescriptor.basis_derivatives``), and Wv, of
     shape (l, (n + 1) * g, K), holds the g members of every group followed by
     their n * g derivative members P_i @ W[:, :, j], so D_k(c) is the exact
-    group value of the latter at c, and D0 = 0. A fewnomial span has Wv =
-    the members alone and the constant D0_k = sum_j |W[:, k, j]| . G, with G
-    the corner Lipschitz bound of the basis, and a relative margin for the
-    exp/log rounding of the corner values."""
+    group value of the latter at c, and D0 = 0. A plan with no M has Wv =
+    the members alone and the constant D0_k = sum_j |W[:, k, j]| . G, which
+    ``_bracket`` reads too, G = ``SpaceDescriptor.basis_lipschitz`` on the
+    box, with a relative margin for the exp/log rounding of corner values."""
     l, K, g = W.shape
     Wv = W.transpose(0, 2, 1)  # (l, g, K)
     if plan.lipschitz is not None:
@@ -912,6 +906,26 @@ def fekete_select(space: SpaceDescriptor, points, mode: str = "exhaustive"):
     if det == 0.0:
         raise NotNormingError("greedy subset is singular")
     return idx, det
+
+
+def _greedy_pivots(Phi: np.ndarray) -> list[int]:
+    """Rows of Phi picked by volume-maximizing pivoting (modified Gram-Schmidt),
+    in pick order: each the row of largest residual norm, then projected out
+    of every row. Fewer than Phi.shape[1] where that norm falls to 1e-13. The
+    rows approximate a Fekete subset (Bos, De Marchi, Sommariva and Vianello,
+    SIAM J. Numer. Anal. 2010)."""
+    R = Phi.copy()
+    chosen: list[int] = []
+    for _ in range(Phi.shape[1]):
+        norms = np.linalg.norm(R, axis=1)
+        norms[chosen] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= 1e-13:
+            break
+        chosen.append(j)
+        q = R[j] / norms[j]
+        R -= np.outer(R @ q, q)
+    return chosen
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Supported families:
   with real exponent vectors, defined on the open positive orthant.
 
 Markov constants (``markov_constant``): Markov's and Bernstein's in closed
-form, and for a fewnomial span an uncertified Lagrange bound.
+form; none is known for a fewnomial span.
 """
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """A point lies outside the declared domain of the space."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """A basis is linearly dependent on the supplied sample."""
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +289,19 @@ class SpaceDescriptor:
         return float(np.max(np.abs(self.evaluate_basis(_box_corners(lo, hi)))))
 
     def basis_lipschitz(self, box) -> np.ndarray:
-        """Per basis function x^alpha of a fewnomial span, sum_j max |d_j x^alpha|
-        over a box, exactly: the largest |alpha_j| * x^(alpha - e_j) at its corners.
-
-        Each partial derivative is again a product of per-axis factors x_k^beta,
-        monotone in x_k > 0, so its modulus peaks at a corner (as in
-        ``basis_sup``). The sum bounds the l-inf Lipschitz constant of x^alpha
-        on the box: |f(x) - f(y)| <= sum_j sup |d_j f| * |x_j - y_j|.
+        """Per basis function phi_i, G_i >= sum_j sup |d_j phi_i| over a box, so
+        |phi_i(x) - phi_i(y)| <= G_i * |x - y|_inf there. For a fewnomial span
+        it is exact, the largest |alpha_j| * x^(alpha - e_j) at the box's
+        corners: each partial derivative is a product of per-axis factors
+        x_k^beta, monotone in x_k > 0 (as in ``basis_sup``). For a
+        trigonometric space it is pi times the sum of phi_i's factor
+        frequencies on any box (exact in 1-D): d_j turns a factor of frequency
+        k into one of modulus at most k * pi, and the others are at most 1.
         """
+        if self.kind == "trigonometric":
+            return math.pi * ((_trig_tuples(self.n, self.degree) + 1) // 2).sum(axis=1)
         if self.kind != "fewnomial":
-            raise ValueError("basis_lipschitz is defined for fewnomial spans")
+            raise ValueError("basis_lipschitz is defined for fewnomial and trigonometric spaces")
         lo, hi = (np.asarray(b, dtype=float) for b in box)
         corners = _box_corners(lo, hi)
         if np.any(corners <= 0):
@@ -369,16 +368,11 @@ def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     constant M_1 is exact for polynomial spaces, sum_j 2 d^2 / (hi_j - lo_j)
     over those axes by Markov, for the constants, 0, and for trigonometric
     ones, pi * d * k by Bernstein, which holds relative to the sup over a
-    whole period, so is certified only where those axes cover the cube. A
-    fewnomial span takes G @ |C| @ 1, C = B_S^-1 on the l points S that
-    ``_greedy_pivots`` picks from a tensor sample of the box (513 points in
-    1-D, 65^2 in 2-D, 17^k above; columns scaled to max 1, as the rank test
-    of ``norming_constant`` scales them) and G = ``basis_lipschitz``: f =
-    sum_i f(s_i) L_i with L_i = sum_a C[a, i] x^a, so Lip(f) <= sup|f| *
-    sum_ia |C[a, i]| G_a. It is not certified: nothing bounds the rounding of
-    the computed inverse. As |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at l-inf
-    distance t <= D, the box's largest side, omega(t) = t^gamma gives
-    M_1 * min(D, 2 / M_1)^(1 - gamma), and gamma = 1 for the identity.
+    whole period, so is certified only where those axes cover the cube. No
+    constant is known for a fewnomial span with a live axis, which raises.
+    As |f(x) - f(y)| <= min(M_1 t, 2) sup|f| at l-inf distance t <= D, the
+    box's largest side, omega(t) = t^gamma gives M_1 * min(D, 2 / M_1)^(1 - gamma),
+    and gamma = 1 for the identity.
     """
     box = space.default_box() if box is None else box
     if box is None:
@@ -390,34 +384,8 @@ def markov_constant(space: SpaceDescriptor, box=None) -> MarkovConstant:
     elif space.kind == "polynomial" or sub.n == 0:  # on a point, V' holds the constants
         M, certified = float(np.sum(2.0 * sub.degree**2 / (hi - lo))), True
     else:
-        k = {1: 513, 2: 65}.get(sub.n, 17)
-        axes = np.meshgrid(*(np.linspace(a, b, k) for a, b in zip(lo, hi)), indexing="ij")
-        Phi = sub.evaluate_basis(np.stack(axes, axis=-1).reshape(-1, sub.n))
-        S = _greedy_pivots(Phi / np.max(np.abs(Phi), axis=0))
-        if len(S) < Phi.shape[1]:
-            raise RankDeficiencyError("the basis is rank-deficient on the sample")
-        C = np.linalg.inv(Phi[S])
-        M, certified = float(sub.basis_lipschitz((lo, hi)) @ np.abs(C).sum(axis=1)), False
+        raise ValueError("no Markov constant is known for a fewnomial span on a box "
+                         "with a live axis")
     if M > 0:
         M *= min(float(np.max(hi - lo)), 2.0 / M) ** (1.0 - space.modulus.gamma)
     return MarkovConstant(M, certified)
-
-
-def _greedy_pivots(Phi: np.ndarray) -> list[int]:
-    """Rows of Phi picked by volume-maximizing pivoting (modified Gram-Schmidt),
-    in pick order: each the row of largest residual norm, then projected out
-    of every row. Fewer than Phi.shape[1] where that norm falls to 1e-13. The
-    rows approximate a Fekete subset (Bos, De Marchi, Sommariva and Vianello,
-    SIAM J. Numer. Anal. 2010)."""
-    R = Phi.copy()
-    chosen: list[int] = []
-    for _ in range(Phi.shape[1]):
-        norms = np.linalg.norm(R, axis=1)
-        norms[chosen] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-13:
-            break
-        chosen.append(j)
-        q = R[j] / norms[j]
-        R -= np.outer(R @ q, q)
-    return chosen

@@ -3,8 +3,9 @@
 The modulus of continuity lives on the space descriptor, so the Markov
 constant and the omega-Hausdorff distance always share one modulus. N, M_V
 and the perturbations of an audit live on the domain its sets share
-(``PointSet.domain``). Sets on different domains raise, and so does a constant
-not certified there (``markov_constant``). 1/N is 0 if not norming.
+(``PointSet.domain``). Sets on different domains raise, and so does a domain
+whose constant is not certified or not known (``markov_constant``). 1/N is 0
+if not norming.
 
 A violation is reported only where the certified brackets prove it: the
 reciprocal intervals [1/upper, 1/lower] of the two sets lie further apart

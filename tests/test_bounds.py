@@ -103,9 +103,23 @@ def test_curve_bound_lacunarity():
     (lambda: curve_bound(2, 2, [1]), "one exponent per coordinate"),
     (lambda: curve_bound(2, 2, [1, 3, 7]), "one exponent per coordinate"),
     (lambda: audit(P2, [[-1.0], [0.0], [1.0]], ["bogus"], budget=2001), "unknown bound 'bogus'"),
+    # no bound is stated for n < 1 variables or a degree d < 0
+    (lambda: bg_bound(0, 2, 0.5), "need n >= 1 and d >= 0, got n = 0"),
+    (lambda: bg_bound(-1, 2, 0.5), "need n >= 1 and d >= 0, got n = -1"),
+    (lambda: bg_bound(1, -1, 0.5), "need n >= 1 and d >= 0, got n = 1, d = -1"),
+    (lambda: remez_bound(-1, 1.0), "need n >= 1 and d >= 0, got n = 1, d = -1"),
+    (lambda: bg_upper_envelope(0, 2, 0.5), "need n >= 1 and d >= 0, got n = 0"),
+    (lambda: bg_upper_envelope(1, -1, 0.5), "need n >= 1 and d >= 0, got n = 1, d = -1"),
+    (lambda: analytic_bound(0, 0.5, 2.0), "need n >= 1 and d >= 0, got n = 0"),
+    (lambda: rd_span_bound(0, 2, 0.5), "need n >= 1 and d >= 0, got n = 0"),
+    (lambda: rd_span_bound(1, -2, 0.5), "need n >= 1 and d >= 0, got n = 1, d = -2"),
+    (lambda: curve_bound(0, 2, []), "need n >= 1 and d >= 0, got n = 0"),
+    (lambda: curve_bound(2, -1, [1, 3]), "need n >= 1 and d >= 0, got n = 2, d = -1"),
 ], ids=["remez-0", "remez-2.5", "bg", "envelope-0", "envelope-1.5", "analytic-lam",
         "analytic-C-0", "analytic-C-neg", "rd-span-0", "rd-span-neg", "cor22-2d",
-        "curve-short", "curve-long", "audit-unknown"])
+        "curve-short", "curve-long", "audit-unknown", "bg-n-0", "bg-n-neg", "bg-d-neg",
+        "remez-d-neg", "envelope-n-0", "envelope-d-neg", "analytic-n-0", "rd-span-n-0",
+        "rd-span-d-neg", "curve-n-0", "curve-d-neg"])
 def test_inputs_outside_a_bounds_hypotheses_are_refused(bound, message):
     with pytest.raises(ValueError, match=message):
         bound()

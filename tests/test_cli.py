@@ -194,10 +194,10 @@ def test_fewnomial_points_file_carries_its_box(capsys, fewnomial_files):
                              "--bounds", "cramer", "--budget", "20001"])
     assert code == 0
     assert json.loads(out)["result"]["exact"] == rep.value
-    # the Lipschitz audit refuses the span's Markov constant, not certified
+    # the Lipschitz audit refuses the span: no Markov constant is known for it
     assert main(["lipschitz", "--space", space_path, "--z1", points_path,
                  "--z2", points_path]) == 1
-    assert "not certified" in capsys.readouterr().err
+    assert "no Markov constant is known" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("box", [[0.2, 2.0], [[0.2], [2.0], [3.0]], [[0.2, 0.3], [2.0, 2.1]],
@@ -382,6 +382,13 @@ BAD_EXPONENTS = [  # each ran as the exponents 0, 3, 7
     (["fewnomial", "--form", "discrete", "--exponents", "0,1;3,2;7,5", *DISCRETE_FLAGS],
      "needs one integer per --exponents group"),
 ]
+OUT_OF_DOMAIN = [  # m_max = -1 read value 0.0; the others ended in numpy or a traceback
+    (["estimate-c", "--trials", "5", "--m-max", "-1"], "m_max must be >= 0, got -1"),
+    (["estimate-c", "--trials", "5", "--rate-box", "-1"], "rate_box must be positive, got -1.0"),
+    (["estimate-c", "--trials", "5", "--rate-box", "0"], "rate_box must be positive, got 0.0"),
+    (["bound", "--name", "bg", "--n", "0", "--d", "2", "--lam", "0.5"],
+     "need n >= 1 and d >= 0, got n = 0, d = 2"),
+]
 
 
 def _missing_id(argv, flag):
@@ -390,9 +397,12 @@ def _missing_id(argv, flag):
 
 
 @pytest.mark.parametrize(
-    "argv, message", [(argv, f"needs {flag}") for argv, flag in MISSING] + BAD_EXPONENTS,
+    "argv, message",
+    [(argv, f"needs {flag}") for argv, flag in MISSING] + BAD_EXPONENTS + OUT_OF_DOMAIN,
     ids=[_missing_id(*case) for case in MISSING] + ["discrete-fractional-exponent",
-                                                    "discrete-two-coordinate-exponent"])
+                                                    "discrete-two-coordinate-exponent",
+                                                    "m-max-neg", "rate-box-neg", "rate-box-0",
+                                                    "bg-n-0"])
 def test_a_missing_flag_of_a_bound_or_form_is_a_usage_error(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -142,6 +142,19 @@ def test_estimate_c_deterministic():
     assert math.isfinite(a.value) and a.value >= 0.0
 
 
+@pytest.mark.parametrize("m_max, rate_box, message", [
+    (-1, 2.0, "m_max must be >= 0, got -1"), (3, 0.0, "rate_box must be positive, got 0.0"),
+    (3, -1.0, "rate_box must be positive, got -1.0"),
+    (0, 0.0, "rate_box must be positive, got 0.0"),
+    (3, float("nan"), "rate_box must be positive, got nan")])
+def test_estimate_c_refuses_arguments_outside_its_sampler(m_max, rate_box, message):
+    # m_max = -1 returned value 0.0, and rate_box <= 0 failed inside numpy
+    with pytest.raises(ValueError, match=message):
+        estimate_c(5, m_max=m_max, rate_box=rate_box)
+    with pytest.raises(ValueError, match=message):
+        sample_tn_instance(np.random.default_rng(0), m_max, rate_box)
+
+
 def test_minimal_c_certifies_its_own_instance(rng):
     for _ in range(20):
         p, interval, zs = sample_tn_instance(rng, 3, 2.0)

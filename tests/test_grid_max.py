@@ -58,12 +58,12 @@ def _instance(rng, space, box, extra):
 
 
 def _handed(space, W, box, spacing, budget):
-    """The bracket of ``_certified_max`` on ``box``, and the (W, plan, rule) it
-    hands ``_grid_max`` for that box (its last call: an additive box brackets
-    the cube first). A polynomial box other than the cube and a point hands
-    T W, its coefficients in the box's frame, on a cube's plan."""
+    """The bracket of ``_certified_max`` on ``box``, and the (W, plan) of its
+    one ``_grid_max`` call. A polynomial box other than the cube and a point
+    hands T W, its coefficients in the box's frame, on a cube's plan."""
     with mock.patch.object(norming, "_grid_max", wraps=norming._grid_max) as spy:
         bracket, column = _certified_max(space, W, box, spacing, budget)
+    assert spy.call_count == 1
     return (bracket, column, *spy.call_args.args)
 
 
@@ -123,9 +123,9 @@ CASES = {
                    (np.array([-0.3]), np.array([0.45])), 1e-4, None, True),
     "beyond-cube": (SpaceDescriptor.polynomial(1, 5),
                     (np.array([-1.2]), np.array([0.3])), 1e-4, None, True),
-    # Bernstein's inequality holds on all of R: a trigonometric box crossing
-    # the cube's edge takes the additive rule, one covering it the
-    # multiplicative rule
+    # Bernstein's inequality holds relative to the sup over a period: a
+    # trigonometric box crossing the cube's edge takes the Lipschitz rule,
+    # one covering it the relative rule
     "trig-edge": (SpaceDescriptor.trigonometric(1, 2),
                   (np.array([-1.4]), np.array([0.3])), None, 20001, True),
     "trig-period": (SpaceDescriptor.trigonometric(1, 3),
@@ -150,7 +150,7 @@ def test_grid_max_matches_dense_oracle(name):
         # an instance needs its points inside the cube and off a flat axis
         inst_box = box if name.startswith(("sub-box", "fewnomial")) else space.default_box()
         W = _instance(rng, space, inst_box, extra)
-        bracket, _, Wh, plan, rule = _handed(space, W, box, spacing, budget)
+        bracket, _, Wh, plan = _handed(space, W, box, spacing, budget)
         TW, frame = _in_frame(space, W, box)
         assert np.array_equal(Wh, TW)
         key = _frame_key(frame, spacing)
@@ -161,12 +161,12 @@ def test_grid_max_matches_dense_oracle(name):
         # pruned: a level of the tree is evaluated; otherwise every column
         # and every block is kept
         with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as lattice_pass:
-            cols, keep = _coarse_prune(Wh, plan, rule)
+            cols, keep = _coarse_prune(Wh, plan)
         assert lattice_pass.called == pruned
         assert pruned or (cols.size == W.shape[1] and keep is None)
         if name == "sub-box-1d":
             assert cols.size < W.shape[1] and keep is not None and keep.size < np.prod(plan.shape)
-        value, point, col = _grid_max(Wh, plan, rule)
+        value, point, col = _grid_max(Wh, plan)
         ref_value, ref_point, ref_col, ref_h = _dense(plan.space, Wh, frame.box, key, budget)
         assert value == pytest.approx(ref_value, rel=1e-12)
         if periodic:
@@ -178,9 +178,9 @@ def test_grid_max_matches_dense_oracle(name):
         assert h == ref_h
 
 
-def _keeps_everything(space, W, plan, rule):
+def _keeps_everything(space, W, plan):
     """True when ``_coarse_prune`` keeps every column and every block."""
-    cols, keep = _coarse_prune(W, plan, rule)
+    cols, keep = _coarse_prune(W, plan)
     return cols.size == W.shape[1] and keep is None
 
 
@@ -199,7 +199,7 @@ def _ragged_case(draw, family):
         space = getattr(SpaceDescriptor, family)(n, draw(st.integers(1, top)))
         box = space.default_box()
         if family == "trigonometric" or draw(st.booleans()):
-            # inside the cube: a trigonometric box then takes the additive
+            # inside the cube: a trigonometric box then takes the Lipschitz
             # rule, and no maxima tie one period apart
             lo = np.array(draw(st.lists(st.floats(-1.0, 0.4), min_size=n, max_size=n)))
             box = (lo, lo + np.array(draw(st.lists(st.floats(0.3, 0.6), min_size=n,
@@ -220,9 +220,9 @@ def test_block_tree_matches_a_dense_pass_on_ragged_grids(family, data):
     frame = _Frame(space, np.asarray(box, dtype=float))
     plan = grid_plan(frame.space, frame.box, None, m**space.n)
     assume(plan.tree and any(k % plan.tree[-1][0] for k in plan.shape))
-    _, _, Wh, handed, rule = _handed(space, W, box, None, m**space.n)
+    _, _, Wh, handed = _handed(space, W, box, None, m**space.n)
     assert handed is plan
-    value, point, col = _grid_max(Wh, plan, rule)
+    value, point, col = _grid_max(Wh, plan)
     ref_value, ref_point, ref_col = _dense_on(plan.space, Wh, plan.axes)
     assert value == pytest.approx(ref_value, rel=1e-12)
     assert np.array_equal(point, ref_point) and col == ref_col
@@ -248,14 +248,14 @@ def test_grid_max_matches_dense_oracle_on_wide_vertex_matrices(name, monkeypatch
     box = space.default_box() if box is None else box
     W = _instance(np.random.default_rng(seed), space, box, m - space.dimension())
     assert W.shape[1] > 20
-    _, _, _, plan, rule = _handed(space, W, box, None, budget)
+    _, _, _, plan = _handed(space, W, box, None, budget)
     # one lattice pass per level that runs, the root included
     lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
-    cols, _ = _coarse_prune(W, plan, rule)
+    cols, _ = _coarse_prune(W, plan)
     assert lattice_pass.call_count - 1 >= levels
     assert cols.size < W.shape[1]
-    value, point, col = _grid_max(W, plan, rule)
+    value, point, col = _grid_max(W, plan)
     ref_value, ref_point, ref_col = _dense_on(space, W, plan.axes)
     assert np.array_equal(point, ref_point)
     assert col == ref_col
@@ -401,7 +401,7 @@ def test_one_column_reads_the_root_table_alone(monkeypatch):
     W = np.random.default_rng(11).normal(size=(space.dimension(), 1))[:, :, None]
     lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
-    cols, keep = _coarse_prune(W, plan, (plan.H, None))
+    cols, keep = _coarse_prune(W, plan)
     assert len(plan.tree) > 1 and lattice_pass.call_count == 1
     assert lattice_pass.call_args.args[0] is plan.tree[-1][1]
     assert list(cols) == [0] and keep is not None and keep.size < np.prod(plan.shape)
@@ -412,10 +412,10 @@ def test_many_columns_drop_blocks_above_the_root(monkeypatch):
     # level reads fewer rows than its table holds
     space, _, m, budget, _, seed = WIDE["P2-2d-m10-default"]
     W = _instance(np.random.default_rng(seed), space, space.default_box(), m - space.dimension())
-    _, _, _, plan, rule = _handed(space, W, space.default_box(), None, budget)
+    _, _, _, plan = _handed(space, W, space.default_box(), None, budget)
     lattice_pass = mock.Mock(wraps=norming._lattice_pass)
     monkeypatch.setattr(norming, "_lattice_pass", lattice_pass)
-    _coarse_prune(W, plan, rule)
+    _coarse_prune(W, plan)
     rows = [call.args[0].shape[0] for call in lattice_pass.call_args_list]
     assert rows[-1] < plan.tree[-1][1].shape[0]
 
@@ -424,7 +424,7 @@ def test_many_columns_drop_blocks_above_the_root(monkeypatch):
 # second-derivative constant H of the rule. A polynomial box with no flat
 # axis takes the cube's in its frame, as T W on the cube's plan; a
 # trigonometric box its own plan, the relative rule where it covers the cube
-# and the additive one with the cube's constants elsewhere. On the cube,
+# and the Lipschitz rule elsewhere, with no M and H = 0. On the cube,
 # Markov's inequality gives |p'| <= d^2 * sup |p| and |p''| <= (d - 1)^2 *
 # sup |p'|; Bernstein's gives pi * d per derivative.
 RULES = {
@@ -433,12 +433,10 @@ RULES = {
     "poly-covering": (SpaceDescriptor.polynomial(1, 5), (-1.5, 1.5), "frame", 25.0,
                       25.0 * 16.0),
     "poly-inside": (SpaceDescriptor.polynomial(1, 5), (-0.3, 0.45), "frame", 25.0, 25.0 * 16.0),
-    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), "additive", 2 * np.pi,
-                  (2 * np.pi) ** 2),
+    "trig-edge": (SpaceDescriptor.trigonometric(1, 2), (-1.4, 0.3), "lipschitz", None, 0.0),
     "trig-covering": (SpaceDescriptor.trigonometric(1, 3), (-1.5, 1.5), "relative", 3 * np.pi,
                       (3 * np.pi) ** 2),
-    "trig-inside": (SpaceDescriptor.trigonometric(1, 2), (-0.6, 0.4), "additive", 2 * np.pi,
-                    (2 * np.pi) ** 2),
+    "trig-inside": (SpaceDescriptor.trigonometric(1, 2), (-0.6, 0.4), "lipschitz", None, 0.0),
 }
 
 
@@ -447,21 +445,31 @@ def test_every_box_gets_a_rule(name):
     space, (lo, hi), kind, M, H = RULES[name]
     box = (np.array([lo]), np.array([hi]))
     W = np.random.default_rng(12).normal(size=(space.dimension(), 3))[:, :, None]
-    bracket, _, _, plan, (h, S) = _handed(space, W, box, None, 2001)
-    assert bracket.certified and plan.markov.certified
-    assert h == pytest.approx(H, rel=1e-15) and plan.markov.value == pytest.approx(M, rel=1e-15)
+    bracket, _, Wh, plan = _handed(space, W, box, None, 2001)
+    assert bracket.certified and plan.H == pytest.approx(H, rel=1e-15)
     cube = grid_plan(space, space.default_box(), None, 2001)
     assert (plan is cube) == (kind == "frame")
-    if kind == "additive":
-        assert plan.additive and S == _certified_max(space, W, space.default_box(), None,
-                                                     2001)[0].upper
+    h = plan.h_eff / 2
+    if kind == "lipschitz":
+        # no M: each column's own bound D_k = |w_k| . G, with G = pi times the
+        # frequencies of 1, cos, sin, cos 2, sin 2, and the spacing not halved
+        assert plan.markov is None and plan.h_eff == (hi - lo) / 2000
+        assert np.array_equal(plan.lipschitz, np.pi * np.array([0.0, 1.0, 1.0, 2.0, 2.0]))
+        D = (1.0 + norming._PRUNE_RTOL) * (np.abs(W[:, :, 0]).T @ plan.lipschitz)
+        assert bracket.upper == bracket.lower + h * D.max()
     else:
-        assert not plan.additive and S is None
+        assert plan.lipschitz is None and plan.markov.certified
+        assert plan.markov.value == pytest.approx(M, rel=1e-15)
+        # upper = lower / (1 - M h/2), with both ends moved out by T W's
+        # rounding in a frame
+        pad = 0.0 if Wh is W else _Frame(space, np.array(box)).pad(W)
+        assert bracket.upper - pad == pytest.approx(
+            (bracket.lower + pad) / (1.0 - plan.markov.value * h), rel=1e-14)
 
 
 def test_trigonometric_sub_box_is_certified_and_holds_a_dense_maximum():
-    # Bernstein's constant is not certified on [0, 0.1], but the additive
-    # rule reads it relative to the sup over the cube, a whole period
+    # Bernstein's constant is not certified on [0, 0.1], but each column's
+    # own Lipschitz bound is: G is exact for a trigonometric space
     space = SpaceDescriptor.trigonometric(1, 1)
     box = _B([0.0], [0.1])
     assert not markov_constant(space, box=box).certified
@@ -498,21 +506,24 @@ def test_flat_axis_takes_the_whole_budget(space):
     # 1-D one: the grid layer never sees the flat axis
     box = (np.array([0.3, 0.7]), np.array([1.8, 0.7]))
     W = np.random.default_rng(13).normal(size=(space.dimension(), 1))[:, :, None]
-    _, _, Wh, plan, rule = _handed(space, W, box, None, None)
+    _, _, Wh, plan = _handed(space, W, box, None, None)
     assert plan.space.n == 1 and plan.shape == (200_001,)
     with mock.patch.object(norming, "_lattice_pass", wraps=norming._lattice_pass) as product:
-        _coarse_prune(Wh, plan, rule)
+        _coarse_prune(Wh, plan)
     assert product.call_args.args[0].shape[0] == 4001
 
 
-def test_subbox_is_not_pruned_without_cube_bound():
+def test_subbox_prunes_with_its_own_slope_bounds():
+    # a trigonometric sub-box prunes on the first-order bound of its columns'
+    # own slopes, and a bound that is not finite prunes nothing
     space, box, spacing, budget, _ = CASES["trig-edge"]
     W = _instance(np.random.default_rng(0), space, space.default_box(), 1)
-    _, _, _, plan, _ = _handed(space, W, box, spacing, budget)
-    assert plan.additive
-    # S = sup_cube, where an uncertified cube bracket has sup_cube = inf
-    assert _keeps_everything(space, W, plan, (plan.H, np.nan))
-    assert _keeps_everything(space, W, plan, (plan.H, np.inf))
+    _, _, _, plan = _handed(space, W, box, spacing, budget)
+    assert plan.markov is None and plan.H == 0.0
+    assert not _keeps_everything(space, W, plan)
+    W = W.copy()
+    W[0, 0, 0] = np.nan
+    assert _keeps_everything(space, W, plan)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -522,10 +533,10 @@ def test_identity_columns_keep_every_block(n):
     space = SpaceDescriptor.polynomial(n, 2)
     box, budget = space.default_box(), 20001
     W = np.eye(space.dimension())[:, :, None]
-    _, _, _, plan, rule = _handed(space, W, box, None, budget)
-    cols, keep = _coarse_prune(W, plan, rule)
+    _, _, _, plan = _handed(space, W, box, None, budget)
+    cols, keep = _coarse_prune(W, plan)
     assert keep is None
-    value, point, col = _grid_max(W, plan, rule)
+    value, point, col = _grid_max(W, plan)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, budget)
     assert (value, col) == (ref_value, ref_col)
     assert np.array_equal(point, ref_point)
@@ -654,7 +665,17 @@ def test_lebesgue_group_matches_vertex_enumeration(name):
             # the witness is divided by max_Z |f|, 1 to B^-1's rounding, and
             # lower with it: by at most the 1e-9 that vertices may exceed 1 by
             assert verts.lower * (1 - 1e-9) <= rep.lower <= verts.lower * (1 + 1e-12)
-            assert rep.upper == pytest.approx(verts.upper, rel=1e-12)
+            # one M serves both on a box that has one; elsewhere the group's
+            # slope bound sum_j |L_j| . G is at least each vertex's, and both
+            # hold the Lebesgue function's maximum on a grid 4 times finer
+            frame = _Frame(space, np.asarray(box, dtype=float))
+            if grid_plan(frame.space, frame.box, None, budget).markov is None:
+                assert rep.upper >= verts.upper * (1 - 1e-12)
+            else:
+                assert rep.upper == pytest.approx(verts.upper, rel=1e-12)
+            fine, _ = uniform_grid(box, rep.grid_spacing / 4)
+            dense = np.abs(space.evaluate_basis(fine) @ np.linalg.inv(B)).sum(axis=1).max()
+            assert dense <= verts.upper * (1 + 1e-12) and dense <= rep.upper * (1 + 1e-12)
             w = rep.witness_coefficients
             assert np.max(np.abs(B @ w)) <= 1.0 + 1e-9
             attained = abs(space.evaluate_basis(rep.witness_point) @ w)
@@ -676,10 +697,10 @@ def test_grid_max_finds_a_peak_between_block_centres():
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
     coarse = T1.evaluate_basis(x[S // 2::S, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
-    _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
+    _, _, _, plan = _handed(T1, W, box, None, 20001)
     assert plan.axes == axes
-    assert _coarse_prune(W, plan, rule) is not None
-    value, point, col = _grid_max(W, plan, rule)
+    assert _coarse_prune(W, plan) is not None
+    value, point, col = _grid_max(W, plan)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -702,8 +723,8 @@ def test_grid_max_finds_a_peak_between_block_centres():
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
     column0 = np.abs(T1.evaluate_basis(x[:, None]) @ W[:, 0, 0])
     assert column0[625 * S - 1] < 1.0 < column0.max()
-    _, _, _, plan, rule = _handed(T1, W, box, None, 20001)
-    value, point, col = _grid_max(W, plan, rule)
+    _, _, _, plan = _handed(T1, W, box, None, 20001)
+    value, point, col = _grid_max(W, plan)
     ref_value, ref_point, ref_col, _ = _dense(T1, W, box, None, 20001)
     assert col == ref_col == 0
     assert np.array_equal(point, ref_point)
@@ -718,7 +739,7 @@ def test_box_edge_maximiser_matches_a_dense_pass():
     space = SpaceDescriptor.polynomial(1, 2)
     box = _B([-0.3005], [0.2])
     W = np.array([[0.4, -2.0, 0.0], [1.0012, 0.0, -1.0]]).T[:, :, None]
-    bracket, column, Wh, plan, _ = _handed(space, W, box, 1e-4, None)
+    bracket, column, Wh, plan = _handed(space, W, box, 1e-4, None)
     value, point, col = _dense_on(space, Wh, plan.axes)
     assert (column, col) == (1, 1) and value == pytest.approx(1.0012, rel=1e-9)
     assert bracket.lower == pytest.approx(value, rel=1e-12) and bracket.upper >= 1.0012
@@ -727,7 +748,7 @@ def test_box_edge_maximiser_matches_a_dense_pass():
 
 
 def test_fewnomial_grid_max_finds_a_peak_between_block_centres():
-    # As above on span{1, x, x^2}, where no Markov constant is certified:
+    # As above on span{1, x, x^2}, where no Markov constant is known:
     # column 0 peaks midway between two block centres, column 1 on one.
     # Only the corner Lipschitz pad L_k * r keeps column 0 and its block.
     space = SpaceDescriptor.fewnomial_span([[0.0], [1.0], [2.0]])
@@ -740,14 +761,14 @@ def test_fewnomial_grid_max_finds_a_peak_between_block_centres():
     W = np.stack([(1 + 1e-8) * bump(x0), bump(y0)], axis=1)[:, :, None]
     coarse = space.evaluate_basis(x[S // 2::S, None]) @ W[:, :, 0]
     assert np.max(np.abs(coarse[:, 0])) < np.max(np.abs(coarse[:, 1]))
-    M = markov_constant(space, box=box)
-    assert not M.certified
-    _, _, _, plan, rule = _handed(space, W, box, None, 20001)
-    assert plan.axes == axes
-    cols, keep = _coarse_prune(W, plan, rule)
+    with pytest.raises(ValueError, match="no Markov constant"):
+        markov_constant(space, box=box)
+    _, _, _, plan = _handed(space, W, box, None, 20001)
+    assert plan.axes == axes and plan.markov is None and plan.H == 0.0
+    cols, keep = _coarse_prune(W, plan)
     assert list(cols) == [0, 1]
     assert keep is not None and keep.size < x.size
-    value, point, col = _grid_max(W, plan, rule)
+    value, point, col = _grid_max(W, plan)
     ref_value, ref_point, ref_col, _ = _dense(space, W, box, None, 20001)
     assert (point[0], col) == (ref_point[0], ref_col) == (x0, 0)
     assert value == pytest.approx(ref_value, rel=1e-12)
@@ -759,8 +780,8 @@ def test_fewnomial_group_rule_bounds_the_group_slope():
     rng = np.random.default_rng(14)
     l = FEW.dimension()
     W = np.stack([1e-3 * rng.normal(size=(l, 2)), rng.normal(size=(l, 2))], axis=2)
-    _, _, _, plan, rule = _handed(FEW, W, FEW_BOX, None, 20001)
-    assert rule == (0.0, None)
+    _, _, _, plan = _handed(FEW, W, FEW_BOX, None, 20001)
+    assert plan.markov is None and plan.H == 0.0
     slope = _with_slopes(W, plan)[1]  # the constant D_k of each group
     x = np.linspace(FEW_BOX[0][0], FEW_BOX[1][0], 200_001)
     phi = FEW.evaluate_basis(x[:, None])
@@ -772,12 +793,12 @@ def test_fewnomial_group_rule_bounds_the_group_slope():
 
 
 def _spy_grid_max(monkeypatch):
-    """Record the (plan, rule) of every ``_grid_max`` call."""
+    """Record the plan of every ``_grid_max`` call."""
     calls, real = [], norming._grid_max
 
-    def spy(W, plan, rule):
-        calls.append((plan, rule))
-        return real(W, plan, rule)
+    def spy(W, plan):
+        calls.append(plan)
+        return real(W, plan)
 
     monkeypatch.setattr(norming, "_grid_max", spy)
     return calls
@@ -822,7 +843,7 @@ def test_subinterval_sweep_shares_the_cube_plan(monkeypatch):
         # few of its blocks, and the root table is the cube call's
         assert rows[0] < 0.05 * 20001
     # every sub-interval takes its frame on the one cached plan, the cube's
-    assert len(calls) == 1 + len(SWEEP) and all(plan is calls[0][0] for plan, _ in calls)
+    assert len(calls) == 1 + len(SWEEP) and all(plan is calls[0] for plan in calls)
     assert _grid_plan.cache_info().currsize == 1
     for box, br in zip(SWEEP, got):
         assert br.certified and _holds_dense_max(space, coeff, box, br, 1e-4)
@@ -848,19 +869,18 @@ def test_evicted_plans_give_the_brackets_of_an_empty_cache():
         assert _as_tuple(br) == _as_tuple(certified_supnorm(space, c, box, grid_spacing=h))
 
 
-def test_subbox_prunes_with_the_cube_upper_bound(monkeypatch):
-    # the additive rule of a trigonometric sub-box needs a bound on the sup
-    # over the cube: the cube bracket's upper end, not its grid value
+def test_subbox_reads_no_cube_bracket(monkeypatch):
+    # a trigonometric sub-box's rule needs no bound on the sup over the cube:
+    # one plan, the box's own, and one grid pass
     space = SpaceDescriptor.trigonometric(1, 2)
-    H = (2 * np.pi) ** 2  # Bernstein's inequality twice
     coeff = np.random.default_rng(6).normal(size=space.dimension())
-    cube = certified_supnorm(space, coeff, budget=2001)
-    assert cube.certified and cube.upper > cube.lower
+    _grid_plan.cache_clear()
     calls = _spy_grid_max(monkeypatch)
-    certified_supnorm(space, coeff, SWEEP[1], budget=2001)
-    assert [plan for plan, _ in calls] == [grid_plan(space, space.default_box(), None, 2001),
-                                           grid_plan(space, SWEEP[1], None, 2001)]
-    assert [rule for _, rule in calls] == [(H, None), (H, cube.upper)]
+    bracket = certified_supnorm(space, coeff, SWEEP[1], budget=2001)
+    assert _grid_plan.cache_info().currsize == 1
+    assert calls == [grid_plan(space, SWEEP[1], None, 2001)]
+    assert bracket.certified and _holds_dense_max(space, coeff, SWEEP[1], bracket,
+                                                  bracket.grid_spacing)
 
 
 def test_three_points_on_a_tenth_have_the_lebesgue_constant_of_their_image():
@@ -938,9 +958,8 @@ def _certified_max_case(draw, family, power, where):
     n = draw(st.integers(1, 2))
     floats = lambda a, b: st.lists(st.floats(a, b), min_size=n, max_size=n).map(np.array)
     if family == "fewnomial":
-        # half-integer exponents: nearly equal ones leave the Markov
-        # constant's pivoting no nonsingular subset (RankDeficiencyError);
-        # on a flat axis, exponents equal off it are one function of V'
+        # half-integer exponents; on a flat axis, exponents equal off it are
+        # one function of V'
         alpha = st.tuples(*[st.integers(-4, 6).map(lambda k: k / 2.0) for _ in range(n)])
         space = SpaceDescriptor.fewnomial_span(draw(st.lists(alpha, min_size=1, max_size=4,
                                                              unique=True)))
@@ -1012,7 +1031,7 @@ def test_certified_max_matches_dense_pass_and_brackets_a_finer_grid(family, powe
         bracket, column = _certified_max(space, W, box, None, budget)
         assert np.array_equal(bracket.argmax, box[0]) and bracket.grid_spacing == 0.0
     else:
-        bracket, column, Wh, plan, rule = _handed(space, W, box, None, budget)
+        bracket, column, Wh, plan = _handed(space, W, box, None, budget)
         assert np.array_equal(Wh, TW)
         value, point, col = _dense_on(plan.space, Wh, plan.axes)
         assert bracket.lower == pytest.approx(value, rel=1e-12)
@@ -1231,7 +1250,7 @@ def test_inside_boxes_match_a_dense_pass(name):
             W = _instance(rng, space, space.default_box(), extra)
         else:
             W = rng.normal(size=(l, 1, 1))
-        bracket, column, Wh, plan, _ = _handed(space, W, box, spacing, budget)
+        bracket, column, Wh, plan = _handed(space, W, box, spacing, budget)
         TW, frame = _in_frame(space, W, box)
         assert plan is grid_plan(frame.space, frame.box, _frame_key(frame, spacing), budget)
         assert np.array_equal(Wh, TW) and (Wh is W) == (space.kind == "trigonometric")
@@ -1279,3 +1298,80 @@ def test_norming_upper_bounds_the_lp_value_at_random_points(family, data):
     B = space.evaluate_basis(pts)
     for x in lo + (hi - lo) * rng.uniform(size=(20, n)):
         assert norming_lp_value(B, space.evaluate_basis(x)) <= rep.upper * (1 + 1e-9)
+
+
+@st.composite
+def _lipschitz_case(draw, family):
+    """A box with no Markov constant: a fewnomial span (exponents in [-3, 4]
+    in steps of 1/2) on a box in the orthant, or a trigonometric space on a
+    box inside the cube, with a flat axis on a coin flip where n = 2; and W,
+    coefficients in V: a vector, the vertex columns of a set of dim V' + 0..2
+    points on the box, or the Lagrange group of a unisolvent set there."""
+    n = draw(st.integers(1, 2))
+    floats = lambda a, b: np.array(draw(st.lists(st.floats(a, b), min_size=n, max_size=n)))
+    if family == "fewnomial":
+        alpha = st.tuples(*[st.integers(-6, 8).map(lambda k: k / 2.0) for _ in range(n)])
+        space = SpaceDescriptor.fewnomial_span(draw(st.lists(alpha, min_size=2, max_size=4,
+                                                             unique=True)))
+        lo = floats(0.1, 1.5)
+        hi = lo + floats(0.05, 1.5)
+    else:
+        space = SpaceDescriptor.trigonometric(n, draw(st.integers(1, (3, 1)[n - 1])))
+        lo = floats(-0.99, 0.8)
+        hi = np.minimum(lo + floats(0.05, 1.5), 1.0)
+    if n == 2 and draw(st.booleans()):
+        j = draw(st.integers(0, 1))
+        hi[j] = lo[j]
+    frame = _Frame(space, np.array([lo, hi]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["vector", "vertices", "lebesgue"]))
+    l, k = frame.space.dimension(), frame.space.n
+    m = l + (draw(st.integers(0, 2)) if kind == "vertices" else 0)
+    pts = np.tile(lo, (m, 1))
+    pts[:, frame.live] = lo[frame.live] + (hi - lo)[frame.live] * (
+        random_points(rng, m, k, min_sep=0.05) + 1.0) / 2.0
+    B = frame.space.evaluate_basis(pts[:, frame.live])
+    if kind == "vertices":
+        W = frame.lifted(_feasible_vertices(B).T)[:, :, None]
+    elif kind == "lebesgue" and np.linalg.cond(B) < 1e8:
+        W = frame.lifted(np.linalg.solve(B, np.eye(l)))[:, None, :]
+    else:
+        W = rng.normal(size=(space.dimension(), 1, 1))
+    return space, (lo, hi), W
+
+
+@pytest.mark.parametrize("family", ["fewnomial", "trigonometric"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lipschitz_rule_brackets_hold_a_finer_dense_max(family, data):
+    # where the box has no Markov constant, upper = lower + h/2 * max_k D_k,
+    # D_k each column's own Lipschitz bound: D_k holds every difference
+    # quotient of column k along a live axis of a grid 4 times finer, the
+    # upper end that grid's dense maximum, and the argmax attains the lower
+    # end; trigonometric brackets are certified, as G is exact, and
+    # fewnomial ones are not
+    space, box, W = data.draw(_lipschitz_case(family))
+    assume(W.shape[1] > 0)
+    frame = _Frame(space, np.array(box))
+    budget = 2001 if frame.space.n == 1 else 1600
+    bracket, column, Wh, plan = _handed(space, W, box, None, budget)
+    assert plan.markov is None and plan.H == 0.0
+    assert bracket.certified == (family == "trigonometric")
+    D = _with_slopes(Wh, plan)[1]
+    # in a frame both ends move out by T W's rounding
+    assert bracket.upper - bracket.lower == pytest.approx(
+        plan.h_eff / 2 * D.max() + 2 * _frame_pad(frame, W), rel=1e-9)
+    vmax = max(1.0, space.basis_sup(box))
+    tol = 4 * W.shape[0] * np.finfo(float).eps * np.abs(W).sum(axis=(0, 2)).max() * vmax
+    fine = _box_grid(box, bracket.grid_spacing / 4)
+    l, K, g = W.shape
+    vals = np.abs(space.evaluate_basis(fine) @ W.reshape(l, K * g)).reshape(-1, K, g).sum(axis=2)
+    assert float(vals.max()) <= bracket.upper + tol
+    attained = np.abs(space.evaluate_basis(bracket.argmax) @ W[:, column]).sum()
+    assert abs(attained - bracket.lower) <= tol + 2 * _frame_pad(frame, W)
+    counts = [len(np.unique(fine[:, j])) for j in range(space.n)]
+    vals = vals.reshape(*counts, K)
+    for j in np.flatnonzero(frame.live if space.n > 1 else [True]):
+        step = float(np.diff(np.unique(fine[:, j])).max())
+        quotient = np.abs(np.diff(vals, axis=j)) / step
+        assert np.all(quotient <= D * (1 + 1e-9) + 2 * tol / step)

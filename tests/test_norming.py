@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 import threading
 import time
@@ -44,6 +45,29 @@ def test_reversed_or_non_finite_box_is_rejected():
     assert flat.lower <= 0.5 <= flat.upper <= flat.lower + 32 * np.finfo(float).eps
     assert flat.certified
     assert not PointSet(pts, box=([0.0], [0.4])).box.flags.writeable
+
+
+@pytest.mark.parametrize("coeff, shape", [
+    ([np.nan, 0.0, 0.0], "(3,)"), ([np.inf, 0.0, 0.0], "(3,)"), ([1.0, 2.0], "(2,)"),
+    ([[1.0, 2.0, 3.0]], "(1, 3)"), (1.0, "()")])
+def test_certified_supnorm_refuses_coefficients_that_are_not_dim_v_finite_numbers(coeff,
+                                                                                 shape):
+    # NaN and inf read [nan, nan] and [inf, inf], certified, and length 2 failed
+    # inside numpy's matmul
+    message = f"must be a vector of dim V = 3 finite numbers, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certified_supnorm(P2, coeff)
+
+
+@pytest.mark.parametrize("space, box", [(P2, None), (SpaceDescriptor.trigonometric(1, 1),
+                                                     ([0.0], [0.1]))], ids=["P2", "T1-sub-box"])
+def test_a_bracket_whose_upper_end_is_not_finite_is_not_certified(space, box):
+    # a coefficient above the float range makes both ends inf
+    W = np.full((space.dimension(), 1, 1), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket, _ = norming._certified_max(space, W, norming._domain_box(space, box), None,
+                                            2001)
+    assert bracket.upper == np.inf and not bracket.certified
 
 
 def test_duplicate_points_rejected():

@@ -165,12 +165,12 @@ def test_sets_on_different_domains_are_refused():
     assert lipschitz_audit(P1, cube, [[-0.9], [0.9]], budget=20001).satisfied
 
 
-def test_fewnomial_audits_are_refused_for_their_sampled_constant():
+def test_fewnomial_audits_are_refused_for_want_of_a_constant():
     space = SpaceDescriptor.fewnomial_span([[0.0], [0.5], [1.5]])
     z = PointSet([[0.3], [0.9], [1.7]], ([0.2], [2.0]))
     for run in (lambda: lipschitz_audit(space, z, z), lambda: stability_ball(space, z),
                 lambda: perturbation_experiment(space, z, [0.05], trials=2, seed=0)):
-        with pytest.raises(ValueError, match="not certified"):
+        with pytest.raises(ValueError, match="no Markov constant is known"):
             run()
 
 
@@ -200,12 +200,12 @@ def test_audits_on_a_flat_box_read_the_constant_of_the_live_variables():
     rep = lipschitz_audit(T1, z, y, budget=2001)
     assert rep.markov == np.pi and rep.satisfied
     # a fewnomial span whose exponents coincide on the live axis is V' =
-    # span{1, x^0.5}: refused, as its Markov constant is not certified
+    # span{1, x^0.5}: refused, as no Markov constant is known for it
     few = SpaceDescriptor.fewnomial_span([[0.0, 0.0], [0.5, 1.0], [0.5, -0.5]])
     box = ([0.3, 0.7], [1.8, 0.7])
     z1 = PointSet([[0.3, 0.7], [0.9, 0.7], [1.8, 0.7]], box)
     z2 = PointSet([[0.3, 0.7], [1.0, 0.7], [1.8, 0.7]], box)
-    with pytest.raises(ValueError, match="not certified"):
+    with pytest.raises(ValueError, match="no Markov constant is known"):
         lipschitz_audit(few, z1, z2)
 
 
